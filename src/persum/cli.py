@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error. All randomness
 is surfaced through --seed flags; reruns on identical inputs write identical
-bytes. --threads is accepted for forward compatibility but execution is
-sequential; outputs do not depend on it.
+bytes.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["kaggle-csv", "dialog-jsonl"], required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--threads", type=int, default=1, help="reserved; outputs never depend on it")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("split", help="assign train/val/test, seeded or from a split file")
@@ -106,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", help="file with one dialog id per line to leave out")
     p.add_argument("--output", required=True)
     p.add_argument("--coverage", help="also write the coverage counters to this JSON file")
-    p.add_argument("--threads", type=int, default=1, help="reserved; outputs never depend on it")
     p.set_defaults(func=cmd_weaklabel)
 
     p = sub.add_parser("subsets", help="write nested few-shot training subsets per seed")
@@ -138,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix-customer", default=None, help="override the config's customer prefix")
     p.add_argument("--prefix-agent", default=None, help="override the config's agent prefix")
     p.add_argument("--strict-missing", action="store_true", help="error on unscorable dialogs")
-    p.add_argument("--threads", type=int, default=1, help="reserved; outputs never depend on it")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("report", help="re-emit a report from a per-dialog score dump")
@@ -161,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prefixes_from_args(args) -> PrefixConfig:
-    base = PrefixConfig()
+def _prefixes_from_args(args, base: PrefixConfig = PrefixConfig()) -> PrefixConfig:
+    """--prefix-customer/--prefix-agent where given, else the prefixes of `base`."""
     return PrefixConfig(
         customer=args.prefix_customer if args.prefix_customer is not None else base.customer,
         agent=args.prefix_agent if args.prefix_agent is not None else base.agent,
@@ -277,11 +273,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_score(args) -> int:
     config, paths = load_config_file(args.config)
-    if args.prefix_customer is not None or args.prefix_agent is not None:
-        config.prefixes = PrefixConfig(
-            customer=args.prefix_customer if args.prefix_customer is not None else config.prefixes.customer,
-            agent=args.prefix_agent if args.prefix_agent is not None else config.prefixes.agent,
-        )
+    config.prefixes = _prefixes_from_args(args, config.prefixes)
     if args.strict_missing:
         config.strict_missing = True
     corpus_path = args.corpus or paths.corpus

@@ -3,7 +3,8 @@ seed aggregation, and report emission in the method x training-size layout.
 
 Scores are stored in [0, 1] and rendered x100 with two decimals in reports.
 Per-run score is the unweighted mean over scored test dialogs; cells aggregate
-the per-run means over seeds as mean (+/- sample standard deviation).
+the per-run means over seeds as mean (+/- sample standard deviation). `score`
+and `report` build the table from the per-dialog rows with the same reducer.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import json
 import statistics
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -190,12 +192,38 @@ def _triple_to_row(
     )
 
 
+def _score_dialogs(
+    candidates: Mapping[str, CandidateSummary | None],
+    references: Mapping[str, str],
+    config: ExperimentConfig,
+    warnings: list[str],
+    missing: str,
+) -> dict[str, ScoreTriple]:
+    """Score each dialog's candidate against its reference, in reference order. A dialog
+    without a candidate is an error under strict_missing, else a warning `missing.format(did)`."""
+    triples: dict[str, ScoreTriple] = {}
+    for did, reference in references.items():
+        cand = candidates[did]
+        if cand is None:
+            message = missing.format(did)
+            if config.strict_missing:
+                raise ExperimentError(message)
+            warnings.append(message)
+            continue
+        triples[did] = score_pair(cand.text, reference, config.tokenizer)
+    return triples
+
+
 def run_experiment(
     corpus: Corpus,
     config: ExperimentConfig,
     external: Sequence[PredictionSet] = (),
 ) -> RunResult:
-    """Score every (method, perspective, size, seed) cell on the test split."""
+    """Score every (method, perspective, size, seed) cell on the test split.
+
+    Built-in candidates do not depend on the training subset, so they are
+    scored once per dialog and reused in every (size, seed) cell.
+    """
     config.validate()
     if corpus.gold is None:
         raise ExperimentError("corpus has no gold summaries; scoring needs references")
@@ -235,8 +263,6 @@ def run_experiment(
         raise MissingCellsError(missing_cells)
 
     per_dialog: list[PerDialogScore] = []
-    rows: dict[tuple[str, Perspective, str], dict[int, AggregateCell]] = {}
-
     for method in config.methods:
         spec = parse_builtin_method(method)
         for perspective in config.perspectives:
@@ -245,84 +271,58 @@ def run_experiment(
                     f"{method}: not applicable to the {perspective.value} perspective, row skipped"
                 )
                 continue
+            label = f"{method}/{perspective.value}"
             references = {did: _gold_reference(corpus.gold[did], perspective) for did in test_ids}
-
-            builtin_triples: dict[str, ScoreTriple] | None = None
             if spec is not None:
-                builtin_triples = {}
-                for did in test_ids:
-                    cand = builtin_candidate(
+                candidates = {
+                    did: builtin_candidate(
                         dialogs[did], spec, perspective, config.prefixes, config.min_tokens
                     )
-                    if cand is None:
-                        message = f"{method}/{perspective.value}: no candidate for dialog {did}"
-                        if config.strict_missing:
-                            raise ExperimentError(message)
-                        warnings.append(message)
-                        continue
-                    builtin_triples[did] = score_pair(cand.text, references[did], config.tokenizer)
-
-            run_means: dict[str, dict[int, list[float]]] = {v: {s: [] for s in config.sizes} for v in VARIANTS}
+                    for did in test_ids
+                }
+                builtin = _score_dialogs(
+                    candidates, references, config, warnings, f"{label}: no candidate for dialog {{}}"
+                )
             for size in config.sizes:
                 for seed in config.seeds:
-                    if builtin_triples is not None:
-                        triples = builtin_triples
+                    if spec is not None:
+                        triples = builtin
                     else:
-                        triples = {}
-                        pred = ext_index[(method, size, seed)]
-                        for did in test_ids:
-                            entry = pred.entries.get(did)
-                            cand = (
-                                prediction_candidate(entry, method, perspective, config.prefixes)
-                                if entry is not None
-                                else None
-                            )
-                            if cand is None:
-                                message = (
-                                    f"{method}/{perspective.value}: no prediction for dialog {did} "
-                                    f"(size={size}, seed={seed})"
-                                )
-                                if config.strict_missing:
-                                    raise ExperimentError(message)
-                                warnings.append(message)
-                                continue
-                            triples[did] = score_pair(cand.text, references[did], config.tokenizer)
-                    for did in test_ids:
-                        if did in triples:
-                            per_dialog.append(
-                                _triple_to_row(triples[did], did, method, perspective, size, seed)
-                            )
-                    if triples:
-                        run_means["rouge1"][size].append(
-                            statistics.fmean(t.r1.f_measure for t in triples.values())
+                        entries = ext_index[(method, size, seed)].entries
+                        candidates = {
+                            did: prediction_candidate(entries[did], method, perspective, config.prefixes)
+                            if did in entries
+                            else None
+                            for did in test_ids
+                        }
+                        triples = _score_dialogs(
+                            candidates, references, config, warnings,
+                            f"{label}: no prediction for dialog {{}} (size={size}, seed={seed})",
                         )
-                        run_means["rouge2"][size].append(
-                            statistics.fmean(t.r2.f_measure for t in triples.values())
-                        )
-                        run_means["rougeL"][size].append(
-                            statistics.fmean(t.rl.f_measure for t in triples.values())
-                        )
-                    else:
-                        warnings.append(
-                            f"{method}/{perspective.value}: no dialog scored at size={size}, seed={seed}"
-                        )
-                        for variant in VARIANTS:
-                            run_means[variant][size].append(0.0)
+                    if not triples:
+                        warnings.append(f"{label}: no dialog scored at size={size}, seed={seed}")
+                    per_dialog.extend(
+                        _triple_to_row(triple, did, method, perspective, size, seed)
+                        for did, triple in triples.items()
+                    )
 
-            for variant in VARIANTS:
-                rows[(method, perspective, variant)] = {
-                    size: aggregate(run_means[variant][size]) for size in config.sizes
-                }
-
-    table = ResultTable(sizes=list(config.sizes), rows=rows)
-    return RunResult(table=table, per_dialog=per_dialog, families=families, warnings=warnings)
+    if not per_dialog:
+        raise ExperimentError("no dialog scored in any cell")
+    return RunResult(
+        table=table_from_per_dialog(per_dialog), per_dialog=per_dialog, families=families, warnings=warnings
+    )
 
 
 # --- report emission ------------------------------------------------------------
 
 
-def format_cell(cell: AggregateCell) -> str:
-    """Render "mean (+/-deviation)" on the 0-100 scale; zero deviation is omitted."""
+def format_cell(cell: AggregateCell | None) -> str:
+    """Render "mean (+/-deviation)" on the 0-100 scale; zero deviation is omitted.
+
+    A missing cell (no run scored a dialog) renders "-".
+    """
+    if cell is None:
+        return "-"
     mean = f"{cell.mean * 100:.2f}"
     if cell.deviation == 0:
         return mean
@@ -364,7 +364,7 @@ def _emit_markdown(table: ResultTable) -> str:
         out.append("| --- | " + " | ".join("---" for _ in table.sizes) + " |")
         for method in methods:
             cells = table.rows[(method, perspective, variant)]
-            rendered = " | ".join(format_cell(cells[s]) for s in table.sizes)
+            rendered = " | ".join(format_cell(cells.get(s)) for s in table.sizes)
             out.append(f"| {method} | {rendered} |")
         out.append("")
     return "\n".join(out)
@@ -379,7 +379,7 @@ def _emit_csv(table: ResultTable) -> str:
             cells = table.rows[(method, perspective, variant)]
             writer.writerow(
                 [perspective.value, VARIANT_LABELS[variant], method]
-                + [format_cell(cells[s]) for s in table.sizes]
+                + [format_cell(cells.get(s)) for s in table.sizes]
             )
     return buf.getvalue()
 
@@ -447,39 +447,35 @@ def read_per_dialog_csv(path: str | Path) -> list[PerDialogScore]:
 
 
 def table_from_per_dialog(rows: Sequence[PerDialogScore]) -> ResultTable:
-    """Recompute the aggregate table from a per-dialog dump."""
+    """Aggregate per-dialog rows into the report table, for `score` and `report` alike.
+
+    A run's score is the mean over its rows; a cell aggregates its runs' scores
+    in ascending seed order. A run with no scored dialog has no rows, so it adds
+    no score, and a (method, perspective, size) with no run has no cell.
+    """
     if not rows:
         raise ExperimentError("per-dialog dump is empty")
-    sizes = sorted({row.size for row in rows})
-    keys: list[tuple[str, Perspective]] = []
-    grouped: dict[tuple[str, Perspective, int, int], dict[str, list[float]]] = {}
+    runs: dict[tuple[str, Perspective, int, int], list[PerDialogScore]] = {}
     for row in rows:
-        if (row.method, row.perspective) not in keys:
-            keys.append((row.method, row.perspective))
-        cell = grouped.setdefault(
-            (row.method, row.perspective, row.size, row.seed),
-            {"rouge1": [], "rouge2": [], "rougeL": []},
-        )
-        cell["rouge1"].append(row.r1_f)
-        cell["rouge2"].append(row.r2_f)
-        cell["rougeL"].append(row.rl_f)
+        key = (row.method, row.perspective, row.size, row.seed)
+        run = runs.get(key)
+        if run is None:
+            runs[key] = [row]
+        else:
+            run.append(row)
+    seeds: dict[tuple[str, Perspective, int], list[int]] = {}
+    for method, perspective, size, seed in runs:
+        seeds.setdefault((method, perspective, size), []).append(seed)
 
     table_rows: dict[tuple[str, Perspective, str], dict[int, AggregateCell]] = {}
-    for method, perspective in keys:
-        seeds = sorted({row.seed for row in rows if (row.method, row.perspective) == (method, perspective)})
-        for variant in VARIANTS:
-            cells: dict[int, AggregateCell] = {}
-            for size in sizes:
-                means = [
-                    statistics.fmean(grouped[(method, perspective, size, seed)][variant])
-                    for seed in seeds
-                    if (method, perspective, size, seed) in grouped
-                ]
-                if means:
-                    cells[size] = aggregate(means)
-            if cells:
-                table_rows[(method, perspective, variant)] = cells
-    return ResultTable(sizes=sizes, rows=table_rows)
+    for (method, perspective, size), cell_seeds in seeds.items():
+        cell_runs = [runs[(method, perspective, size, seed)] for seed in sorted(cell_seeds)]
+        for variant, column in zip(VARIANTS, ("r1_f", "r2_f", "rl_f")):
+            score = attrgetter(column)
+            table_rows.setdefault((method, perspective, variant), {})[size] = aggregate(
+                [statistics.fmean(map(score, run)) for run in cell_runs]
+            )
+    return ResultTable(sizes=sorted({size for _, _, size in seeds}), rows=table_rows)
 
 
 # --- post-process rate curve ------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from persum import read_corpus, write_corpus
+from persum import Split, read_corpus, write_corpus
 from persum.cli import main
 from util import synthetic_corpus
 
@@ -336,6 +336,60 @@ def test_report_command_recomputes_from_dump(scored_setup, tmp_path):
     )
     assert code == 0
     assert regenerated.read_text(encoding="utf-8") == (out_dir / "report.md").read_text(encoding="utf-8")
+
+
+def test_report_equals_score_report_when_runs_score_nothing(tmp_path, capsys):
+    # method_a scores seed 0 only at size 0 and nothing at size 16, while
+    # method_b scores every dialog: an empty run adds no run mean and a cell
+    # with no run renders "-", in score's report and in report's alike
+    corpus = synthetic_corpus(random.Random(11), 25, with_gold=True, with_split=True)
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, corpus_path)
+    dialogs = corpus.by_id()
+    prediction_paths = []
+    for method in ("method_a", "method_b"):
+        for size in (0, 16):
+            for seed in (0, 1):
+                real = method == "method_b" or (size, seed) == (0, 0)
+                lines = [json.dumps({"method": method, "training_size": size, "seed": seed})]
+                for did in corpus.dialog_ids(Split.TEST):
+                    text = dialogs[did].utterances[0].text if real else None
+                    lines.append(json.dumps({"dialog_id": did, "customer": text, "agent": None}))
+                path = tmp_path / f"{method}_{size}_{seed}.jsonl"
+                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                prediction_paths.append(str(path))
+    config = {
+        "methods": ["method_a", "method_b"],
+        "perspectives": ["customer"],
+        "sizes": [0, 16],
+        "n_seeds": 2,
+        "corpus": str(corpus_path),
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    reports = {}
+    for fmt in ("md", "csv"):
+        out_dir = tmp_path / f"run_{fmt}"
+        score_args = ["score", "--config", str(config_path), "--predictions", *prediction_paths]
+        assert main(score_args + ["--report", fmt, "--output-dir", str(out_dir)]) == 0
+        assert "method_a/customer: no dialog scored at size=16, seed=1" in capsys.readouterr().err
+        regenerated = tmp_path / f"regenerated.{fmt}"
+        dump = str(out_dir / "per_dialog_scores.csv")
+        assert main(["report", "--per-dialog", dump, "--format", fmt, "--output", str(regenerated)]) == 0
+        assert regenerated.read_bytes() == (out_dir / f"report.{fmt}").read_bytes()
+        reports[fmt] = regenerated.read_text(encoding="utf-8")
+
+    a_rows = [line for line in reports["md"].splitlines() if line.startswith("| method_a |")]
+    assert len(a_rows) == 3
+    for line in a_rows:
+        _, size_0, size_16 = line.strip("| ").split(" | ")
+        assert "±" not in size_0  # one run at size 0: no deviation
+        assert size_16 == "-"
+    a_rows = [row for row in csv.reader(reports["csv"].splitlines()) if row[2] == "method_a"]
+    assert len(a_rows) == 3
+    assert all(row[4] == "-" and "±" not in row[3] for row in a_rows)
+    assert "method_b" in reports["md"] and "method_b" in reports["csv"]
 
 
 def test_split_command_rejects_two_ratios(tmp_path, capsys):
