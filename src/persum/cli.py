@@ -286,7 +286,12 @@ def cmd_score(args) -> int:
     prediction_paths = list(paths.predictions) + list(args.predictions)
     external = [load_predictions(p) for p in prediction_paths]
 
-    result = run_experiment(corpus, config, external)
+    warnings: list[str] = []
+    try:
+        result = run_experiment(corpus, config, external, warnings)
+    finally:
+        for message in warnings:
+            print(f"warning: {message}", file=sys.stderr)
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,8 +301,6 @@ def cmd_score(args) -> int:
     write_per_dialog_csv(result.per_dialog, out_dir / "per_dialog_scores.csv")
     if args.subsets:
         write_subset_files(result.families, out_dir / "subsets")
-    for message in result.warnings:
-        print(f"warning: {message}", file=sys.stderr)
     print(f"wrote {report_name} and per_dialog_scores.csv to {out_dir}")
     return EXIT_OK
 

@@ -20,7 +20,16 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, GoldSummary, Split
 from .rng import make_rng
-from .rouge import AggregateCell, ScoreTriple, TokenizerConfig, aggregate, score_pair
+from .rouge import (
+    AggregateCell,
+    PreparedReference,
+    ScoreTriple,
+    TokenizerConfig,
+    aggregate,
+    prepare_reference,
+    score_tokens,
+    tokenize,
+)
 from .summarize import (
     DEFAULT_PREFIXES,
     CandidateSummary,
@@ -194,13 +203,14 @@ def _triple_to_row(
 
 def _score_dialogs(
     candidates: Mapping[str, CandidateSummary | None],
-    references: Mapping[str, str],
+    references: Mapping[str, PreparedReference],
     config: ExperimentConfig,
     warnings: list[str],
     missing: str,
 ) -> dict[str, ScoreTriple]:
-    """Score each dialog's candidate against its reference, in reference order. A dialog
-    without a candidate is an error under strict_missing, else a warning `missing.format(did)`."""
+    """Score each dialog's candidate against its prepared reference, in reference order. A
+    dialog without a candidate is an error under strict_missing, else a warning
+    `missing.format(did)`."""
     triples: dict[str, ScoreTriple] = {}
     for did, reference in references.items():
         cand = candidates[did]
@@ -210,7 +220,7 @@ def _score_dialogs(
                 raise ExperimentError(message)
             warnings.append(message)
             continue
-        triples[did] = score_pair(cand.text, reference, config.tokenizer)
+        triples[did] = score_tokens(tokenize(cand.text, config.tokenizer), reference)
     return triples
 
 
@@ -218,11 +228,16 @@ def run_experiment(
     corpus: Corpus,
     config: ExperimentConfig,
     external: Sequence[PredictionSet] = (),
+    warnings: list[str] | None = None,
 ) -> RunResult:
     """Score every (method, perspective, size, seed) cell on the test split.
 
-    Built-in candidates do not depend on the training subset, so they are
-    scored once per dialog and reused in every (size, seed) cell.
+    Each reference is tokenized once per perspective and shared by every method
+    and cell. Built-in candidates do not depend on the training subset, so they
+    are scored once per dialog and reused in every (size, seed) cell.
+
+    Warnings go to RunResult.warnings, and also to `warnings` when it is given,
+    so that a caller still has them when scoring fails.
     """
     config.validate()
     if corpus.gold is None:
@@ -234,7 +249,8 @@ def run_experiment(
     train_ids = corpus.dialog_ids(Split.TRAIN)
     test_ids = [did for did in corpus.dialog_ids(Split.TEST) if did in corpus.gold]
     gold_missing = len(corpus.dialog_ids(Split.TEST)) - len(test_ids)
-    warnings: list[str] = []
+    if warnings is None:
+        warnings = []
     if gold_missing:
         warnings.append(f"{gold_missing} test dialog(s) have no gold summary and are not scored")
     if not test_ids:
@@ -262,6 +278,13 @@ def run_experiment(
     if missing_cells:
         raise MissingCellsError(missing_cells)
 
+    prepared = {
+        perspective: {
+            did: prepare_reference(_gold_reference(corpus.gold[did], perspective), config.tokenizer)
+            for did in test_ids
+        }
+        for perspective in config.perspectives
+    }
     per_dialog: list[PerDialogScore] = []
     for method in config.methods:
         spec = parse_builtin_method(method)
@@ -272,7 +295,7 @@ def run_experiment(
                 )
                 continue
             label = f"{method}/{perspective.value}"
-            references = {did: _gold_reference(corpus.gold[did], perspective) for did in test_ids}
+            references = prepared[perspective]
             if spec is not None:
                 candidates = {
                     did: builtin_candidate(
@@ -422,27 +445,41 @@ def write_per_dialog_csv(rows: Sequence[PerDialogScore], path: str | Path) -> No
             )
 
 
+def _unit_score(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{text!r} is not a score in [0, 1]")
+    return value
+
+
+_DUMP_PARSERS = (str, str, Perspective, int, int) + (_unit_score,) * 5
+
+
+def _dump_row(record: list[str]) -> PerDialogScore:
+    if len(record) != len(PER_DIALOG_COLUMNS):
+        raise ValueError(f"expected {len(PER_DIALOG_COLUMNS)} fields, got {len(record)}")
+    values = []
+    for column, parse, value in zip(PER_DIALOG_COLUMNS, _DUMP_PARSERS, record):
+        try:
+            values.append(parse(value))
+        except ValueError as exc:
+            raise ValueError(f"{column}: {exc}") from None
+    return PerDialogScore(*values)
+
+
 def read_per_dialog_csv(path: str | Path) -> list[PerDialogScore]:
+    """Read a dump written by write_per_dialog_csv; a malformed row is an error naming its line."""
     rows: list[PerDialogScore] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != PER_DIALOG_COLUMNS:
-            raise ExperimentError(f"per-dialog dump must have columns {', '.join(PER_DIALOG_COLUMNS)}")
-        for record in reader:
-            rows.append(
-                PerDialogScore(
-                    dialog_id=record["dialog_id"],
-                    method=record["method"],
-                    perspective=Perspective(record["perspective"]),
-                    size=int(record["size"]),
-                    seed=int(record["seed"]),
-                    r1_p=float(record["r1_p"]),
-                    r1_r=float(record["r1_r"]),
-                    r1_f=float(record["r1_f"]),
-                    r2_f=float(record["r2_f"]),
-                    rl_f=float(record["rl_f"]),
-                )
-            )
+        reader = csv.reader(fh)
+        try:
+            if tuple(next(reader, ())) != PER_DIALOG_COLUMNS:
+                raise ValueError(f"per-dialog dump must have columns {', '.join(PER_DIALOG_COLUMNS)}")
+            for record in reader:
+                if record:
+                    rows.append(_dump_row(record))
+        except (ValueError, csv.Error) as exc:
+            raise ExperimentError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
     return rows
 
 
@@ -526,15 +563,35 @@ _CONFIG_KEYS = {
 }
 
 
+def _is_a(value, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _config_list(document: dict, key: str, kind: type, default: Sequence | None = None) -> list:
+    """document[key], or default when absent, checked to be a list of `kind` values."""
+    if key not in document and default is None:
+        raise ExperimentError(f"config missing required key {key!r}")
+    value = document.get(key, default)
+    if not isinstance(value, (list, tuple)) or not all(_is_a(item, kind) for item in value):
+        raise ExperimentError(f"config key {key!r} must be a list of {kind.__name__} values, got {value!r}")
+    return list(value)
+
+
+def _config_int(document: dict, key: str, default: int) -> int:
+    value = document.get(key, default)
+    if not _is_a(value, int):
+        raise ExperimentError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def parse_config(document: dict) -> tuple[ExperimentConfig, ConfigPaths]:
     unknown = set(document) - _CONFIG_KEYS
     if unknown:
         raise ExperimentError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    methods = _config_list(document, "methods", str)
+    perspective_names = _config_list(document, "perspectives", str)
     try:
-        methods = list(document["methods"])
-        perspectives = [Perspective(p) for p in document["perspectives"]]
-    except KeyError as exc:
-        raise ExperimentError(f"config missing required key {exc.args[0]!r}") from exc
+        perspectives = [Perspective(p) for p in perspective_names]
     except ValueError as exc:
         raise ExperimentError(f"bad perspective in config: {exc}") from exc
 
@@ -549,11 +606,11 @@ def parse_config(document: dict) -> tuple[ExperimentConfig, ConfigPaths]:
     config = ExperimentConfig(
         methods=methods,
         perspectives=perspectives,
-        sizes=tuple(document.get("sizes", DEFAULT_SIZES)),
-        n_seeds=document.get("n_seeds", 5),
+        sizes=tuple(_config_list(document, "sizes", int, DEFAULT_SIZES)),
+        n_seeds=_config_int(document, "n_seeds", 5),
         tokenizer=tokenizer,
         prefixes=prefixes,
-        min_tokens=document.get("min_tokens", DEFAULT_MIN_TOKENS),
+        min_tokens=_config_int(document, "min_tokens", DEFAULT_MIN_TOKENS),
         cap_to_population=bool(document.get("cap_to_population", False)),
         strict_missing=bool(document.get("strict_missing", False)),
     )
@@ -561,7 +618,7 @@ def parse_config(document: dict) -> tuple[ExperimentConfig, ConfigPaths]:
     paths = ConfigPaths(
         corpus=document.get("corpus"),
         split=document.get("split"),
-        predictions=list(document.get("predictions", [])),
+        predictions=_config_list(document, "predictions", str, []),
     )
     return config, paths
 

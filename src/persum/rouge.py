@@ -1,7 +1,9 @@
 """ROUGE-1/2/L precision, recall, and F-measure plus run aggregation.
 
 ROUGE-L uses the longest common subsequence over the full token sequences
-(summary level, no sentence splitting). F-measure is the plain harmonic mean.
+(summary level, no sentence splitting), computed bit-parallel. F-measure is the
+plain harmonic mean. A reference is tokenized once into a PreparedReference
+and any number of candidate token lists are scored against it.
 Aggregation renders the mean of per-run scores with the sample standard
 deviation (n-1 denominator) as the +/- column.
 """
@@ -64,56 +66,95 @@ def _make_score(overlap: float, candidate_total: int, reference_total: int) -> R
     return RougeScore(precision, recall, _f_measure(precision, recall))
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+@dataclass(frozen=True)
+class PreparedReference:
+    """A tokenized reference with what every candidate is scored against.
+
+    `masks` maps each token to the bitmask of its positions (bit i set when
+    tokens[i] is that token). A token's count is the popcount of its mask, and
+    the count of a bigram (a, b) is the popcount of masks[a] & masks[b] >> 1.
+    Scoring only reads these fields, so one instance serves any number of
+    candidates.
+    """
+
+    tokens: tuple[str, ...]
+    masks: dict[str, int]
+
+
+def _prepare_tokens(tokens: Sequence[str]) -> PreparedReference:
+    masks: dict[str, int] = {}
+    for i, token in enumerate(tokens):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    return PreparedReference(tuple(tokens), masks)
+
+
+def prepare_reference(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> PreparedReference:
+    """Tokenize a reference once so that many candidates can be scored against it."""
+    return _prepare_tokens(tokenize(text, config))
+
+
+def _rouge_1(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
+    overlap = 0
+    for token, count in Counter(candidate).items():
+        mask = ref.masks.get(token)
+        if mask:
+            ref_count = mask.bit_count()
+            overlap += count if count < ref_count else ref_count
+    return _make_score(overlap, len(candidate), len(ref.tokens))
+
+
+def _rouge_2(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
+    overlap = 0
+    for (first, second), count in Counter(zip(candidate, candidate[1:])).items():
+        first_mask = ref.masks.get(first)
+        second_mask = ref.masks.get(second)
+        if first_mask and second_mask:
+            ref_count = (first_mask & second_mask >> 1).bit_count()
+            overlap += count if count < ref_count else ref_count
+    return _make_score(overlap, max(len(candidate) - 1, 0), max(len(ref.tokens) - 1, 0))
+
+
+def _rouge_l(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004).
+
+    v holds one row of the LCS table: bit j is clear when the LCS of the
+    candidate so far with reference[:j + 1] is one longer than with
+    reference[:j]. The LCS length is the number of clear bits, and each
+    candidate token updates the whole row with a few integer operations.
+    """
+    n = len(ref.tokens)
+    full = (1 << n) - 1
+    v = full
+    for token in candidate:
+        mask = ref.masks.get(token)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return _make_score(n - v.bit_count(), len(candidate), n)
+
+
+def score_tokens(candidate: Sequence[str], ref: PreparedReference) -> ScoreTriple:
+    """ROUGE-1, ROUGE-2, and ROUGE-L of candidate tokens against a prepared reference."""
+    return ScoreTriple(r1=_rouge_1(candidate, ref), r2=_rouge_2(candidate, ref), rl=_rouge_l(candidate, ref))
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:
     """Clipped n-gram overlap score for n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    cand_counts = _ngram_counts(candidate, n)
-    ref_counts = _ngram_counts(reference, n)
-    overlap = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
-    return _make_score(
-        overlap,
-        max(len(candidate) - n + 1, 0),
-        max(len(reference) - n + 1, 0),
-    )
-
-
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    return (_rouge_1 if n == 1 else _rouge_2)(candidate, _prepare_tokens(reference))
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     """Longest-common-subsequence score over the full token sequences."""
-    lcs = _lcs_length(candidate, reference)
-    return _make_score(lcs, len(candidate), len(reference))
+    return _rouge_l(candidate, _prepare_tokens(reference))
 
 
 def score_pair(
     candidate: str, reference: str, config: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> ScoreTriple:
     """Tokenize both sides once and compute ROUGE-1, ROUGE-2, and ROUGE-L."""
-    cand = tokenize(candidate, config)
-    ref = tokenize(reference, config)
-    return ScoreTriple(
-        r1=rouge_n(cand, ref, 1),
-        r2=rouge_n(cand, ref, 2),
-        rl=rouge_l(cand, ref),
-    )
+    return score_tokens(tokenize(candidate, config), prepare_reference(reference, config))
 
 
 @dataclass(frozen=True)

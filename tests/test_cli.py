@@ -392,6 +392,54 @@ def test_report_equals_score_report_when_runs_score_nothing(tmp_path, capsys):
     assert "method_b" in reports["md"] and "method_b" in reports["csv"]
 
 
+DUMP_HEADER = "dialog_id,method,perspective,size,seed,r1_p,r1_r,r1_f,r2_f,rl_f\n"
+
+
+@pytest.mark.parametrize(
+    "row, complaint",
+    [
+        ("d1,pegasus,customer,0,0,0.5,0.5\n", "expected 10 fields, got 7"),
+        ("d1,pegasus,customer,0,0,0.5,0.5,abc,0.5,0.5\n", "r1_f: could not convert string to float: 'abc'"),
+        ("d1,pegasus,speaker,0,0,0.5,0.5,0.5,0.5,0.5\n", "perspective: 'speaker' is not a valid Perspective"),
+        ("d1,pegasus,customer,1.5,0,0.5,0.5,0.5,0.5,0.5\n", "size: invalid literal for int()"),
+        ("d1,pegasus,customer,0,0,0.5,0.5,0.5,0.5,nan\n", "rl_f: 'nan' is not a score in [0, 1]"),
+    ],
+    ids=["missing-columns", "non-numeric-score", "bad-perspective", "non-integer-size", "nan-score"],
+)
+def test_report_names_file_and_line_of_a_malformed_dump_row(tmp_path, capsys, row, complaint):
+    dump = tmp_path / "broken.csv"
+    dump.write_text(DUMP_HEADER + row, encoding="utf-8")
+    code = main(["report", "--per-dialog", str(dump), "--output", str(tmp_path / "report.md")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dump}, line 2: {complaint}")
+    assert not (tmp_path / "report.md").exists()
+
+
+def test_score_prints_warnings_before_the_error_that_ends_it(tmp_path, capsys):
+    corpus = synthetic_corpus(random.Random(5), 20, with_gold=True, with_split=True)
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, corpus_path)
+    test_ids = corpus.dialog_ids(Split.TEST)
+    lines = [json.dumps({"method": "pegasus", "training_size": 0, "seed": 0})]
+    lines += [json.dumps({"dialog_id": did, "customer": None, "agent": None}) for did in test_ids]
+    predictions = tmp_path / "pegasus.jsonl"
+    predictions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    code = main(
+        ["score", "--config", str(config_path), "--corpus", str(corpus_path),
+         "--predictions", str(predictions), "--output-dir", str(tmp_path / "run")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"warning: pegasus/customer: no prediction for dialog {did} (size=0, seed=0)" for did in test_ids
+    ] + ["warning: pegasus/customer: no dialog scored at size=0, seed=0", "error: no dialog scored in any cell"]
+
+
 def test_split_command_rejects_two_ratios(tmp_path, capsys):
     corpus = synthetic_corpus(random.Random(9), 5)
     src = tmp_path / "c.jsonl"

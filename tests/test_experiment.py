@@ -441,3 +441,24 @@ def test_parse_config_rejects_bad_sizes():
 def test_parse_config_rejects_bad_perspective():
     with pytest.raises(ExperimentError):
         parse_config({"methods": ["lead_base"], "perspectives": ["speaker"]})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("methods", "lead_base"),
+        ("methods", ["lead_base", 3]),
+        ("perspectives", "customer"),
+        ("sizes", [0, 16.0]),
+        ("sizes", "16"),
+        ("sizes", [0, True]),
+        ("n_seeds", "5"),
+        ("n_seeds", 2.0),
+        ("min_tokens", "5"),
+        ("predictions", "pegasus.jsonl"),
+    ],
+)
+def test_parse_config_rejects_wrongly_typed_values(key, value):
+    document = {"methods": ["lead_base"], "perspectives": ["customer"], key: value}
+    with pytest.raises(ExperimentError, match=f"config key '{key}' must be"):
+        parse_config(document)

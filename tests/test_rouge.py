@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from persum.rouge import (
     TokenizerConfig,
     aggregate,
+    prepare_reference,
     rouge_l,
     rouge_n,
     score_pair,
+    score_tokens,
     tokenize,
 )
 from util import VOCAB, naive_lcs_prf, naive_ngram_prf, random_token_list
@@ -157,6 +159,32 @@ def test_self_identity(tokens):
     assert rouge_l(tokens, tokens).f_measure == 1.0
     if len(tokens) >= 2:
         assert rouge_n(tokens, tokens, 2).f_measure == 1.0
+
+
+# five words and up to 150 tokens: tokens repeat heavily and bitmasks span several 64-bit words
+# (the length is drawn first: plain st.lists rarely grows past a dozen items)
+LONG_TOKENS = st.integers(0, 150).flatmap(lambda n: st.lists(st.sampled_from(VOCAB), min_size=n, max_size=n))
+
+
+def _prf(score):
+    return score.precision, score.recall, score.f_measure
+
+
+@given(LONG_TOKENS, LONG_TOKENS)
+def test_kernel_equals_naive_oracles_exactly(cand, ref):
+    want = (naive_ngram_prf(cand, ref, 1), naive_ngram_prf(cand, ref, 2), naive_lcs_prf(cand, ref))
+    for triple in (score_tokens(cand, prepare_reference(" ".join(ref))), score_pair(" ".join(cand), " ".join(ref))):
+        assert (_prf(triple.r1), _prf(triple.r2), _prf(triple.rl)) == want
+    assert (_prf(rouge_n(cand, ref, 1)), _prf(rouge_n(cand, ref, 2)), _prf(rouge_l(cand, ref))) == want
+
+
+@given(LONG_TOKENS, st.lists(LONG_TOKENS, max_size=8))
+def test_prepared_reference_is_reusable(ref, candidates):
+    shared = prepare_reference(" ".join(ref))
+    masks = dict(shared.masks)
+    reused = [score_tokens(cand, shared) for cand in candidates]
+    assert reused == [score_tokens(cand, prepare_reference(" ".join(ref))) for cand in candidates]
+    assert shared.tokens == tuple(ref) and shared.masks == masks
 
 
 def test_aggregate_single_run():
