@@ -38,16 +38,13 @@ from .experiment import (
 from .rng import make_rng
 from .rouge import (
     AggregateCell,
-    PreparedReference,
     RougeScore,
     ScoreTriple,
     TokenizerConfig,
     aggregate,
-    prepare_reference,
     rouge_l,
     rouge_n,
     score_pair,
-    score_tokens,
     tokenize,
 )
 from .summarize import (

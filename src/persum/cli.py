@@ -271,6 +271,11 @@ def cmd_summarize(args) -> int:
     return EXIT_OK
 
 
+def _print_warnings(messages: list[str]) -> None:
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_score(args) -> int:
     config, paths = load_config_file(args.config)
     config.prefixes = _prefixes_from_args(args, config.prefixes)
@@ -286,12 +291,12 @@ def cmd_score(args) -> int:
     prediction_paths = list(paths.predictions) + list(args.predictions)
     external = [load_predictions(p) for p in prediction_paths]
 
-    warnings: list[str] = []
     try:
-        result = run_experiment(corpus, config, external, warnings)
-    finally:
-        for message in warnings:
-            print(f"warning: {message}", file=sys.stderr)
+        result = run_experiment(corpus, config, external)
+    except ExperimentError as exc:
+        _print_warnings(exc.warnings)
+        raise
+    _print_warnings(result.warnings)
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -27,8 +27,7 @@ from .rouge import (
     TokenizerConfig,
     aggregate,
     prepare_reference,
-    score_tokens,
-    tokenize,
+    score_pair,
 )
 from .summarize import (
     DEFAULT_PREFIXES,
@@ -54,15 +53,20 @@ PERSPECTIVE_LABELS = {
 
 
 class ExperimentError(ValueError):
-    """The experiment configuration or its inputs are unusable."""
+    """The experiment configuration or its inputs are unusable. `warnings` holds what
+    run_experiment had warned before it failed."""
+
+    def __init__(self, message: str, warnings: Sequence[str] = ()):
+        super().__init__(message)
+        self.warnings = list(warnings)
 
 
 class MissingCellsError(ExperimentError):
     """External predictions do not cover every requested (method, size, seed)."""
 
-    def __init__(self, cells: Sequence[tuple[str, int, int]]):
+    def __init__(self, cells: Sequence[tuple[str, int, int]], warnings: Sequence[str] = ()):
         listing = ", ".join(f"({m}, size={s}, seed={k})" for m, s, k in cells)
-        super().__init__(f"missing prediction cells: {listing}")
+        super().__init__(f"missing prediction cells: {listing}", warnings)
         self.cells = list(cells)
 
 
@@ -217,10 +221,10 @@ def _score_dialogs(
         if cand is None:
             message = missing.format(did)
             if config.strict_missing:
-                raise ExperimentError(message)
+                raise ExperimentError(message, warnings)
             warnings.append(message)
             continue
-        triples[did] = score_tokens(tokenize(cand.text, config.tokenizer), reference)
+        triples[did] = score_pair(cand.text, reference, config.tokenizer)
     return triples
 
 
@@ -228,7 +232,6 @@ def run_experiment(
     corpus: Corpus,
     config: ExperimentConfig,
     external: Sequence[PredictionSet] = (),
-    warnings: list[str] | None = None,
 ) -> RunResult:
     """Score every (method, perspective, size, seed) cell on the test split.
 
@@ -236,8 +239,8 @@ def run_experiment(
     and cell. Built-in candidates do not depend on the training subset, so they
     are scored once per dialog and reused in every (size, seed) cell.
 
-    Warnings go to RunResult.warnings, and also to `warnings` when it is given,
-    so that a caller still has them when scoring fails.
+    Warnings go to RunResult.warnings, or to ExperimentError.warnings when
+    scoring fails.
     """
     config.validate()
     if corpus.gold is None:
@@ -249,12 +252,11 @@ def run_experiment(
     train_ids = corpus.dialog_ids(Split.TRAIN)
     test_ids = [did for did in corpus.dialog_ids(Split.TEST) if did in corpus.gold]
     gold_missing = len(corpus.dialog_ids(Split.TEST)) - len(test_ids)
-    if warnings is None:
-        warnings = []
+    warnings: list[str] = []
     if gold_missing:
         warnings.append(f"{gold_missing} test dialog(s) have no gold summary and are not scored")
     if not test_ids:
-        raise ExperimentError("no test dialogs with gold summaries to score")
+        raise ExperimentError("no test dialogs with gold summaries to score", warnings)
 
     families = [
         sample_nested_subsets(train_ids, config.sizes, seed, config.cap_to_population)
@@ -264,7 +266,7 @@ def run_experiment(
     ext_index: dict[tuple[str, int, int], PredictionSet] = {}
     for pred in external:
         if pred.cell in ext_index:
-            raise ExperimentError(f"duplicate prediction set for cell {pred.cell}")
+            raise ExperimentError(f"duplicate prediction set for cell {pred.cell}", warnings)
         ext_index[pred.cell] = pred
 
     missing_cells = [
@@ -276,7 +278,7 @@ def run_experiment(
         if (method, size, seed) not in ext_index
     ]
     if missing_cells:
-        raise MissingCellsError(missing_cells)
+        raise MissingCellsError(missing_cells, warnings)
 
     prepared = {
         perspective: {
@@ -330,7 +332,7 @@ def run_experiment(
                     )
 
     if not per_dialog:
-        raise ExperimentError("no dialog scored in any cell")
+        raise ExperimentError("no dialog scored in any cell", warnings)
     return RunResult(
         table=table_from_per_dialog(per_dialog), per_dialog=per_dialog, families=families, warnings=warnings
     )
@@ -564,7 +566,11 @@ _CONFIG_KEYS = {
 
 
 def _is_a(value, kind: type) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """isinstance, except that a bool is not an int."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
 
 
 def _config_list(document: dict, key: str, kind: type, default: Sequence | None = None) -> list:
@@ -577,10 +583,13 @@ def _config_list(document: dict, key: str, kind: type, default: Sequence | None 
     return list(value)
 
 
-def _config_int(document: dict, key: str, default: int) -> int:
-    value = document.get(key, default)
-    if not _is_a(value, int):
-        raise ExperimentError(f"config key {key!r} must be an integer, got {value!r}")
+def _config_value(document: dict, key: str, kind: type, default):
+    """document[key] checked to be a `kind` value, or default when absent."""
+    if key not in document:
+        return default
+    value = document[key]
+    if not _is_a(value, kind):
+        raise ExperimentError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -595,29 +604,33 @@ def parse_config(document: dict) -> tuple[ExperimentConfig, ConfigPaths]:
     except ValueError as exc:
         raise ExperimentError(f"bad perspective in config: {exc}") from exc
 
+    settings = _config_value(document, "tokenizer", dict, {})
     try:
-        tokenizer = TokenizerConfig(**document.get("tokenizer", {}))
+        tokenizer = TokenizerConfig(**settings)
     except TypeError as exc:
         raise ExperimentError(f"bad tokenizer settings in config: {exc}") from exc
+    for name, value in settings.items():
+        if not isinstance(value, bool):
+            raise ExperimentError(f"config tokenizer setting {name!r} must be true or false, got {value!r}")
     prefixes = PrefixConfig(
-        customer=document.get("prefix_customer", DEFAULT_PREFIXES.customer),
-        agent=document.get("prefix_agent", DEFAULT_PREFIXES.agent),
+        customer=_config_value(document, "prefix_customer", str, DEFAULT_PREFIXES.customer),
+        agent=_config_value(document, "prefix_agent", str, DEFAULT_PREFIXES.agent),
     )
     config = ExperimentConfig(
         methods=methods,
         perspectives=perspectives,
         sizes=tuple(_config_list(document, "sizes", int, DEFAULT_SIZES)),
-        n_seeds=_config_int(document, "n_seeds", 5),
+        n_seeds=_config_value(document, "n_seeds", int, 5),
         tokenizer=tokenizer,
         prefixes=prefixes,
-        min_tokens=_config_int(document, "min_tokens", DEFAULT_MIN_TOKENS),
-        cap_to_population=bool(document.get("cap_to_population", False)),
-        strict_missing=bool(document.get("strict_missing", False)),
+        min_tokens=_config_value(document, "min_tokens", int, DEFAULT_MIN_TOKENS),
+        cap_to_population=_config_value(document, "cap_to_population", bool, False),
+        strict_missing=_config_value(document, "strict_missing", bool, False),
     )
     config.validate()
     paths = ConfigPaths(
-        corpus=document.get("corpus"),
-        split=document.get("split"),
+        corpus=_config_value(document, "corpus", str, None),
+        split=_config_value(document, "split", str, None),
         predictions=_config_list(document, "predictions", str, []),
     )
     return config, paths

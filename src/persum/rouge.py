@@ -74,11 +74,15 @@ class PreparedReference:
     tokens[i] is that token). A token's count is the popcount of its mask, and
     the count of a bigram (a, b) is the popcount of masks[a] & masks[b] >> 1.
     Scoring only reads these fields, so one instance serves any number of
-    candidates.
+    candidates. It stands in for the reference token list in rouge_n, rouge_l
+    and score_pair, and its length is the number of tokens.
     """
 
     tokens: tuple[str, ...]
     masks: dict[str, int]
+
+    def __len__(self) -> int:
+        return len(self.tokens)
 
 
 def _prepare_tokens(tokens: Sequence[str]) -> PreparedReference:
@@ -133,28 +137,38 @@ def _rouge_l(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
     return _make_score(n - v.bit_count(), len(candidate), n)
 
 
-def score_tokens(candidate: Sequence[str], ref: PreparedReference) -> ScoreTriple:
-    """ROUGE-1, ROUGE-2, and ROUGE-L of candidate tokens against a prepared reference."""
-    return ScoreTriple(r1=_rouge_1(candidate, ref), r2=_rouge_2(candidate, ref), rl=_rouge_l(candidate, ref))
+def _prepared(reference: Sequence[str] | PreparedReference) -> PreparedReference:
+    return reference if isinstance(reference, PreparedReference) else _prepare_tokens(reference)
 
 
-def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:
+def rouge_n(candidate: Sequence[str], reference: Sequence[str] | PreparedReference, n: int) -> RougeScore:
     """Clipped n-gram overlap score for n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    return (_rouge_1 if n == 1 else _rouge_2)(candidate, _prepare_tokens(reference))
+    return (_rouge_1 if n == 1 else _rouge_2)(candidate, _prepared(reference))
 
 
-def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
+def rouge_l(candidate: Sequence[str], reference: Sequence[str] | PreparedReference) -> RougeScore:
     """Longest-common-subsequence score over the full token sequences."""
-    return _rouge_l(candidate, _prepare_tokens(reference))
+    return _rouge_l(candidate, _prepared(reference))
+
+
+def score_tokens(candidate: Sequence[str], reference: PreparedReference) -> ScoreTriple:
+    """ROUGE-1, ROUGE-2, and ROUGE-L of candidate tokens against a prepared reference."""
+    return ScoreTriple(
+        r1=rouge_n(candidate, reference, 1), r2=rouge_n(candidate, reference, 2), rl=rouge_l(candidate, reference)
+    )
 
 
 def score_pair(
-    candidate: str, reference: str, config: TokenizerConfig = DEFAULT_TOKENIZER
+    candidate: str, reference: str | PreparedReference, config: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> ScoreTriple:
-    """Tokenize both sides once and compute ROUGE-1, ROUGE-2, and ROUGE-L."""
-    return score_tokens(tokenize(candidate, config), prepare_reference(reference, config))
+    """Tokenize the candidate and compute ROUGE-1, ROUGE-2, and ROUGE-L. A reference
+    given as text is tokenized here; a PreparedReference, made with the same config,
+    is used as it is."""
+    if not isinstance(reference, PreparedReference):
+        reference = prepare_reference(reference, config)
+    return score_tokens(tokenize(candidate, config), reference)
 
 
 @dataclass(frozen=True)

@@ -456,9 +456,22 @@ def test_parse_config_rejects_bad_perspective():
         ("n_seeds", 2.0),
         ("min_tokens", "5"),
         ("predictions", "pegasus.jsonl"),
+        ("strict_missing", "false"),
+        ("cap_to_population", 1),
+        ("prefix_customer", 7),
+        ("prefix_agent", None),
+        ("corpus", ["corpus.jsonl"]),
+        ("split", 3),
+        ("tokenizer", ["stemming"]),
     ],
 )
 def test_parse_config_rejects_wrongly_typed_values(key, value):
     document = {"methods": ["lead_base"], "perspectives": ["customer"], key: value}
     with pytest.raises(ExperimentError, match=f"config key '{key}' must be"):
+        parse_config(document)
+
+
+def test_parse_config_rejects_a_tokenizer_setting_that_is_not_a_bool():
+    document = {"methods": ["lead_base"], "perspectives": ["customer"], "tokenizer": {"stemming": "false"}}
+    with pytest.raises(ExperimentError, match="tokenizer setting 'stemming' must be true or false"):
         parse_config(document)

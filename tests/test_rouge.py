@@ -173,9 +173,16 @@ def _prf(score):
 @given(LONG_TOKENS, LONG_TOKENS)
 def test_kernel_equals_naive_oracles_exactly(cand, ref):
     want = (naive_ngram_prf(cand, ref, 1), naive_ngram_prf(cand, ref, 2), naive_lcs_prf(cand, ref))
-    for triple in (score_tokens(cand, prepare_reference(" ".join(ref))), score_pair(" ".join(cand), " ".join(ref))):
+    prepared = prepare_reference(" ".join(ref))
+    for triple in (
+        score_tokens(cand, prepared),
+        score_pair(" ".join(cand), " ".join(ref)),
+        score_pair(" ".join(cand), prepared),
+    ):
         assert (_prf(triple.r1), _prf(triple.r2), _prf(triple.rl)) == want
-    assert (_prf(rouge_n(cand, ref, 1)), _prf(rouge_n(cand, ref, 2)), _prf(rouge_l(cand, ref))) == want
+    for reference in (ref, prepared):
+        got = rouge_n(cand, reference, 1), rouge_n(cand, reference, 2), rouge_l(cand, reference)
+        assert tuple(map(_prf, got)) == want
 
 
 @given(LONG_TOKENS, st.lists(LONG_TOKENS, max_size=8))
