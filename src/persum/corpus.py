@@ -215,9 +215,12 @@ def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
         if "gold" in record and record["gold"] is not None:
             g = record["gold"]
             try:
-                gold[did] = GoldSummary(did, g["customer"], g["agent"])
+                parts = g["customer"], g["agent"]
             except (KeyError, TypeError) as exc:
                 raise ParseError(lineno, f"dialog {did!r}: bad gold summary object") from exc
+            if not all(isinstance(part, str) for part in parts):
+                raise ParseError(lineno, f"dialog {did!r}: gold summary parts must be strings")
+            gold[did] = GoldSummary(did, *parts)
         if "split" in record and record["split"] is not None:
             try:
                 split[did] = Split(record["split"])
@@ -417,6 +420,8 @@ def split_corpus(
     seed: int = 0,
 ) -> Corpus:
     """Assign train/val/test by seeded shuffle and floor arithmetic on ratios."""
+    if not all(0.0 <= ratio <= 1.0 for ratio in ratios):
+        raise CorpusError(f"split ratios must each lie in [0, 1], got {', '.join(map(repr, ratios))}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise CorpusError(f"split ratios must sum to 1.0, got {sum(ratios)!r}")
     n = len(corpus.dialogs)
@@ -453,12 +458,14 @@ def load_split_csv(path: str | Path) -> dict[str, Split]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"dialog_id", "split"} <= set(reader.fieldnames):
             raise ParseError(1, "split file must have columns dialog_id, split")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            if row["dialog_id"] is None or row["split"] is None:
+                raise ParseError(reader.line_num, "split file row needs both a dialog_id and a split value")
             did = row["dialog_id"].strip()
             try:
                 value = Split(row["split"].strip())
             except ValueError as exc:
-                raise ParseError(lineno, f"unknown split value {row['split']!r}") from exc
+                raise ParseError(reader.line_num, f"unknown split value {row['split']!r}") from exc
             if did in assignment:
                 raise CorpusError(f"duplicate split assignment for dialog {did!r}")
             assignment[did] = value

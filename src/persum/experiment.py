@@ -12,18 +12,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-import statistics
+import math
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, is_
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus, GoldSummary, Split
 from .rng import make_rng
 from .rouge import (
     AggregateCell,
     PreparedReference,
-    ScoreTriple,
     TokenizerConfig,
     aggregate,
     prepare_reference,
@@ -64,8 +63,12 @@ class ExperimentError(ValueError):
 class MissingCellsError(ExperimentError):
     """External predictions do not cover every requested (method, size, seed)."""
 
+    SHOWN = 10  # cells the message lists; `cells` holds them all
+
     def __init__(self, cells: Sequence[tuple[str, int, int]], warnings: Sequence[str] = ()):
-        listing = ", ".join(f"({m}, size={s}, seed={k})" for m, s, k in cells)
+        listing = ", ".join(f"({m}, size={s}, seed={k})" for m, s, k in cells[: self.SHOWN])
+        if len(cells) > self.SHOWN:
+            listing += f", … and {len(cells) - self.SHOWN} more"
         super().__init__(f"missing prediction cells: {listing}", warnings)
         self.cells = list(cells)
 
@@ -152,8 +155,10 @@ def write_subset_files(families: Iterable[SubsetFamily], out_dir: str | Path) ->
 # --- scoring runs ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerDialogScore:
+class PerDialogScore(NamedTuple):
+    """One dump row, fields in dump-column order. Rows copied across (size, seed)
+    cells share their score floats."""
+
     dialog_id: str
     method: str
     perspective: Perspective
@@ -188,34 +193,17 @@ def _gold_reference(gold: GoldSummary, perspective: Perspective) -> str:
     return gold.customer_part + " " + gold.agent_part
 
 
-def _triple_to_row(
-    triple: ScoreTriple, did: str, method: str, perspective: Perspective, size: int, seed: int
-) -> PerDialogScore:
-    return PerDialogScore(
-        dialog_id=did,
-        method=method,
-        perspective=perspective,
-        size=size,
-        seed=seed,
-        r1_p=triple.r1.precision,
-        r1_r=triple.r1.recall,
-        r1_f=triple.r1.f_measure,
-        r2_f=triple.r2.f_measure,
-        rl_f=triple.rl.f_measure,
-    )
-
-
 def _score_dialogs(
     candidates: Mapping[str, CandidateSummary | None],
     references: Mapping[str, PreparedReference],
     config: ExperimentConfig,
     warnings: list[str],
     missing: str,
-) -> dict[str, ScoreTriple]:
-    """Score each dialog's candidate against its prepared reference, in reference order. A
-    dialog without a candidate is an error under strict_missing, else a warning
-    `missing.format(did)`."""
-    triples: dict[str, ScoreTriple] = {}
+) -> dict[str, tuple[float, ...]]:
+    """Score each dialog's candidate against its prepared reference, in reference order,
+    as the five score columns of its dump rows. A dialog without a candidate is an
+    error under strict_missing, else a warning `missing.format(did)`."""
+    scores: dict[str, tuple[float, ...]] = {}
     for did, reference in references.items():
         cand = candidates[did]
         if cand is None:
@@ -224,8 +212,10 @@ def _score_dialogs(
                 raise ExperimentError(message, warnings)
             warnings.append(message)
             continue
-        triples[did] = score_pair(cand.text, reference, config.tokenizer)
-    return triples
+        triple = score_pair(cand.text, reference, config.tokenizer)
+        r1 = triple.r1
+        scores[did] = (r1.precision, r1.recall, r1.f_measure, triple.r2.f_measure, triple.rl.f_measure)
+    return scores
 
 
 def run_experiment(
@@ -305,13 +295,13 @@ def run_experiment(
                     )
                     for did in test_ids
                 }
-                builtin = _score_dialogs(
+                builtin_scores = _score_dialogs(
                     candidates, references, config, warnings, f"{label}: no candidate for dialog {{}}"
                 )
             for size in config.sizes:
                 for seed in config.seeds:
                     if spec is not None:
-                        triples = builtin
+                        scores = builtin_scores
                     else:
                         entries = ext_index[(method, size, seed)].entries
                         candidates = {
@@ -320,15 +310,15 @@ def run_experiment(
                             else None
                             for did in test_ids
                         }
-                        triples = _score_dialogs(
+                        scores = _score_dialogs(
                             candidates, references, config, warnings,
                             f"{label}: no prediction for dialog {{}} (size={size}, seed={seed})",
                         )
-                    if not triples:
+                    if not scores:
                         warnings.append(f"{label}: no dialog scored at size={size}, seed={seed}")
                     per_dialog.extend(
-                        _triple_to_row(triple, did, method, perspective, size, seed)
-                        for did, triple in triples.items()
+                        PerDialogScore(did, method, perspective, size, seed, *row_scores)
+                        for did, row_scores in scores.items()
                     )
 
     if not per_dialog:
@@ -425,26 +415,25 @@ PER_DIALOG_COLUMNS = (
 )
 
 
+_SCORES = slice(5, None)  # the score columns of a dump row
+
+
 def write_per_dialog_csv(rows: Sequence[PerDialogScore], path: str | Path) -> None:
-    """Full-precision per-dialog score dump ('.' decimal, no locale)."""
+    """Full-precision per-dialog score dump ('.' decimal, no locale).
+
+    Scores are written with repr. A row that carries the very score floats of the
+    previous row of its dialog (a score copied across cells) reuses their text.
+    """
+    last: dict[str, tuple[tuple[float, ...], list[str]]] = {}  # dialog id -> scores, their text
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PER_DIALOG_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    row.dialog_id,
-                    row.method,
-                    row.perspective.value,
-                    row.size,
-                    row.seed,
-                    repr(row.r1_p),
-                    repr(row.r1_r),
-                    repr(row.r1_f),
-                    repr(row.r2_f),
-                    repr(row.rl_f),
-                ]
-            )
+            scores = row[_SCORES]
+            seen = last.get(row.dialog_id)
+            if seen is None or not all(map(is_, scores, seen[0])):
+                seen = last[row.dialog_id] = (scores, list(map(repr, scores)))
+            writer.writerow([row.dialog_id, row.method, row.perspective.value, row.size, row.seed, *seen[1]])
 
 
 def _unit_score(text: str) -> float:
@@ -470,16 +459,36 @@ def _dump_row(record: list[str]) -> PerDialogScore:
 
 
 def read_per_dialog_csv(path: str | Path) -> list[PerDialogScore]:
-    """Read a dump written by write_per_dialog_csv; a malformed row is an error naming its line."""
+    """Read a dump written by write_per_dialog_csv; a malformed row is an error naming its line.
+
+    A row whose score text equals that of the previous row of its dialog reuses that
+    row's floats, so a score repeated across a dialog's rows is parsed and
+    range-checked once.
+    """
     rows: list[PerDialogScore] = []
+    last: dict[str, tuple[list[str], tuple[float, ...]]] = {}  # dialog id -> score text, floats
+    perspectives = {perspective.value: perspective for perspective in Perspective}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if tuple(next(reader, ())) != PER_DIALOG_COLUMNS:
                 raise ValueError(f"per-dialog dump must have columns {', '.join(PER_DIALOG_COLUMNS)}")
             for record in reader:
-                if record:
-                    rows.append(_dump_row(record))
+                if not record:
+                    continue
+                seen = last.get(record[0])
+                if seen is not None and seen[0] == record[_SCORES]:  # same text, so ten fields
+                    did, method, perspective, size, seed = record[:5]
+                    try:
+                        rows.append(
+                            PerDialogScore(did, method, perspectives[perspective], int(size), int(seed), *seen[1])
+                        )
+                        continue
+                    except (KeyError, ValueError):
+                        pass  # _dump_row below names the faulty column
+                row = _dump_row(record)
+                last[row.dialog_id] = (record[_SCORES], row[_SCORES])
+                rows.append(row)
         except (ValueError, csv.Error) as exc:
             raise ExperimentError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
     return rows
@@ -496,7 +505,7 @@ def table_from_per_dialog(rows: Sequence[PerDialogScore]) -> ResultTable:
         raise ExperimentError("per-dialog dump is empty")
     runs: dict[tuple[str, Perspective, int, int], list[PerDialogScore]] = {}
     for row in rows:
-        key = (row.method, row.perspective, row.size, row.seed)
+        key = row[1:5]  # method, perspective, size, seed
         run = runs.get(key)
         if run is None:
             runs[key] = [row]
@@ -512,7 +521,7 @@ def table_from_per_dialog(rows: Sequence[PerDialogScore]) -> ResultTable:
         for variant, column in zip(VARIANTS, ("r1_f", "r2_f", "rl_f")):
             score = attrgetter(column)
             table_rows.setdefault((method, perspective, variant), {})[size] = aggregate(
-                [statistics.fmean(map(score, run)) for run in cell_runs]
+                [math.fsum(map(score, run)) / len(run) for run in cell_runs]
             )
     return ResultTable(sizes=sorted({size for _, _, size in seeds}), rows=table_rows)
 

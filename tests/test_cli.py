@@ -449,6 +449,36 @@ def test_split_command_rejects_two_ratios(tmp_path, capsys):
     assert "three values" in capsys.readouterr().err
 
 
+def test_split_command_rejects_ratio_outside_unit_interval(tmp_path, capsys):
+    corpus = synthetic_corpus(random.Random(9), 10)
+    src = tmp_path / "c.jsonl"
+    write_corpus(corpus, src)
+    code = main(["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--ratios", "1.5,-0.5,0"])
+    assert code == 2
+    assert "must each lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_split_command_rejects_split_file_row_without_value(tmp_path, capsys):
+    corpus = synthetic_corpus(random.Random(9), 5)
+    src = tmp_path / "c.jsonl"
+    write_corpus(corpus, src)
+    split_file = tmp_path / "split.csv"
+    split_file.write_text("dialog_id,split\nd0\n", encoding="utf-8")
+    code = main(["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--split-file", str(split_file)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 2: split file row needs both a dialog_id and a split value\n"
+
+
+def test_ingest_non_string_gold_part_exits_2(tmp_path, capsys):
+    record = {"id": "d1", "utterances": [{"role": "customer", "text": "hi"}], "gold": {"customer": 5, "agent": "x"}}
+    src = tmp_path / "c.jsonl"
+    src.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code = main(["ingest", "--format", "dialog-jsonl", "--input", str(src), "--output", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 1: dialog 'd1': gold summary parts must be strings\n"
+
+
 def test_score_split_flag_overrides_corpus(tmp_path):
     corpus = synthetic_corpus(random.Random(10), 10, with_gold=True)
     corpus_path = tmp_path / "corpus.jsonl"

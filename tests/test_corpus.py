@@ -122,6 +122,15 @@ def test_parse_reads_gold_and_split():
     assert corpus.split["d1"] is Split.TEST
 
 
+@pytest.mark.parametrize("gold", [{"customer": 5, "agent": "the answer"}, {"customer": "the need", "agent": None}])
+def test_parse_non_string_gold_part_names_line(gold):
+    good = record_line(id="d1", utterances=[{"role": "customer", "text": "hello"}])
+    bad = record_line(id="d2", utterances=[{"role": "customer", "text": "hello"}], gold=gold)
+    with pytest.raises(ParseError, match="gold summary parts must be strings") as exc_info:
+        parse_dialog_corpus([good, bad])
+    assert exc_info.value.line == 2
+
+
 def test_round_trip_preserves_corpus(tmp_path):
     rand = random.Random(11)
     corpus = synthetic_corpus(rand, 20, with_gold=True, with_split=True)
@@ -302,6 +311,12 @@ def test_split_corpus_bad_ratios():
         split_corpus(tiny_corpus(10), ratios=(0.7, 0.1, 0.1))
 
 
+@pytest.mark.parametrize("ratios", [(1.5, -0.5, 0.0), (0.5, 0.5, float("nan")), (1.2, -0.1, -0.1)])
+def test_split_corpus_ratio_outside_unit_interval(ratios):
+    with pytest.raises(CorpusError, match=r"must each lie in \[0, 1\]"):
+        split_corpus(tiny_corpus(10), ratios=ratios)
+
+
 def test_split_corpus_too_small():
     with pytest.raises(CorpusError):
         split_corpus(tiny_corpus(2))
@@ -343,6 +358,18 @@ def test_split_file_unknown_value(tmp_path):
     path.write_text("dialog_id,split\nd0,dev\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_split_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("dialog_id,split\nd0\n", 2), ("dialog_id,split\nd0,test\n\nd1,train\nd2\n", 5), ("split,dialog_id\ntest\n", 2)],
+)
+def test_split_file_row_without_value_names_line(tmp_path, text, line):
+    path = tmp_path / "split.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match="needs both a dialog_id and a split value") as exc_info:
+        load_split_csv(path)
+    assert exc_info.value.line == line
 
 
 def test_pipeline_determinism_end_to_end(tmp_path):

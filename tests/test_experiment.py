@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persum import (
     Corpus,
@@ -17,6 +21,8 @@ from persum import (
     sample_nested_subsets,
 )
 from persum.experiment import (
+    PER_DIALOG_COLUMNS,
+    PerDialogScore,
     ResultTable,
     emit_report,
     format_cell,
@@ -170,6 +176,25 @@ def test_external_missing_cells_listed():
     }
 
 
+def test_missing_cells_message_lists_ten_and_counts_the_rest():
+    corpus = scoring_corpus(n=25)
+    config = ExperimentConfig(
+        methods=["pegasus", "bart"], perspectives=[Perspective.CUSTOMER], n_seeds=5, cap_to_population=True
+    )
+    with pytest.raises(MissingCellsError) as exc_info:
+        run_experiment(corpus, config)
+    error = exc_info.value
+    assert len(error.cells) == 80
+    listed = ", ".join(f"({m}, size={s}, seed={k})" for m, s, k in error.cells[:10])
+    assert str(error) == f"missing prediction cells: {listed}, … and 70 more"
+
+
+def test_missing_cells_message_lists_all_of_ten_or_fewer():
+    cells = [("pegasus", 0, seed) for seed in range(10)]
+    assert "more" not in str(MissingCellsError(cells))
+    assert str(MissingCellsError(cells[:1])) == "missing prediction cells: (pegasus, size=0, seed=0)"
+
+
 def test_missing_prediction_entry_excluded_with_warning():
     corpus = scoring_corpus()
     test_ids = corpus.dialog_ids(Split.TEST)
@@ -277,6 +302,130 @@ def test_aggregation_consistent_with_per_dialog_dump(tmp_path):
     recomputed = table_from_per_dialog(read_per_dialog_csv(path))
     # one reducer and repr floats in the dump: the round trip is exact
     assert recomputed == result.table
+
+
+# --- per-dialog dump round trip -----------------------------------------------------
+
+
+def plain_dump(rows) -> str:
+    """The dump as a writer that formats every field of every row would write it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(PER_DIALOG_COLUMNS)
+    for row in rows:
+        writer.writerow([*row[:2], row.perspective.value, *row[3:5], *map(repr, row[5:])])
+    return buf.getvalue()
+
+
+def exact(rows):
+    """Rows with scores as their repr, so that 0.0 and -0.0 differ."""
+    return [(*row[:5], *map(repr, row[5:])) for row in rows]
+
+
+def assert_round_trip(rows, path):
+    write_per_dialog_csv(rows, path)
+    assert path.read_text(encoding="utf-8") == plain_dump(rows)
+    read = read_per_dialog_csv(path)
+    assert read == rows
+    assert exact(read) == exact(rows)
+    return read
+
+
+C_, A_ = Perspective.CUSTOMER, Perspective.AGENT
+
+
+def test_dump_round_trip_scores_repeated_across_cells(tmp_path):
+    corpus = scoring_corpus(n=12, n_test=3)
+    config = ExperimentConfig(methods=["lead_base"], perspectives=[C_], sizes=(0, 4), n_seeds=3)
+    rows = run_experiment(corpus, config).per_dialog
+    assert len(rows) == 3 * 2 * 3
+    read = assert_round_trip(rows, tmp_path / "dump.csv")
+    # a dialog's rows share the floats of its first row, as run_experiment's rows do
+    first = {}
+    for row in read:
+        assert all(a is b for a, b in zip(row[5:], first.setdefault(row.dialog_id, row)[5:]))
+
+
+def test_dump_round_trip_scores_change_between_cells(tmp_path):
+    high = (0.5, 0.25, 1 / 3, 0.125, 0.2)
+    low = (0.0, 0.0, 0.0, 0.0, 0.0)
+    rows = [
+        PerDialogScore("d1", "pegasus", C_, 0, 0, *high),
+        PerDialogScore("d1", "pegasus", C_, 0, 1, *high),
+        PerDialogScore("d1", "pegasus", C_, 16, 0, *low),  # a stale reuse would repeat `high`
+        PerDialogScore("d1", "pegasus", C_, 16, 1, -0.0, *low[1:]),  # equal to `low`, other text
+        PerDialogScore("d1", "pegasus", C_, 32, 0, *low),
+        PerDialogScore("d1", "pegasus", C_, 32, 1, *high),
+        PerDialogScore("d1", "pegasus", C_, 64, 0, *high[:4], 0.75),  # one column changes
+    ]
+    assert_round_trip(rows, tmp_path / "dump.csv")
+
+
+def test_dump_round_trip_methods_and_perspectives_interleaved(tmp_path):
+    a = (0.5, 0.5, 0.5, 0.25, 0.5)
+    b = (0.75, 0.5, 0.6, 0.3, 0.55)
+    rows = []
+    for seed in range(2):
+        for did in ("d1", "d2"):
+            rows += [
+                PerDialogScore(did, "lead_base", C_, 0, seed, *a),
+                PerDialogScore(did, "long_base", A_, 0, seed, *b),
+                PerDialogScore(did, "pegasus", C_, 0, seed, *(b if seed else a)),
+                PerDialogScore(did, 'odd, "quoted" method', A_, 0, seed, *a),
+            ]
+    assert_round_trip(rows, tmp_path / "dump.csv")
+
+
+ROW = "d1,pegasus,customer,0,0,0.5,0.5,0.5,0.25,0.5\n"
+
+
+@pytest.mark.parametrize(
+    "row, complaint",
+    [
+        ("d1,pegasus,customer,0,1,0.5,0.5,0.5,1.5,0.5\n", "r2_f: '1.5' is not a score in [0, 1]"),
+        ("d1,pegasus,customer,0,1,0.5,0.5,0.5,abc,0.5\n", "r2_f: could not convert string to float: 'abc'"),
+        ("d1,pegasus,customer,0,1,0.5,0.5,0.5,0.25,0.5,0.5\n", "expected 10 fields, got 11"),
+        ("d1,pegasus,speaker,0,1,0.5,0.5,0.5,0.25,0.5\n", "perspective: 'speaker' is not a valid Perspective"),
+        ("d1,pegasus,customer,x,1,0.5,0.5,0.5,0.25,0.5\n", "size: invalid literal for int()"),
+        ("d1,pegasus,customer,0,1.0,0.5,0.5,0.5,0.25,0.5\n", "seed: invalid literal for int()"),
+    ],
+    ids=["out-of-range", "non-numeric", "extra-field", "bad-perspective", "bad-size", "bad-seed"],
+)
+def test_dump_row_after_its_dialog_is_checked_on_its_own(tmp_path, row, complaint):
+    path = tmp_path / "dump.csv"
+    path.write_text(plain_dump([]) + ROW + ROW.replace(",0,0,", ",16,0,") + row, encoding="utf-8")
+    with pytest.raises(ExperimentError) as exc_info:
+        read_per_dialog_csv(path)
+    assert str(exc_info.value).startswith(f"{path}, line 4: {complaint}")
+
+
+SCORE_POOL = (0.0, -0.0, 1.0, 0.5, 1 / 3, 0.1 + 0.2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["d1", "d2", "d,3"]),
+            st.sampled_from(["lead_base", "pegasus"]),
+            st.sampled_from(list(Perspective)),
+            st.integers(0, 2),
+            st.one_of(st.none(), st.lists(st.sampled_from(SCORE_POOL), min_size=5, max_size=5)),
+        ),
+        max_size=30,
+    )
+)
+def test_dump_round_trip_property(tmp_path_factory, draws):
+    """None repeats the dialog's last score tuple object, as a copy across cells does."""
+    rows, last = [], {}
+    for cell, (did, method, perspective, seed, scores) in enumerate(draws):
+        scores = last.get(did, SCORE_POOL[:5]) if scores is None else tuple(scores)
+        last[did] = scores
+        rows.append(PerDialogScore(did, method, perspective, cell, seed, *scores))
+    path = tmp_path_factory.mktemp("dump") / "dump.csv"
+    write_per_dialog_csv(rows, path)
+    assert path.read_text(encoding="utf-8") == plain_dump(rows)
+    assert exact(read_per_dialog_csv(path)) == exact(rows)
 
 
 def test_full_perspective_matches_direct_score_pair():
