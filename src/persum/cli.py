@@ -8,8 +8,8 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .corpus import (
@@ -17,6 +17,7 @@ from .corpus import (
     CorpusError,
     SpeakerRole,
     Split,
+    encode_json_line,
     load_split_csv,
     read_corpus,
     read_tweet_csv,
@@ -198,10 +199,8 @@ def cmd_split(args) -> int:
             raise CorpusError("--ratios needs exactly three values (train,val,test)")
         corpus = split_corpus(corpus, ratios=args.ratios, seed=args.seed)
     write_corpus(corpus, args.output)
-    counts = {split.value: 0 for split in corpus.split.values()}
-    for split in corpus.split.values():
-        counts[split.value] += 1
-    print(" ".join(f"{name}={count}" for name, count in counts.items()))
+    counts = Counter(corpus.split.values())
+    print(" ".join(f"{split.value}={count}" for split, count in counts.items()))
     return EXIT_OK
 
 
@@ -220,7 +219,7 @@ def cmd_weaklabel(args) -> int:
         min_tokens=args.min_tokens,
     )
     write_weak_pairs(pairs, args.output)
-    coverage = json.dumps(report.as_dict(), separators=(",", ":"))
+    coverage = encode_json_line(report.as_dict())
     print(coverage)
     if args.coverage:
         Path(args.coverage).write_text(coverage + "\n", encoding="utf-8")
@@ -265,7 +264,7 @@ def cmd_summarize(args) -> int:
                 "text": cand.text,
                 "post_processed": cand.post_processed,
             }
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(encode_json_line(record) + "\n")
             produced += 1
     print(f"candidates: {produced} skipped: {skipped}")
     return EXIT_OK

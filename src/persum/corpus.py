@@ -18,10 +18,11 @@ import json
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,11 +34,23 @@ class CorpusError(ValueError):
 
 
 class ParseError(CorpusError):
-    """A malformed input line; carries the 1-based line number."""
+    """A malformed input line; carries the 1-based line number and, once known, the file."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int, message: str, path: str | Path | None = None):
+        super().__init__(f"line {line}: {message}" if path is None else f"{path}, line {line}: {message}")
         self.line = line
+        self.detail = message
+
+
+@contextmanager
+def _naming_file(path: str | Path) -> Iterator[None]:
+    """Re-raise corpus errors from reading `path` as "<path>, line N: ..." or "<path>: ..."."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(exc.line, exc.detail, path) from exc
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
 
 
 class SpeakerRole(str, Enum):
@@ -51,19 +64,38 @@ class Split(str, Enum):
     TEST = "test"
 
 
-@dataclass(frozen=True)
-class Utterance:
-    """One speaker turn; token_count is recomputed from text on construction."""
+# role and split values as read from and written to JSONL; SpeakerRole and Split are
+# str subclasses, so the JSON encoder writes a member as its value
+_ROLES = {role.value: role for role in SpeakerRole}
+_SPLITS = {split.value: split for split in Split}
 
+
+class _UtteranceFields(NamedTuple):
     index: int
     role: SpeakerRole
     text: str
-    token_count: int = field(init=False)
+    token_count: int
 
-    def __post_init__(self):
-        if not self.text.strip():
+
+class Utterance(_UtteranceFields):
+    """One speaker turn; token_count is computed from text on construction.
+
+    A NamedTuple: immutable, and equal to the plain tuple (index, role, text, token_count).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, index: int, role: SpeakerRole, text: str) -> Utterance:
+        token_count = len(text.split())
+        if not token_count:
             raise CorpusError("utterance text must contain a non-whitespace character")
-        object.__setattr__(self, "token_count", len(self.text.split()))
+        return tuple.__new__(cls, (index, role, text, token_count))
+
+    def __getnewargs__(self) -> tuple[int, SpeakerRole, str]:  # copy and pickle call __new__
+        return self[:3]
+
+    def _replace(self, **changes) -> Utterance:  # token_count follows the new text
+        return Utterance(**{**dict(zip(("index", "role", "text"), self)), **changes})
 
 
 @dataclass(frozen=True)
@@ -150,13 +182,17 @@ class Corpus:
 def _dialog_record(dialog: Dialog, gold: GoldSummary | None, split: Split | None) -> dict:
     record: dict = {
         "id": dialog.id,
-        "utterances": [{"role": u.role.value, "text": u.text} for u in dialog.utterances],
+        "utterances": [{"role": u.role, "text": u.text} for u in dialog.utterances],
     }
     if gold is not None:
         record["gold"] = {"customer": gold.customer_part, "agent": gold.agent_part}
     if split is not None:
-        record["split"] = split.value
+        record["split"] = split
     return record
+
+
+# one compact, UTF-8-preserving encoder for every JSONL line persum writes
+encode_json_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def corpus_to_jsonl(corpus: Corpus) -> Iterator[str]:
@@ -165,7 +201,7 @@ def corpus_to_jsonl(corpus: Corpus) -> Iterator[str]:
     split = corpus.split or {}
     for dialog in corpus.dialogs:
         record = _dialog_record(dialog, gold.get(dialog.id), split.get(dialog.id))
-        yield json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+        yield encode_json_line(record)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -197,19 +233,19 @@ def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
         if not isinstance(did, str) or not did:
             raise ParseError(lineno, "dialog id must be a non-empty string")
         if did in seen:
-            raise CorpusError(f"duplicate dialog id {did!r} (line {lineno})")
+            raise ParseError(lineno, f"duplicate dialog id {did!r}")
         seen.add(did)
         if not isinstance(raw_utts, list) or not raw_utts:
             raise ParseError(lineno, f"dialog {did!r} must have a non-empty utterance list")
         utts = []
         for pos, item in enumerate(raw_utts):
             try:
-                role = SpeakerRole(item["role"])
+                role = _ROLES[item["role"]]
                 text = item["text"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise ParseError(lineno, f"dialog {did!r}: bad utterance at position {pos}") from exc
             if not isinstance(text, str) or not text.strip():
-                raise CorpusError(f"dialog {did!r}: empty utterance text at position {pos}")
+                raise ParseError(lineno, f"dialog {did!r}: empty utterance text at position {pos}")
             utts.append(Utterance(pos, role, text))
         dialogs.append(Dialog(did, tuple(utts)))
         if "gold" in record and record["gold"] is not None:
@@ -220,11 +256,14 @@ def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
                 raise ParseError(lineno, f"dialog {did!r}: bad gold summary object") from exc
             if not all(isinstance(part, str) for part in parts):
                 raise ParseError(lineno, f"dialog {did!r}: gold summary parts must be strings")
-            gold[did] = GoldSummary(did, *parts)
+            try:
+                gold[did] = GoldSummary(did, *parts)
+            except CorpusError as exc:
+                raise ParseError(lineno, str(exc)) from exc
         if "split" in record and record["split"] is not None:
             try:
-                split[did] = Split(record["split"])
-            except ValueError as exc:
+                split[did] = _SPLITS[record["split"]]
+            except (KeyError, TypeError) as exc:
                 raise ParseError(lineno, f"dialog {did!r}: unknown split {record['split']!r}") from exc
     corpus = Corpus(dialogs, gold=gold or None, split=split or None)
     corpus.validate()
@@ -232,7 +271,7 @@ def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
 
 
 def read_corpus(path: str | Path) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _naming_file(path):
         return parse_dialog_corpus(fh)
 
 
@@ -250,14 +289,15 @@ TWEET_CSV_COLUMNS = (
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@\w+")
-_WS_RE = re.compile(r"\s+")
 
 
 def clean_tweet_text(text: str) -> str:
     """Anonymize mentions/URLs and collapse whitespace runs to single spaces."""
-    text = _URL_RE.sub("http://url", text)
-    text = _MENTION_RE.sub("@user", text)
-    return _WS_RE.sub(" ", text).strip()
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub("http://url", text)
+    if "@" in text:
+        text = _MENTION_RE.sub("@user", text)
+    return " ".join(text.split())
 
 
 @dataclass
@@ -271,25 +311,16 @@ class ThreadReport:
     dropped_chains: int = 0  # <2 utterances after merging, or only one role
 
     def as_dict(self) -> dict:
-        return {
-            "tweets": self.tweets,
-            "dialogs": self.dialogs,
-            "cyclic_chains_skipped": self.cyclic_chains_skipped,
-            "gap_truncations": self.gap_truncations,
-            "dropped_chains": self.dropped_chains,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
-class _Tweet:
-    tweet_id: str
+class _Tweet(NamedTuple):
     role: SpeakerRole
     text: str
     parent: str | None
 
 
-def _parse_inbound(value) -> bool:
-    return str(value).strip().lower() in {"true", "1", "yes"}
+_INBOUND_TRUE = frozenset({"true", "1", "yes"})
 
 
 def reconstruct_threads(rows: Iterable[dict]) -> tuple[list[Dialog], ThreadReport]:
@@ -305,6 +336,7 @@ def reconstruct_threads(rows: Iterable[dict]) -> tuple[list[Dialog], ThreadRepor
     tweets: dict[str, _Tweet] = {}
     order: list[str] = []
     children: dict[str, list[str]] = defaultdict(list)
+    customer, agent = SpeakerRole.CUSTOMER, SpeakerRole.AGENT
 
     for row in rows:
         report.tweets += 1
@@ -313,62 +345,57 @@ def reconstruct_threads(rows: Iterable[dict]) -> tuple[list[Dialog], ThreadRepor
         if not tid or not text:
             continue
         parent = str(row.get("in_response_to_tweet_id") or "").strip() or None
-        role = SpeakerRole.CUSTOMER if _parse_inbound(row["inbound"]) else SpeakerRole.AGENT
-        tweets[tid] = _Tweet(tid, role, text, parent)
+        role = customer if str(row["inbound"]).strip().lower() in _INBOUND_TRUE else agent
+        tweets[tid] = _Tweet(role, text, parent)
         order.append(tid)
-    for tid in order:
-        parent = tweets[tid].parent
-        if parent is not None and parent in tweets:
-            children[parent].append(tid)
 
     roots = []
     for tid in order:
         parent = tweets[tid].parent
         if parent is None:
             roots.append(tid)
-        elif parent not in tweets:
+        elif parent in tweets:
+            children[parent].append(tid)
+        else:
             report.gap_truncations += 1
             roots.append(tid)
 
     visited: set[str] = set()
     dialogs: list[Dialog] = []
     for root in roots:
-        # iterative DFS keeping the longest root-to-leaf path
-        best_path: list[str] = []
-        stack: list[list[str]] = [[root]]
+        # iterative DFS to the first deepest leaf; the first child in input order is
+        # explored first. Every tweet below a root has one parent and reaches the root
+        # through it, so no path repeats a tweet and the leaf's parents spell its chain.
+        leaf, leaf_depth = root, 0
+        stack = [(root, 1)]
         while stack:
-            path = stack.pop()
-            node = path[-1]
+            node, depth = stack.pop()
             visited.add(node)
-            kids = [k for k in children.get(node, []) if k not in path]
-            if not kids:
-                if len(path) > len(best_path):
-                    best_path = path
-                continue
-            # push in reverse so the first child in input order is explored first
-            for kid in reversed(kids):
-                stack.append(path + [kid])
-        dialog = _chain_to_dialog(root, best_path, tweets)
+            kids = children.get(node)
+            if kids:
+                stack.extend([(kid, depth + 1) for kid in reversed(kids)])
+            elif depth > leaf_depth:
+                leaf, leaf_depth = node, depth
+        path = [leaf]
+        while path[-1] != root:
+            path.append(tweets[path[-1]].parent)
+        dialog = _chain_to_dialog(root, path[::-1], tweets)
         if dialog is None:
             report.dropped_chains += 1
         else:
             dialogs.append(dialog)
 
     # tweets unreachable from any root sit on reply cycles; count components
+    # (their number does not depend on which node each search starts from)
     remaining = set(tweets) - visited
     while remaining:
-        node = next(iter(sorted(remaining)))
-        component = {node}
-        frontier = [node]
+        frontier = [remaining.pop()]
         while frontier:
             cur = frontier.pop()
-            neighbours = [tweets[cur].parent] if tweets[cur].parent in remaining else []
-            neighbours += [k for k in children.get(cur, []) if k in remaining]
-            for n in neighbours:
-                if n is not None and n not in component:
-                    component.add(n)
+            for n in (tweets[cur].parent, *children.get(cur, ())):
+                if n in remaining:
+                    remaining.remove(n)
                     frontier.append(n)
-        remaining -= component
         report.cyclic_chains_skipped += 1
 
     report.dialogs = len(dialogs)
@@ -389,15 +416,25 @@ def _chain_to_dialog(root: str, path: list[str], tweets: dict[str, _Tweet]) -> D
 
 
 def read_tweet_csv(path: str | Path) -> Iterator[dict]:
-    """Yield tweet rows from a Kaggle-schema CSV (RFC 4180, UTF-8)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    """Yield tweet rows, as {column: value} dicts, from a Kaggle-schema CSV (RFC 4180, UTF-8).
+
+    Blank rows are skipped; a row with more or fewer fields than the header is an error.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh, _naming_file(path):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(1, "tweet CSV has no header row")
-        missing = [c for c in TWEET_CSV_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in TWEET_CSV_COLUMNS if c not in header]
         if missing:
             raise ParseError(1, f"tweet CSV missing column(s): {', '.join(missing)}")
-        yield from reader
+        width = len(header)
+        for fields in reader:
+            if len(fields) != width:
+                if not fields:
+                    continue
+                raise ParseError(reader.line_num, f"tweet CSV row has {len(fields)} field(s), the header has {width}")
+            yield dict(zip(header, fields))
 
 
 # --- gold selection and splitting --------------------------------------------
@@ -454,7 +491,7 @@ def with_split(corpus: Corpus, assignment: dict[str, Split]) -> Corpus:
 def load_split_csv(path: str | Path) -> dict[str, Split]:
     """Read a split file: CSV with columns dialog_id, split."""
     assignment: dict[str, Split] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, _naming_file(path):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"dialog_id", "split"} <= set(reader.fieldnames):
             raise ParseError(1, "split file must have columns dialog_id, split")
@@ -467,6 +504,6 @@ def load_split_csv(path: str | Path) -> dict[str, Split]:
             except ValueError as exc:
                 raise ParseError(reader.line_num, f"unknown split value {row['split']!r}") from exc
             if did in assignment:
-                raise CorpusError(f"duplicate split assignment for dialog {did!r}")
+                raise ParseError(reader.line_num, f"duplicate split assignment for dialog {did!r}")
             assignment[did] = value
     return assignment

@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Dialog, SpeakerRole
+from .corpus import Dialog, SpeakerRole, encode_json_line
 from .weaklabel import DEFAULT_MIN_TOKENS, HeuristicKind, select_target
 
 
@@ -306,10 +306,10 @@ def load_predictions(path: str | Path) -> PredictionSet:
 def write_predictions(pred: PredictionSet, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = {"method": pred.method, "training_size": pred.training_size, "seed": pred.seed}
-        fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")) + "\n")
+        fh.write(encode_json_line(header) + "\n")
         for entry in pred.entries.values():
             record = {"dialog_id": entry.dialog_id, "customer": entry.customer, "agent": entry.agent}
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(encode_json_line(record) + "\n")
 
 
 def prediction_candidate(

@@ -8,13 +8,12 @@ is the hand-off format expected by sequence-to-sequence trainers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, Dialog, SpeakerRole, Utterance
+from .corpus import Corpus, Dialog, SpeakerRole, Utterance, encode_json_line
 
 DEFAULT_MIN_TOKENS = 5
 
@@ -78,7 +77,7 @@ def select_target(
 
 
 def utterance_line(utt: Utterance) -> str:
-    return f"{utt.role.value}: {utt.text}"
+    return utt.role + ": " + utt.text  # a SpeakerRole is a str holding its value
 
 
 def serialize_dialog(dialog: Dialog, drop_line: str | None = None) -> str:
@@ -155,5 +154,4 @@ def weak_pair_record(pair: WeakPair) -> dict:
 def write_weak_pairs(pairs: Sequence[WeakPair], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for pair in pairs:
-            fh.write(json.dumps(weak_pair_record(pair), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+            fh.write(encode_json_line(weak_pair_record(pair)) + "\n")

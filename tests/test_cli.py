@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import random
 
@@ -8,7 +9,7 @@ import pytest
 
 from persum import Split, read_corpus, write_corpus
 from persum.cli import main
-from util import synthetic_corpus
+from util import synthetic_corpus, tweet_table
 
 KAGGLE_HEADER = "tweet_id,author_id,inbound,created_at,text,response_tweet_id,in_response_to_tweet_id\n"
 
@@ -49,6 +50,129 @@ def test_ingest_kaggle_csv(kaggle_csv, tmp_path, capsys):
     assert sorted(d.id for d in corpus.dialogs) == ["1", "10", "20"]
     merged = corpus.by_id()["10"]
     assert merged.utterances[0].text == "the app logs me out every single day"
+
+
+# sha256 of each output of the pipeline below, as written before the corpus layer
+# was rebuilt on NamedTuples, dict lookups and one JSON encoder
+PIPELINE_SHA256 = {
+    "corpus.jsonl": "6c188834b1b603a4f82f41641810fe4808568b5d250d094bc8e9ca728fcc1f81",
+    "split.jsonl": "8d77633e17222e2cd8a5d6b28053f94e84cb4101740d6f5128abdba7d87e7942",
+    "customer_lead.jsonl": "cdbbe077850b681f9d545cae3ad1db1be883c7bf6bdebdbde716f05e5ae175fa",
+    "customer_lead.coverage.json": "ce31938ae176d84513315504b782a2d3c1402e4cdeb34637d2e7e42e40dc0e47",
+    "agent_long.jsonl": "50df496c75aa3767576c73ff7f9d30b845b15ed25e14cc1f37c30f8002ebbb77",
+    "agent_long.coverage.json": "8df6f19d747daacfe3378ba17433a93fc2099e3c36ecabcc140e4c7dc3d55bb2",
+}
+
+
+def test_ingest_split_weaklabel_bytes_pinned(tmp_path, capsys):
+    tweets = tmp_path / "tweets.csv"
+    with open(tweets, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(tweet_table(random.Random(2024), 400))
+    corpus, split = tmp_path / "corpus.jsonl", tmp_path / "split.jsonl"
+    commands = [
+        ["ingest", "--format", "kaggle-csv", "--input", tweets, "--output", corpus],
+        ["split", "--corpus", corpus, "--output", split, "--seed", "3"],
+    ]
+    for side, heuristic, extra in (("customer", "lead", []), ("agent", "long", ["--masked"])):
+        stem = tmp_path / f"{side}_{heuristic}"
+        commands.append(
+            ["weaklabel", "--corpus", split, "--perspective", side, "--heuristic", heuristic, *extra,
+             "--output", f"{stem}.jsonl", "--coverage", f"{stem}.coverage.json"]
+        )
+    for argv in commands:
+        assert main([str(arg) for arg in argv]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("dialogs: 302\ntrain=241 val=30 test=31\n")
+    assert out.err == "warning: cyclic_chains_skipped: 19\nwarning: gap_truncations: 96\nwarning: dropped_chains: 101\n"
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PIPELINE_SHA256}
+    assert digests == PIPELINE_SHA256
+
+
+@pytest.mark.parametrize("row, fields", [("2,c,False\n", 3), ("2,c,False,now,hi,,1,extra\n", 8)], ids=["short", "long"])
+def test_ingest_tweet_row_of_wrong_width_exits_2(kaggle_csv, tmp_path, capsys, row, fields):
+    lines = kaggle_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(2, row)  # between tweet 1 and its reply
+    kaggle_csv.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    code = main(["ingest", "--format", "kaggle-csv", "--input", str(kaggle_csv), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {kaggle_csv}, line 3: tweet CSV row has {fields} field(s), the header has 7\n"
+    )
+    assert not out.exists()
+
+
+def test_ingest_skips_blank_tweet_rows(kaggle_csv, tmp_path, capsys):
+    kaggle_csv.write_text(kaggle_csv.read_text(encoding="utf-8").replace("\n", "\n\n"), encoding="utf-8")
+    code = main(["ingest", "--format", "kaggle-csv", "--input", str(kaggle_csv), "--output", str(tmp_path / "c.jsonl")])
+    assert code == 0
+    assert "dialogs: 3" in capsys.readouterr().out
+
+
+def _utterance(text="hello there", role="customer"):
+    return {"role": role, "text": text}
+
+
+def _record(did, **extra):
+    return json.dumps({"id": did, "utterances": [_utterance(), _utterance("hi", "agent")], **extra})
+
+
+@pytest.mark.parametrize(
+    "second, complaint",
+    [
+        (_record("d2", gold={"customer": " ", "agent": "x"}),
+         "gold summary for 'd2' must have non-empty customer and agent parts"),
+        (_record("d1"), "duplicate dialog id 'd1'"),
+        (json.dumps({"id": "d2", "utterances": [_utterance(role="boss")]}), "dialog 'd2': bad utterance at position 0"),
+        (json.dumps({"id": "d2", "utterances": [_utterance(" \t")]}), "dialog 'd2': empty utterance text at position 0"),
+        (_record("d2", split="dev"), "dialog 'd2': unknown split 'dev'"),
+        ("{not json", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    ],
+    ids=["blank-gold-part", "duplicate-id", "bad-role", "blank-text", "bad-split", "bad-json"],
+)
+def test_corpus_error_names_file_and_line(tmp_path, capsys, second, complaint):
+    src = tmp_path / "c.jsonl"
+    src.write_text(_record("d1") + "\n\n" + second + "\n", encoding="utf-8")
+    code = main(["ingest", "--format", "dialog-jsonl", "--input", str(src), "--output", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {src}, line 3: {complaint}\n"
+
+
+def test_corpus_error_without_a_line_names_file(tmp_path, capsys):
+    src = tmp_path / "c.jsonl"
+    src.write_text(_record("d1", split="train") + "\n" + _record("d2") + "\n", encoding="utf-8")
+    code = main(["weaklabel", "--corpus", str(src), "--perspective", "agent", "--heuristic", "long",
+                 "--output", str(tmp_path / "o.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {src}: split assignment missing for 1 dialog(s), first: 'd2'\n"
+
+
+@pytest.mark.parametrize(
+    "text, complaint",
+    [
+        ("dialog_id,split\nd0,train\nd1,test\n\nd0,val\n", "line 5: duplicate split assignment for dialog 'd0'"),
+        ("dialog_id,split\nd0,dev\n", "line 2: unknown split value 'dev'"),
+        ("id,split\nd0,dev\n", "line 1: split file must have columns dialog_id, split"),
+    ],
+    ids=["duplicate-id", "bad-split", "bad-header"],
+)
+def test_split_file_error_names_file_and_line(tmp_path, capsys, text, complaint):
+    corpus = synthetic_corpus(random.Random(9), 3)
+    src = tmp_path / "c.jsonl"
+    write_corpus(corpus, src)
+    split_file = tmp_path / "split.csv"
+    split_file.write_text(text, encoding="utf-8")
+    code = main(["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--split-file", str(split_file)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {split_file}, {complaint}\n"
+
+
+def test_tweet_csv_header_error_names_file(tmp_path, capsys):
+    src = tmp_path / "tweets.csv"
+    src.write_text("tweet_id,text\n1,hi\n", encoding="utf-8")
+    code = main(["ingest", "--format", "kaggle-csv", "--input", str(src), "--output", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {src}, line 1: tweet CSV missing column(s): author_id, ")
 
 
 def test_ingest_jsonl_passthrough_round_trip(tmp_path):
@@ -467,7 +591,7 @@ def test_split_command_rejects_split_file_row_without_value(tmp_path, capsys):
     split_file.write_text("dialog_id,split\nd0\n", encoding="utf-8")
     code = main(["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--split-file", str(split_file)])
     assert code == 2
-    assert capsys.readouterr().err == "error: line 2: split file row needs both a dialog_id and a split value\n"
+    assert capsys.readouterr().err == f"error: {split_file}, line 2: split file row needs both a dialog_id and a split value\n"
 
 
 def test_ingest_non_string_gold_part_exits_2(tmp_path, capsys):
@@ -476,7 +600,7 @@ def test_ingest_non_string_gold_part_exits_2(tmp_path, capsys):
     src.write_text(json.dumps(record) + "\n", encoding="utf-8")
     code = main(["ingest", "--format", "dialog-jsonl", "--input", str(src), "--output", str(tmp_path / "o.jsonl")])
     assert code == 2
-    assert capsys.readouterr().err == "error: line 1: dialog 'd1': gold summary parts must be strings\n"
+    assert capsys.readouterr().err == f"error: {src}, line 1: dialog 'd1': gold summary parts must be strings\n"
 
 
 def test_score_split_flag_overrides_corpus(tmp_path):

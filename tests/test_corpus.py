@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persum import (
     Corpus,
@@ -23,7 +27,7 @@ from persum import (
     write_corpus,
 )
 from persum.corpus import Utterance, clean_tweet_text, load_split_csv, with_split
-from util import synthetic_corpus
+from util import naive_clean_tweet_text, synthetic_corpus
 
 
 def record_line(**kwargs) -> str:
@@ -53,6 +57,28 @@ def test_utterance_token_count_recomputed():
 def test_utterance_rejects_blank_text():
     with pytest.raises(CorpusError):
         Utterance(0, SpeakerRole.AGENT, "   ")
+
+
+@given(st.text(alphabet=st.sampled_from("ab \t\n\x1c\x85\xa0\u3000"), max_size=12))
+def test_utterance_is_an_immutable_named_tuple(text):
+    if not text.strip():
+        with pytest.raises(CorpusError, match="non-whitespace"):
+            Utterance(3, SpeakerRole.AGENT, text)
+        return
+    utt = Utterance(3, SpeakerRole.AGENT, text)
+    assert utt == (3, SpeakerRole.AGENT, text, len(text.split()))
+    assert (utt.index, utt.role, utt.text, utt.token_count) == tuple(utt)
+    for name in ("index", "role", "text", "token_count"):
+        with pytest.raises(AttributeError):
+            setattr(utt, name, 1)
+    with pytest.raises(AttributeError):
+        utt.extra = 1
+    assert copy.deepcopy(utt) == pickle.loads(pickle.dumps(utt)) == utt
+    assert utt._replace(text="x y") == (3, SpeakerRole.AGENT, "x y", 2)
+    with pytest.raises(CorpusError):
+        utt._replace(text=" ")
+    with pytest.raises(TypeError):
+        utt._replace(token_count=99)
 
 
 def test_dialog_requires_consecutive_indices():
@@ -242,6 +268,64 @@ def test_clean_tweet_text():
     assert clean_tweet_text("@Delta my   flight to https://t.co/xyz is late") == (
         "@user my flight to http://url is late"
     )
+
+
+TWEET_PIECES = st.sampled_from(
+    ["\x1c", "\x1f", "\x85", "\xa0", "\u2009", "\u3000", "\u2028", "\u200b", "\u180e", " ", "\t", "\n", "\r\n",
+     "http", "https://", "http://x.y/z", "www.", "www", "ww.", "@", "@a_1", "@é", "a", "é", "/", ".", ":"]
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(TWEET_PIECES, st.text(max_size=3)), max_size=25).map("".join))
+def test_clean_tweet_text_equals_regex_oracle(text):
+    assert clean_tweet_text(text) == naive_clean_tweet_text(text)
+
+
+def test_clean_tweet_text_equals_regex_oracle_on_every_code_point():
+    text = "x".join(map(chr, range(0x110000)))
+    assert clean_tweet_text(text) == naive_clean_tweet_text(text)
+
+
+def test_reconstruct_counts_many_cycles():
+    rows = []
+    for i in range(5000):
+        rows += [tweet(f"a{i}", True, "loop start", parent=f"b{i}"), tweet(f"b{i}", False, "loop end", parent=f"a{i}")]
+    rows += [tweet("1", True, "real question"), tweet("2", False, "real answer", parent="1")]
+    dialogs, report = reconstruct_threads(rows)
+    assert [d.id for d in dialogs] == ["1"]
+    assert report.cyclic_chains_skipped == 5000
+
+
+def _all_chains(children, tid):
+    if not children[tid]:
+        return [[tid]]
+    return [[tid, *chain] for kid in children[tid] for chain in _all_chains(children, kid)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reconstruct_keeps_first_longest_chain(data):
+    # tweet i replies to an earlier tweet or to nothing; roles alternate with depth,
+    # so every chain of two or more tweets is a dialog of one utterance per tweet
+    n = data.draw(st.integers(1, 40))
+    parents = [data.draw(st.integers(-1, i - 1)) for i in range(n)]
+    depth = []
+    for parent in parents:
+        depth.append(0 if parent < 0 else depth[parent] + 1)
+    order = data.draw(st.permutations(range(n)))
+    rows = [tweet(f"t{i}", depth[i] % 2 == 0, f"t{i}", f"t{parents[i]}" if parents[i] >= 0 else None) for i in order]
+    children = {f"t{i}": [f"t{j}" for j in order if parents[j] == i] for i in range(n)}
+    expected = {}
+    for i in order:
+        if parents[i] < 0:
+            chain = max(_all_chains(children, f"t{i}"), key=len)  # max keeps the first longest
+            if len(chain) > 1:
+                expected[f"t{i}"] = chain
+    dialogs, report = reconstruct_threads(rows)
+    assert {d.id: [u.text for u in d.utterances] for d in dialogs} == expected
+    assert [d.id for d in dialogs] == list(expected)
+    assert report.dropped_chains + len(dialogs) == sum(parent < 0 for parent in parents)
 
 
 # --- gold selection --------------------------------------------------------------

@@ -7,8 +7,10 @@ quadratic DP table so they stay independent of the library code they check.
 from __future__ import annotations
 
 import random
+import re
 
 from persum import Corpus, Dialog, GoldSummary, SpeakerRole, Split, make_dialog
+from persum.corpus import TWEET_CSV_COLUMNS
 
 VOCAB = ("alpha", "bravo", "charlie", "delta", "echo")
 
@@ -116,3 +118,77 @@ def naive_lcs_prf(cand: list[str], ref: list[str]) -> tuple[float, float, float]
 
 def random_token_list(rand: random.Random, max_len: int = 12) -> list[str]:
     return [rand.choice(VOCAB) for _ in range(rand.randint(0, max_len))]
+
+
+_URL_RE = re.compile(r"https?://\S+|www\.\S+")
+_MENTION_RE = re.compile(r"@\w+")
+_WS_RE = re.compile(r"\s+")
+
+
+def naive_clean_tweet_text(text: str) -> str:
+    """Three unconditional regex substitutions, as tweet text was first cleaned."""
+    text = _URL_RE.sub("http://url", text)
+    text = _MENTION_RE.sub("@user", text)
+    return _WS_RE.sub(" ", text).strip()
+
+
+# --- tweet tables ----------------------------------------------------------------
+
+_TWEET_WORDS = VOCAB + ("café", "naïve", "🙂", "ok?", "#help", "it's", "\"quoted\"", "a,b")
+_TWEET_EXTRAS = ("@AcmeSupport", "@user_42", "https://t.co/x1", "http://a.b/c?d=1", "www.acme.com/help")
+_TWEET_SPACES = (" ", " ", " ", "  ", "\t", "\n", "\xa0", "\u3000", "\x85")
+_INBOUND = {True: ("True", "true", " TRUE ", "1", "yes"), False: ("False", "false", "0", "no", "")}
+
+
+def _tweet_text(rand: random.Random) -> str:
+    words = [rand.choice(_TWEET_WORDS) for _ in range(rand.randint(1, 12))]
+    if rand.random() < 0.4:
+        words.insert(rand.randint(0, len(words)), rand.choice(_TWEET_EXTRAS))
+    text = words[0]
+    for word in words[1:]:
+        text += rand.choice(_TWEET_SPACES) + word
+    return rand.choice(("", " ", "\n")) + text + rand.choice(("", " ", "\t"))
+
+
+def tweet_table(rand: random.Random, n_conversations: int) -> list[tuple[str, ...]]:
+    """Kaggle-schema tweet rows (header first), seeded, in shuffled order.
+
+    Conversations are reply chains of 1-8 tweets with same-role runs, some with a
+    second branch, a missing parent, a reply cycle, only one role, or a blank tweet.
+    """
+    rows: list[tuple[str, ...]] = []
+    next_id = 1000
+
+    def add(inbound: bool, parent: str, text: str | None = None) -> str:
+        nonlocal next_id
+        next_id += rand.randint(1, 3)
+        tid = str(next_id)
+        author = f"cust{rand.randint(1, 50)}" if inbound else "AcmeSupport"
+        rows.append((tid, author, rand.choice(_INBOUND[inbound]), "Tue Oct 31 22:10:47 +0000 2017",
+                     _tweet_text(rand) if text is None else text, "", parent))
+        return tid
+
+    for _ in range(n_conversations):
+        kind = rand.random()
+        if kind < 0.05:  # two tweets replying to each other
+            first = add(True, "")
+            second = add(False, first)
+            rows[-2] = (*rows[-2][:-1], second)
+            continue
+        one_sided = kind < 0.12
+        parent = "404" if kind < 0.2 else ""
+        inbound = True
+        chain = []
+        for _ in range(rand.randint(1, 8)):
+            text = " \t " if rand.random() < 0.03 else None
+            parent = add(inbound, parent, text)
+            chain.append(parent)
+            if not one_sided and rand.random() < 0.7:
+                inbound = not inbound
+        if rand.random() < 0.15:  # a second branch from an earlier tweet of the chain
+            parent = rand.choice(chain)
+            for _ in range(rand.randint(1, 4)):
+                inbound = not inbound
+                parent = add(inbound, parent)
+    rand.shuffle(rows)
+    return [TWEET_CSV_COLUMNS, *rows]
