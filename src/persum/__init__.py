@@ -53,8 +53,6 @@ from .summarize import (
     PredictionError,
     PredictionSet,
     PrefixConfig,
-    concat_full,
-    heuristic_summarize,
     load_predictions,
     post_process,
     post_process_rate,

@@ -18,12 +18,11 @@ from .corpus import (
     SpeakerRole,
     Split,
     encode_json_line,
-    load_split_csv,
     read_corpus,
     read_tweet_csv,
     reconstruct_threads,
     split_corpus,
-    with_split,
+    with_split_file,
     write_corpus,
 )
 from .experiment import (
@@ -78,6 +77,12 @@ def _csv_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _min_tokens(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="persum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perspective", choices=["customer", "agent"], required=True)
     p.add_argument("--heuristic", choices=["lead", "long"], required=True)
     p.add_argument("--masked", action="store_true")
-    p.add_argument("--min-tokens", type=int, default=DEFAULT_MIN_TOKENS)
+    p.add_argument("--min-tokens", type=_min_tokens, default=DEFAULT_MIN_TOKENS)
     p.add_argument("--exclude", help="file with one dialog id per line to leave out")
     p.add_argument("--output", required=True)
     p.add_argument("--coverage", help="also write the coverage counters to this JSON file")
@@ -122,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--prefix-customer", default=None)
     p.add_argument("--prefix-agent", default=None)
-    p.add_argument("--min-tokens", type=int, default=DEFAULT_MIN_TOKENS)
+    p.add_argument("--min-tokens", type=_min_tokens, default=DEFAULT_MIN_TOKENS)
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("score", help="run the experiment and write report + score dump")
@@ -193,7 +198,7 @@ def cmd_ingest(args) -> int:
 def cmd_split(args) -> int:
     corpus = read_corpus(args.corpus)
     if args.split_file:
-        corpus = with_split(corpus, load_split_csv(args.split_file))
+        corpus = with_split_file(corpus, args.split_file)
     else:
         if len(args.ratios) != 3:
             raise CorpusError("--ratios needs exactly three values (train,val,test)")
@@ -286,7 +291,7 @@ def cmd_score(args) -> int:
     corpus = read_corpus(corpus_path)
     split_path = args.split or paths.split
     if split_path:
-        corpus = with_split(corpus, load_split_csv(split_path))
+        corpus = with_split_file(corpus, split_path)
     prediction_paths = list(paths.predictions) + list(args.predictions)
     external = [load_predictions(p) for p in prediction_paths]
 

@@ -418,7 +418,8 @@ def _chain_to_dialog(root: str, path: list[str], tweets: dict[str, _Tweet]) -> D
 def read_tweet_csv(path: str | Path) -> Iterator[dict]:
     """Yield tweet rows, as {column: value} dicts, from a Kaggle-schema CSV (RFC 4180, UTF-8).
 
-    Blank rows are skipped; a row with more or fewer fields than the header is an error.
+    Blank rows are skipped; a row with more or fewer fields than the header, or one that
+    repeats an earlier row's tweet_id (compared after stripping), is an error.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh, _naming_file(path):
         reader = csv.reader(fh)
@@ -429,11 +430,16 @@ def read_tweet_csv(path: str | Path) -> Iterator[dict]:
         if missing:
             raise ParseError(1, f"tweet CSV missing column(s): {', '.join(missing)}")
         width = len(header)
+        id_column = header.index("tweet_id")
+        first_lines: dict[str, int] = {}
         for fields in reader:
             if len(fields) != width:
                 if not fields:
                     continue
                 raise ParseError(reader.line_num, f"tweet CSV row has {len(fields)} field(s), the header has {width}")
+            tid = fields[id_column].strip()
+            if tid and first_lines.setdefault(tid, reader.line_num) != reader.line_num:
+                raise ParseError(reader.line_num, f"duplicate tweet_id {tid!r} (first on line {first_lines[tid]})")
             yield dict(zip(header, fields))
 
 
@@ -486,6 +492,13 @@ def with_split(corpus: Corpus, assignment: dict[str, Split]) -> Corpus:
     out = Corpus(corpus.dialogs, gold=corpus.gold, split=dict(assignment))
     out.validate()
     return out
+
+
+def with_split_file(corpus: Corpus, path: str | Path) -> Corpus:
+    """`corpus` with the split file at `path` applied; every error names the file."""
+    assignment = load_split_csv(path)
+    with _naming_file(path):
+        return with_split(corpus, assignment)
 
 
 def load_split_csv(path: str | Path) -> dict[str, Split]:

@@ -18,7 +18,7 @@ from operator import attrgetter, is_
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Corpus, GoldSummary, Split
+from .corpus import Corpus, GoldSummary, SpeakerRole, Split
 from .rng import make_rng
 from .rouge import (
     AggregateCell,
@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ExperimentError("sizes must be non-negative")
         if self.n_seeds < 1:
             raise ExperimentError("n_seeds must be >= 1")
+        if self.min_tokens < 1:
+            raise ExperimentError("min_tokens must be >= 1")
 
     @property
     def seeds(self) -> list[int]:
@@ -186,11 +188,8 @@ class RunResult:
 
 
 def _gold_reference(gold: GoldSummary, perspective: Perspective) -> str:
-    if perspective is Perspective.CUSTOMER:
-        return gold.customer_part
-    if perspective is Perspective.AGENT:
-        return gold.agent_part
-    return gold.customer_part + " " + gold.agent_part
+    parts = {SpeakerRole.CUSTOMER: gold.customer_part, SpeakerRole.AGENT: gold.agent_part}
+    return " ".join(parts[role] for role in perspective.roles)
 
 
 def _score_dialogs(
@@ -646,16 +645,19 @@ def parse_config(document: dict) -> tuple[ExperimentConfig, ConfigPaths]:
 
 
 def load_config_file(path: str | Path) -> tuple[ExperimentConfig, ConfigPaths]:
-    """Load a config document; relative paths resolve against the config file."""
+    """Load a config document; relative paths resolve against the config file, and every
+    error about its contents starts with its path."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ExperimentError(f"config file {path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(document, dict):
-        raise ExperimentError(f"config file {path}: expected a JSON object")
-    config, paths = parse_config(document)
+        if not isinstance(document, dict):
+            raise ExperimentError("expected a JSON object")
+        config, paths = parse_config(document)
+    except json.JSONDecodeError as exc:
+        raise ExperimentError(f"{path}: invalid JSON ({exc.msg})") from exc
+    except ExperimentError as exc:
+        raise ExperimentError(f"{path}: {exc}") from exc
     base = path.parent
 
     def _resolve(p: str | None) -> str | None:

@@ -1,5 +1,8 @@
 """Candidate summaries: heuristic baselines, indirect-speech post-processing,
-perspective concatenation, and ingestion of externally generated predictions.
+and ingestion of externally generated predictions.
+
+Every candidate joins its perspective's sides (customer first) with one space,
+each side prefixed before the join when the method post-processes.
 
 Method names are canonical snake_case strings. The built-in family is the
 heuristic baselines, e.g. ``lead_base``, ``long_post_process_base``, and the
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -31,15 +34,17 @@ class Perspective(str, Enum):
     AGENT = "agent"
     FULL = "full"
 
-    @classmethod
-    def from_role(cls, role: SpeakerRole) -> "Perspective":
-        return cls(role.value)
-
     @property
-    def role(self) -> SpeakerRole:
-        if self is Perspective.FULL:
-            raise ValueError("the full perspective has no single speaker role")
-        return SpeakerRole(self.value)
+    def roles(self) -> tuple[SpeakerRole, ...]:
+        """The speaker roles a summary of this perspective covers, in join order."""
+        return _PERSPECTIVE_ROLES[self]
+
+
+_PERSPECTIVE_ROLES = {
+    Perspective.CUSTOMER: (SpeakerRole.CUSTOMER,),
+    Perspective.AGENT: (SpeakerRole.AGENT,),
+    Perspective.FULL: (SpeakerRole.CUSTOMER, SpeakerRole.AGENT),
+}
 
 
 @dataclass(frozen=True)
@@ -91,52 +96,10 @@ def post_process_rate(candidates: Sequence[CandidateSummary]) -> float:
     return fired / len(candidates)
 
 
-# --- heuristic baselines ------------------------------------------------------
-
-
-def heuristic_summarize(
-    dialog: Dialog,
-    role: SpeakerRole,
-    heuristic: HeuristicKind,
-    min_tokens: int = DEFAULT_MIN_TOKENS,
-) -> CandidateSummary | None:
-    """Apply a heuristic directly as a summarizer (the ``*_base`` methods)."""
-    target = select_target(dialog, role, heuristic, min_tokens)
-    if target is None:
-        return None
-    return CandidateSummary(
-        dialog_id=dialog.id,
-        perspective=Perspective.from_role(role),
-        method=f"{heuristic.value}_base",
-        text=target.text,
-    )
-
-
-def concat_full(customer: CandidateSummary, agent: CandidateSummary) -> CandidateSummary:
-    """Join customer- and agent-perspective candidates into a full summary."""
-    if customer.dialog_id != agent.dialog_id:
-        raise ValueError(
-            f"cannot concatenate candidates for different dialogs "
-            f"({customer.dialog_id!r} vs {agent.dialog_id!r})"
-        )
-    if customer.perspective is not Perspective.CUSTOMER or agent.perspective is not Perspective.AGENT:
-        raise ValueError("concat_full expects a customer candidate and an agent candidate")
-    if not customer.text or not agent.text:
-        raise ValueError("cannot concatenate empty candidate texts")
-    return CandidateSummary(
-        dialog_id=customer.dialog_id,
-        perspective=Perspective.FULL,
-        method=compose_method_name(customer.method, agent.method),
-        text=customer.text + " " + agent.text,
-        post_processed=customer.post_processed or agent.post_processed,
-    )
-
-
 # --- method names -------------------------------------------------------------
 
 _BUILTIN_RE = re.compile(r"^(lead|long)(?:_(lead|long))?(_post_process)?_base$")
 _POST_PROCESS_RE = re.compile(r"(?:^|_)post_process(?:_|$)")
-_SIDE_RE = re.compile(r"^(lead|long)(.*)$")
 
 
 @dataclass(frozen=True)
@@ -164,22 +127,26 @@ def parse_builtin_method(name: str) -> BuiltinMethodSpec | None:
     )
 
 
-def is_builtin_method(name: str) -> bool:
-    return parse_builtin_method(name) is not None
-
-
 def method_has_post_process(name: str) -> bool:
     return _POST_PROCESS_RE.search(name) is not None
 
 
-def compose_method_name(customer_method: str, agent_method: str) -> str:
-    """Name for a concatenated method, e.g. lead_* + long_* -> lead_long_*."""
-    if customer_method == agent_method:
-        return customer_method
-    m1, m2 = _SIDE_RE.match(customer_method), _SIDE_RE.match(agent_method)
-    if m1 and m2 and m1.group(2) == m2.group(2):
-        return f"{m1.group(1)}_{m2.group(1)}{m1.group(2)}"
-    return f"{customer_method}+{agent_method}"
+def _candidate(
+    dialog_id: str, method: str, perspective: Perspective,
+    sides: Sequence[tuple[SpeakerRole, str]], apply_prefix: bool, prefixes: PrefixConfig,
+) -> CandidateSummary | None:
+    """Join the (role, text) sides with one space, each prefixed first when apply_prefix
+    is set; None when there are no sides."""
+    if not sides:
+        return None
+    texts = []
+    fired_any = False
+    for role, text in sides:
+        if apply_prefix:
+            text, fired = post_process(text, role, prefixes)
+            fired_any = fired_any or fired
+        texts.append(text)
+    return CandidateSummary(dialog_id, perspective, method, " ".join(texts), fired_any)
 
 
 def builtin_candidate(
@@ -190,36 +157,21 @@ def builtin_candidate(
     min_tokens: int = DEFAULT_MIN_TOKENS,
 ) -> CandidateSummary | None:
     """Produce one built-in candidate, or None when a heuristic finds nothing."""
-    if perspective is Perspective.FULL:
-        if not spec.two_sided:
-            raise ValueError(
-                f"method {spec.name!r} names one heuristic; the full perspective needs "
-                f"a two-sided method such as 'lead_long_post_process_base'"
-            )
-        parts = []
-        for role, heuristic in (
-            (SpeakerRole.CUSTOMER, spec.customer_heuristic),
-            (SpeakerRole.AGENT, spec.agent_heuristic),
-        ):
-            cand = heuristic_summarize(dialog, role, heuristic, min_tokens)
-            if cand is None:
-                return None
-            if spec.post_process:
-                text, fired = post_process(cand.text, role, prefixes)
-                cand = replace(cand, text=text, post_processed=fired)
-            parts.append(cand)
-        return replace(concat_full(parts[0], parts[1]), method=spec.name)
-    if spec.two_sided:
+    if perspective is Perspective.FULL and not spec.two_sided:
+        raise ValueError(
+            f"method {spec.name!r} names one heuristic; the full perspective needs "
+            f"a two-sided method such as 'lead_long_post_process_base'"
+        )
+    if perspective is not Perspective.FULL and spec.two_sided:
         raise ValueError(f"method {spec.name!r} applies only to the full perspective")
-    role = perspective.role
-    heuristic = spec.customer_heuristic if role is SpeakerRole.CUSTOMER else spec.agent_heuristic
-    cand = heuristic_summarize(dialog, role, heuristic, min_tokens)
-    if cand is None:
-        return None
-    if spec.post_process:
-        text, fired = post_process(cand.text, role, prefixes)
-        cand = replace(cand, text=text, post_processed=fired)
-    return replace(cand, method=spec.name)
+    sides = []
+    for role in perspective.roles:
+        heuristic = spec.customer_heuristic if role is SpeakerRole.CUSTOMER else spec.agent_heuristic
+        target = select_target(dialog, role, heuristic, min_tokens)
+        if target is None:
+            return None
+        sides.append((role, target.text))
+    return _candidate(dialog.id, spec.name, perspective, sides, spec.post_process, prefixes)
 
 
 # --- external predictions -----------------------------------------------------
@@ -244,9 +196,6 @@ class PredictionSet:
     @property
     def cell(self) -> tuple[str, int, int]:
         return (self.method, self.training_size, self.seed)
-
-    def missing_ids(self, wanted: Iterable[str]) -> list[str]:
-        return [did for did in wanted if did not in self.entries]
 
 
 def _optional_text(record: dict, key: str, lineno: int) -> str | None:
@@ -320,40 +269,12 @@ def prediction_candidate(
 ) -> CandidateSummary | None:
     """Turn one prediction entry into a candidate for the requested perspective.
 
-    The full perspective joins the non-null parts with a single space, so a
-    model that emits whole summaries can populate just one field.
+    The full perspective joins the non-blank parts, so a model that emits whole
+    summaries can populate just one field.
     """
-    apply_prefix = method_has_post_process(method)
-    if perspective is Perspective.FULL:
-        parts = []
-        fired_any = False
-        for role, raw in ((SpeakerRole.CUSTOMER, entry.customer), (SpeakerRole.AGENT, entry.agent)):
-            if raw is None or not raw.strip():
-                continue
-            if apply_prefix:
-                raw, fired = post_process(raw, role, prefixes)
-                fired_any = fired_any or fired
-            parts.append(raw)
-        if not parts:
-            return None
-        return CandidateSummary(
-            dialog_id=entry.dialog_id,
-            perspective=perspective,
-            method=method,
-            text=" ".join(parts),
-            post_processed=fired_any,
-        )
-    role = perspective.role
-    raw = entry.customer if role is SpeakerRole.CUSTOMER else entry.agent
-    if raw is None or not raw.strip():
-        return None
-    fired = False
-    if apply_prefix:
-        raw, fired = post_process(raw, role, prefixes)
-    return CandidateSummary(
-        dialog_id=entry.dialog_id,
-        perspective=perspective,
-        method=method,
-        text=raw,
-        post_processed=fired,
-    )
+    sides = []
+    for role in perspective.roles:
+        text = entry.customer if role is SpeakerRole.CUSTOMER else entry.agent
+        if text is not None and text.strip():
+            sides.append((role, text))
+    return _candidate(entry.dialog_id, method, perspective, sides, method_has_post_process(method), prefixes)

@@ -102,6 +102,18 @@ def test_ingest_tweet_row_of_wrong_width_exits_2(kaggle_csv, tmp_path, capsys, r
     assert not out.exists()
 
 
+@pytest.mark.parametrize("repeat", ["1", " 1 "], ids=["same", "padded"])
+def test_ingest_repeated_tweet_row_names_csv_and_line(tmp_path, capsys, repeat):
+    src = tmp_path / "tweets.csv"
+    rows = [kaggle_row("1", True, "my order never arrived"), kaggle_row("2", False, "sorry about that", "1")]
+    src.write_text(KAGGLE_HEADER + "".join(rows) + rows[0].replace("1", repeat, 1), encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    code = main(["ingest", "--format", "kaggle-csv", "--input", str(src), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {src}, line 4: duplicate tweet_id '1' (first on line 2)\n"
+    assert not out.exists()
+
+
 def test_ingest_skips_blank_tweet_rows(kaggle_csv, tmp_path, capsys):
     kaggle_csv.write_text(kaggle_csv.read_text(encoding="utf-8").replace("\n", "\n\n"), encoding="utf-8")
     code = main(["ingest", "--format", "kaggle-csv", "--input", str(kaggle_csv), "--output", str(tmp_path / "c.jsonl")])
@@ -165,6 +177,72 @@ def test_split_file_error_names_file_and_line(tmp_path, capsys, text, complaint)
     code = main(["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--split-file", str(split_file)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {split_file}, {complaint}\n"
+
+
+@pytest.mark.parametrize(
+    "last_row, complaint",
+    [("", "split assignment missing for 1 dialog(s), first: 'd00003'"),
+     ("d00003,test\nd9,test\n", "split assignment references unknown dialog id 'd9'")],
+    ids=["missing", "unknown"],
+)
+@pytest.mark.parametrize("command", ["split", "score --split", "score config"])
+def test_split_file_that_does_not_match_the_corpus_names_file(tmp_path, capsys, command, last_row, complaint):
+    corpus = synthetic_corpus(random.Random(9), 4, with_gold=True)
+    src = tmp_path / "c.jsonl"
+    write_corpus(corpus, src)
+    split_file = tmp_path / "split.csv"
+    split_file.write_text("dialog_id,split\nd00000,train\nd00001,train\nd00002,test\n" + last_row, encoding="utf-8")
+    config = {"methods": ["lead_base"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1}
+    if command == "score config":
+        config["split"] = "split.csv"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = {
+        "split": ["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--split-file", str(split_file)],
+        "score --split": ["score", "--config", str(config_path), "--corpus", str(src), "--split", str(split_file),
+                          "--output-dir", str(tmp_path / "run")],
+        "score config": ["score", "--config", str(config_path), "--corpus", str(src), "--output-dir", str(tmp_path / "run")],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {split_file}: {complaint}\n"
+
+
+@pytest.mark.parametrize(
+    "setting, complaint",
+    [
+        ({"n_seeds": 0}, "n_seeds must be >= 1"),
+        ({"n_seeds": "2"}, "config key 'n_seeds' must be an integer, got '2'"),
+        ({"min_tokens": 0}, "min_tokens must be >= 1"),
+        ({"min_tokens": -4, "methods": ["long_base"]}, "min_tokens must be >= 1"),
+        ({"perspectives": []}, "config needs at least one perspective"),
+        ({"typo": 1}, "unknown config key(s): typo"),
+        ("[1, 2]", "expected a JSON object"),
+        ("{oops", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    ],
+    ids=["n-seeds-zero", "n-seeds-string", "min-tokens-zero-lead", "min-tokens-negative-long", "no-perspective",
+         "unknown-key", "not-an-object", "bad-json"],
+)
+def test_config_error_names_config_file(scored_setup, tmp_path, capsys, setting, complaint):
+    corpus_path, _ = scored_setup
+    config = {"methods": ["lead_base"], "perspectives": ["customer"], "corpus": str(corpus_path)}
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(setting if isinstance(setting, str) else json.dumps({**config, **setting}), encoding="utf-8")
+    assert main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {config_path}: {complaint}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+@pytest.mark.parametrize("command", ["weaklabel", "summarize"])
+def test_min_tokens_below_one_is_a_usage_error(helpdesk_path, tmp_path, capsys, command, value):
+    argv = {
+        "weaklabel": ["weaklabel", "--perspective", "agent", "--heuristic", "long"],
+        "summarize": ["summarize", "--perspective", "agent", "--method", "long_base"],
+    }[command]
+    out = tmp_path / "out.jsonl"
+    assert main([*argv, "--corpus", str(helpdesk_path), "--min-tokens", value, "--output", str(out)]) == 1
+    assert "argument --min-tokens: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tweet_csv_header_error_names_file(tmp_path, capsys):

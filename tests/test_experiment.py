@@ -592,6 +592,12 @@ def test_parse_config_rejects_bad_perspective():
         parse_config({"methods": ["lead_base"], "perspectives": ["speaker"]})
 
 
+@pytest.mark.parametrize("methods, min_tokens", [(["lead_base"], 0), (["long_base"], -4)])
+def test_parse_config_rejects_min_tokens_below_one(methods, min_tokens):
+    with pytest.raises(ExperimentError, match="^min_tokens must be >= 1$"):
+        parse_config({"methods": methods, "perspectives": ["customer"], "min_tokens": min_tokens})
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persum import (
@@ -12,8 +12,6 @@ from persum import (
     Perspective,
     PredictionError,
     SpeakerRole,
-    concat_full,
-    heuristic_summarize,
     make_dialog,
     post_process,
     post_process_rate,
@@ -23,9 +21,8 @@ from persum.summarize import (
     PredictionEntry,
     PredictionSet,
     PrefixConfig,
+    _BUILTIN_RE,
     builtin_candidate,
-    compose_method_name,
-    is_builtin_method,
     load_predictions,
     method_has_post_process,
     parse_builtin_method,
@@ -33,7 +30,7 @@ from persum.summarize import (
     prediction_candidate,
     write_predictions,
 )
-from util import random_dialog
+from util import naive_builtin_candidate, naive_external_candidate, random_dialog
 
 C = SpeakerRole.CUSTOMER
 A = SpeakerRole.AGENT
@@ -43,7 +40,7 @@ A = SpeakerRole.AGENT
 
 
 def test_base_candidate_is_first_customer_turn(helpdesk_dialog):
-    cand = heuristic_summarize(helpdesk_dialog, C, HeuristicKind.LEAD)
+    cand = builtin_candidate(helpdesk_dialog, parse_builtin_method("lead_base"), Perspective.CUSTOMER)
     assert cand.text == helpdesk_dialog.utterances[0].text
     assert cand.method == "lead_base"
     assert cand.perspective is Perspective.CUSTOMER
@@ -51,22 +48,23 @@ def test_base_candidate_is_first_customer_turn(helpdesk_dialog):
 
 
 def test_base_candidate_is_longest_agent_turn(helpdesk_dialog):
-    cand = heuristic_summarize(helpdesk_dialog, A, HeuristicKind.LONG)
+    cand = builtin_candidate(helpdesk_dialog, parse_builtin_method("long_base"), Perspective.AGENT)
     assert cand.text == helpdesk_dialog.utterances[3].text
 
 
 def test_base_candidate_none_when_role_missing():
     dialog = make_dialog("d1", [(C, "is anyone even reading these messages")])
-    assert heuristic_summarize(dialog, A, HeuristicKind.LONG) is None
+    assert builtin_candidate(dialog, parse_builtin_method("long_base"), Perspective.AGENT) is None
 
 
 def test_base_purity_verbatim_utterance():
     rand = random.Random(8)
+    specs = [parse_builtin_method(name) for name in ("lead_base", "long_base")]
     for i in range(200):
         dialog = random_dialog(rand, f"d{i}")
-        for role in (C, A):
-            for heuristic in HeuristicKind:
-                cand = heuristic_summarize(dialog, role, heuristic)
+        for perspective in (Perspective.CUSTOMER, Perspective.AGENT):
+            for spec in specs:
+                cand = builtin_candidate(dialog, spec, perspective)
                 if cand is not None:
                     assert cand.text in {u.text for u in dialog.utterances}
 
@@ -171,35 +169,7 @@ def test_post_process_rate_permutation_invariant():
     assert post_process_rate(cands) == post_process_rate(shuffled)
 
 
-# --- concatenation --------------------------------------------------------------------
-
-
-def pair_of_candidates():
-    customer = CandidateSummary("d1", Perspective.CUSTOMER, "lead_post_process_base", "The customer says: X.", True)
-    agent = CandidateSummary("d1", Perspective.AGENT, "long_post_process_base", "The agent says: Y.", True)
-    return customer, agent
-
-
-def test_concat_full_joins_with_single_space():
-    customer, agent = pair_of_candidates()
-    full = concat_full(customer, agent)
-    assert full.text == "The customer says: X. The agent says: Y."
-    assert full.perspective is Perspective.FULL
-    assert full.method == "lead_long_post_process_base"
-    assert len(full.text) == len(customer.text) + 1 + len(agent.text)
-
-
-def test_concat_full_rejects_mismatched_dialogs():
-    customer, agent = pair_of_candidates()
-    other = CandidateSummary("d2", Perspective.AGENT, agent.method, agent.text, True)
-    with pytest.raises(ValueError):
-        concat_full(customer, other)
-
-
-def test_concat_full_rejects_swapped_perspectives():
-    customer, agent = pair_of_candidates()
-    with pytest.raises(ValueError):
-        concat_full(agent, customer)
+# --- candidates ------------------------------------------------------------------------
 
 
 def test_candidate_summary_rejects_empty_text():
@@ -232,7 +202,6 @@ def test_parse_builtin_method(name, post, two_sided):
 @pytest.mark.parametrize("name", ["lead", "long_post_process", "pegasus", "lead_masked", "leadbase"])
 def test_non_builtin_methods(name):
     assert parse_builtin_method(name) is None
-    assert not is_builtin_method(name)
 
 
 def test_method_has_post_process():
@@ -240,13 +209,6 @@ def test_method_has_post_process():
     assert method_has_post_process("lead_long_post_process")
     assert not method_has_post_process("pegasus")
     assert not method_has_post_process("lead_base")
-
-
-def test_compose_method_name():
-    assert compose_method_name("lead_post_process", "long_post_process") == "lead_long_post_process"
-    assert compose_method_name("lead_base", "long_base") == "lead_long_base"
-    assert compose_method_name("pegasus", "pegasus") == "pegasus"
-    assert compose_method_name("pegasus", "long_base") == "pegasus+long_base"
 
 
 def test_builtin_candidate_full_concatenates_post_processed_parts(helpdesk_dialog):
@@ -285,11 +247,6 @@ def test_predictions_round_trip(tmp_path):
     loaded = load_predictions(path)
     assert loaded == sample_predictions()
     assert loaded.cell == ("pegasus", 16, 0)
-
-
-def test_predictions_missing_ids_report():
-    pred = sample_predictions()
-    assert pred.missing_ids(["d1", "d2", "d3"]) == ["d3"]
 
 
 def test_parse_predictions_duplicate_id():
@@ -358,3 +315,71 @@ def test_prediction_candidate_full_post_processes_each_part():
     cand = prediction_candidate(entry, "lead_long_post_process", Perspective.FULL)
     assert cand.text == "The customer says: cannot log in The agent says: reset the password"
     assert cand.post_processed
+
+
+# --- candidates against the naive oracle -------------------------------------------------
+
+BUILTIN_NAMES = [
+    f"{first}{second}{post}_base"
+    for first in ("lead", "long")
+    for second in ("", "_lead", "_long")
+    for post in ("", "_post_process")
+]
+WORDS = ("the", "The", "customer", "Customer", "agent", "AGENT", "customers", "alpha", "bravo", "says:")
+WORDS_TEXT = st.lists(st.sampled_from(WORDS), min_size=1, max_size=8).map(" ".join)
+PREFIXES = st.builds(PrefixConfig, customer=st.text(max_size=6), agent=st.text(max_size=6)) | st.just(PrefixConfig())
+
+
+@st.composite
+def dialogs(draw):
+    """Dialogs of 1-8 turns; sometimes every turn has one role, so the other role is missing."""
+    roles = st.sampled_from([C, A]) if draw(st.booleans()) else st.just(draw(st.sampled_from([C, A])))
+    turns = draw(st.lists(st.tuples(roles, WORDS_TEXT), min_size=1, max_size=8))
+    return make_dialog("d1", turns)
+
+
+PARTS = st.none() | st.sampled_from(["", "   ", "\t\n"]) | WORDS_TEXT | st.builds(
+    lambda pad, text, tail: pad + text + tail,
+    st.sampled_from([" ", "\t", "\n "]),
+    st.sampled_from(["The customer wants a refund", "the  agent replied", "Customer left", "agent"]) | WORDS_TEXT,
+    st.sampled_from(["", " ", "\n"]),
+)
+
+
+def test_builtin_names_cover_the_pattern():
+    assert all(_BUILTIN_RE.match(name) for name in BUILTIN_NAMES)
+    assert len(set(BUILTIN_NAMES)) == 12
+
+
+@settings(max_examples=150, deadline=None)
+@given(dialogs(), PREFIXES, st.integers(1, 6))
+def test_builtin_candidate_equals_naive_oracle(dialog, prefixes, min_tokens):
+    for name in BUILTIN_NAMES:
+        spec = parse_builtin_method(name)
+        for perspective in Perspective:
+            if spec.two_sided != (perspective is Perspective.FULL):
+                with pytest.raises(ValueError):
+                    builtin_candidate(dialog, spec, perspective, prefixes, min_tokens)
+                continue
+            cand = builtin_candidate(dialog, spec, perspective, prefixes, min_tokens)
+            expected = naive_builtin_candidate(dialog, name, perspective.value, prefixes, min_tokens)
+            assert (cand and (cand.text, cand.post_processed)) == expected
+            if cand is not None:
+                assert (cand.dialog_id, cand.method, cand.perspective) == ("d1", name, perspective)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    PARTS,
+    PARTS,
+    st.sampled_from(["pegasus", "lead_post_process", "x_post_process_y", "post_process", "post_processing"]),
+    PREFIXES,
+)
+def test_prediction_candidate_equals_naive_oracle(customer, agent, method, prefixes):
+    entry = PredictionEntry("d1", customer, agent)
+    for perspective in Perspective:
+        cand = prediction_candidate(entry, method, perspective, prefixes)
+        expected = naive_external_candidate(customer, agent, method, perspective.value, prefixes)
+        assert (cand and (cand.text, cand.post_processed)) == expected
+        if cand is not None:
+            assert (cand.dialog_id, cand.method, cand.perspective) == ("d1", method, perspective)

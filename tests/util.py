@@ -88,6 +88,53 @@ def naive_long(dialog: Dialog, role: SpeakerRole):
     return best
 
 
+_OPENER_RE = re.compile(r"^(the\s+)?(customer|agent)\b", re.IGNORECASE)
+_BASE_RE = re.compile(r"^(lead|long)(?:_(lead|long))?(_post_process)?_base$")
+_POST_PROCESS_RE = re.compile(r"(?:^|_)post_process(?:_|$)")
+
+
+def _naive_prefixed(text: str, role: SpeakerRole, prefixes) -> tuple[str, bool]:
+    if _OPENER_RE.match(text):
+        return text, False
+    return (prefixes.customer if role == SpeakerRole.CUSTOMER else prefixes.agent) + text, True
+
+
+def _naive_join(parts: list[tuple[SpeakerRole, str]], post: bool, prefixes):
+    if not parts:
+        return None
+    if post:
+        done = [_naive_prefixed(text, role, prefixes) for role, text in parts]
+        return " ".join(text for text, _ in done), any(fired for _, fired in done)
+    return " ".join(text for _, text in parts), False
+
+
+def naive_builtin_candidate(dialog: Dialog, method: str, perspective: str, prefixes, min_tokens: int = 5):
+    """(text, post_processed) of a built-in baseline, or None when a side finds nothing."""
+    first, second, post = _BASE_RE.match(method).groups()
+    if perspective == "full":
+        plan = ((SpeakerRole.CUSTOMER, first), (SpeakerRole.AGENT, second))
+    else:
+        plan = ((SpeakerRole(perspective), first),)
+    parts = []
+    for role, heuristic in plan:
+        utt = naive_lead(dialog, role, min_tokens) if heuristic == "lead" else naive_long(dialog, role)
+        if utt is None:
+            return None
+        parts.append((role, utt.text))
+    return _naive_join(parts, post is not None, prefixes)
+
+
+def naive_external_candidate(customer: str | None, agent: str | None, method: str, perspective: str, prefixes):
+    """(text, post_processed) of a prediction entry's parts, or None when every wanted part is blank."""
+    wanted = ("customer", "agent") if perspective == "full" else (perspective,)
+    parts = [
+        (SpeakerRole(side), raw)
+        for side, raw in (("customer", customer), ("agent", agent))
+        if side in wanted and raw is not None and raw.strip()
+    ]
+    return _naive_join(parts, _POST_PROCESS_RE.search(method) is not None, prefixes)
+
+
 def _prf(overlap: float, cand_total: int, ref_total: int) -> tuple[float, float, float]:
     p = overlap / cand_total if cand_total else 0.0
     r = overlap / ref_total if ref_total else 0.0
