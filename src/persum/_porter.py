@@ -56,15 +56,6 @@ def _ends_cvc(word: str) -> bool:
     return word[-1] not in "wxy"
 
 
-def _replace(word: str, suffix: str, replacement: str, min_measure: int) -> str | None:
-    if not word.endswith(suffix):
-        return None
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > min_measure - 1:
-        return stem + replacement
-    return word
-
-
 def _rule_table(word: str, rules: list[tuple[str, str]], min_measure: int) -> str:
     for suffix, replacement in rules:
         if word.endswith(suffix):

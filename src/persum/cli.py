@@ -17,6 +17,7 @@ from .corpus import (
     CorpusError,
     SpeakerRole,
     Split,
+    _naming_file,
     encode_json_line,
     read_corpus,
     read_tweet_csv,
@@ -27,7 +28,9 @@ from .corpus import (
 )
 from .experiment import (
     DEFAULT_SIZES,
+    ExperimentConfig,
     ExperimentError,
+    check_sizes,
     emit_report,
     load_config_file,
     rate_curve,
@@ -41,7 +44,6 @@ from .experiment import (
 )
 from .summarize import (
     Perspective,
-    PredictionError,
     PrefixConfig,
     builtin_candidate,
     load_predictions,
@@ -63,11 +65,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
+def _sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+        sizes = tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    try:
+        check_sizes(sizes)
+    except ExperimentError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from exc
+    return sizes
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -77,7 +84,7 @@ def _csv_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _min_tokens(text: str) -> int:
+def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
@@ -106,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perspective", choices=["customer", "agent"], required=True)
     p.add_argument("--heuristic", choices=["lead", "long"], required=True)
     p.add_argument("--masked", action="store_true")
-    p.add_argument("--min-tokens", type=_min_tokens, default=DEFAULT_MIN_TOKENS)
+    p.add_argument("--min-tokens", type=_positive_int, default=DEFAULT_MIN_TOKENS)
     p.add_argument("--exclude", help="file with one dialog id per line to leave out")
     p.add_argument("--output", required=True)
     p.add_argument("--coverage", help="also write the coverage counters to this JSON file")
@@ -115,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subsets", help="write nested few-shot training subsets per seed")
     p.add_argument("--corpus", required=True, help="corpus JSONL with split assignment")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--sizes", type=_csv_ints, default=DEFAULT_SIZES)
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds (0..N-1)")
+    p.add_argument("--sizes", type=_sizes, default=DEFAULT_SIZES)
+    p.add_argument("--seeds", type=_positive_int, default=ExperimentConfig.n_seeds, help="number of seeds (0..N-1)")
     p.add_argument("--cap-to-population", action="store_true")
     p.set_defaults(func=cmd_subsets)
 
@@ -127,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--prefix-customer", default=None)
     p.add_argument("--prefix-agent", default=None)
-    p.add_argument("--min-tokens", type=_min_tokens, default=DEFAULT_MIN_TOKENS)
+    p.add_argument("--min-tokens", type=_positive_int, default=DEFAULT_MIN_TOKENS)
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("score", help="run the experiment and write report + score dump")
@@ -155,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", nargs="*", default=[], help="prediction files of one method")
     p.add_argument("--corpus", help="with --method: measure a built-in method instead")
     p.add_argument("--method")
-    p.add_argument("--sizes", type=_csv_ints, default=DEFAULT_SIZES)
+    p.add_argument("--sizes", type=_sizes, default=DEFAULT_SIZES)
     p.add_argument("--prefix-customer", default=None)
     p.add_argument("--prefix-agent", default=None)
     p.set_defaults(func=cmd_rate_curve)
@@ -213,7 +220,7 @@ def cmd_weaklabel(args) -> int:
     corpus = read_corpus(args.corpus)
     exclude: set[str] = set()
     if args.exclude:
-        with open(args.exclude, "r", encoding="utf-8") as fh:
+        with open(args.exclude, "r", encoding="utf-8") as fh, _naming_file(args.exclude):
             exclude = {line.strip() for line in fh if line.strip()}
     pairs, report = weaklabel_corpus(
         corpus,
@@ -305,8 +312,7 @@ def cmd_score(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_name = "report.md" if args.report == "md" else "report.csv"
-    report_format = "markdown" if args.report == "md" else "csv"
-    (out_dir / report_name).write_text(emit_report(result.table, report_format), encoding="utf-8")
+    (out_dir / report_name).write_text(emit_report(result.table, args.report), encoding="utf-8")
     write_per_dialog_csv(result.per_dialog, out_dir / "per_dialog_scores.csv")
     if args.subsets:
         write_subset_files(result.families, out_dir / "subsets")
@@ -317,8 +323,7 @@ def cmd_score(args) -> int:
 def cmd_report(args) -> int:
     rows = read_per_dialog_csv(args.per_dialog)
     table = table_from_per_dialog(rows)
-    report_format = "markdown" if args.format == "md" else "csv"
-    Path(args.output).write_text(emit_report(table, report_format), encoding="utf-8")
+    Path(args.output).write_text(emit_report(table, args.format), encoding="utf-8")
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -369,7 +374,7 @@ def main(argv=None) -> int:
         name = exc.filename if exc.filename else exc
         print(f"error: file not found: {name}", file=sys.stderr)
         return EXIT_DATA
-    except (CorpusError, PredictionError, ExperimentError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

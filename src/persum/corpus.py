@@ -34,22 +34,28 @@ class CorpusError(ValueError):
 
 
 class ParseError(CorpusError):
-    """A malformed input line; carries the 1-based line number and, once known, the file."""
+    """A malformed input line, or file when `line` is None; carries the 1-based line number
+    and, once known, the file."""
 
-    def __init__(self, line: int, message: str, path: str | Path | None = None):
-        super().__init__(f"line {line}: {message}" if path is None else f"{path}, line {line}: {message}")
+    def __init__(self, line: int | None, message: str, path: str | Path | None = None):
+        text = message if line is None else f"line {line}: {message}"
+        super().__init__(text if path is None else f"{path}{':' if line is None else ','} {text}")
         self.line = line
         self.detail = message
 
 
 @contextmanager
 def _naming_file(path: str | Path) -> Iterator[None]:
-    """Re-raise corpus errors from reading `path` as "<path>, line N: ..." or "<path>: ..."."""
+    """Re-raise errors from reading `path` as "<path>, line N: ..." or "<path>: ...".
+
+    A byte that is not UTF-8 is named without a line: the decoder reads ahead in blocks,
+    so a reader's line count is not where the byte is.
+    """
     try:
         yield
     except ParseError as exc:
-        raise ParseError(exc.line, exc.detail, path) from exc
-    except CorpusError as exc:
+        raise type(exc)(exc.line, exc.detail, path) from exc
+    except (CorpusError, UnicodeDecodeError) as exc:
         raise CorpusError(f"{path}: {exc}") from exc
 
 
@@ -459,7 +465,6 @@ DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)
 def split_corpus(
     corpus: Corpus,
     ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
-    rng: np.random.Generator | None = None,
     seed: int = 0,
 ) -> Corpus:
     """Assign train/val/test by seeded shuffle and floor arithmetic on ratios."""
@@ -470,10 +475,8 @@ def split_corpus(
     n = len(corpus.dialogs)
     if n < 3:
         raise CorpusError(f"need at least 3 dialogs to split, got {n}")
-    if rng is None:
-        rng = make_rng(seed)
     ids = [d.id for d in corpus.dialogs]
-    shuffled = [ids[i] for i in rng.permutation(n)]
+    shuffled = [ids[i] for i in make_rng(seed).permutation(n)]
     n_train = math.floor(ratios[0] * n)
     n_val = math.floor(ratios[1] * n)
     assignment: dict[str, Split] = {}

@@ -18,7 +18,7 @@ from operator import attrgetter, is_
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Corpus, GoldSummary, SpeakerRole, Split
+from .corpus import Corpus, GoldSummary, SpeakerRole, Split, _naming_file
 from .rng import make_rng
 from .rouge import (
     AggregateCell,
@@ -29,7 +29,6 @@ from .rouge import (
     score_pair,
 )
 from .summarize import (
-    DEFAULT_PREFIXES,
     CandidateSummary,
     Perspective,
     PredictionSet,
@@ -73,6 +72,14 @@ class MissingCellsError(ExperimentError):
         self.cells = list(cells)
 
 
+def check_sizes(sizes: Sequence[int]) -> None:
+    """The rule for training sizes, in a config and on the command line alike."""
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ExperimentError("sizes must be strictly increasing")
+    if sizes and sizes[0] < 0:
+        raise ExperimentError("sizes must be non-negative")
+
+
 @dataclass
 class ExperimentConfig:
     methods: list[str]
@@ -92,10 +99,7 @@ class ExperimentConfig:
             raise ExperimentError("config needs at least one perspective")
         if not self.sizes:
             raise ExperimentError("config needs at least one training size")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ExperimentError("sizes must be strictly increasing")
-        if self.sizes[0] < 0:
-            raise ExperimentError("sizes must be non-negative")
+        check_sizes(self.sizes)
         if self.n_seeds < 1:
             raise ExperimentError("n_seeds must be >= 1")
         if self.min_tokens < 1:
@@ -467,7 +471,7 @@ def read_per_dialog_csv(path: str | Path) -> list[PerDialogScore]:
     rows: list[PerDialogScore] = []
     last: dict[str, tuple[list[str], tuple[float, ...]]] = {}  # dialog id -> score text, floats
     perspectives = {perspective.value: perspective for perspective in Perspective}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, _naming_file(path):
         reader = csv.reader(fh)
         try:
             if tuple(next(reader, ())) != PER_DIALOG_COLUMNS:
@@ -488,6 +492,8 @@ def read_per_dialog_csv(path: str | Path) -> list[PerDialogScore]:
                 row = _dump_row(record)
                 last[row.dialog_id] = (record[_SCORES], row[_SCORES])
                 rows.append(row)
+        except UnicodeDecodeError:
+            raise  # _naming_file names the file; the line count is not where the byte is
         except (ValueError, csv.Error) as exc:
             raise ExperimentError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
     return rows
@@ -556,21 +562,24 @@ class ConfigPaths:
     predictions: list[str] = field(default_factory=list)
 
 
-_CONFIG_KEYS = {
-    "methods",
-    "perspectives",
-    "sizes",
-    "n_seeds",
-    "tokenizer",
-    "min_tokens",
-    "cap_to_population",
-    "strict_missing",
-    "prefix_customer",
-    "prefix_agent",
-    "corpus",
-    "split",
-    "predictions",
+# Each config key's type, a list key as [item type], in the order parse_config checks them
+_CONFIG_SCHEMA: dict[str, type | list[type]] = {
+    "methods": [str],
+    "perspectives": [str],
+    "sizes": [int],
+    "n_seeds": int,
+    "tokenizer": dict,
+    "min_tokens": int,
+    "cap_to_population": bool,
+    "strict_missing": bool,
+    "prefix_customer": str,
+    "prefix_agent": str,
+    "corpus": str,
+    "split": str,
+    "predictions": [str],
 }
+_REQUIRED_CONFIG_KEYS = ("methods", "perspectives")
+_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
 
 
 def _is_a(value, kind: type) -> bool:
@@ -578,69 +587,40 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
-
-
-def _config_list(document: dict, key: str, kind: type, default: Sequence | None = None) -> list:
-    """document[key], or default when absent, checked to be a list of `kind` values."""
-    if key not in document and default is None:
-        raise ExperimentError(f"config missing required key {key!r}")
-    value = document.get(key, default)
-    if not isinstance(value, (list, tuple)) or not all(_is_a(item, kind) for item in value):
-        raise ExperimentError(f"config key {key!r} must be a list of {kind.__name__} values, got {value!r}")
-    return list(value)
-
-
-def _config_value(document: dict, key: str, kind: type, default):
-    """document[key] checked to be a `kind` value, or default when absent."""
-    if key not in document:
-        return default
-    value = document[key]
-    if not _is_a(value, kind):
-        raise ExperimentError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
-
-
 def parse_config(document: dict) -> tuple[ExperimentConfig, ConfigPaths]:
-    unknown = set(document) - _CONFIG_KEYS
+    """Check `document` against _CONFIG_SCHEMA; an absent key keeps its field's default."""
+    unknown = set(document) - _CONFIG_SCHEMA.keys()
     if unknown:
         raise ExperimentError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    methods = _config_list(document, "methods", str)
-    perspective_names = _config_list(document, "perspectives", str)
+    for key, kind in _CONFIG_SCHEMA.items():
+        if key not in document:
+            if key in _REQUIRED_CONFIG_KEYS:
+                raise ExperimentError(f"config missing required key {key!r}")
+        elif isinstance(kind, list):
+            value = document[key]
+            if not isinstance(value, (list, tuple)) or not all(_is_a(item, kind[0]) for item in value):
+                raise ExperimentError(f"config key {key!r} must be a list of {kind[0].__name__} values, got {value!r}")
+        elif not _is_a(document[key], kind):
+            raise ExperimentError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {document[key]!r}")
+    values = dict(document)
     try:
-        perspectives = [Perspective(p) for p in perspective_names]
+        values["perspectives"] = [Perspective(p) for p in document["perspectives"]]
     except ValueError as exc:
         raise ExperimentError(f"bad perspective in config: {exc}") from exc
-
-    settings = _config_value(document, "tokenizer", dict, {})
-    try:
-        tokenizer = TokenizerConfig(**settings)
-    except TypeError as exc:
-        raise ExperimentError(f"bad tokenizer settings in config: {exc}") from exc
-    for name, value in settings.items():
-        if not isinstance(value, bool):
-            raise ExperimentError(f"config tokenizer setting {name!r} must be true or false, got {value!r}")
-    prefixes = PrefixConfig(
-        customer=_config_value(document, "prefix_customer", str, DEFAULT_PREFIXES.customer),
-        agent=_config_value(document, "prefix_agent", str, DEFAULT_PREFIXES.agent),
-    )
-    config = ExperimentConfig(
-        methods=methods,
-        perspectives=perspectives,
-        sizes=tuple(_config_list(document, "sizes", int, DEFAULT_SIZES)),
-        n_seeds=_config_value(document, "n_seeds", int, 5),
-        tokenizer=tokenizer,
-        prefixes=prefixes,
-        min_tokens=_config_value(document, "min_tokens", int, DEFAULT_MIN_TOKENS),
-        cap_to_population=_config_value(document, "cap_to_population", bool, False),
-        strict_missing=_config_value(document, "strict_missing", bool, False),
-    )
+    if "tokenizer" in document:
+        try:
+            values["tokenizer"] = TokenizerConfig(**document["tokenizer"])
+        except TypeError as exc:
+            raise ExperimentError(f"bad tokenizer settings in config: {exc}") from exc
+        for name, value in document["tokenizer"].items():
+            if not isinstance(value, bool):
+                raise ExperimentError(f"config tokenizer setting {name!r} must be true or false, got {value!r}")
+    if "sizes" in document:
+        values["sizes"] = tuple(document["sizes"])
+    prefixes = {role: values.pop(f"prefix_{role}") for role in ("customer", "agent") if f"prefix_{role}" in values}
+    paths = ConfigPaths(**{key: values.pop(key) for key in ("corpus", "split", "predictions") if key in values})
+    config = ExperimentConfig(prefixes=PrefixConfig(**prefixes), **values)
     config.validate()
-    paths = ConfigPaths(
-        corpus=_config_value(document, "corpus", str, None),
-        split=_config_value(document, "split", str, None),
-        predictions=_config_list(document, "predictions", str, []),
-    )
     return config, paths
 
 
@@ -649,7 +629,7 @@ def load_config_file(path: str | Path) -> tuple[ExperimentConfig, ConfigPaths]:
     error about its contents starts with its path."""
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, _naming_file(path):
             document = json.load(fh)
         if not isinstance(document, dict):
             raise ExperimentError("expected a JSON object")

@@ -21,12 +21,13 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Dialog, SpeakerRole, encode_json_line
+from .corpus import Dialog, ParseError, SpeakerRole, _naming_file, encode_json_line
 from .weaklabel import DEFAULT_MIN_TOKENS, HeuristicKind, select_target
 
 
-class PredictionError(ValueError):
-    """A prediction file violates the expected schema."""
+class PredictionError(ParseError):
+    """A prediction file violates the expected schema, on line `line` or, when that is None,
+    as a whole."""
 
 
 class Perspective(str, Enum):
@@ -203,7 +204,7 @@ def _optional_text(record: dict, key: str, lineno: int) -> str | None:
     if value is None:
         return None
     if not isinstance(value, str):
-        raise PredictionError(f"line {lineno}: field {key!r} must be a string or null")
+        raise PredictionError(lineno, f"field {key!r} must be a string or null")
     return value
 
 
@@ -217,38 +218,37 @@ def parse_predictions(lines: Iterable[str]) -> PredictionSet:
         try:
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise PredictionError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            raise PredictionError(lineno, f"invalid JSON ({exc.msg})") from exc
         if not isinstance(record, dict):
-            raise PredictionError(f"line {lineno}: expected a JSON object")
+            raise PredictionError(lineno, "expected a JSON object")
         if header is None:
             try:
                 header = (record["method"], record["training_size"], record["seed"])
             except KeyError as exc:
-                raise PredictionError(
-                    f"line {lineno}: header must carry method, training_size, seed"
-                ) from exc
+                raise PredictionError(lineno, "header must carry method, training_size, seed") from exc
             if not isinstance(header[0], str) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in header[1:]
             ):
-                raise PredictionError(f"line {lineno}: bad header field types")
+                raise PredictionError(lineno, "bad header field types")
             continue
         did = record.get("dialog_id")
         if not isinstance(did, str) or not did:
-            raise PredictionError(f"line {lineno}: entry missing dialog_id")
+            raise PredictionError(lineno, "entry missing dialog_id")
         if did in entries:
-            raise PredictionError(f"line {lineno}: duplicate dialog_id {did!r}")
+            raise PredictionError(lineno, f"duplicate dialog_id {did!r}")
         entries[did] = PredictionEntry(
             dialog_id=did,
             customer=_optional_text(record, "customer", lineno),
             agent=_optional_text(record, "agent", lineno),
         )
     if header is None:
-        raise PredictionError("prediction file has no header line")
+        raise PredictionError(None, "prediction file has no header line")
     return PredictionSet(method=header[0], training_size=header[1], seed=header[2], entries=entries)
 
 
 def load_predictions(path: str | Path) -> PredictionSet:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a prediction file; every error names the file, and the line where there is one."""
+    with open(path, "r", encoding="utf-8") as fh, _naming_file(path):
         return parse_predictions(fh)
 
 

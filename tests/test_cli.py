@@ -159,6 +159,56 @@ def test_corpus_error_without_a_line_names_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {src}: split assignment missing for 1 dialog(s), first: 'd2'\n"
 
 
+@pytest.mark.parametrize("reader", ["config", "split", "tweet-csv", "corpus", "predictions", "dump", "exclude"])
+def test_byte_that_is_not_utf8_names_file_and_no_line(scored_setup, tmp_path, capsys, reader):
+    corpus_path, config_path = scored_setup
+    first_line = {
+        "config": '{"methods": ["lead_base"],\n',
+        "split": "dialog_id,split\n",
+        "tweet-csv": KAGGLE_HEADER,
+        "corpus": corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)[0],
+        "predictions": '{"method": "pegasus", "training_size": 0, "seed": 0}\n',
+        "dump": DUMP_HEADER,
+        "exclude": "d00000\n",
+    }[reader].encode()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(first_line + b"\xff\n")  # line 2, but the decoder reads ahead of the line count
+    out = tmp_path / "out"
+    argv = {
+        "config": ["score", "--config", str(bad), "--output-dir", str(out)],
+        "split": ["split", "--corpus", str(corpus_path), "--split-file", str(bad), "--output", str(out)],
+        "tweet-csv": ["ingest", "--format", "kaggle-csv", "--input", str(bad), "--output", str(out)],
+        "corpus": ["ingest", "--format", "dialog-jsonl", "--input", str(bad), "--output", str(out)],
+        "predictions": ["score", "--config", str(config_path), "--predictions", str(bad), "--output-dir", str(out)],
+        "dump": ["report", "--per-dialog", str(bad), "--output", str(out)],
+        "exclude": ["weaklabel", "--corpus", str(corpus_path), "--perspective", "agent", "--heuristic", "long",
+                    "--exclude", str(bad), "--output", str(out)],
+    }[reader]
+    assert main(argv) == 2
+    position = len(first_line)
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, complaint",
+    [('{"method": "pegasus", "training_size": 0, "seed": 0}\n{"dialog_id": "d1", "customer": 5}\n',
+      ", line 2: field 'customer' must be a string or null"),
+     ("", ": prediction file has no header line")],
+    ids=["bad-field", "empty"],
+)
+def test_prediction_file_error_names_file(scored_setup, tmp_path, capsys, text, complaint):
+    _, config_path = scored_setup
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["score", "--config", str(config_path), "--predictions", str(pred), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {pred}{complaint}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, complaint",
     [
@@ -242,6 +292,27 @@ def test_min_tokens_below_one_is_a_usage_error(helpdesk_path, tmp_path, capsys, 
     out = tmp_path / "out.jsonl"
     assert main([*argv, "--corpus", str(helpdesk_path), "--min-tokens", value, "--output", str(out)]) == 1
     assert "argument --min-tokens: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, value, complaint",
+    [("subsets", "--sizes", "-3,4", "sizes must be non-negative, got '-3,4'"),
+     ("subsets", "--sizes", "8,4,4", "sizes must be strictly increasing, got '8,4,4'"),
+     ("subsets", "--seeds", "0", "expected an integer >= 1, got '0'"),
+     ("rate-curve", "--sizes", "-1,5", "sizes must be non-negative, got '-1,5'"),
+     ("rate-curve", "--sizes", "0,16,16", "sizes must be strictly increasing, got '0,16,16'")],
+    ids=["subsets-negative", "subsets-repeated", "subsets-zero-seeds", "rate-curve-negative", "rate-curve-repeated"],
+)
+def test_bad_sizes_or_seeds_are_a_usage_error(helpdesk_path, tmp_path, capsys, command, option, value, complaint):
+    out = tmp_path / "out"
+    argv = {
+        "subsets": ["subsets", "--corpus", str(helpdesk_path), "--output-dir", str(out)],
+        "rate-curve": ["rate-curve", "--corpus", str(helpdesk_path), "--method", "lead_base",
+                       "--perspective", "customer", "--output", str(out)],
+    }[command]
+    assert main([*argv, f"{option}={value}"]) == 1
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: {complaint}\n")
     assert not out.exists()
 
 

@@ -22,6 +22,7 @@ from persum import (
 )
 from persum.experiment import (
     PER_DIALOG_COLUMNS,
+    ConfigPaths,
     PerDialogScore,
     ResultTable,
     emit_report,
@@ -34,8 +35,15 @@ from persum.experiment import (
     write_per_dialog_csv,
     write_subset_files,
 )
-from persum.rouge import AggregateCell, score_pair
-from persum.summarize import CandidateSummary, PredictionEntry, PredictionSet, builtin_candidate, parse_builtin_method
+from persum.rouge import AggregateCell, TokenizerConfig, score_pair
+from persum.summarize import (
+    CandidateSummary,
+    PredictionEntry,
+    PredictionSet,
+    PrefixConfig,
+    builtin_candidate,
+    parse_builtin_method,
+)
 from util import synthetic_corpus
 
 C = SpeakerRole.CUSTOMER
@@ -555,6 +563,8 @@ def test_parse_config_minimal():
     assert config.sizes == (0, 16, 32, 64, 128, 256, 512, 1024)
     assert config.n_seeds == 5
     assert paths.predictions == []
+    assert config == ExperimentConfig(methods=["lead_base"], perspectives=[Perspective.CUSTOMER])
+    assert paths == ConfigPaths()
 
 
 def test_parse_config_full():
@@ -575,6 +585,37 @@ def test_parse_config_full():
     assert config.cap_to_population
     assert paths.corpus == "corpus.jsonl"
     assert paths.predictions == ["a.jsonl"]
+
+
+def test_parse_config_every_key():
+    document = {
+        "methods": ["pegasus"],
+        "perspectives": ["agent"],
+        "sizes": [0, 8],
+        "n_seeds": 3,
+        "tokenizer": {"stemming": True},
+        "min_tokens": 2,
+        "cap_to_population": True,
+        "strict_missing": True,
+        "prefix_customer": "C: ",
+        "prefix_agent": "A: ",
+        "corpus": "corpus.jsonl",
+        "split": "split.csv",
+        "predictions": ["a.jsonl"],
+    }
+    config, paths = parse_config(document)
+    assert config == ExperimentConfig(
+        methods=["pegasus"],
+        perspectives=[Perspective.AGENT],
+        sizes=(0, 8),
+        n_seeds=3,
+        tokenizer=TokenizerConfig(stemming=True),
+        prefixes=PrefixConfig(customer="C: ", agent="A: "),
+        min_tokens=2,
+        cap_to_population=True,
+        strict_missing=True,
+    )
+    assert paths == ConfigPaths(corpus="corpus.jsonl", split="split.csv", predictions=["a.jsonl"])
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -623,6 +664,12 @@ def test_parse_config_rejects_min_tokens_below_one(methods, min_tokens):
 def test_parse_config_rejects_wrongly_typed_values(key, value):
     document = {"methods": ["lead_base"], "perspectives": ["customer"], key: value}
     with pytest.raises(ExperimentError, match=f"config key '{key}' must be"):
+        parse_config(document)
+
+
+def test_parse_config_names_the_first_bad_key_in_schema_order():
+    document = {"methods": ["lead_base"], "perspectives": ["customer"], "tokenizer": ["stemming"], "sizes": "16"}
+    with pytest.raises(ExperimentError, match="^config key 'sizes' must be a list of int values, got '16'$"):
         parse_config(document)
 
 
