@@ -70,6 +70,8 @@ def _sizes(text: str) -> tuple[int, ...]:
         sizes = tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"expected at least one size, got {text!r}")
     try:
         check_sizes(sizes)
     except ExperimentError as exc:
@@ -84,10 +86,14 @@ def _csv_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+
+    return parse
+
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="assign train/val/test, seeded or from a split file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--ratios", type=_csv_floats, default=(0.8, 0.1, 0.1))
     p.add_argument("--split-file", help="CSV with columns dialog_id, split; overrides --seed")
     p.set_defaults(func=cmd_split)
@@ -113,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perspective", choices=["customer", "agent"], required=True)
     p.add_argument("--heuristic", choices=["lead", "long"], required=True)
     p.add_argument("--masked", action="store_true")
-    p.add_argument("--min-tokens", type=_positive_int, default=DEFAULT_MIN_TOKENS)
+    p.add_argument("--min-tokens", type=_int_at_least(1), default=DEFAULT_MIN_TOKENS)
     p.add_argument("--exclude", help="file with one dialog id per line to leave out")
     p.add_argument("--output", required=True)
     p.add_argument("--coverage", help="also write the coverage counters to this JSON file")
@@ -123,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="corpus JSONL with split assignment")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--sizes", type=_sizes, default=DEFAULT_SIZES)
-    p.add_argument("--seeds", type=_positive_int, default=ExperimentConfig.n_seeds, help="number of seeds (0..N-1)")
+    p.add_argument("--seeds", type=_int_at_least(1), default=ExperimentConfig.n_seeds, help="number of seeds (0..N-1)")
     p.add_argument("--cap-to-population", action="store_true")
     p.set_defaults(func=cmd_subsets)
 
@@ -134,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--prefix-customer", default=None)
     p.add_argument("--prefix-agent", default=None)
-    p.add_argument("--min-tokens", type=_positive_int, default=DEFAULT_MIN_TOKENS)
+    p.add_argument("--min-tokens", type=_int_at_least(1), default=DEFAULT_MIN_TOKENS)
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("score", help="run the experiment and write report + score dump")
@@ -159,10 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate-curve", help="post-process rate per training size")
     p.add_argument("--output", required=True)
     p.add_argument("--perspective", choices=["customer", "agent", "full"], required=True)
-    p.add_argument("--predictions", nargs="*", default=[], help="prediction files of one method")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--predictions", nargs="*", default=[], help="prediction files of one method")
     p.add_argument("--corpus", help="with --method: measure a built-in method instead")
     p.add_argument("--method")
-    p.add_argument("--sizes", type=_sizes, default=DEFAULT_SIZES)
+    source.add_argument(
+        "--sizes", type=_sizes, default=DEFAULT_SIZES,
+        help="training sizes to report; applies to --corpus/--method only",
+    )
     p.add_argument("--prefix-customer", default=None)
     p.add_argument("--prefix-agent", default=None)
     p.set_defaults(func=cmd_rate_curve)

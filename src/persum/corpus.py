@@ -24,9 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
-from .rng import make_rng
+from .rng import PCG64, make_rng
 
 
 class CorpusError(ValueError):
@@ -452,11 +450,11 @@ def read_tweet_csv(path: str | Path) -> Iterator[dict]:
 # --- gold selection and splitting --------------------------------------------
 
 
-def select_gold(candidates: Sequence[GoldSummary], rng: np.random.Generator) -> GoldSummary:
+def select_gold(candidates: Sequence[GoldSummary], rng: PCG64) -> GoldSummary:
     """Pick one reference uniformly; deterministic for a fixed seed and order."""
     if not candidates:
         raise CorpusError("cannot select a gold summary from an empty candidate list")
-    return candidates[int(rng.integers(len(candidates)))]
+    return candidates[rng.integers(len(candidates))]
 
 
 DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)

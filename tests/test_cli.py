@@ -316,6 +316,40 @@ def test_bad_sizes_or_seeds_are_a_usage_error(helpdesk_path, tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_bad_split_seed_is_a_usage_error(tmp_path, capsys, value):
+    src = tmp_path / "c.jsonl"
+    write_corpus(synthetic_corpus(random.Random(2), 10), src)
+    out = tmp_path / "s.jsonl"
+    assert main(["split", "--corpus", str(src), "--output", str(out), "--seed", value]) == 1
+    assert capsys.readouterr().err.endswith(f"error: argument --seed: expected an integer >= 0, got '{value}'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["subsets", "rate-curve"])
+def test_empty_sizes_is_a_usage_error(helpdesk_path, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "subsets": ["subsets", "--corpus", str(helpdesk_path), "--output-dir", str(out)],
+        "rate-curve": ["rate-curve", "--corpus", str(helpdesk_path), "--method", "lead_base",
+                       "--perspective", "customer", "--output", str(out)],
+    }[command]
+    assert main([*argv, "--sizes", ""]) == 1
+    assert capsys.readouterr().err.endswith("error: argument --sizes: expected at least one size, got ''\n")
+    assert not out.exists()
+
+
+def test_rate_curve_predictions_with_sizes_is_a_usage_error(tmp_path, capsys):
+    pred = tmp_path / "a.jsonl"
+    pred.write_text('{"method": "lead_post_process", "training_size": 0, "seed": 0}\n', encoding="utf-8")
+    out = tmp_path / "rates.csv"
+    argv = ["rate-curve", "--predictions", str(pred), "--sizes", "0,16", "--perspective", "customer",
+            "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith("error: argument --sizes: not allowed with argument --predictions\n")
+    assert not out.exists()
+
+
 def test_tweet_csv_header_error_names_file(tmp_path, capsys):
     src = tmp_path / "tweets.csv"
     src.write_text("tweet_id,text\n1,hi\n", encoding="utf-8")
