@@ -8,6 +8,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -79,11 +80,19 @@ def _sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
+def _ratios(text: str) -> tuple[float, float, float]:
+    """train,val,test split ratios: three numbers in [0, 1] that sum to 1."""
     try:
-        return tuple(float(part) for part in text.split(","))
+        ratios = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+    if len(ratios) != 3:
+        raise argparse.ArgumentTypeError(f"expected exactly three values (train,val,test), got {text!r}")
+    if not all(0.0 <= ratio <= 1.0 for ratio in ratios):
+        raise argparse.ArgumentTypeError(f"ratios must each lie in [0, 1], got {text!r}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise argparse.ArgumentTypeError(f"ratios must sum to 1.0, got {text!r}")
+    return ratios
 
 
 def _int_at_least(minimum: int):
@@ -110,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--ratios", type=_csv_floats, default=(0.8, 0.1, 0.1))
+    p.add_argument("--ratios", type=_ratios, default=(0.8, 0.1, 0.1))
     p.add_argument("--split-file", help="CSV with columns dialog_id, split; overrides --seed")
     p.set_defaults(func=cmd_split)
 
@@ -217,8 +226,6 @@ def cmd_split(args) -> int:
     if args.split_file:
         corpus = with_split_file(corpus, args.split_file)
     else:
-        if len(args.ratios) != 3:
-            raise CorpusError("--ratios needs exactly three values (train,val,test)")
         corpus = split_corpus(corpus, ratios=args.ratios, seed=args.seed)
     write_corpus(corpus, args.output)
     counts = Counter(corpus.split.values())
@@ -322,8 +329,16 @@ def cmd_score(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_name = "report.md" if args.report == "md" else "report.csv"
-    (out_dir / report_name).write_text(emit_report(result.table, args.report), encoding="utf-8")
-    write_per_dialog_csv(result.per_dialog, out_dir / "per_dialog_scores.csv")
+    # both outputs go to temporary names and are renamed only once both are whole
+    report_path, dump_path = (out_dir / f"{name}.tmp" for name in (report_name, "per_dialog_scores.csv"))
+    try:
+        report_path.write_text(emit_report(result.table, args.report), encoding="utf-8")
+        write_per_dialog_csv(result.per_dialog, dump_path)
+        os.replace(report_path, out_dir / report_name)
+        os.replace(dump_path, out_dir / "per_dialog_scores.csv")
+    finally:
+        report_path.unlink(missing_ok=True)
+        dump_path.unlink(missing_ok=True)
     if args.subsets:
         write_subset_files(result.families, out_dir / "subsets")
     print(f"wrote {report_name} and per_dialog_scores.csv to {out_dir}")
@@ -331,8 +346,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = read_per_dialog_csv(args.per_dialog)
-    table = table_from_per_dialog(rows)
+    table = table_from_per_dialog(read_per_dialog_csv(args.per_dialog))
     Path(args.output).write_text(emit_report(table, args.format), encoding="utf-8")
     print(f"wrote {args.output}")
     return EXIT_OK

@@ -4,7 +4,7 @@ seed aggregation, and report emission in the method x training-size layout.
 Scores are stored in [0, 1] and rendered x100 with two decimals in reports.
 Per-run score is the unweighted mean over scored test dialogs; cells aggregate
 the per-run means over seeds as mean (+/- sample standard deviation). `score`
-and `report` build the table from the per-dialog rows with the same reducer.
+and `report` build the table from the per-run scores with the same reducer.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, is_
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -162,8 +162,7 @@ def write_subset_files(families: Iterable[SubsetFamily], out_dir: str | Path) ->
 
 
 class PerDialogScore(NamedTuple):
-    """One dump row, fields in dump-column order. Rows copied across (size, seed)
-    cells share their score floats."""
+    """One dump row, fields in dump-column order."""
 
     dialog_id: str
     method: str
@@ -177,6 +176,30 @@ class PerDialogScore(NamedTuple):
     rl_f: float
 
 
+RunKey = tuple[str, Perspective, int, int]  # method, perspective, size, seed
+
+
+class RunScores:
+    """The per-dialog scores of every run: `runs` maps each run's (method, perspective,
+    size, seed) to its {dialog id: (r1_p, r1_r, r1_f, r2_f, rl_f)}, in dump order. Runs
+    may share one scores dict, as a built-in method's runs do, and a run with no
+    scored dialog is not stored. The length and the iteration are those of the
+    dump's rows."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: dict[RunKey, dict[str, tuple[float, ...]]] | None = None):
+        self.runs = {} if runs is None else runs
+
+    def __len__(self) -> int:
+        return sum(map(len, self.runs.values()))
+
+    def __iter__(self):
+        for key, scores in self.runs.items():
+            for did, row_scores in scores.items():
+                yield PerDialogScore(did, *key, *row_scores)
+
+
 @dataclass
 class ResultTable:
     sizes: list[int]
@@ -186,7 +209,7 @@ class ResultTable:
 @dataclass
 class RunResult:
     table: ResultTable
-    per_dialog: list[PerDialogScore]
+    per_dialog: RunScores
     families: list[SubsetFamily]
     warnings: list[str]
 
@@ -280,7 +303,7 @@ def run_experiment(
         }
         for perspective in config.perspectives
     }
-    per_dialog: list[PerDialogScore] = []
+    runs: dict[RunKey, dict[str, tuple[float, ...]]] = {}
     for method in config.methods:
         spec = parse_builtin_method(method)
         for perspective in config.perspectives:
@@ -317,15 +340,14 @@ def run_experiment(
                             candidates, references, config, warnings,
                             f"{label}: no prediction for dialog {{}} (size={size}, seed={seed})",
                         )
-                    if not scores:
+                    if scores:
+                        runs[(method, perspective, size, seed)] = scores
+                    else:
                         warnings.append(f"{label}: no dialog scored at size={size}, seed={seed}")
-                    per_dialog.extend(
-                        PerDialogScore(did, method, perspective, size, seed, *row_scores)
-                        for did, row_scores in scores.items()
-                    )
 
-    if not per_dialog:
+    if not runs:
         raise ExperimentError("no dialog scored in any cell", warnings)
+    per_dialog = RunScores(runs)
     return RunResult(
         table=table_from_per_dialog(per_dialog), per_dialog=per_dialog, families=families, warnings=warnings
     )
@@ -418,25 +440,41 @@ PER_DIALOG_COLUMNS = (
 )
 
 
-_SCORES = slice(5, None)  # the score columns of a dump row
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it as one field of a row, quoted when it holds a comma,
+    a quote, "\n" or "\r". (With "\n" line ends, csv.writer would leave a lone "\r"
+    unquoted, and csv.reader would read it as the end of the row.)"""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
+    return buf.getvalue()[:-3]
 
 
-def write_per_dialog_csv(rows: Sequence[PerDialogScore], path: str | Path) -> None:
-    """Full-precision per-dialog score dump ('.' decimal, no locale).
+def write_per_dialog_csv(runs: RunScores, path: str | Path) -> None:
+    """Full-precision per-dialog score dump ('.' decimal, no locale), one run at a time.
 
-    Scores are written with repr. A row that carries the very score floats of the
-    previous row of its dialog (a score copied across cells) reuses their text.
+    Scores are written with repr. A scores dict's text is built once, as the pieces
+    between its rows' key columns, and reused by every run that shares the dict.
     """
-    last: dict[str, tuple[tuple[float, ...], list[str]]] = {}  # dialog id -> scores, their text
+    fields: dict[str, str] = {}  # dialog id or method -> its csv text
+    pieces: dict[int, list[str]] = {}  # id of a scores dict that `runs` holds -> its text pieces
+
+    def field(text: str) -> str:
+        quoted = fields.get(text)
+        if quoted is None:
+            quoted = fields[text] = _csv_field(text)
+        return quoted
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PER_DIALOG_COLUMNS)
-        for row in rows:
-            scores = row[_SCORES]
-            seen = last.get(row.dialog_id)
-            if seen is None or not all(map(is_, scores, seen[0])):
-                seen = last[row.dialog_id] = (scores, list(map(repr, scores)))
-            writer.writerow([row.dialog_id, row.method, row.perspective.value, row.size, row.seed, *seen[1]])
+        fh.write(",".join(PER_DIALOG_COLUMNS) + "\n")
+        for (method, perspective, size, seed), scores in runs.runs.items():
+            run_pieces = pieces.get(id(scores))
+            if run_pieces is None:
+                # "<id>," before the first row's key, "<scores>\n<next id>," between rows
+                run_pieces = pieces[id(scores)] = [""]
+                for did, row_scores in scores.items():
+                    run_pieces[-1] += field(did) + ","
+                    run_pieces.append(",".join(map(repr, row_scores)) + "\n")
+            fh.write(f"{field(method)},{perspective.value},{size},{seed},".join(run_pieces))
 
 
 def _unit_score(text: str) -> float:
@@ -446,88 +484,89 @@ def _unit_score(text: str) -> float:
     return value
 
 
-_DUMP_PARSERS = (str, str, Perspective, int, int) + (_unit_score,) * 5
-
-
-def _dump_row(record: list[str]) -> PerDialogScore:
-    if len(record) != len(PER_DIALOG_COLUMNS):
-        raise ValueError(f"expected {len(PER_DIALOG_COLUMNS)} fields, got {len(record)}")
-    values = []
-    for column, parse, value in zip(PER_DIALOG_COLUMNS, _DUMP_PARSERS, record):
+def _parse_columns(columns: Sequence[str], parsers, values: Sequence[str]) -> list:
+    """Parse each value with its column's parser; a failure names the column."""
+    parsed = []
+    for column, parse, value in zip(columns, parsers, values):
         try:
-            values.append(parse(value))
+            parsed.append(parse(value))
         except ValueError as exc:
             raise ValueError(f"{column}: {exc}") from None
-    return PerDialogScore(*values)
+    return parsed
 
 
-def read_per_dialog_csv(path: str | Path) -> list[PerDialogScore]:
-    """Read a dump written by write_per_dialog_csv; a malformed row is an error naming its line.
+_KEY_COLUMNS, _SCORE_COLUMNS = PER_DIALOG_COLUMNS[1:5], PER_DIALOG_COLUMNS[5:]
+_KEY_PARSERS = (str, Perspective, int, int)
+_SCORE_PARSERS = (_unit_score,) * len(_SCORE_COLUMNS)
 
-    A row whose score text equals that of the previous row of its dialog reuses that
-    row's floats, so a score repeated across a dialog's rows is parsed and
-    range-checked once.
+
+def read_per_dialog_csv(path: str | Path) -> RunScores:
+    """Read a dump written by write_per_dialog_csv into its runs; a malformed row, or a
+    dialog that repeats within its run, is an error naming its line.
+
+    The key columns are parsed once per distinct key text. A row whose score text
+    equals that of the previous row of its dialog reuses that row's floats, so a
+    score repeated across a dialog's rows is parsed and range-checked once.
     """
-    rows: list[PerDialogScore] = []
+    runs = RunScores()
+    run_of: dict[tuple[str, ...], dict[str, tuple[float, ...]]] = {}  # key text -> the run's scores
     last: dict[str, tuple[list[str], tuple[float, ...]]] = {}  # dialog id -> score text, floats
-    perspectives = {perspective.value: perspective for perspective in Perspective}
     with open(path, "r", encoding="utf-8", newline="") as fh, _naming_file(path):
         reader = csv.reader(fh)
         try:
             if tuple(next(reader, ())) != PER_DIALOG_COLUMNS:
                 raise ValueError(f"per-dialog dump must have columns {', '.join(PER_DIALOG_COLUMNS)}")
             for record in reader:
-                if not record:
-                    continue
-                seen = last.get(record[0])
-                if seen is not None and seen[0] == record[_SCORES]:  # same text, so ten fields
-                    did, method, perspective, size, seed = record[:5]
-                    try:
-                        rows.append(
-                            PerDialogScore(did, method, perspectives[perspective], int(size), int(seed), *seen[1])
-                        )
+                if len(record) != len(PER_DIALOG_COLUMNS):
+                    if not record:
                         continue
-                    except (KeyError, ValueError):
-                        pass  # _dump_row below names the faulty column
-                row = _dump_row(record)
-                last[row.dialog_id] = (record[_SCORES], row[_SCORES])
-                rows.append(row)
+                    raise ValueError(f"expected {len(PER_DIALOG_COLUMNS)} fields, got {len(record)}")
+                key_text = tuple(record[1:5])
+                scores = run_of.get(key_text)
+                if scores is None:
+                    key = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, key_text))
+                    scores = run_of[key_text] = runs.runs.setdefault(key, {})
+                did = record[0]
+                if did in scores:
+                    method, perspective, size, seed = key_text
+                    raise ValueError(f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
+                score_text = record[5:]
+                seen = last.get(did)
+                if seen is None or seen[0] != score_text:
+                    seen = last[did] = (score_text, tuple(_parse_columns(_SCORE_COLUMNS, _SCORE_PARSERS, score_text)))
+                scores[did] = seen[1]
         except UnicodeDecodeError:
             raise  # _naming_file names the file; the line count is not where the byte is
         except (ValueError, csv.Error) as exc:
             raise ExperimentError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
-    return rows
+    return runs
 
 
-def table_from_per_dialog(rows: Sequence[PerDialogScore]) -> ResultTable:
-    """Aggregate per-dialog rows into the report table, for `score` and `report` alike.
+def table_from_per_dialog(runs: RunScores) -> ResultTable:
+    """Aggregate the runs' per-dialog scores into the report table, for `score` and
+    `report` alike.
 
-    A run's score is the mean over its rows; a cell aggregates its runs' scores
-    in ascending seed order. A run with no scored dialog has no rows, so it adds
-    no score, and a (method, perspective, size) with no run has no cell.
+    A run's score is the mean over its dialogs, computed once per scores dict that
+    runs share; a cell aggregates its runs' scores in ascending seed order. A run
+    with no scored dialog is not stored, so it adds no score, and a (method,
+    perspective, size) with no run has no cell.
     """
-    if not rows:
+    if not runs:
         raise ExperimentError("per-dialog dump is empty")
-    runs: dict[tuple[str, Perspective, int, int], list[PerDialogScore]] = {}
-    for row in rows:
-        key = row[1:5]  # method, perspective, size, seed
-        run = runs.get(key)
-        if run is None:
-            runs[key] = [row]
-        else:
-            run.append(row)
-    seeds: dict[tuple[str, Perspective, int], list[int]] = {}
-    for method, perspective, size, seed in runs:
-        seeds.setdefault((method, perspective, size), []).append(seed)
+    means: dict[int, tuple[float, float, float]] = {}  # id of a scores dict that `runs` holds -> f means
+    seeds: dict[tuple[str, Perspective, int], list[tuple[int, tuple[float, float, float]]]] = {}
+    for (method, perspective, size, seed), scores in runs.runs.items():
+        run_means = means.get(id(scores))
+        if run_means is None:
+            columns = list(zip(*scores.values()))[2:]  # r1_f, r2_f, rl_f
+            run_means = means[id(scores)] = tuple(math.fsum(column) / len(scores) for column in columns)
+        seeds.setdefault((method, perspective, size), []).append((seed, run_means))
 
     table_rows: dict[tuple[str, Perspective, str], dict[int, AggregateCell]] = {}
-    for (method, perspective, size), cell_seeds in seeds.items():
-        cell_runs = [runs[(method, perspective, size, seed)] for seed in sorted(cell_seeds)]
-        for variant, column in zip(VARIANTS, ("r1_f", "r2_f", "rl_f")):
-            score = attrgetter(column)
-            table_rows.setdefault((method, perspective, variant), {})[size] = aggregate(
-                [math.fsum(map(score, run)) / len(run) for run in cell_runs]
-            )
+    for (method, perspective, size), cell_runs in seeds.items():
+        cell_runs.sort(key=itemgetter(0))
+        for variant, variant_means in zip(VARIANTS, zip(*(run_means for _, run_means in cell_runs))):
+            table_rows.setdefault((method, perspective, variant), {})[size] = aggregate(variant_means)
     return ResultTable(sizes=sorted({size for _, _, size in seeds}), rows=table_rows)
 
 

@@ -8,7 +8,9 @@ import random
 import pytest
 
 from persum import Split, read_corpus, write_corpus
+from persum import cli
 from persum.cli import main
+from persum.experiment import RunScores
 from util import synthetic_corpus, tweet_table
 
 KAGGLE_HEADER = "tweet_id,author_id,inbound,created_at,text,response_tweet_id,in_response_to_tweet_id\n"
@@ -723,6 +725,39 @@ def test_report_names_file_and_line_of_a_malformed_dump_row(tmp_path, capsys, ro
     assert not (tmp_path / "report.md").exists()
 
 
+def test_report_rejects_a_dialog_repeated_within_its_run(tmp_path, capsys):
+    dump = tmp_path / "repeated.csv"
+    rows = ["d1,pegasus,customer,0,0,0.5,0.5,0.5,0.5,0.5", "d2,pegasus,customer,0,0,0.1,0.1,0.1,0.1,0.1"]
+    dump.write_text(DUMP_HEADER + "\n".join(rows + rows[:1]) + "\n", encoding="utf-8")
+    code = main(["report", "--per-dialog", str(dump), "--output", str(tmp_path / "report.md")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {dump}, line 4: dialog 'd1' repeats in run (pegasus, customer, size=0, seed=0)\n"
+    )
+    assert not (tmp_path / "report.md").exists()
+    # the same row in another run is no repeat: each run has its own mean
+    dump.write_text(DUMP_HEADER + "\n".join(rows + [rows[0].replace(",0,0,", ",0,1,")]) + "\n", encoding="utf-8")
+    assert main(["report", "--per-dialog", str(dump), "--output", str(tmp_path / "report.md")]) == 0
+    assert "| pegasus | 40.00 (±14.14) |" in (tmp_path / "report.md").read_text(encoding="utf-8")
+
+
+def test_score_leaves_no_partial_output_when_the_dump_write_fails(scored_setup, tmp_path, monkeypatch, capsys):
+    _, config_path = scored_setup
+    write = cli.write_per_dialog_csv
+
+    def fail_after_the_first_run(runs, path):
+        first = next(iter(runs.runs.items()))
+        write(RunScores(dict([first])), path)
+        raise OSError(f"{path}: no space left on device")
+
+    monkeypatch.setattr(cli, "write_per_dialog_csv", fail_after_the_first_run)
+    out_dir = tmp_path / "run"
+    code = main(["score", "--config", str(config_path), "--report", "md", "--output-dir", str(out_dir)])
+    assert code == 2
+    assert "no space left on device" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_score_prints_warnings_before_the_error_that_ends_it(tmp_path, capsys):
     corpus = synthetic_corpus(random.Random(5), 20, with_gold=True, with_split=True)
     corpus_path = tmp_path / "corpus.jsonl"
@@ -752,7 +787,7 @@ def test_split_command_rejects_two_ratios(tmp_path, capsys):
     src = tmp_path / "c.jsonl"
     write_corpus(corpus, src)
     code = main(["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--ratios", "0.5,0.5"])
-    assert code == 2
+    assert code == 1
     assert "three values" in capsys.readouterr().err
 
 
@@ -761,8 +796,20 @@ def test_split_command_rejects_ratio_outside_unit_interval(tmp_path, capsys):
     src = tmp_path / "c.jsonl"
     write_corpus(corpus, src)
     code = main(["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--ratios", "1.5,-0.5,0"])
-    assert code == 2
+    assert code == 1
     assert "must each lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "ratios, complaint",
+    [("0.5,0.5,0.5", "must sum to 1.0"), ("0.8,0.1,x", "comma-separated numbers"), ("nan,0.5,0.5", "[0, 1]")],
+)
+def test_split_command_checks_ratios_before_reading_the_corpus(tmp_path, capsys, ratios, complaint):
+    missing = tmp_path / "absent.jsonl"  # a usage error, not a missing file (exit 2)
+    code = main(["split", "--corpus", str(missing), "--output", str(tmp_path / "o"), "--ratios", ratios])
+    assert code == 1
+    assert complaint in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -25,6 +25,7 @@ from persum.experiment import (
     ConfigPaths,
     PerDialogScore,
     ResultTable,
+    RunScores,
     emit_report,
     format_cell,
     parse_config,
@@ -293,7 +294,7 @@ def test_run_deterministic():
     first = run_experiment(corpus, config)
     second = run_experiment(corpus, config)
     assert first.table == second.table
-    assert first.per_dialog == second.per_dialog
+    assert list(first.per_dialog) == list(second.per_dialog)
 
 
 def test_aggregation_consistent_with_per_dialog_dump(tmp_path):
@@ -316,13 +317,15 @@ def test_aggregation_consistent_with_per_dialog_dump(tmp_path):
 
 
 def plain_dump(rows) -> str:
-    """The dump as a writer that formats every field of every row would write it."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PER_DIALOG_COLUMNS)
-    for row in rows:
-        writer.writerow([*row[:2], row.perspective.value, *row[3:5], *map(repr, row[5:])])
-    return buf.getvalue()
+    """The dump as a writer that formats every field of every row would write it,
+    rows in the order the runs structure yields them. Fields are quoted as for "\r\n"
+    line ends, so that a lone "\r" is quoted too, and each line ends in "\n"."""
+    lines = []
+    for fields in [PER_DIALOG_COLUMNS, *([*row[:2], row.perspective.value, *row[3:5], *map(repr, row[5:])] for row in rows)]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(fields)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def exact(rows):
@@ -330,12 +333,21 @@ def exact(rows):
     return [(*row[:5], *map(repr, row[5:])) for row in rows]
 
 
-def assert_round_trip(rows, path):
-    write_per_dialog_csv(rows, path)
-    assert path.read_text(encoding="utf-8") == plain_dump(rows)
+def runs_of(rows) -> RunScores:
+    """The runs structure holding `rows`, grouped by run in order of first appearance."""
+    runs = RunScores()
+    for row in rows:
+        runs.runs.setdefault(row[1:5], {})[row.dialog_id] = row[5:]
+    return runs
+
+
+def assert_round_trip(runs, path):
+    write_per_dialog_csv(runs, path)
+    assert path.read_text(encoding="utf-8") == plain_dump(runs)
     read = read_per_dialog_csv(path)
-    assert read == rows
-    assert exact(read) == exact(rows)
+    assert len(read) == len(runs)
+    assert list(read) == list(runs)
+    assert exact(read) == exact(runs)
     return read
 
 
@@ -366,7 +378,7 @@ def test_dump_round_trip_scores_change_between_cells(tmp_path):
         PerDialogScore("d1", "pegasus", C_, 32, 1, *high),
         PerDialogScore("d1", "pegasus", C_, 64, 0, *high[:4], 0.75),  # one column changes
     ]
-    assert_round_trip(rows, tmp_path / "dump.csv")
+    assert_round_trip(runs_of(rows), tmp_path / "dump.csv")
 
 
 def test_dump_round_trip_methods_and_perspectives_interleaved(tmp_path):
@@ -381,7 +393,7 @@ def test_dump_round_trip_methods_and_perspectives_interleaved(tmp_path):
                 PerDialogScore(did, "pegasus", C_, 0, seed, *(b if seed else a)),
                 PerDialogScore(did, 'odd, "quoted" method', A_, 0, seed, *a),
             ]
-    assert_round_trip(rows, tmp_path / "dump.csv")
+    assert_round_trip(runs_of(rows), tmp_path / "dump.csv")
 
 
 ROW = "d1,pegasus,customer,0,0,0.5,0.5,0.5,0.25,0.5\n"
@@ -431,9 +443,53 @@ def test_dump_round_trip_property(tmp_path_factory, draws):
         last[did] = scores
         rows.append(PerDialogScore(did, method, perspective, cell, seed, *scores))
     path = tmp_path_factory.mktemp("dump") / "dump.csv"
-    write_per_dialog_csv(rows, path)
+    write_per_dialog_csv(runs_of(rows), path)
     assert path.read_text(encoding="utf-8") == plain_dump(rows)
     assert exact(read_per_dialog_csv(path)) == exact(rows)
+
+
+# csv's special characters, spaces at either end, and the empty string
+FIELD_TEXT = st.text(st.sampled_from(["a", "b", "é", ",", '"', "\n", "\r", " "]), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            FIELD_TEXT,  # method
+            st.sampled_from(list(Perspective)),
+            st.integers(0, 1),  # seed
+            st.one_of(
+                st.integers(0, 50),  # share the scores dict of an earlier run
+                st.dictionaries(FIELD_TEXT, st.lists(st.sampled_from(SCORE_POOL), min_size=5, max_size=5), max_size=4),
+            ),
+        ),
+        max_size=12,
+    )
+)
+def test_dump_writer_equals_csv_writer_on_awkward_fields(tmp_path_factory, draws):
+    """Runs keyed by their draw index, so that every draw is its own run; an integer
+    shares the scores dict of an earlier run, as a built-in method's runs do."""
+    runs, dicts = RunScores(), []
+    for cell, (method, perspective, seed, scores) in enumerate(draws):
+        if isinstance(scores, int):
+            if not dicts:
+                continue
+            scores = dicts[scores % len(dicts)]
+        else:
+            scores = {did: tuple(row_scores) for did, row_scores in scores.items()}
+            if not scores:
+                continue  # a run with no scored dialog is not stored
+            dicts.append(scores)
+        runs.runs[(method, perspective, cell, seed)] = scores
+    rows = list(runs)
+    assert len(runs) == len(rows) == sum(len(scores) for scores in runs.runs.values())
+    path = tmp_path_factory.mktemp("dump") / "dump.csv"
+    write_per_dialog_csv(runs, path)
+    assert path.read_bytes().decode("utf-8") == plain_dump(rows)  # no newline translation
+    read = read_per_dialog_csv(path)
+    assert list(read) == rows
+    assert exact(read) == exact(rows)
 
 
 def test_full_perspective_matches_direct_score_pair():
