@@ -19,7 +19,6 @@ from .corpus import (
     parse_dialog_corpus,
     read_corpus,
     reconstruct_threads,
-    select_gold,
     split_corpus,
     write_corpus,
 )

@@ -270,13 +270,14 @@ def cmd_subsets(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    corpus = read_corpus(args.corpus)
     spec = parse_builtin_method(args.method)
     if spec is None:
         raise ExperimentError(
             f"{args.method!r} is not a built-in method; supply its outputs as prediction files"
         )
     perspective = Perspective(args.perspective)
+    spec.require(perspective)
+    corpus = read_corpus(args.corpus)
     prefixes = _prefixes_from_args(args)
     produced = 0
     skipped = 0
@@ -287,9 +288,9 @@ def cmd_summarize(args) -> int:
                 skipped += 1
                 continue
             record = {
-                "dialog_id": cand.dialog_id,
-                "perspective": cand.perspective.value,
-                "method": cand.method,
+                "dialog_id": dialog.id,
+                "perspective": perspective.value,
+                "method": spec.name,
                 "text": cand.text,
                 "post_processed": cand.post_processed,
             }
@@ -371,6 +372,7 @@ def cmd_rate_curve(args) -> int:
         spec = parse_builtin_method(args.method)
         if spec is None:
             raise ExperimentError(f"{args.method!r} is not a built-in method")
+        spec.require(perspective)
         corpus = read_corpus(args.corpus)
         candidates = []
         for dialog in _test_dialogs(corpus):

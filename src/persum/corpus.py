@@ -1,4 +1,4 @@
-"""Dialog corpus model: ingestion, thread reconstruction, gold selection, splits.
+"""Dialog corpus model: ingestion, thread reconstruction, splits.
 
 The canonical on-disk format is JSONL, one dialog object per line:
 
@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .rng import PCG64, make_rng
+from .rng import make_rng
 
 
 class CorpusError(ValueError):
@@ -75,7 +75,6 @@ _SPLITS = {split.value: split for split in Split}
 
 
 class _UtteranceFields(NamedTuple):
-    index: int
     role: SpeakerRole
     text: str
     token_count: int
@@ -84,22 +83,23 @@ class _UtteranceFields(NamedTuple):
 class Utterance(_UtteranceFields):
     """One speaker turn; token_count is computed from text on construction.
 
-    A NamedTuple: immutable, and equal to the plain tuple (index, role, text, token_count).
+    A NamedTuple: immutable, and equal to the plain tuple (role, text, token_count).
+    Its position is its index in Dialog.utterances.
     """
 
     __slots__ = ()
 
-    def __new__(cls, index: int, role: SpeakerRole, text: str) -> Utterance:
+    def __new__(cls, role: SpeakerRole, text: str) -> Utterance:
         token_count = len(text.split())
         if not token_count:
             raise CorpusError("utterance text must contain a non-whitespace character")
-        return tuple.__new__(cls, (index, role, text, token_count))
+        return tuple.__new__(cls, (role, text, token_count))
 
-    def __getnewargs__(self) -> tuple[int, SpeakerRole, str]:  # copy and pickle call __new__
-        return self[:3]
+    def __getnewargs__(self) -> tuple[SpeakerRole, str]:  # copy and pickle call __new__
+        return self[:2]
 
     def _replace(self, **changes) -> Utterance:  # token_count follows the new text
-        return Utterance(**{**dict(zip(("index", "role", "text"), self)), **changes})
+        return Utterance(**{"role": self.role, "text": self.text, **changes})
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,11 @@ class Dialog:
         object.__setattr__(self, "utterances", tuple(self.utterances))
         if not self.utterances:
             raise CorpusError(f"dialog {self.id!r} has no utterances")
-        for pos, utt in enumerate(self.utterances):
-            if utt.index != pos:
-                raise CorpusError(
-                    f"dialog {self.id!r}: utterance indices must run 0..{len(self.utterances) - 1}"
-                )
 
 
 def make_dialog(dialog_id: str, turns: Sequence[tuple[SpeakerRole, str]]) -> Dialog:
-    """Build a Dialog from (role, text) pairs, assigning positional indices."""
-    utts = tuple(Utterance(i, role, text) for i, (role, text) in enumerate(turns))
-    return Dialog(dialog_id, utts)
+    """Build a Dialog from (role, text) pairs."""
+    return Dialog(dialog_id, tuple(Utterance(role, text) for role, text in turns))
 
 
 @dataclass(frozen=True)
@@ -250,7 +244,7 @@ def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
                 raise ParseError(lineno, f"dialog {did!r}: bad utterance at position {pos}") from exc
             if not isinstance(text, str) or not text.strip():
                 raise ParseError(lineno, f"dialog {did!r}: empty utterance text at position {pos}")
-            utts.append(Utterance(pos, role, text))
+            utts.append(Utterance(role, text))
         dialogs.append(Dialog(did, tuple(utts)))
         if "gold" in record and record["gold"] is not None:
             g = record["gold"]
@@ -447,14 +441,7 @@ def read_tweet_csv(path: str | Path) -> Iterator[dict]:
             yield dict(zip(header, fields))
 
 
-# --- gold selection and splitting --------------------------------------------
-
-
-def select_gold(candidates: Sequence[GoldSummary], rng: PCG64) -> GoldSummary:
-    """Pick one reference uniformly; deterministic for a fixed seed and order."""
-    if not candidates:
-        raise CorpusError("cannot select a gold summary from an empty candidate list")
-    return candidates[rng.integers(len(candidates))]
+# --- splitting ---------------------------------------------------------------
 
 
 DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)

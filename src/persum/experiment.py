@@ -59,13 +59,18 @@ class ExperimentError(ValueError):
         self.warnings = list(warnings)
 
 
+def _cell_text(cell: tuple[str, int, int]) -> str:
+    method, size, seed = cell
+    return f"({method}, size={size}, seed={seed})"
+
+
 class MissingCellsError(ExperimentError):
     """External predictions do not cover every requested (method, size, seed)."""
 
     SHOWN = 10  # cells the message lists; `cells` holds them all
 
     def __init__(self, cells: Sequence[tuple[str, int, int]], warnings: Sequence[str] = ()):
-        listing = ", ".join(f"({m}, size={s}, seed={k})" for m, s, k in cells[: self.SHOWN])
+        listing = ", ".join(map(_cell_text, cells[: self.SHOWN]))
         if len(cells) > self.SHOWN:
             listing += f", … and {len(cells) - self.SHOWN} more"
         super().__init__(f"missing prediction cells: {listing}", warnings)
@@ -238,9 +243,8 @@ def _score_dialogs(
                 raise ExperimentError(message, warnings)
             warnings.append(message)
             continue
-        triple = score_pair(cand.text, reference, config.tokenizer)
-        r1 = triple.r1
-        scores[did] = (r1.precision, r1.recall, r1.f_measure, triple.r2.f_measure, triple.rl.f_measure)
+        r1, r2, rl = score_pair(cand.text, reference, config.tokenizer)
+        scores[did] = (*r1, r2.f_measure, rl.f_measure)
     return scores
 
 
@@ -285,16 +289,31 @@ def run_experiment(
             raise ExperimentError(f"duplicate prediction set for cell {pred.cell}", warnings)
         ext_index[pred.cell] = pred
 
-    missing_cells = [
+    requested = [
         (method, size, seed)
         for method in config.methods
         if parse_builtin_method(method) is None
         for size in config.sizes
         for seed in config.seeds
-        if (method, size, seed) not in ext_index
     ]
+    wanted = set(requested)
+    unrequested = [cell for cell in ext_index if cell not in wanted]
+    if unrequested:
+        warnings.append(
+            f"{len(unrequested)} prediction set(s) are for cells the config does not request "
+            f"and are not scored, first: {_cell_text(unrequested[0])}"
+        )
+    missing_cells = [cell for cell in requested if cell not in ext_index]
     if missing_cells:
         raise MissingCellsError(missing_cells, warnings)
+    scored_ids = set(test_ids)
+    stray = [(did, cell) for cell in requested for did in ext_index[cell].entries if did not in scored_ids]
+    if stray:
+        did, cell = stray[0]
+        warnings.append(
+            f"{len(stray)} prediction entry(ies) are for dialogs that are not scored, "
+            f"first: dialog {did!r} in {_cell_text(cell)}"
+        )
 
     prepared = {
         perspective: {
@@ -307,7 +326,7 @@ def run_experiment(
     for method in config.methods:
         spec = parse_builtin_method(method)
         for perspective in config.perspectives:
-            if spec is not None and spec.two_sided != (perspective is Perspective.FULL):
+            if spec is not None and not spec.applies_to(perspective):
                 warnings.append(
                     f"{method}: not applicable to the {perspective.value} perspective, row skipped"
                 )

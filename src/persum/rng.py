@@ -3,9 +3,9 @@
 The whole pipeline draws from PCG64: the 128-bit LCG with the XSL-RR output
 function (O'Neill 2014, HMC-CS-2014-0905), seeded through numpy's
 `SeedSequence` hash. `make_rng(seed)` reproduces numpy's
-`Generator(PCG64(seed))` bit for bit for the two calls the package makes,
-`permutation(n)` and `integers(k)`, so split and subset files written by
-earlier numpy-backed releases are unchanged. The stream depends only on the
+`Generator(PCG64(seed))` bit for bit for the one call the package makes,
+`permutation(n)`, so split and subset files written by earlier numpy-backed
+releases are unchanged. The stream depends only on the
 seed, never on the platform or the Python version.
 """
 
@@ -83,7 +83,7 @@ def _seed_state(seed) -> tuple[int, int]:
 
 
 class PCG64:
-    """PCG64 (XSL-RR 128/64) with numpy's seeding, 32-bit buffering and bounded draws."""
+    """PCG64 (XSL-RR 128/64) with numpy's seeding, 32-bit buffering and permutations."""
 
     __slots__ = ("_state", "_inc", "_half")
 
@@ -128,24 +128,6 @@ class PCG64:
             j = interval(i)
             out[i], out[j] = out[j], out[i]
         return out
-
-    def integers(self, k: int) -> int:
-        """Uniform in [0, k) by Lemire's method (ACM TOMACS 29(1), 2019), as numpy."""
-        k = operator.index(k)
-        if not 1 <= k <= 1 << 63:
-            raise ValueError(f"integers needs 1 <= k <= 2**63, got {k}")
-        if k == 1:
-            return 0
-        if k == 1 << 32:
-            return self.next_uint32()
-        bits, draw = (32, self.next_uint32) if k < 1 << 32 else (64, self.next_uint64)
-        low_mask = (1 << bits) - 1
-        m = draw() * k
-        if m & low_mask < k:
-            threshold = (1 << bits) % k
-            while m & low_mask < threshold:
-                m = draw() * k
-        return m >> bits
 
 
 def make_rng(seed: int) -> PCG64:

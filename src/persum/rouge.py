@@ -13,7 +13,7 @@ from __future__ import annotations
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _porter
 
@@ -40,15 +40,13 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
     return tokens
 
 
-@dataclass(frozen=True)
-class RougeScore:
+class RougeScore(NamedTuple):
     precision: float
     recall: float
     f_measure: float
 
 
-@dataclass(frozen=True)
-class ScoreTriple:
+class ScoreTriple(NamedTuple):
     r1: RougeScore
     r2: RougeScore
     rl: RougeScore
@@ -156,7 +154,7 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str] | PreparedReferen
 def score_tokens(candidate: Sequence[str], reference: PreparedReference) -> ScoreTriple:
     """ROUGE-1, ROUGE-2, and ROUGE-L of candidate tokens against a prepared reference."""
     return ScoreTriple(
-        r1=rouge_n(candidate, reference, 1), r2=rouge_n(candidate, reference, 2), rl=rouge_l(candidate, reference)
+        rouge_n(candidate, reference, 1), rouge_n(candidate, reference, 2), rouge_l(candidate, reference)
     )
 
 
@@ -171,8 +169,7 @@ def score_pair(
     return score_tokens(tokenize(candidate, config), reference)
 
 
-@dataclass(frozen=True)
-class AggregateCell:
+class AggregateCell(NamedTuple):
     mean: float
     deviation: float
     n_runs: int
@@ -184,4 +181,4 @@ def aggregate(per_run_means: Sequence[float]) -> AggregateCell:
         raise ValueError("cannot aggregate an empty list of run means")
     mean = statistics.fmean(per_run_means)
     deviation = statistics.stdev(per_run_means) if len(per_run_means) >= 2 else 0.0
-    return AggregateCell(mean=mean, deviation=deviation, n_runs=len(per_run_means))
+    return AggregateCell(mean, deviation, len(per_run_means))

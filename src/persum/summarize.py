@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Dialog, ParseError, SpeakerRole, _naming_file, encode_json_line
 from .weaklabel import DEFAULT_MIN_TOKENS, HeuristicKind, select_target
@@ -48,17 +48,11 @@ _PERSPECTIVE_ROLES = {
 }
 
 
-@dataclass(frozen=True)
-class CandidateSummary:
-    dialog_id: str
-    perspective: Perspective
-    method: str
+class CandidateSummary(NamedTuple):
+    """A candidate's text and whether the prefix rule fired on any of its sides."""
+
     text: str
     post_processed: bool = False
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError(f"candidate summary for {self.dialog_id!r} has empty text")
 
 
 # --- post-processing ----------------------------------------------------------
@@ -111,6 +105,21 @@ class BuiltinMethodSpec:
     post_process: bool
     two_sided: bool  # name carries one heuristic per perspective; full view only
 
+    def applies_to(self, perspective: Perspective) -> bool:
+        """A two-sided method summarizes only the full perspective, a one-sided one every other."""
+        return self.two_sided == (perspective is Perspective.FULL)
+
+    def require(self, perspective: Perspective) -> None:
+        """Raise ValueError, saying why, unless the method applies to `perspective`."""
+        if self.applies_to(perspective):
+            return
+        if self.two_sided:
+            raise ValueError(f"method {self.name!r} applies only to the full perspective")
+        raise ValueError(
+            f"method {self.name!r} names one heuristic; the full perspective needs "
+            f"a two-sided method such as 'lead_long_post_process_base'"
+        )
+
 
 def parse_builtin_method(name: str) -> BuiltinMethodSpec | None:
     """Describe a built-in heuristic baseline, or return None for external names."""
@@ -133,8 +142,7 @@ def method_has_post_process(name: str) -> bool:
 
 
 def _candidate(
-    dialog_id: str, method: str, perspective: Perspective,
-    sides: Sequence[tuple[SpeakerRole, str]], apply_prefix: bool, prefixes: PrefixConfig,
+    sides: Sequence[tuple[SpeakerRole, str]], apply_prefix: bool, prefixes: PrefixConfig
 ) -> CandidateSummary | None:
     """Join the (role, text) sides with one space, each prefixed first when apply_prefix
     is set; None when there are no sides."""
@@ -147,7 +155,7 @@ def _candidate(
             text, fired = post_process(text, role, prefixes)
             fired_any = fired_any or fired
         texts.append(text)
-    return CandidateSummary(dialog_id, perspective, method, " ".join(texts), fired_any)
+    return CandidateSummary(" ".join(texts), fired_any)
 
 
 def builtin_candidate(
@@ -157,14 +165,9 @@ def builtin_candidate(
     prefixes: PrefixConfig = DEFAULT_PREFIXES,
     min_tokens: int = DEFAULT_MIN_TOKENS,
 ) -> CandidateSummary | None:
-    """Produce one built-in candidate, or None when a heuristic finds nothing."""
-    if perspective is Perspective.FULL and not spec.two_sided:
-        raise ValueError(
-            f"method {spec.name!r} names one heuristic; the full perspective needs "
-            f"a two-sided method such as 'lead_long_post_process_base'"
-        )
-    if perspective is not Perspective.FULL and spec.two_sided:
-        raise ValueError(f"method {spec.name!r} applies only to the full perspective")
+    """Produce one built-in candidate, or None when a heuristic finds nothing; ValueError
+    when the method does not apply to the perspective."""
+    spec.require(perspective)
     sides = []
     for role in perspective.roles:
         heuristic = spec.customer_heuristic if role is SpeakerRole.CUSTOMER else spec.agent_heuristic
@@ -172,22 +175,20 @@ def builtin_candidate(
         if target is None:
             return None
         sides.append((role, target.text))
-    return _candidate(dialog.id, spec.name, perspective, sides, spec.post_process, prefixes)
+    return _candidate(sides, spec.post_process, prefixes)
 
 
 # --- external predictions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredictionEntry:
-    dialog_id: str
+class PredictionEntry(NamedTuple):
     customer: str | None
     agent: str | None
 
 
 @dataclass
 class PredictionSet:
-    """Per-dialog outputs of one externally trained model at one (size, seed)."""
+    """Outputs of one externally trained model at one (size, seed), keyed by dialog id."""
 
     method: str
     training_size: int
@@ -237,9 +238,7 @@ def parse_predictions(lines: Iterable[str]) -> PredictionSet:
         if did in entries:
             raise PredictionError(lineno, f"duplicate dialog_id {did!r}")
         entries[did] = PredictionEntry(
-            dialog_id=did,
-            customer=_optional_text(record, "customer", lineno),
-            agent=_optional_text(record, "agent", lineno),
+            _optional_text(record, "customer", lineno), _optional_text(record, "agent", lineno)
         )
     if header is None:
         raise PredictionError(None, "prediction file has no header line")
@@ -256,8 +255,8 @@ def write_predictions(pred: PredictionSet, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = {"method": pred.method, "training_size": pred.training_size, "seed": pred.seed}
         fh.write(encode_json_line(header) + "\n")
-        for entry in pred.entries.values():
-            record = {"dialog_id": entry.dialog_id, "customer": entry.customer, "agent": entry.agent}
+        for did, entry in pred.entries.items():
+            record = {"dialog_id": did, "customer": entry.customer, "agent": entry.agent}
             fh.write(encode_json_line(record) + "\n")
 
 
@@ -277,4 +276,4 @@ def prediction_candidate(
         text = entry.customer if role is SpeakerRole.CUSTOMER else entry.agent
         if text is not None and text.strip():
             sides.append((role, text))
-    return _candidate(entry.dialog_id, method, perspective, sides, method_has_post_process(method), prefixes)
+    return _candidate(sides, method_has_post_process(method), prefixes)

@@ -525,6 +525,42 @@ def test_summarize_rejects_external_method(helpdesk_path, tmp_path, capsys):
     assert "pegasus" in capsys.readouterr().err
 
 
+# sha256 of what `summarize` wrote on the helpdesk fixture while each candidate still
+# carried its dialog id, method and perspective
+SUMMARIZE_SHA256 = {
+    ("lead_post_process_base", "customer"): "a0faed6ac75b2fbc2857e2bc0b1353820e8fac3dc8e160bd5cc80c5cda0b5aee",
+    ("lead_long_post_process_base", "full"): "24d2c2289eb60647f94af64d89c5e198028bfa4243cf2138b6849dde8a10f9bf",
+}
+
+
+@pytest.mark.parametrize("method, perspective", list(SUMMARIZE_SHA256))
+def test_summarize_bytes_pinned(helpdesk_path, tmp_path, method, perspective):
+    out = tmp_path / "cands.jsonl"
+    argv = ["summarize", "--corpus", str(helpdesk_path), "--method", method, "--perspective", perspective]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SUMMARIZE_SHA256[(method, perspective)]
+
+
+@pytest.mark.parametrize("command", ["summarize", "rate-curve"])
+@pytest.mark.parametrize(
+    "method, perspective, message",
+    [
+        ("lead_base", "full", "names one heuristic; the full perspective needs a two-sided method such as "
+                              "'lead_long_post_process_base'"),
+        ("lead_long_base", "agent", "applies only to the full perspective"),
+    ],
+    ids=["one-sided-full", "two-sided-agent"],
+)
+def test_method_that_does_not_apply_writes_nothing(helpdesk_path, tmp_path, capsys, command, method, perspective,
+                                                   message):
+    out = tmp_path / "out"
+    out.write_bytes(b"kept\n")
+    argv = [command, "--corpus", str(helpdesk_path), "--method", method, "--perspective", perspective]
+    assert main([*argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: method {method!r} {message}\n"
+    assert out.read_bytes() == b"kept\n"
+
+
 @pytest.fixture
 def scored_setup(tmp_path):
     corpus = synthetic_corpus(random.Random(7), 20, with_gold=True, with_split=True)

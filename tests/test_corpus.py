@@ -18,11 +18,9 @@ from persum import (
     SpeakerRole,
     Split,
     make_dialog,
-    make_rng,
     parse_dialog_corpus,
     read_corpus,
     reconstruct_threads,
-    select_gold,
     split_corpus,
     write_corpus,
 )
@@ -50,43 +48,35 @@ def tweet(tweet_id, inbound, text, parent=None):
 
 
 def test_utterance_token_count_recomputed():
-    utt = Utterance(0, SpeakerRole.CUSTOMER, "one two  three")
+    utt = Utterance(SpeakerRole.CUSTOMER, "one two  three")
     assert utt.token_count == 3
 
 
 def test_utterance_rejects_blank_text():
     with pytest.raises(CorpusError):
-        Utterance(0, SpeakerRole.AGENT, "   ")
+        Utterance(SpeakerRole.AGENT, "   ")
 
 
 @given(st.text(alphabet=st.sampled_from("ab \t\n\x1c\x85\xa0\u3000"), max_size=12))
 def test_utterance_is_an_immutable_named_tuple(text):
     if not text.strip():
         with pytest.raises(CorpusError, match="non-whitespace"):
-            Utterance(3, SpeakerRole.AGENT, text)
+            Utterance(SpeakerRole.AGENT, text)
         return
-    utt = Utterance(3, SpeakerRole.AGENT, text)
-    assert utt == (3, SpeakerRole.AGENT, text, len(text.split()))
-    assert (utt.index, utt.role, utt.text, utt.token_count) == tuple(utt)
-    for name in ("index", "role", "text", "token_count"):
+    utt = Utterance(SpeakerRole.AGENT, text)
+    assert utt == (SpeakerRole.AGENT, text, len(text.split()))
+    assert (utt.role, utt.text, utt.token_count) == tuple(utt)
+    for name in ("role", "text", "token_count"):
         with pytest.raises(AttributeError):
             setattr(utt, name, 1)
     with pytest.raises(AttributeError):
         utt.extra = 1
     assert copy.deepcopy(utt) == pickle.loads(pickle.dumps(utt)) == utt
-    assert utt._replace(text="x y") == (3, SpeakerRole.AGENT, "x y", 2)
+    assert utt._replace(text="x y") == (SpeakerRole.AGENT, "x y", 2)
     with pytest.raises(CorpusError):
         utt._replace(text=" ")
     with pytest.raises(TypeError):
         utt._replace(token_count=99)
-
-
-def test_dialog_requires_consecutive_indices():
-    utts = (Utterance(0, SpeakerRole.CUSTOMER, "hi"), Utterance(2, SpeakerRole.AGENT, "yo"))
-    with pytest.raises(CorpusError):
-        from persum import Dialog
-
-        Dialog("d1", utts)
 
 
 def test_gold_summary_requires_both_parts():
@@ -105,7 +95,7 @@ def test_parse_single_record():
     corpus = parse_dialog_corpus([line])
     assert len(corpus.dialogs) == 1
     dialog = corpus.dialogs[0]
-    assert [u.index for u in dialog.utterances] == [0, 1]
+    assert dialog.utterances == ((SpeakerRole.CUSTOMER, "hello there", 2), (SpeakerRole.AGENT, "hi", 1))
     assert dialog.utterances[0].role is SpeakerRole.CUSTOMER
 
 
@@ -328,32 +318,6 @@ def test_reconstruct_keeps_first_longest_chain(data):
     assert report.dropped_chains + len(dialogs) == sum(parent < 0 for parent in parents)
 
 
-# --- gold selection --------------------------------------------------------------
-
-
-def candidates(n):
-    return [GoldSummary("d1", f"need {i}", f"answer {i}") for i in range(n)]
-
-
-def test_select_gold_singleton_any_seed():
-    only = candidates(1)
-    for seed in (0, 1, 99):
-        assert select_gold(only, make_rng(seed)) is only[0]
-
-
-def test_select_gold_pinned_index_regression():
-    # first draw of integers(3) from the package generator at seed 7 is 2
-    chosen = select_gold(candidates(3), make_rng(7))
-    assert chosen.customer_part == "need 2"
-    again = select_gold(candidates(3), make_rng(7))
-    assert again == chosen
-
-
-def test_select_gold_empty_errors():
-    with pytest.raises(CorpusError):
-        select_gold([], make_rng(0))
-
-
 # --- splitting --------------------------------------------------------------------
 
 
@@ -464,8 +428,6 @@ def test_pipeline_determinism_end_to_end(tmp_path):
 
     def run():
         parsed = read_corpus(path)
-        split = split_corpus(parsed, seed=21)
-        gold = select_gold(list(parsed.gold.values()), make_rng(21))
-        return split.split, gold
+        return split_corpus(parsed, seed=21).split
 
     assert run() == run()

@@ -149,9 +149,7 @@ def prediction_set(corpus, method, size, seed, vary=""):
     entries = {}
     for did in corpus.dialog_ids(Split.TEST):
         gold = corpus.gold[did]
-        entries[did] = PredictionEntry(
-            did, f"{gold.customer_part}{vary}", f"{gold.agent_part}{vary}"
-        )
+        entries[did] = PredictionEntry(f"{gold.customer_part}{vary}", f"{gold.agent_part}{vary}")
     return PredictionSet(method=method, training_size=size, seed=seed, entries=entries)
 
 
@@ -226,6 +224,42 @@ def test_missing_prediction_entry_excluded_with_warning():
     )
     with pytest.raises(ExperimentError):
         run_experiment(corpus, strict, [pred])
+
+
+def test_prediction_sets_for_unrequested_cells_warned_in_one_line():
+    corpus = scoring_corpus()
+    config = ExperimentConfig(methods=["pegasus"], perspectives=[Perspective.CUSTOMER], sizes=(0,), n_seeds=1)
+    requested = [prediction_set(corpus, "pegasus", 0, 0)]
+    clean = run_experiment(corpus, config, requested)
+    assert clean.warnings == []
+    # an unconfigured size, an unconfigured seed, a built-in name and an unlisted method
+    extra = [prediction_set(corpus, *cell, vary=" x") for cell in
+             [("pegasus", 16, 0), ("pegasus", 0, 3), ("lead_base", 0, 0), ("bart", 0, 0)]]
+    result = run_experiment(corpus, config, extra[:1] + requested + extra[1:])
+    assert result.warnings == [
+        "4 prediction set(s) are for cells the config does not request and are not scored, "
+        "first: (pegasus, size=16, seed=0)"
+    ]
+    assert list(result.per_dialog) == list(clean.per_dialog)
+
+
+def test_prediction_entries_for_unscored_dialogs_warned_in_one_line():
+    corpus = scoring_corpus()
+    train_ids = corpus.dialog_ids(Split.TRAIN)
+    config = ExperimentConfig(methods=["pegasus"], perspectives=[Perspective.CUSTOMER], sizes=(0, 16), n_seeds=1,
+                              cap_to_population=True)
+    external = [prediction_set(corpus, "pegasus", size, 0) for size in (0, 16)]
+    clean = run_experiment(corpus, config, external)
+    assert clean.warnings == []
+    for pred in external:
+        pred.entries.update({did: PredictionEntry("stray text", None) for did in train_ids[:3]})
+    pred.entries["nowhere"] = PredictionEntry("stray text", None)
+    result = run_experiment(corpus, config, external)
+    assert result.warnings == [
+        f"7 prediction entry(ies) are for dialogs that are not scored, first: dialog {train_ids[0]!r} "
+        "in (pegasus, size=0, seed=0)"
+    ]
+    assert list(result.per_dialog) == list(clean.per_dialog)
 
 
 def test_run_with_no_scored_dialog_errors():
@@ -567,7 +601,7 @@ def test_emit_report_rejects_empty_table():
 
 
 def fired_candidate(i, fired):
-    return CandidateSummary(f"d{i}", Perspective.CUSTOMER, "m", "some text", fired)
+    return CandidateSummary("some text", fired)
 
 
 def test_rate_curve_flat_zero():

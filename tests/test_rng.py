@@ -20,13 +20,6 @@ from persum import make_rng
 # Seeds above 2**128 have more than four 32-bit words, which runs
 # SeedSequence's extra mixing loop.
 SEEDS = st.integers(0, 2**200)
-# Bounds on both sides of every switch: no draw, 32-bit Lemire, one raw
-# 32-bit draw (k == 2**32), 64-bit Lemire, and the int64 ceiling.
-BOUNDS = st.one_of(
-    st.integers(1, 60),
-    st.integers(1, 2**63),
-    st.sampled_from([1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**62 + 1, 2**63]),
-)
 
 
 def numpy_generator(seed):
@@ -49,25 +42,14 @@ def test_permutation_matches_numpy(seed, n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(SEEDS, st.lists(BOUNDS, min_size=1, max_size=10))
-def test_integers_sequence_matches_numpy(seed, bounds):
-    expected = numpy_generator(seed)
-    rng = make_rng(seed)
-    assert [rng.integers(k) for k in bounds] == [int(expected.integers(k)) for k in bounds]
-
-
-@settings(max_examples=100, deadline=None)
-@given(SEEDS, st.lists(st.one_of(st.tuples(st.just("integers"), BOUNDS),
-                                 st.tuples(st.just("permutation"), st.integers(0, 40))), max_size=12))
-def test_interleaved_calls_share_the_buffered_half(seed, calls):
+@given(SEEDS, st.lists(st.integers(0, 40), max_size=12))
+def test_interleaved_calls_share_the_buffered_half(seed, sizes):
     # an odd number of 32-bit draws leaves the high half of a 64-bit output
-    # for whichever call comes next, 32-bit or not
+    # for the next permutation's first draw
     expected = numpy_generator(seed)
     rng = make_rng(seed)
-    for method, arg in calls:
-        ours = getattr(rng, method)(arg)
-        theirs = getattr(expected, method)(arg)
-        assert ours == (int(theirs) if method == "integers" else theirs.tolist())
+    for n in sizes:
+        assert rng.permutation(n) == expected.permutation(n).tolist()
 
 
 def test_permutation_pinned():
@@ -81,12 +63,6 @@ def test_permutation_pinned():
 def test_bad_seed_raises(seed, error):
     with pytest.raises(error, match="seed must be"):
         make_rng(seed)
-
-
-@pytest.mark.parametrize("k", [0, -1, 2**63 + 1])
-def test_integers_out_of_range_raises(k):
-    with pytest.raises(ValueError, match="integers needs"):
-        make_rng(0).integers(k)
 
 
 def test_import_does_not_load_numpy():
