@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 from .corpus import (
@@ -19,6 +20,7 @@ from .corpus import (
     SpeakerRole,
     Split,
     _naming_file,
+    check_ratios,
     encode_json_line,
     read_corpus,
     read_tweet_csv,
@@ -33,6 +35,7 @@ from .experiment import (
     ExperimentError,
     check_sizes,
     emit_report,
+    index_prediction_sets,
     load_config_file,
     rate_curve,
     rate_curve_csv,
@@ -86,12 +89,10 @@ def _ratios(text: str) -> tuple[float, float, float]:
         ratios = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
-    if len(ratios) != 3:
-        raise argparse.ArgumentTypeError(f"expected exactly three values (train,val,test), got {text!r}")
-    if not all(0.0 <= ratio <= 1.0 for ratio in ratios):
-        raise argparse.ArgumentTypeError(f"ratios must each lie in [0, 1], got {text!r}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise argparse.ArgumentTypeError(f"ratios must sum to 1.0, got {text!r}")
+    try:
+        check_ratios(ratios)
+    except CorpusError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from exc
     return ratios
 
 
@@ -211,9 +212,9 @@ def cmd_ingest(args) -> int:
         corpus.validate()
         write_corpus(corpus, args.output)
         print(f"dialogs: {len(dialogs)}")
-        warn = {k: v for k, v in report.as_dict().items() if k not in ("tweets", "dialogs") and v}
-        for key, value in warn.items():
-            print(f"warning: {key}: {value}", file=sys.stderr)
+        for key, value in asdict(report).items():
+            if value:
+                print(f"warning: {key}: {value}", file=sys.stderr)
     else:
         corpus = read_corpus(args.input)
         write_corpus(corpus, args.output)
@@ -239,16 +240,10 @@ def cmd_weaklabel(args) -> int:
     if args.exclude:
         with open(args.exclude, "r", encoding="utf-8") as fh, _naming_file(args.exclude):
             exclude = {line.strip() for line in fh if line.strip()}
-    pairs, report = weaklabel_corpus(
-        corpus,
-        role=SpeakerRole(args.perspective),
-        heuristic=HeuristicKind(args.heuristic),
-        masked=args.masked,
-        exclude_ids=exclude,
-        min_tokens=args.min_tokens,
-    )
-    write_weak_pairs(pairs, args.output)
-    coverage = encode_json_line(report.as_dict())
+    role, heuristic = SpeakerRole(args.perspective), HeuristicKind(args.heuristic)
+    pairs, report = weaklabel_corpus(corpus, role, heuristic, args.masked, exclude, args.min_tokens)
+    write_weak_pairs(pairs, args.output, role, heuristic, args.masked)
+    coverage = encode_json_line(asdict(report))
     print(coverage)
     if args.coverage:
         Path(args.coverage).write_text(coverage + "\n", encoding="utf-8")
@@ -358,7 +353,7 @@ def cmd_rate_curve(args) -> int:
     prefixes = _prefixes_from_args(args)
     per_size: dict[int, list] = {}
     if args.predictions:
-        sets = [load_predictions(p) for p in args.predictions]
+        sets = index_prediction_sets(load_predictions(p) for p in args.predictions).values()
         methods = {s.method for s in sets}
         if len(methods) != 1:
             raise ExperimentError(f"prediction files mix methods: {', '.join(sorted(methods))}")

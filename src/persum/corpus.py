@@ -19,7 +19,7 @@ import math
 import re
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -118,19 +118,12 @@ def make_dialog(dialog_id: str, turns: Sequence[tuple[SpeakerRole, str]]) -> Dia
     return Dialog(dialog_id, tuple(Utterance(role, text) for role, text in turns))
 
 
-@dataclass(frozen=True)
-class GoldSummary:
-    """Human-written abstractive reference with one part per perspective."""
+class GoldSummary(NamedTuple):
+    """Human-written abstractive reference with one part per perspective; its dialog id
+    is its key in Corpus.gold."""
 
-    dialog_id: str
     customer_part: str
     agent_part: str
-
-    def __post_init__(self):
-        if not self.customer_part.strip() or not self.agent_part.strip():
-            raise CorpusError(
-                f"gold summary for {self.dialog_id!r} must have non-empty customer and agent parts"
-            )
 
 
 @dataclass
@@ -254,10 +247,9 @@ def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
                 raise ParseError(lineno, f"dialog {did!r}: bad gold summary object") from exc
             if not all(isinstance(part, str) for part in parts):
                 raise ParseError(lineno, f"dialog {did!r}: gold summary parts must be strings")
-            try:
-                gold[did] = GoldSummary(did, *parts)
-            except CorpusError as exc:
-                raise ParseError(lineno, str(exc)) from exc
+            if not all(part.strip() for part in parts):
+                raise ParseError(lineno, f"gold summary for {did!r} must have non-empty customer and agent parts")
+            gold[did] = GoldSummary(*parts)
         if "split" in record and record["split"] is not None:
             try:
                 split[did] = _SPLITS[record["split"]]
@@ -302,14 +294,9 @@ def clean_tweet_text(text: str) -> str:
 class ThreadReport:
     """Counters surfaced as warnings; reconstruction never hard-fails on data."""
 
-    tweets: int = 0
-    dialogs: int = 0
     cyclic_chains_skipped: int = 0
     gap_truncations: int = 0
     dropped_chains: int = 0  # <2 utterances after merging, or only one role
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class _Tweet(NamedTuple):
@@ -337,7 +324,6 @@ def reconstruct_threads(rows: Iterable[dict]) -> tuple[list[Dialog], ThreadRepor
     customer, agent = SpeakerRole.CUSTOMER, SpeakerRole.AGENT
 
     for row in rows:
-        report.tweets += 1
         tid = str(row["tweet_id"]).strip()
         text = clean_tweet_text(str(row["text"]))
         if not tid or not text:
@@ -396,7 +382,6 @@ def reconstruct_threads(rows: Iterable[dict]) -> tuple[list[Dialog], ThreadRepor
                     frontier.append(n)
         report.cyclic_chains_skipped += 1
 
-    report.dialogs = len(dialogs)
     return dialogs, report
 
 
@@ -447,16 +432,23 @@ def read_tweet_csv(path: str | Path) -> Iterator[dict]:
 DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)
 
 
+def check_ratios(ratios: Sequence[float]) -> None:
+    """The rule for train/val/test split ratios, in Python and on the command line alike."""
+    if len(ratios) != 3:
+        raise CorpusError("expected exactly three values (train,val,test)")
+    if not all(0.0 <= ratio <= 1.0 for ratio in ratios):
+        raise CorpusError("ratios must each lie in [0, 1]")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise CorpusError("ratios must sum to 1.0")
+
+
 def split_corpus(
     corpus: Corpus,
     ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     seed: int = 0,
 ) -> Corpus:
     """Assign train/val/test by seeded shuffle and floor arithmetic on ratios."""
-    if not all(0.0 <= ratio <= 1.0 for ratio in ratios):
-        raise CorpusError(f"split ratios must each lie in [0, 1], got {', '.join(map(repr, ratios))}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise CorpusError(f"split ratios must sum to 1.0, got {sum(ratios)!r}")
+    check_ratios(ratios)
     n = len(corpus.dialogs)
     if n < 3:
         raise CorpusError(f"need at least 3 dialogs to split, got {n}")

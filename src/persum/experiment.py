@@ -248,6 +248,19 @@ def _score_dialogs(
     return scores
 
 
+def index_prediction_sets(
+    sets: Iterable[PredictionSet], warnings: Sequence[str] = ()
+) -> dict[tuple[str, int, int], PredictionSet]:
+    """Prediction sets by (method, size, seed) cell, in input order; two sets for one
+    cell are an error."""
+    index: dict[tuple[str, int, int], PredictionSet] = {}
+    for pred in sets:
+        if pred.cell in index:
+            raise ExperimentError(f"duplicate prediction set for cell {pred.cell}", warnings)
+        index[pred.cell] = pred
+    return index
+
+
 def run_experiment(
     corpus: Corpus,
     config: ExperimentConfig,
@@ -283,11 +296,7 @@ def run_experiment(
         for seed in config.seeds
     ]
 
-    ext_index: dict[tuple[str, int, int], PredictionSet] = {}
-    for pred in external:
-        if pred.cell in ext_index:
-            raise ExperimentError(f"duplicate prediction set for cell {pred.cell}", warnings)
-        ext_index[pred.cell] = pred
+    ext_index = index_prediction_sets(external, warnings)
 
     requested = [
         (method, size, seed)
@@ -403,11 +412,11 @@ def _grouped_rows(table: ResultTable):
                 yield perspective, variant, present
 
 
-def emit_report(table: ResultTable, format: str = "markdown") -> str:
+def emit_report(table: ResultTable, format: str = "md") -> str:
     """Render the result table; methods as rows, sizes as columns."""
     if not table.rows:
         raise ExperimentError("cannot emit a report for an empty table")
-    if format in ("markdown", "md"):
+    if format == "md":
         return _emit_markdown(table)
     if format == "csv":
         return _emit_csv(table)

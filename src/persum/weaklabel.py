@@ -8,10 +8,10 @@ is the hand-off format expected by sequence-to-sequence trainers.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus, Dialog, SpeakerRole, Utterance, encode_json_line
 
@@ -23,14 +23,12 @@ class HeuristicKind(str, Enum):
     LONG = "long"
 
 
-@dataclass(frozen=True)
-class WeakPair:
+class WeakPair(NamedTuple):
+    """One weak pair; its perspective, heuristic and masking are the ones it was asked for."""
+
     dialog_id: str
-    perspective: SpeakerRole
-    heuristic: HeuristicKind
-    masked: bool
-    source_text: str
-    target_summary: str
+    source: str
+    target: str
 
 
 @dataclass
@@ -39,9 +37,6 @@ class CoverageReport:
     excluded: int = 0
     labeled: int = 0
     skipped: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def lead_utterance(
@@ -104,14 +99,7 @@ def make_weak_pair(
     if target is None:
         return None
     drop = utterance_line(target) if masked else None
-    return WeakPair(
-        dialog_id=dialog.id,
-        perspective=role,
-        heuristic=heuristic,
-        masked=masked,
-        source_text=serialize_dialog(dialog, drop_line=drop),
-        target_summary=target.text,
-    )
+    return WeakPair(dialog.id, serialize_dialog(dialog, drop_line=drop), target.text)
 
 
 def weaklabel_corpus(
@@ -140,18 +128,11 @@ def weaklabel_corpus(
     return pairs, report
 
 
-def weak_pair_record(pair: WeakPair) -> dict:
-    return {
-        "dialog_id": pair.dialog_id,
-        "perspective": pair.perspective.value,
-        "heuristic": pair.heuristic.value,
-        "masked": pair.masked,
-        "source": pair.source_text,
-        "target": pair.target_summary,
-    }
-
-
-def write_weak_pairs(pairs: Sequence[WeakPair], path: str | Path) -> None:
+def write_weak_pairs(
+    pairs: Sequence[WeakPair], path: str | Path, role: SpeakerRole, heuristic: HeuristicKind, masked: bool
+) -> None:
+    """One JSONL record per pair, with the perspective, heuristic and masking all pairs share."""
+    shared = {"perspective": role, "heuristic": heuristic, "masked": masked}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pair in pairs:
-            fh.write(encode_json_line(weak_pair_record(pair)) + "\n")
+        for dialog_id, source, target in pairs:
+            fh.write(encode_json_line({"dialog_id": dialog_id, **shared, "source": source, "target": target}) + "\n")

@@ -818,6 +818,46 @@ def test_score_prints_warnings_before_the_error_that_ends_it(tmp_path, capsys):
     ] + ["warning: pegasus/customer: no dialog scored at size=0, seed=0", "error: no dialog scored in any cell"]
 
 
+def _prediction_file(path, method, dialog_ids, text="The customer wants a refund"):
+    lines = [json.dumps({"method": method, "training_size": 0, "seed": 0})]
+    lines += [json.dumps({"dialog_id": did, "customer": text, "agent": None}) for did in dialog_ids]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_score_duplicate_prediction_cell_exits_2_after_its_warnings(tmp_path, capsys):
+    corpus = synthetic_corpus(random.Random(5), 20, with_gold=True, with_split=True)
+    test_ids = corpus.dialog_ids(Split.TEST)
+    del corpus.gold[test_ids[0]]
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, corpus_path)
+    config = {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    first, second = (_prediction_file(tmp_path / name, "pegasus", test_ids) for name in ("a.jsonl", "b.jsonl"))
+
+    code = main(
+        ["score", "--config", str(config_path), "--corpus", str(corpus_path),
+         "--predictions", first, second, "--output-dir", str(tmp_path / "run")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: 1 test dialog(s) have no gold summary and are not scored",
+        "error: duplicate prediction set for cell ('pegasus', 0, 0)",
+    ]
+    assert not (tmp_path / "run").exists()
+
+
+def test_rate_curve_duplicate_prediction_cell_exits_2(tmp_path, capsys):
+    first = _prediction_file(tmp_path / "a.jsonl", "m_post_process", ["d1"], "cannot log in")
+    second = _prediction_file(tmp_path / "b.jsonl", "m_post_process", ["d1"])
+    out = tmp_path / "rates.csv"
+    code = main(["rate-curve", "--predictions", first, second, "--perspective", "customer", "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: duplicate prediction set for cell ('m_post_process', 0, 0)\n"
+    assert not out.exists()
+
+
 def test_split_command_rejects_two_ratios(tmp_path, capsys):
     corpus = synthetic_corpus(random.Random(9), 5)
     src = tmp_path / "c.jsonl"

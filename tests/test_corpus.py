@@ -80,8 +80,13 @@ def test_utterance_is_an_immutable_named_tuple(text):
 
 
 def test_gold_summary_requires_both_parts():
-    with pytest.raises(CorpusError):
-        GoldSummary("d1", "need", "   ")
+    utterances = [{"role": "customer", "text": "hello there"}, {"role": "agent", "text": "hi"}]
+    good = record_line(id="d0", utterances=utterances, gold={"customer": "need", "agent": "help"})
+    blank = record_line(id="d1", utterances=utterances, gold={"customer": "need", "agent": "   "})
+    assert parse_dialog_corpus([good]).gold == {"d0": GoldSummary("need", "help")}
+    with pytest.raises(ParseError) as info:
+        parse_dialog_corpus([good, blank])
+    assert str(info.value) == "line 2: gold summary for 'd1' must have non-empty customer and agent parts"
 
 
 # --- parsing ------------------------------------------------------------------
@@ -175,7 +180,6 @@ def test_reconstruct_alternating_chain():
         SpeakerRole.AGENT,
         SpeakerRole.CUSTOMER,
     ]
-    assert report.dialogs == 1
 
 
 def test_reconstruct_merges_consecutive_same_role():
@@ -357,6 +361,12 @@ def test_split_corpus_deterministic_per_seed():
 def test_split_corpus_bad_ratios():
     with pytest.raises(CorpusError):
         split_corpus(tiny_corpus(10), ratios=(0.7, 0.1, 0.1))
+
+
+@pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.5, 0.3, 0.1, 0.1)], ids=["two", "four"])
+def test_split_corpus_needs_three_ratios(ratios):
+    with pytest.raises(CorpusError, match="three values"):
+        split_corpus(tiny_corpus(10), ratios=ratios)
 
 
 @pytest.mark.parametrize("ratios", [(1.5, -0.5, 0.0), (0.5, 0.5, float("nan")), (1.2, -0.1, -0.1)])

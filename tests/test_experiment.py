@@ -576,7 +576,7 @@ def demo_table():
 
 
 def test_emit_markdown_layout():
-    report = emit_report(demo_table(), "markdown")
+    report = emit_report(demo_table(), "md")
     assert "## Customer perspective - Rouge-1" in report
     assert "| lead_base | 38.75 | 38.75 |" in report
     assert "17.73 (±0.79)" in report
@@ -592,7 +592,7 @@ def test_emit_csv_layout():
 
 def test_emit_report_rejects_empty_table():
     with pytest.raises(ExperimentError):
-        emit_report(ResultTable(sizes=[], rows={}), "markdown")
+        emit_report(ResultTable(sizes=[], rows={}), "md")
     with pytest.raises(ExperimentError):
         emit_report(demo_table(), "html")
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -80,10 +81,9 @@ def test_make_weak_pair_unmasked():
         [(C, "my laptop will not start at all"), (A, "hold the power button"), (C, "ok trying"), (A, "any luck")],
     )
     pair = make_weak_pair(dialog, C, HeuristicKind.LEAD)
-    assert pair.target_summary == "my laptop will not start at all"
-    assert pair.source_text.count("\n") == 3
-    assert "customer: my laptop will not start at all" in pair.source_text
-    assert not pair.masked
+    assert pair.target == "my laptop will not start at all"
+    assert pair.source.count("\n") == 3
+    assert "customer: my laptop will not start at all" in pair.source
 
 
 def test_make_weak_pair_masked_removes_target_line():
@@ -92,8 +92,8 @@ def test_make_weak_pair_masked_removes_target_line():
         [(C, "my laptop will not start at all"), (A, "hold the power button"), (C, "ok trying"), (A, "any luck")],
     )
     pair = make_weak_pair(dialog, C, HeuristicKind.LEAD, masked=True)
-    assert pair.source_text.count("\n") == 2
-    assert "my laptop will not start at all" not in pair.source_text
+    assert pair.source.count("\n") == 2
+    assert "my laptop will not start at all" not in pair.source
 
 
 def test_make_weak_pair_none_when_heuristic_fails():
@@ -105,8 +105,8 @@ def test_masked_pair_drops_duplicate_target_lines():
     text = "the same exact long utterance again"
     dialog = make_dialog("d1", [(C, text), (A, "short reply"), (C, text)])
     pair = make_weak_pair(dialog, C, HeuristicKind.LONG, masked=True)
-    assert f"customer: {text}" not in pair.source_text.splitlines()
-    assert pair.source_text == "agent: short reply"
+    assert f"customer: {text}" not in pair.source.splitlines()
+    assert pair.source == "agent: short reply"
 
 
 def test_mask_soundness_over_random_dialogs():
@@ -118,10 +118,10 @@ def test_mask_soundness_over_random_dialogs():
                 pair = make_weak_pair(dialog, role, heuristic, masked=True)
                 if pair is None:
                     continue
-                target_line = f"{role.value}: {pair.target_summary}"
-                assert target_line not in pair.source_text.splitlines()
+                target_line = f"{role.value}: {pair.target}"
+                assert target_line not in pair.source.splitlines()
                 unmasked = make_weak_pair(dialog, role, heuristic, masked=False)
-                assert target_line in unmasked.source_text.splitlines()
+                assert target_line in unmasked.source.splitlines()
 
 
 def test_perspective_purity_over_random_dialogs():
@@ -133,7 +133,7 @@ def test_perspective_purity_over_random_dialogs():
             if pair is None:
                 assert all(u.role != role for u in dialog.utterances)
                 continue
-            sources = [u for u in dialog.utterances if u.text == pair.target_summary and u.role == role]
+            sources = [u for u in dialog.utterances if u.text == pair.target and u.role == role]
             assert sources, "target must come from an utterance of the requested perspective"
 
 
@@ -161,7 +161,7 @@ def test_weaklabel_corpus_counts_with_exclusion():
         make_corpus(dialogs), C, HeuristicKind.LEAD, exclude_ids={"d1"}
     )
     assert [p.dialog_id for p in pairs] == ["d0", "d2"]
-    assert report.as_dict() == {"total": 3, "excluded": 1, "labeled": 2, "skipped": 0}
+    assert asdict(report) == {"total": 3, "excluded": 1, "labeled": 2, "skipped": 0}
 
 
 def test_weaklabel_corpus_counts_skips():
@@ -171,13 +171,13 @@ def test_weaklabel_corpus_counts_skips():
     ]
     pairs, report = weaklabel_corpus(make_corpus(dialogs), C, HeuristicKind.LEAD)
     assert len(pairs) == 1
-    assert report.as_dict() == {"total": 2, "excluded": 0, "labeled": 1, "skipped": 1}
+    assert asdict(report) == {"total": 2, "excluded": 0, "labeled": 1, "skipped": 1}
 
 
 def test_weaklabel_corpus_empty():
     pairs, report = weaklabel_corpus(Corpus([]), C, HeuristicKind.LEAD)
     assert pairs == []
-    assert report.as_dict() == {"total": 0, "excluded": 0, "labeled": 0, "skipped": 0}
+    assert asdict(report) == {"total": 0, "excluded": 0, "labeled": 0, "skipped": 0}
 
 
 def test_weaklabel_corpus_idempotent_streaming():
@@ -193,7 +193,7 @@ def test_write_weak_pairs_jsonl_schema(tmp_path):
     dialog = make_dialog("d1", [(C, "the printer is jammed again today"), (A, "clear tray two")])
     pair = make_weak_pair(dialog, C, HeuristicKind.LEAD)
     path = tmp_path / "pairs.jsonl"
-    write_weak_pairs([pair], path)
+    write_weak_pairs([pair], path, C, HeuristicKind.LEAD, False)
     record = json.loads(path.read_text(encoding="utf-8"))
     assert record == {
         "dialog_id": "d1",

@@ -50,7 +50,7 @@ def synthetic_corpus(
     gold = None
     if with_gold:
         gold = {
-            d.id: GoldSummary(d.id, random_text(rand, 4, 12), random_text(rand, 4, 12))
+            d.id: GoldSummary(random_text(rand, 4, 12), random_text(rand, 4, 12))
             for d in dialogs
         }
     split = None
