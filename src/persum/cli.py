@@ -209,16 +209,13 @@ def cmd_ingest(args) -> int:
     if args.format == "kaggle-csv":
         dialogs, report = reconstruct_threads(read_tweet_csv(args.input))
         corpus = Corpus(dialogs)
-        corpus.validate()
-        write_corpus(corpus, args.output)
-        print(f"dialogs: {len(dialogs)}")
         for key, value in asdict(report).items():
             if value:
                 print(f"warning: {key}: {value}", file=sys.stderr)
     else:
         corpus = read_corpus(args.input)
-        write_corpus(corpus, args.output)
-        print(f"dialogs: {len(corpus.dialogs)}")
+    write_corpus(corpus, args.output)
+    print(f"dialogs: {len(corpus.dialogs)}")
     return EXIT_OK
 
 
@@ -349,6 +346,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_rate_curve(args) -> int:
+    if args.predictions and (args.corpus or args.method):
+        print("persum rate-curve: error: --predictions is not allowed with --corpus or --method", file=sys.stderr)
+        return EXIT_USAGE
     perspective = Perspective(args.perspective)
     prefixes = _prefixes_from_args(args)
     per_size: dict[int, list] = {}

@@ -21,6 +21,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -170,35 +171,26 @@ class Corpus:
 # --- canonical JSONL ---------------------------------------------------------
 
 
-def _dialog_record(dialog: Dialog, gold: GoldSummary | None, split: Split | None) -> dict:
-    record: dict = {
-        "id": dialog.id,
-        "utterances": [{"role": u.role, "text": u.text} for u in dialog.utterances],
-    }
-    if gold is not None:
-        record["gold"] = {"customer": gold.customer_part, "agent": gold.agent_part}
-    if split is not None:
-        record["split"] = split
-    return record
-
-
 # one compact, UTF-8-preserving encoder for every JSONL line persum writes
 encode_json_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
-def corpus_to_jsonl(corpus: Corpus) -> Iterator[str]:
-    """Serialize to canonical JSONL lines (no trailing newline per line)."""
+def write_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write `corpus` as canonical JSONL, one dialog per line in corpus order."""
     gold = corpus.gold or {}
     split = corpus.split or {}
-    for dialog in corpus.dialogs:
-        record = _dialog_record(dialog, gold.get(dialog.id), split.get(dialog.id))
-        yield encode_json_line(record)
-
-
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in corpus_to_jsonl(corpus):
-            fh.write(line + "\n")
+        for dialog in corpus.dialogs:
+            record: dict = {
+                "id": dialog.id,
+                "utterances": [{"role": u.role, "text": u.text} for u in dialog.utterances],
+            }
+            summary = gold.get(dialog.id)
+            if summary is not None:
+                record["gold"] = {"customer": summary.customer_part, "agent": summary.agent_part}
+            if dialog.id in split:
+                record["split"] = split[dialog.id]
+            fh.write(encode_json_line(record) + "\n")
 
 
 def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
@@ -299,43 +291,31 @@ class ThreadReport:
     dropped_chains: int = 0  # <2 utterances after merging, or only one role
 
 
-class _Tweet(NamedTuple):
+class Tweet(NamedTuple):
+    """One decoded tweet; its id is not stored, since every holder keys it by id."""
+
     role: SpeakerRole
     text: str
     parent: str | None
 
 
-_INBOUND_TRUE = frozenset({"true", "1", "yes"})
-
-
-def reconstruct_threads(rows: Iterable[dict]) -> tuple[list[Dialog], ThreadReport]:
-    """Rebuild dialogs from a tweet-record table (Kaggle customer-support schema).
+def reconstruct_threads(pairs: Iterable[tuple[str, Tweet]]) -> tuple[list[Dialog], ThreadReport]:
+    """Rebuild dialogs from (tweet_id, Tweet) pairs, as `read_tweet_csv` yields them.
 
     Reply chains are followed from root tweets to leaves; consecutive tweets by
     the same role are merged into one utterance. A chain survives only with at
     least two utterances and both roles present. Dialog id is the root tweet id,
     so a branching root yields exactly one dialog: its longest chain, ties
-    broken by child order in the input.
+    broken by child order in the input. A repeated id keeps its last tweet;
+    `read_tweet_csv` rejects repeats.
     """
     report = ThreadReport()
-    tweets: dict[str, _Tweet] = {}
-    order: list[str] = []
+    tweets = dict(pairs)
     children: dict[str, list[str]] = defaultdict(list)
-    customer, agent = SpeakerRole.CUSTOMER, SpeakerRole.AGENT
-
-    for row in rows:
-        tid = str(row["tweet_id"]).strip()
-        text = clean_tweet_text(str(row["text"]))
-        if not tid or not text:
-            continue
-        parent = str(row.get("in_response_to_tweet_id") or "").strip() or None
-        role = customer if str(row["inbound"]).strip().lower() in _INBOUND_TRUE else agent
-        tweets[tid] = _Tweet(role, text, parent)
-        order.append(tid)
 
     roots = []
-    for tid in order:
-        parent = tweets[tid].parent
+    for tid, tweet in tweets.items():
+        parent = tweet.parent
         if parent is None:
             roots.append(tid)
         elif parent in tweets:
@@ -385,7 +365,7 @@ def reconstruct_threads(rows: Iterable[dict]) -> tuple[list[Dialog], ThreadRepor
     return dialogs, report
 
 
-def _chain_to_dialog(root: str, path: list[str], tweets: dict[str, _Tweet]) -> Dialog | None:
+def _chain_to_dialog(root: str, path: list[str], tweets: dict[str, Tweet]) -> Dialog | None:
     merged: list[tuple[SpeakerRole, str]] = []
     for tid in path:
         tweet = tweets[tid]
@@ -398,12 +378,18 @@ def _chain_to_dialog(root: str, path: list[str], tweets: dict[str, _Tweet]) -> D
     return make_dialog(root, merged)
 
 
-def read_tweet_csv(path: str | Path) -> Iterator[dict]:
-    """Yield tweet rows, as {column: value} dicts, from a Kaggle-schema CSV (RFC 4180, UTF-8).
+_INBOUND_TRUE = frozenset({"true", "1", "yes"})
 
-    Blank rows are skipped; a row with more or fewer fields than the header, or one that
-    repeats an earlier row's tweet_id (compared after stripping), is an error.
+
+def read_tweet_csv(path: str | Path) -> Iterator[tuple[str, Tweet]]:
+    """Yield (tweet_id, Tweet) pairs from a Kaggle-schema CSV (RFC 4180, UTF-8).
+
+    Ids are stripped, a blank reply-to id is None, text goes through `clean_tweet_text`, and
+    `inbound` of true, 1 or yes (any case, stripped) marks the customer. Blank rows and
+    tweets whose id or cleaned text is blank are skipped. A header that names a read column
+    twice, a row with more or fewer fields than the header, or a repeated tweet_id is an error.
     """
+    customer, agent = SpeakerRole.CUSTOMER, SpeakerRole.AGENT
     with open(path, "r", encoding="utf-8", newline="") as fh, _naming_file(path):
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -412,18 +398,26 @@ def read_tweet_csv(path: str | Path) -> Iterator[dict]:
         missing = [c for c in TWEET_CSV_COLUMNS if c not in header]
         if missing:
             raise ParseError(1, f"tweet CSV missing column(s): {', '.join(missing)}")
+        read_columns = ("tweet_id", "inbound", "text", "in_response_to_tweet_id")
+        for column in read_columns:
+            if header.count(column) > 1:
+                raise ParseError(1, f"tweet CSV header names column {column!r} more than once")
+        pick = itemgetter(*(header.index(column) for column in read_columns))
         width = len(header)
-        id_column = header.index("tweet_id")
         first_lines: dict[str, int] = {}
         for fields in reader:
             if len(fields) != width:
                 if not fields:
                     continue
                 raise ParseError(reader.line_num, f"tweet CSV row has {len(fields)} field(s), the header has {width}")
-            tid = fields[id_column].strip()
+            tid, inbound, text, parent = pick(fields)
+            tid = tid.strip()
             if tid and first_lines.setdefault(tid, reader.line_num) != reader.line_num:
                 raise ParseError(reader.line_num, f"duplicate tweet_id {tid!r} (first on line {first_lines[tid]})")
-            yield dict(zip(header, fields))
+            text = clean_tweet_text(text)
+            if tid and text:
+                role = customer if inbound.strip().lower() in _INBOUND_TRUE else agent
+                yield tid, Tweet(role, text, parent.strip() or None)
 
 
 # --- splitting ---------------------------------------------------------------
@@ -489,6 +483,10 @@ def load_split_csv(path: str | Path) -> dict[str, Split]:
         if reader.fieldnames is None or not {"dialog_id", "split"} <= set(reader.fieldnames):
             raise ParseError(1, "split file must have columns dialog_id, split")
         for row in reader:
+            if None in row:  # DictReader keeps fields beyond the header under None
+                width = len(reader.fieldnames)
+                fields = width + len(row[None])
+                raise ParseError(reader.line_num, f"split file row has {fields} field(s), the header has {width}")
             if row["dialog_id"] is None or row["split"] is None:
                 raise ParseError(reader.line_num, "split file row needs both a dialog_id and a split value")
             did = row["dialog_id"].strip()

@@ -352,12 +352,35 @@ def test_rate_curve_predictions_with_sizes_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--corpus", "absent.jsonl"), ("--method", "lead_base")])
+def test_rate_curve_predictions_with_corpus_or_method_is_a_usage_error(tmp_path, capsys, flag, value):
+    pred = tmp_path / "a.jsonl"
+    pred.write_text('{"method": "lead_post_process", "training_size": 0, "seed": 0}\n', encoding="utf-8")
+    out = tmp_path / "rates.csv"
+    argv = ["rate-curve", "--predictions", str(pred), flag, value, "--perspective", "customer",
+            "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith("error: --predictions is not allowed with --corpus or --method\n")
+    assert not out.exists()
+
+
 def test_tweet_csv_header_error_names_file(tmp_path, capsys):
     src = tmp_path / "tweets.csv"
     src.write_text("tweet_id,text\n1,hi\n", encoding="utf-8")
     code = main(["ingest", "--format", "kaggle-csv", "--input", str(src), "--output", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {src}, line 1: tweet CSV missing column(s): author_id, ")
+
+
+def test_tweet_csv_header_naming_a_read_column_twice_exits_2(tmp_path, capsys):
+    src = tmp_path / "tweets.csv"
+    src.write_text(KAGGLE_HEADER.replace("\n", ",text\n") + kaggle_row("1", True, "hi").replace("\n", ",bye\n"),
+                   encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    code = main(["ingest", "--format", "kaggle-csv", "--input", str(src), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {src}, line 1: tweet CSV header names column 'text' more than once\n"
+    assert not out.exists()
 
 
 def test_ingest_jsonl_passthrough_round_trip(tmp_path):
@@ -898,6 +921,19 @@ def test_split_command_rejects_split_file_row_without_value(tmp_path, capsys):
     code = main(["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--split-file", str(split_file)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {split_file}, line 2: split file row needs both a dialog_id and a split value\n"
+
+
+def test_split_command_rejects_split_file_row_with_extra_field(tmp_path, capsys):
+    corpus = synthetic_corpus(random.Random(9), 5)
+    src = tmp_path / "c.jsonl"
+    write_corpus(corpus, src)
+    split_file = tmp_path / "split.csv"
+    split_file.write_text("dialog_id,split\nd0,train\nd1,train,EXTRA\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["split", "--corpus", str(src), "--output", str(out), "--split-file", str(split_file)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {split_file}, line 3: split file row has 3 field(s), the header has 2\n"
+    assert not out.exists()
 
 
 def test_ingest_non_string_gold_part_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import csv
 import json
 import math
 import pickle
@@ -24,8 +25,8 @@ from persum import (
     split_corpus,
     write_corpus,
 )
-from persum.corpus import Utterance, clean_tweet_text, load_split_csv, with_split
-from util import naive_clean_tweet_text, synthetic_corpus
+from persum.corpus import Tweet, Utterance, clean_tweet_text, load_split_csv, read_tweet_csv, with_split
+from util import naive_clean_tweet_text, naive_read_tweet_csv, synthetic_corpus, tweet_table
 
 
 def record_line(**kwargs) -> str:
@@ -33,15 +34,7 @@ def record_line(**kwargs) -> str:
 
 
 def tweet(tweet_id, inbound, text, parent=None):
-    return {
-        "tweet_id": tweet_id,
-        "author_id": "cust" if inbound else "brand",
-        "inbound": "True" if inbound else "False",
-        "created_at": "Tue Oct 31 22:10:47 +0000 2017",
-        "text": text,
-        "response_tweet_id": "",
-        "in_response_to_tweet_id": parent or "",
-    }
+    return tweet_id, Tweet(SpeakerRole.CUSTOMER if inbound else SpeakerRole.AGENT, text, parent)
 
 
 # --- types --------------------------------------------------------------------
@@ -289,6 +282,23 @@ def test_reconstruct_counts_many_cycles():
     dialogs, report = reconstruct_threads(rows)
     assert [d.id for d in dialogs] == ["1"]
     assert report.cyclic_chains_skipped == 5000
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_read_tweet_csv_equals_naive_decoder(tmp_path, seed):
+    rand = random.Random(seed)
+    header, *rows = tweet_table(rand, 150)
+
+    def pad(value):  # an id with whitespace around it, which is stripped, or a blank one
+        if rand.random() < 0.03:
+            return " "
+        return rand.choice(("", "", " ", "\t")) + value + rand.choice(("", "", " "))
+
+    path = tmp_path / "tweets.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *((pad(row[0]), *row[1:-1], pad(row[-1])) for row in rows)])
+    assert list(read_tweet_csv(path)) == naive_read_tweet_csv(path)
+    assert reconstruct_threads(read_tweet_csv(path)) == reconstruct_threads(naive_read_tweet_csv(path))
 
 
 def _all_chains(children, tid):

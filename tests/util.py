@@ -6,11 +6,12 @@ quadratic DP table so they stay independent of the library code they check.
 
 from __future__ import annotations
 
+import csv
 import random
 import re
 
 from persum import Corpus, Dialog, GoldSummary, SpeakerRole, Split, make_dialog
-from persum.corpus import TWEET_CSV_COLUMNS
+from persum.corpus import TWEET_CSV_COLUMNS, Tweet
 
 VOCAB = ("alpha", "bravo", "charlie", "delta", "echo")
 
@@ -177,6 +178,22 @@ def naive_clean_tweet_text(text: str) -> str:
     text = _URL_RE.sub("http://url", text)
     text = _MENTION_RE.sub("@user", text)
     return _WS_RE.sub(" ", text).strip()
+
+
+def naive_read_tweet_csv(path) -> list[tuple[str, Tweet]]:
+    """(tweet_id, Tweet) pairs as tweets were first decoded: csv.DictReader rows, each value
+    str()ed and stripped again, inbound read per row, blank ids and texts dropped."""
+    pairs = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            tid = str(row["tweet_id"]).strip()
+            text = naive_clean_tweet_text(str(row["text"]))
+            if not tid or not text:
+                continue
+            parent = str(row.get("in_response_to_tweet_id") or "").strip() or None
+            inbound = str(row["inbound"]).strip().lower() in ("true", "1", "yes")
+            pairs.append((tid, Tweet(SpeakerRole.CUSTOMER if inbound else SpeakerRole.AGENT, text, parent)))
+    return pairs
 
 
 # --- tweet tables ----------------------------------------------------------------
