@@ -49,7 +49,6 @@ from .rouge import (
 from .summarize import (
     CandidateSummary,
     Perspective,
-    PredictionError,
     PredictionSet,
     PrefixConfig,
     load_predictions,

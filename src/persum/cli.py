@@ -17,6 +17,7 @@ from pathlib import Path
 from .corpus import (
     Corpus,
     CorpusError,
+    ParseError,
     SpeakerRole,
     Split,
     _naming_file,
@@ -339,7 +340,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_report(args) -> int:
-    table = table_from_per_dialog(read_per_dialog_csv(args.per_dialog))
+    runs = read_per_dialog_csv(args.per_dialog)
+    if not runs:
+        raise ParseError(None, "per-dialog dump is empty", args.per_dialog)
+    table = table_from_per_dialog(runs)
     Path(args.output).write_text(emit_report(table, args.format), encoding="utf-8")
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -347,7 +351,13 @@ def cmd_report(args) -> int:
 
 def cmd_rate_curve(args) -> int:
     if args.predictions and (args.corpus or args.method):
-        print("persum rate-curve: error: --predictions is not allowed with --corpus or --method", file=sys.stderr)
+        problem = "--predictions is not allowed with --corpus or --method"
+    elif not (args.predictions or (args.corpus and args.method)):
+        problem = "give either --predictions or --corpus with --method"
+    else:
+        problem = None
+    if problem:
+        print(f"persum rate-curve: error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     perspective = Perspective(args.perspective)
     prefixes = _prefixes_from_args(args)
@@ -363,7 +373,7 @@ def cmd_rate_curve(args) -> int:
                 cand = prediction_candidate(entry, pred.method, perspective, prefixes)
                 if cand is not None:
                     bucket.append(cand)
-    elif args.corpus and args.method:
+    else:
         spec = parse_builtin_method(args.method)
         if spec is None:
             raise ExperimentError(f"{args.method!r} is not a built-in method")
@@ -375,8 +385,6 @@ def cmd_rate_curve(args) -> int:
             if cand is not None:
                 candidates.append(cand)
         per_size = {size: candidates for size in args.sizes}
-    else:
-        raise ExperimentError("rate-curve needs either --predictions or --corpus with --method")
     rates = rate_curve(per_size)
     Path(args.output).write_text(rate_curve_csv(rates), encoding="utf-8")
     print(f"wrote {args.output}")

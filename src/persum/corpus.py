@@ -58,6 +58,54 @@ def _naming_file(path: str | Path) -> Iterator[None]:
         raise CorpusError(f"{path}: {exc}") from exc
 
 
+def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line, values) for each row after the header of the CSV (RFC 4180, UTF-8) at
+    `path` that is not blank, `values` being the row's fields under `columns` (two or more),
+    in that order.
+
+    The header must name each of `columns` once, and every row must have as many fields as
+    the header. Errors are ParseErrors whose messages start with `what`; the caller names
+    the file with `_naming_file`.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(1, f"{what} has no header row")
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ParseError(1, f"{what} missing column(s): {', '.join(missing)}")
+            for column in columns:
+                if header.count(column) > 1:
+                    raise ParseError(1, f"{what} header names column {column!r} more than once")
+            pick = itemgetter(*map(header.index, columns))
+            width = len(header)
+            for fields in reader:
+                if len(fields) != width:
+                    if not fields:
+                        continue
+                    raise ParseError(reader.line_num, f"{what} row has {len(fields)} field(s), the header has {width}")
+                yield reader.line_num, pick(fields)
+        except csv.Error as exc:
+            raise ParseError(reader.line_num, str(exc)) from None
+
+
+def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line, object) for each line of JSONL `lines` that is not blank; a line that is
+    not JSON, or not a JSON object, is a ParseError."""
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise ParseError(lineno, "expected a JSON object")
+        yield lineno, record
+
+
 class SpeakerRole(str, Enum):
     CUSTOMER = "customer"
     AGENT = "agent"
@@ -199,15 +247,7 @@ def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
     gold: dict[str, GoldSummary] = {}
     split: dict[str, Split] = {}
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise ParseError(lineno, "record must be a JSON object")
+    for lineno, record in json_objects(lines):
         try:
             did = record["id"]
             raw_utts = record["utterances"]
@@ -386,34 +426,16 @@ def read_tweet_csv(path: str | Path) -> Iterator[tuple[str, Tweet]]:
 
     Ids are stripped, a blank reply-to id is None, text goes through `clean_tweet_text`, and
     `inbound` of true, 1 or yes (any case, stripped) marks the customer. Blank rows and
-    tweets whose id or cleaned text is blank are skipped. A header that names a read column
-    twice, a row with more or fewer fields than the header, or a repeated tweet_id is an error.
+    tweets whose id or cleaned text is blank are skipped. A repeated tweet_id is an error,
+    and so is anything `csv_rows` rejects.
     """
     customer, agent = SpeakerRole.CUSTOMER, SpeakerRole.AGENT
-    with open(path, "r", encoding="utf-8", newline="") as fh, _naming_file(path):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(1, "tweet CSV has no header row")
-        missing = [c for c in TWEET_CSV_COLUMNS if c not in header]
-        if missing:
-            raise ParseError(1, f"tweet CSV missing column(s): {', '.join(missing)}")
-        read_columns = ("tweet_id", "inbound", "text", "in_response_to_tweet_id")
-        for column in read_columns:
-            if header.count(column) > 1:
-                raise ParseError(1, f"tweet CSV header names column {column!r} more than once")
-        pick = itemgetter(*(header.index(column) for column in read_columns))
-        width = len(header)
-        first_lines: dict[str, int] = {}
-        for fields in reader:
-            if len(fields) != width:
-                if not fields:
-                    continue
-                raise ParseError(reader.line_num, f"tweet CSV row has {len(fields)} field(s), the header has {width}")
-            tid, inbound, text, parent = pick(fields)
+    first_lines: dict[str, int] = {}
+    with _naming_file(path):
+        for line, (tid, _, inbound, _, text, _, parent) in csv_rows(path, "tweet CSV", TWEET_CSV_COLUMNS):
             tid = tid.strip()
-            if tid and first_lines.setdefault(tid, reader.line_num) != reader.line_num:
-                raise ParseError(reader.line_num, f"duplicate tweet_id {tid!r} (first on line {first_lines[tid]})")
+            if tid and first_lines.setdefault(tid, line) != line:
+                raise ParseError(line, f"duplicate tweet_id {tid!r} (first on line {first_lines[tid]})")
             text = clean_tweet_text(text)
             if tid and text:
                 role = customer if inbound.strip().lower() in _INBOUND_TRUE else agent
@@ -476,25 +498,16 @@ def with_split_file(corpus: Corpus, path: str | Path) -> Corpus:
 
 
 def load_split_csv(path: str | Path) -> dict[str, Split]:
-    """Read a split file: CSV with columns dialog_id, split."""
+    """Read a split file: CSV with columns dialog_id, split, read through `csv_rows`."""
     assignment: dict[str, Split] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh, _naming_file(path):
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"dialog_id", "split"} <= set(reader.fieldnames):
-            raise ParseError(1, "split file must have columns dialog_id, split")
-        for row in reader:
-            if None in row:  # DictReader keeps fields beyond the header under None
-                width = len(reader.fieldnames)
-                fields = width + len(row[None])
-                raise ParseError(reader.line_num, f"split file row has {fields} field(s), the header has {width}")
-            if row["dialog_id"] is None or row["split"] is None:
-                raise ParseError(reader.line_num, "split file row needs both a dialog_id and a split value")
-            did = row["dialog_id"].strip()
+    with _naming_file(path):
+        for line, (did, value) in csv_rows(path, "split file", ("dialog_id", "split")):
+            did = did.strip()
             try:
-                value = Split(row["split"].strip())
+                split = Split(value.strip())
             except ValueError as exc:
-                raise ParseError(reader.line_num, f"unknown split value {row['split']!r}") from exc
+                raise ParseError(line, f"unknown split value {value!r}") from exc
             if did in assignment:
-                raise ParseError(reader.line_num, f"duplicate split assignment for dialog {did!r}")
-            assignment[did] = value
+                raise ParseError(line, f"duplicate split assignment for dialog {did!r}")
+            assignment[did] = split
     return assignment

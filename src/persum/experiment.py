@@ -18,7 +18,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Corpus, GoldSummary, SpeakerRole, Split, _naming_file
+from .corpus import Corpus, GoldSummary, ParseError, SpeakerRole, Split, _naming_file, csv_rows
 from .rng import make_rng
 from .rouge import (
     AggregateCell,
@@ -512,14 +512,14 @@ def _unit_score(text: str) -> float:
     return value
 
 
-def _parse_columns(columns: Sequence[str], parsers, values: Sequence[str]) -> list:
-    """Parse each value with its column's parser; a failure names the column."""
+def _parse_columns(columns: Sequence[str], parsers, values: Sequence[str], line: int) -> list:
+    """Parse each value with its column's parser; a failure names the line and the column."""
     parsed = []
     for column, parse, value in zip(columns, parsers, values):
         try:
             parsed.append(parse(value))
         except ValueError as exc:
-            raise ValueError(f"{column}: {exc}") from None
+            raise ParseError(line, f"{column}: {exc}") from None
     return parsed
 
 
@@ -538,35 +538,23 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
     """
     runs = RunScores()
     run_of: dict[tuple[str, ...], dict[str, tuple[float, ...]]] = {}  # key text -> the run's scores
-    last: dict[str, tuple[list[str], tuple[float, ...]]] = {}  # dialog id -> score text, floats
-    with open(path, "r", encoding="utf-8", newline="") as fh, _naming_file(path):
-        reader = csv.reader(fh)
-        try:
-            if tuple(next(reader, ())) != PER_DIALOG_COLUMNS:
-                raise ValueError(f"per-dialog dump must have columns {', '.join(PER_DIALOG_COLUMNS)}")
-            for record in reader:
-                if len(record) != len(PER_DIALOG_COLUMNS):
-                    if not record:
-                        continue
-                    raise ValueError(f"expected {len(PER_DIALOG_COLUMNS)} fields, got {len(record)}")
-                key_text = tuple(record[1:5])
-                scores = run_of.get(key_text)
-                if scores is None:
-                    key = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, key_text))
-                    scores = run_of[key_text] = runs.runs.setdefault(key, {})
-                did = record[0]
-                if did in scores:
-                    method, perspective, size, seed = key_text
-                    raise ValueError(f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
-                score_text = record[5:]
-                seen = last.get(did)
-                if seen is None or seen[0] != score_text:
-                    seen = last[did] = (score_text, tuple(_parse_columns(_SCORE_COLUMNS, _SCORE_PARSERS, score_text)))
-                scores[did] = seen[1]
-        except UnicodeDecodeError:
-            raise  # _naming_file names the file; the line count is not where the byte is
-        except (ValueError, csv.Error) as exc:
-            raise ExperimentError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
+    last: dict[str, tuple[tuple[str, ...], tuple[float, ...]]] = {}  # dialog id -> score text, floats
+    with _naming_file(path):
+        for line, record in csv_rows(path, "per-dialog dump", PER_DIALOG_COLUMNS):
+            key_text = record[1:5]
+            scores = run_of.get(key_text)
+            if scores is None:
+                key = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, key_text, line))
+                scores = run_of[key_text] = runs.runs.setdefault(key, {})
+            did = record[0]
+            if did in scores:
+                method, perspective, size, seed = key_text
+                raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
+            score_text = record[5:]
+            seen = last.get(did)
+            if seen is None or seen[0] != score_text:
+                seen = last[did] = (score_text, tuple(_parse_columns(_SCORE_COLUMNS, _SCORE_PARSERS, score_text, line)))
+            scores[did] = seen[1]
     return runs
 
 

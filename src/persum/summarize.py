@@ -14,20 +14,14 @@ by the harness before scoring.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Dialog, ParseError, SpeakerRole, _naming_file, encode_json_line
+from .corpus import Dialog, ParseError, SpeakerRole, _naming_file, encode_json_line, json_objects
 from .weaklabel import DEFAULT_MIN_TOKENS, HeuristicKind, select_target
-
-
-class PredictionError(ParseError):
-    """A prediction file violates the expected schema, on line `line` or, when that is None,
-    as a whole."""
 
 
 class Perspective(str, Enum):
@@ -205,7 +199,7 @@ def _optional_text(record: dict, key: str, lineno: int) -> str | None:
     if value is None:
         return None
     if not isinstance(value, str):
-        raise PredictionError(lineno, f"field {key!r} must be a string or null")
+        raise ParseError(lineno, f"field {key!r} must be a string or null")
     return value
 
 
@@ -213,35 +207,27 @@ def parse_predictions(lines: Iterable[str]) -> PredictionSet:
     """Parse prediction JSONL: a header line, then one entry per dialog."""
     header = None
     entries: dict[str, PredictionEntry] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise PredictionError(lineno, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise PredictionError(lineno, "expected a JSON object")
+    for lineno, record in json_objects(lines):
         if header is None:
             try:
                 header = (record["method"], record["training_size"], record["seed"])
             except KeyError as exc:
-                raise PredictionError(lineno, "header must carry method, training_size, seed") from exc
+                raise ParseError(lineno, "header must carry method, training_size, seed") from exc
             if not isinstance(header[0], str) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in header[1:]
             ):
-                raise PredictionError(lineno, "bad header field types")
+                raise ParseError(lineno, "bad header field types")
             continue
         did = record.get("dialog_id")
         if not isinstance(did, str) or not did:
-            raise PredictionError(lineno, "entry missing dialog_id")
+            raise ParseError(lineno, "entry missing dialog_id")
         if did in entries:
-            raise PredictionError(lineno, f"duplicate dialog_id {did!r}")
+            raise ParseError(lineno, f"duplicate dialog_id {did!r}")
         entries[did] = PredictionEntry(
             _optional_text(record, "customer", lineno), _optional_text(record, "agent", lineno)
         )
     if header is None:
-        raise PredictionError(None, "prediction file has no header line")
+        raise ParseError(None, "prediction file has no header line")
     return PredictionSet(method=header[0], training_size=header[1], seed=header[2], entries=entries)
 
 

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persum import Split, read_corpus, write_corpus
 from persum import cli
@@ -194,6 +199,79 @@ def test_byte_that_is_not_utf8_names_file_and_no_line(scored_setup, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("reader", ["tweet-csv", "split", "dump"])
+def test_field_over_the_csv_field_limit_names_file_and_line(scored_setup, tmp_path, capsys, reader):
+    corpus_path, _ = scored_setup
+    long = "x" * 140_000
+    text = {
+        "tweet-csv": KAGGLE_HEADER + kaggle_row("1", True, "hi") + kaggle_row("2", False, long, "1"),
+        "split": f"dialog_id,split\nd00000,train\n{long},test\n",
+        "dump": DUMP_HEADER + "d1,pegasus,customer,0,0,0.5,0.5,0.5,0.5,0.5\n"
+        + f"{long},pegasus,customer,0,1,0.5,0.5,0.5,0.5,0.5\n",
+    }[reader]
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "tweet-csv": ["ingest", "--format", "kaggle-csv", "--input", str(bad), "--output", str(out)],
+        "split": ["split", "--corpus", str(corpus_path), "--split-file", str(bad), "--output", str(out)],
+        "dump": ["report", "--per-dialog", str(bad), "--output", str(out)],
+    }[reader]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}, line 3: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
+# the bytes that CSV syntax turns on, and a field longer than csv's field limit
+CSV_PIECES = ['"', ",", "\n", "x" * 140_000]
+
+
+@pytest.mark.parametrize("reader", ["tweet-csv", "split", "dump"])
+@settings(max_examples=40, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(["insert", "delete", "duplicate"]), st.sampled_from(CSV_PIECES), st.integers(0, 999)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_mutated_csv_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader, edits):
+    """Insert a piece at a position, or delete or duplicate one occurrence of it, in a small
+    valid input; the command then succeeds or fails with a message naming that input."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(synthetic_corpus(random.Random(9), 3), corpus_path)
+    text = {
+        "tweet-csv": KAGGLE_HEADER + kaggle_row("1", True, "my order, it never came")
+        + kaggle_row("2", False, "sorry!", "1"),
+        "split": "dialog_id,split\nd00000,train\nd00001,val\nd00002,test\n",
+        "dump": DUMP_HEADER + "d1,pegasus,customer,0,0,0.5,0.5,0.5,0.25,0.5\n"
+        + '"d,2",pegasus,agent,0,1,1.0,0.0,0.0,0.0,0.0\n',
+    }[reader]
+    for edit, piece, at in edits:
+        starts = [match.start() for match in re.finditer(re.escape(piece), text)]
+        if edit == "insert":
+            at %= len(text) + 1
+            text = text[:at] + piece + text[at:]
+        elif starts:
+            at = starts[at % len(starts)]
+            text = text[:at] + (piece * 2 if edit == "duplicate" else "") + text[at + len(piece):]
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "tweet-csv": ["ingest", "--format", "kaggle-csv", "--input", str(path), "--output", str(out)],
+        "split": ["split", "--corpus", str(corpus_path), "--split-file", str(path), "--output", str(out)],
+        "dump": ["report", "--per-dialog", str(path), "--output", str(out)],
+    }[reader]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert stderr.getvalue().startswith(f"error: {path}")
+
+
 @pytest.mark.parametrize(
     "text, complaint",
     [('{"method": "pegasus", "training_size": 0, "seed": 0}\n{"dialog_id": "d1", "customer": 5}\n',
@@ -216,9 +294,12 @@ def test_prediction_file_error_names_file(scored_setup, tmp_path, capsys, text, 
     [
         ("dialog_id,split\nd0,train\nd1,test\n\nd0,val\n", "line 5: duplicate split assignment for dialog 'd0'"),
         ("dialog_id,split\nd0,dev\n", "line 2: unknown split value 'dev'"),
-        ("id,split\nd0,dev\n", "line 1: split file must have columns dialog_id, split"),
+        ("id,split\nd0,dev\n", "line 1: split file missing column(s): dialog_id"),
+        ("dialog_id,split,split\nd0,train,test\n", "line 1: split file header names column 'split' more than once"),
+        ("dialog_id,split,dialog_id\nd0,train,d1\n",
+         "line 1: split file header names column 'dialog_id' more than once"),
     ],
-    ids=["duplicate-id", "bad-split", "bad-header"],
+    ids=["duplicate-id", "bad-split", "bad-header", "split-twice", "dialog-id-twice"],
 )
 def test_split_file_error_names_file_and_line(tmp_path, capsys, text, complaint):
     corpus = synthetic_corpus(random.Random(9), 3)
@@ -361,6 +442,16 @@ def test_rate_curve_predictions_with_corpus_or_method_is_a_usage_error(tmp_path,
             "--output", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err.endswith("error: --predictions is not allowed with --corpus or --method\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source", [[], ["--corpus", "absent.jsonl"], ["--method", "lead_base"]], ids=["none", "corpus-only", "method-only"]
+)
+def test_rate_curve_without_a_source_is_a_usage_error(tmp_path, capsys, source):
+    out = tmp_path / "rates.csv"
+    assert main(["rate-curve", *source, "--perspective", "customer", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "persum rate-curve: error: give either --predictions or --corpus with --method\n"
     assert not out.exists()
 
 
@@ -766,7 +857,7 @@ DUMP_HEADER = "dialog_id,method,perspective,size,seed,r1_p,r1_r,r1_f,r2_f,rl_f\n
 @pytest.mark.parametrize(
     "row, complaint",
     [
-        ("d1,pegasus,customer,0,0,0.5,0.5\n", "expected 10 fields, got 7"),
+        ("d1,pegasus,customer,0,0,0.5,0.5\n", "per-dialog dump row has 7 field(s), the header has 10"),
         ("d1,pegasus,customer,0,0,0.5,0.5,abc,0.5,0.5\n", "r1_f: could not convert string to float: 'abc'"),
         ("d1,pegasus,speaker,0,0,0.5,0.5,0.5,0.5,0.5\n", "perspective: 'speaker' is not a valid Perspective"),
         ("d1,pegasus,customer,1.5,0,0.5,0.5,0.5,0.5,0.5\n", "size: invalid literal for int()"),
@@ -781,6 +872,14 @@ def test_report_names_file_and_line_of_a_malformed_dump_row(tmp_path, capsys, ro
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {dump}, line 2: {complaint}")
+    assert not (tmp_path / "report.md").exists()
+
+
+def test_report_on_a_dump_without_rows_names_the_file(tmp_path, capsys):
+    dump = tmp_path / "empty.csv"
+    dump.write_text(DUMP_HEADER + "\n", encoding="utf-8")
+    assert main(["report", "--per-dialog", str(dump), "--output", str(tmp_path / "report.md")]) == 2
+    assert capsys.readouterr().err == f"error: {dump}: per-dialog dump is empty\n"
     assert not (tmp_path / "report.md").exists()
 
 
@@ -920,7 +1019,7 @@ def test_split_command_rejects_split_file_row_without_value(tmp_path, capsys):
     split_file.write_text("dialog_id,split\nd0\n", encoding="utf-8")
     code = main(["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--split-file", str(split_file)])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {split_file}, line 2: split file row needs both a dialog_id and a split value\n"
+    assert capsys.readouterr().err == f"error: {split_file}, line 2: split file row has 1 field(s), the header has 2\n"
 
 
 def test_split_command_rejects_split_file_row_with_extra_field(tmp_path, capsys):

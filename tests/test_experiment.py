@@ -13,6 +13,7 @@ from persum import (
     ExperimentConfig,
     ExperimentError,
     MissingCellsError,
+    ParseError,
     Perspective,
     SpeakerRole,
     Split,
@@ -438,7 +439,7 @@ ROW = "d1,pegasus,customer,0,0,0.5,0.5,0.5,0.25,0.5\n"
     [
         ("d1,pegasus,customer,0,1,0.5,0.5,0.5,1.5,0.5\n", "r2_f: '1.5' is not a score in [0, 1]"),
         ("d1,pegasus,customer,0,1,0.5,0.5,0.5,abc,0.5\n", "r2_f: could not convert string to float: 'abc'"),
-        ("d1,pegasus,customer,0,1,0.5,0.5,0.5,0.25,0.5,0.5\n", "expected 10 fields, got 11"),
+        ("d1,pegasus,customer,0,1,0.5,0.5,0.5,0.25,0.5,0.5\n", "per-dialog dump row has 11 field(s), the header has 10"),
         ("d1,pegasus,speaker,0,1,0.5,0.5,0.5,0.25,0.5\n", "perspective: 'speaker' is not a valid Perspective"),
         ("d1,pegasus,customer,x,1,0.5,0.5,0.5,0.25,0.5\n", "size: invalid literal for int()"),
         ("d1,pegasus,customer,0,1.0,0.5,0.5,0.5,0.25,0.5\n", "seed: invalid literal for int()"),
@@ -448,7 +449,7 @@ ROW = "d1,pegasus,customer,0,0,0.5,0.5,0.5,0.25,0.5\n"
 def test_dump_row_after_its_dialog_is_checked_on_its_own(tmp_path, row, complaint):
     path = tmp_path / "dump.csv"
     path.write_text(plain_dump([]) + ROW + ROW.replace(",0,0,", ",16,0,") + row, encoding="utf-8")
-    with pytest.raises(ExperimentError) as exc_info:
+    with pytest.raises(ParseError) as exc_info:
         read_per_dialog_csv(path)
     assert str(exc_info.value).startswith(f"{path}, line 4: {complaint}")
 

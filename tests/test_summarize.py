@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from persum import (
     CandidateSummary,
     HeuristicKind,
+    ParseError,
     Perspective,
-    PredictionError,
     SpeakerRole,
     make_dialog,
     post_process,
@@ -242,30 +242,30 @@ def test_parse_predictions_duplicate_id():
         '{"dialog_id": "d1", "customer": "a", "agent": "b"}',
         '{"dialog_id": "d1", "customer": "c", "agent": "d"}',
     ]
-    with pytest.raises(PredictionError, match="duplicate"):
+    with pytest.raises(ParseError, match="duplicate"):
         parse_predictions(lines)
 
 
 def test_parse_predictions_requires_header():
-    with pytest.raises(PredictionError):
+    with pytest.raises(ParseError):
         parse_predictions(['{"dialog_id": "d1", "customer": "a", "agent": null}'])
-    with pytest.raises(PredictionError):
+    with pytest.raises(ParseError):
         parse_predictions([])
 
 
 def test_parse_predictions_rejects_bad_types():
-    with pytest.raises(PredictionError):
+    with pytest.raises(ParseError):
         parse_predictions(['{"method": "m", "training_size": true, "seed": 0}'])
     lines = [
         '{"method": "m", "training_size": 16, "seed": 0}',
         '{"dialog_id": "d1", "customer": 5, "agent": null}',
     ]
-    with pytest.raises(PredictionError):
+    with pytest.raises(ParseError):
         parse_predictions(lines)
 
 
 def test_parse_predictions_bad_json_line():
-    with pytest.raises(PredictionError, match="line 2"):
+    with pytest.raises(ParseError, match="line 2"):
         parse_predictions(['{"method": "m", "training_size": 1, "seed": 0}', "{oops"])
 
 
