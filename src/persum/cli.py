@@ -236,7 +236,7 @@ def cmd_weaklabel(args) -> int:
     corpus = read_corpus(args.corpus)
     exclude: set[str] = set()
     if args.exclude:
-        with open(args.exclude, "r", encoding="utf-8") as fh, _naming_file(args.exclude):
+        with open(args.exclude, "r", encoding="utf-8-sig") as fh, _naming_file(args.exclude):
             exclude = {line.strip() for line in fh if line.strip()}
     role, heuristic = SpeakerRole(args.perspective), HeuristicKind(args.heuristic)
     pairs, report = weaklabel_corpus(corpus, role, heuristic, args.masked, exclude, args.min_tokens)

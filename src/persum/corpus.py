@@ -59,15 +59,15 @@ def _naming_file(path: str | Path) -> Iterator[None]:
 
 
 def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (line, values) for each row after the header of the CSV (RFC 4180, UTF-8) at
-    `path` that is not blank, `values` being the row's fields under `columns` (two or more),
-    in that order.
+    """Yield (line, values) for each row after the header of the CSV (RFC 4180, UTF-8, a
+    leading byte-order mark skipped) at `path` that is not blank, `values` being the row's
+    fields under `columns` (two or more), in that order.
 
     The header must name each of `columns` once, and every row must have as many fields as
     the header. Errors are ParseErrors whose messages start with `what`; the caller names
     the file with `_naming_file`.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -293,7 +293,7 @@ def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
 
 
 def read_corpus(path: str | Path) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh, _naming_file(path):
+    with open(path, "r", encoding="utf-8-sig") as fh, _naming_file(path):
         return parse_dialog_corpus(fh)
 
 

@@ -634,6 +634,7 @@ _CONFIG_SCHEMA: dict[str, type | list[type]] = {
     "predictions": [str],
 }
 _REQUIRED_CONFIG_KEYS = ("methods", "perspectives")
+_PATH_CONFIG_KEYS = ("corpus", "split", "predictions")
 _KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
 
 
@@ -657,6 +658,11 @@ def parse_config(document: dict) -> tuple[ExperimentConfig, ConfigPaths]:
                 raise ExperimentError(f"config key {key!r} must be a list of {kind[0].__name__} values, got {value!r}")
         elif not _is_a(document[key], kind):
             raise ExperimentError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {document[key]!r}")
+    for key in _PATH_CONFIG_KEYS:
+        value = document.get(key) or []
+        for name in [value] if isinstance(value, str) else value:
+            if "\0" in name:  # open() would refuse it without naming the config
+                raise ExperimentError(f"config key {key!r} must not contain a NUL character, got {name!r}")
     values = dict(document)
     try:
         values["perspectives"] = [Perspective(p) for p in document["perspectives"]]
@@ -673,7 +679,7 @@ def parse_config(document: dict) -> tuple[ExperimentConfig, ConfigPaths]:
     if "sizes" in document:
         values["sizes"] = tuple(document["sizes"])
     prefixes = {role: values.pop(f"prefix_{role}") for role in ("customer", "agent") if f"prefix_{role}" in values}
-    paths = ConfigPaths(**{key: values.pop(key) for key in ("corpus", "split", "predictions") if key in values})
+    paths = ConfigPaths(**{key: values.pop(key) for key in _PATH_CONFIG_KEYS if key in values})
     config = ExperimentConfig(prefixes=PrefixConfig(**prefixes), **values)
     config.validate()
     return config, paths
@@ -684,7 +690,7 @@ def load_config_file(path: str | Path) -> tuple[ExperimentConfig, ConfigPaths]:
     error about its contents starts with its path."""
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh, _naming_file(path):
+        with open(path, "r", encoding="utf-8-sig") as fh, _naming_file(path):
             document = json.load(fh)
         if not isinstance(document, dict):
             raise ExperimentError("expected a JSON object")

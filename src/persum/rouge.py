@@ -28,12 +28,31 @@ class TokenizerConfig:
 DEFAULT_TOKENIZER = TokenizerConfig()
 
 
+_TABLE_CAP = 65_536
+
+
+class _AlnumOrSpace(dict):
+    """A str.translate table that keeps an alphanumeric code point and maps any other to
+    a space. It learns each code point on first sight and stops learning at _TABLE_CAP
+    entries, so text spanning many scripts cannot grow it without bound (every code
+    point would take 1.1 M entries and 74 MB)."""
+
+    def __missing__(self, cp: int) -> int:
+        kept = cp if chr(cp).isalnum() else 32
+        if len(self) < _TABLE_CAP:
+            self[cp] = kept
+        return kept
+
+
+_ALNUM_OR_SPACE = _AlnumOrSpace()
+
+
 def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
     """Lowercase, replace non-alphanumeric characters by spaces, split, stem."""
     if config.lowercase:
         text = text.lower()
     if config.strip_non_alnum:
-        text = "".join(ch if ch.isalnum() else " " for ch in text)
+        text = text.translate(_ALNUM_OR_SPACE)
     tokens = text.split()
     if config.stemming:
         tokens = [_porter.stem(t) for t in tokens]

@@ -233,7 +233,7 @@ def parse_predictions(lines: Iterable[str]) -> PredictionSet:
 
 def load_predictions(path: str | Path) -> PredictionSet:
     """Read a prediction file; every error names the file, and the line where there is one."""
-    with open(path, "r", encoding="utf-8") as fh, _naming_file(path):
+    with open(path, "r", encoding="utf-8-sig") as fh, _naming_file(path):
         return parse_predictions(fh)
 
 

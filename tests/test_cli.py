@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,53 @@ def test_byte_that_is_not_utf8_names_file_and_no_line(scored_setup, tmp_path, ca
     assert not out.exists()
 
 
+def _written(out):
+    """The bytes under an output file or directory, by relative name."""
+    if out.is_file():
+        return {"": out.read_bytes()}
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("reader", ["config", "split", "tweet-csv", "corpus", "predictions", "dump", "exclude"])
+def test_input_with_a_byte_order_mark_reads_as_without(scored_setup, kaggle_csv, tmp_path, capsys, reader):
+    corpus_path, config_path = scored_setup
+    corpus = read_corpus(corpus_path)
+    pegasus_config = tmp_path / "pegasus.json"
+    pegasus_config.write_text(json.dumps(
+        {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1, "corpus": str(corpus_path)}
+    ), encoding="utf-8")
+    predictions = _prediction_file(tmp_path / "p.jsonl", "pegasus", corpus.dialog_ids(Split.TEST))
+    text = {
+        "config": config_path.read_text(encoding="utf-8"),
+        "split": "dialog_id,split\n" + "".join(f"{did},{split.value}\n" for did, split in corpus.split.items()),
+        "tweet-csv": kaggle_csv.read_text(encoding="utf-8"),
+        "corpus": corpus_path.read_text(encoding="utf-8"),
+        "predictions": Path(predictions).read_text(encoding="utf-8"),
+        "dump": DUMP_HEADER + "d1,pegasus,customer,0,0,0.5,0.5,0.5,0.25,0.5\n"
+        + "d2,pegasus,customer,0,1,1.0,0.0,0.0,0.0,0.0\n",
+        "exclude": "d00000\nd00003\n",
+    }[reader]
+    outputs = []
+    for mark in ("", "\ufeff"):
+        src, out = tmp_path / f"input{len(mark)}.txt", tmp_path / f"out{len(mark)}"
+        src.write_text(mark + text, encoding="utf-8")
+        argv = {
+            "config": ["score", "--config", str(src), "--output-dir", str(out)],
+            "split": ["split", "--corpus", str(corpus_path), "--split-file", str(src), "--output", str(out)],
+            "tweet-csv": ["ingest", "--format", "kaggle-csv", "--input", str(src), "--output", str(out)],
+            "corpus": ["ingest", "--format", "dialog-jsonl", "--input", str(src), "--output", str(out)],
+            "predictions": ["score", "--config", str(pegasus_config), "--predictions", str(src),
+                            "--output-dir", str(out)],
+            "dump": ["report", "--per-dialog", str(src), "--output", str(out)],
+            "exclude": ["weaklabel", "--corpus", str(corpus_path), "--perspective", "agent", "--heuristic", "long",
+                        "--exclude", str(src), "--output", str(out)],
+        }[reader]
+        assert main(argv) == 0
+        outputs.append(_written(out))
+    assert outputs[0] and outputs[1] == outputs[0]
+    assert "error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("reader", ["tweet-csv", "split", "dump"])
 def test_field_over_the_csv_field_limit_names_file_and_line(scored_setup, tmp_path, capsys, reader):
     corpus_path, _ = scored_setup
@@ -224,20 +272,45 @@ def test_field_over_the_csv_field_limit_names_file_and_line(scored_setup, tmp_pa
 
 # the bytes that CSV syntax turns on, and a field longer than csv's field limit
 CSV_PIECES = ['"', ",", "\n", "x" * 140_000]
+# the bytes that JSON syntax turns on, a null, a number that overflows a float, and NUL
+JSON_PIECES = ['"', ",", ":", "{", "}", "[", "]", "\n", "null", "1e400", "\u0000"]
+
+
+def _edits(pieces):
+    return st.lists(
+        st.tuples(st.sampled_from(["insert", "delete", "duplicate"]), st.sampled_from(pieces), st.integers(0, 999)),
+        min_size=1,
+        max_size=4,
+    )
+
+
+def _mutated(text, edits):
+    """Insert a piece at a position, or delete or duplicate one occurrence of it."""
+    for edit, piece, at in edits:
+        starts = [match.start() for match in re.finditer(re.escape(piece), text)]
+        if edit == "insert":
+            at %= len(text) + 1
+            text = text[:at] + piece + text[at:]
+        elif starts:
+            at = starts[at % len(starts)]
+            text = text[:at] + (piece * 2 if edit == "duplicate" else "") + text[at + len(piece):]
+    return text
+
+
+def _quiet_main(argv):
+    """main(argv) with stdout dropped; returns the exit code and stderr."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
 
 
 @pytest.mark.parametrize("reader", ["tweet-csv", "split", "dump"])
 @settings(max_examples=40, deadline=None)
-@given(
-    edits=st.lists(
-        st.tuples(st.sampled_from(["insert", "delete", "duplicate"]), st.sampled_from(CSV_PIECES), st.integers(0, 999)),
-        min_size=1,
-        max_size=4,
-    )
-)
+@given(edits=_edits(CSV_PIECES))
 def test_mutated_csv_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader, edits):
-    """Insert a piece at a position, or delete or duplicate one occurrence of it, in a small
-    valid input; the command then succeeds or fails with a message naming that input."""
+    """A small valid input, mutated, makes the command succeed or fail with a message
+    naming that input."""
     tmp_path = tmp_path_factory.mktemp("fuzz")
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus(synthetic_corpus(random.Random(9), 3), corpus_path)
@@ -248,28 +321,58 @@ def test_mutated_csv_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader
         "dump": DUMP_HEADER + "d1,pegasus,customer,0,0,0.5,0.5,0.5,0.25,0.5\n"
         + '"d,2",pegasus,agent,0,1,1.0,0.0,0.0,0.0,0.0\n',
     }[reader]
-    for edit, piece, at in edits:
-        starts = [match.start() for match in re.finditer(re.escape(piece), text)]
-        if edit == "insert":
-            at %= len(text) + 1
-            text = text[:at] + piece + text[at:]
-        elif starts:
-            at = starts[at % len(starts)]
-            text = text[:at] + (piece * 2 if edit == "duplicate" else "") + text[at + len(piece):]
     path = tmp_path / "input.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(_mutated(text, edits), encoding="utf-8")
     out = tmp_path / "out"
     argv = {
         "tweet-csv": ["ingest", "--format", "kaggle-csv", "--input", str(path), "--output", str(out)],
         "split": ["split", "--corpus", str(corpus_path), "--split-file", str(path), "--output", str(out)],
         "dump": ["report", "--per-dialog", str(path), "--output", str(out)],
     }[reader]
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+    code, stderr = _quiet_main(argv)
     assert code in (0, 2)
     if code == 2:
-        assert stderr.getvalue().startswith(f"error: {path}")
+        assert stderr.startswith(f"error: {path}")
+
+
+@pytest.mark.parametrize("reader", ["corpus", "predictions", "config"])
+@settings(max_examples=40, deadline=None)
+@given(edits=_edits(JSON_PIECES))
+def test_mutated_jsonl_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader, edits):
+    """A small valid corpus, prediction file or config, mutated, makes the command succeed
+    or fail with a message; a corpus or prediction file is named in it, except that a
+    mutated prediction header may leave the configured cell without predictions."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    # five test dialogs: four edits that keep the JSON valid cannot take every prediction away
+    corpus = synthetic_corpus(random.Random(9), 12, with_gold=True, with_split=True, train_fraction=0.2)
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, corpus_path)
+    config = {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1,
+              "corpus": str(corpus_path)}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    predictions = _prediction_file(tmp_path / "predictions.jsonl", "pegasus", corpus.dialog_ids(Split.TEST))
+    text = {
+        "corpus": _record("d1", gold={"customer": "hi", "agent": "x"}, split="test") + "\n"
+        + _record("d2", split="train") + "\n",
+        "predictions": Path(predictions).read_text(encoding="utf-8"),
+        "config": json.dumps({**config, "predictions": [predictions]}),
+    }[reader]
+    path = tmp_path / "input.jsonl"
+    path.write_text(_mutated(text, edits), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "corpus": ["ingest", "--format", "dialog-jsonl", "--input", str(path), "--output", str(out)],
+        "predictions": ["score", "--config", str(config_path), "--predictions", str(path), "--output-dir", str(out)],
+        "config": ["score", "--config", str(path), "--output-dir", str(out)],
+    }[reader]
+    code, stderr = _quiet_main(argv)
+    assert code in (0, 2)
+    if code == 2 and reader != "config":
+        error = stderr.splitlines()[-1]  # after any warnings
+        if not error.startswith(f"error: {path}"):
+            assert reader == "predictions" and error.startswith("error: missing prediction cells: "), stderr
+            assert path.read_text(encoding="utf-8").split("\n")[0] != text.split("\n")[0], "header unchanged"
 
 
 @pytest.mark.parametrize(
@@ -351,9 +454,13 @@ def test_split_file_that_does_not_match_the_corpus_names_file(tmp_path, capsys, 
         ({"typo": 1}, "unknown config key(s): typo"),
         ("[1, 2]", "expected a JSON object"),
         ("{oops", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ({"corpus": "c\u0000.jsonl"}, "config key 'corpus' must not contain a NUL character, got 'c\\x00.jsonl'"),
+        ({"split": "\u0000"}, "config key 'split' must not contain a NUL character, got '\\x00'"),
+        ({"predictions": ["p.jsonl", "q\u0000"]},
+         "config key 'predictions' must not contain a NUL character, got 'q\\x00'"),
     ],
     ids=["n-seeds-zero", "n-seeds-string", "min-tokens-zero-lead", "min-tokens-negative-long", "no-perspective",
-         "unknown-key", "not-an-object", "bad-json"],
+         "unknown-key", "not-an-object", "bad-json", "nul-in-corpus", "nul-in-split", "nul-in-predictions"],
 )
 def test_config_error_names_config_file(scored_setup, tmp_path, capsys, setting, complaint):
     corpus_path, _ = scored_setup

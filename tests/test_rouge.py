@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import statistics
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from persum import rouge
 from persum.rouge import (
     TokenizerConfig,
     aggregate,
@@ -18,7 +20,7 @@ from persum.rouge import (
     score_tokens,
     tokenize,
 )
-from util import VOCAB, naive_lcs_prf, naive_ngram_prf, random_token_list
+from util import VOCAB, naive_lcs_prf, naive_ngram_prf, naive_tokenize, random_token_list
 
 CAND = "the cat on mat".split()
 REF = "the cat sat on the mat".split()
@@ -44,6 +46,37 @@ def test_tokenize_stemming_collapses_inflections():
     config = TokenizerConfig(stemming=True)
     assert tokenize("connection connections connecting connected", config) == ["connect"] * 4
     assert tokenize("ponies caresses hopping", config) == ["poni", "caress", "hop"]
+
+
+ALL_TOKENIZERS = [TokenizerConfig(*flags) for flags in itertools.product((True, False), repeat=3)]
+
+
+@given(st.text())
+def test_tokenize_equals_naive_oracle(text):
+    for config in ALL_TOKENIZERS:
+        assert tokenize(text, config) == naive_tokenize(text, config)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["ΟΔΟΣ ΟΔΟΣ.", "İstanbul", "Straße", "e\u0301", "\u00a0\u2028\u3000", "x²①٣", "thumbs 👍🏽 up"],
+    ids=["final-sigma", "dotted-capital-i", "sharp-s", "combining-accent", "unicode-spaces", "digits", "emoji"],
+)
+def test_tokenize_equals_naive_oracle_on_unicode_edge_cases(text):
+    for config in ALL_TOKENIZERS:
+        assert tokenize(text, config) == naive_tokenize(text, config)
+
+
+def test_tokenize_equals_naive_oracle_on_every_bmp_code_point():
+    text = "".join(map(chr, range(0x10000)))
+    for config in ALL_TOKENIZERS:
+        assert tokenize(text, config) == naive_tokenize(text, config)
+
+
+def test_tokenize_table_stops_growing_at_its_cap():
+    text = "".join(map(chr, range(0x110000)))
+    assert tokenize(text) == naive_tokenize(text, TokenizerConfig())
+    assert len(rouge._ALNUM_OR_SPACE) <= 65_536
 
 
 def test_rouge_n_identity():

@@ -10,8 +10,9 @@ import csv
 import random
 import re
 
-from persum import Corpus, Dialog, GoldSummary, SpeakerRole, Split, make_dialog
+from persum import Corpus, Dialog, GoldSummary, SpeakerRole, Split, _porter, make_dialog
 from persum.corpus import TWEET_CSV_COLUMNS, Tweet
+from persum.rouge import TokenizerConfig
 
 VOCAB = ("alpha", "bravo", "charlie", "delta", "echo")
 
@@ -166,6 +167,19 @@ def naive_lcs_prf(cand: list[str], ref: list[str]) -> tuple[float, float, float]
 
 def random_token_list(rand: random.Random, max_len: int = 12) -> list[str]:
     return [rand.choice(VOCAB) for _ in range(rand.randint(0, max_len))]
+
+
+def naive_tokenize(text: str, config: TokenizerConfig) -> list[str]:
+    """rouge.tokenize one character at a time: each character is kept when it is
+    alphanumeric and becomes a space otherwise."""
+    if config.lowercase:
+        text = text.lower()
+    if config.strip_non_alnum:
+        text = "".join(ch if ch.isalnum() else " " for ch in text)
+    tokens = text.split()
+    if config.stemming:
+        tokens = [_porter.stem(t) for t in tokens]
+    return tokens
 
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
