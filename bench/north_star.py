@@ -7,9 +7,11 @@ perfbench/gen.py at its fixed seed: 2 200 test dialogs (22 000 in all), the
 methods lead_post_process_base, long_post_process_base,
 lead_long_post_process_base and pegasus, and pegasus's 40 prediction files.
 `--small` uses 220 test dialogs. Each command runs `--repeat` times, each time
-in a fresh interpreter that imports persum from this checkout's src/ and reads
-its own peak RSS (RUSAGE_SELF). The result goes to bench/BENCH_<NAME>.json:
-per command the median and every run of wall seconds and peak RSS; for
+in a fresh interpreter that imports persum from this checkout's src/, times
+that import (`from persum.cli import main`, before anything but sys and time is
+imported) and reads its own peak RSS (RUSAGE_SELF). The result goes to
+bench/BENCH_<NAME>.json: per command the median and every run of wall
+seconds, import seconds and peak RSS; for
 `score` also its stderr line count, dump rows and bytes, and the dump and
 report sha256; for `report` its report's sha256. Every repeat must write the
 same bytes and stderr line count as the first, or the script exits 1.
@@ -36,19 +38,23 @@ import gen  # noqa: E402
 
 METHODS = ["lead_post_process_base", "long_post_process_base", "lead_long_post_process_base", "pegasus"]
 
-# Runs one persum subcommand in this fresh interpreter and prints its wall time, peak RSS
-# and stderr line count as JSON; argv: SRC_DIR, then the subcommand's arguments.
+# Runs one persum subcommand in this fresh interpreter and prints its import time, wall
+# time, peak RSS and stderr line count as JSON; argv: SRC_DIR, then the subcommand's arguments.
 CHILD = """
-import contextlib, io, json, resource, sys, time
+import sys, time
+start = time.perf_counter()
 sys.path.insert(0, sys.argv[1])
 from persum.cli import main
+import_s = time.perf_counter() - start
+import contextlib, io, json, resource
 out, err = io.StringIO(), io.StringIO()
 start = time.perf_counter()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = main(sys.argv[2:])
 wall = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": rss, "stderr_lines": len(err.getvalue().splitlines())}))
+print(json.dumps({"code": code, "import_s": import_s, "wall_s": wall, "peak_rss_mb": rss,
+                  "stderr_lines": len(err.getvalue().splitlines())}))
 """
 
 
@@ -82,11 +88,13 @@ def sha256(path: Path) -> str:
 
 
 def summary(runs: list[dict]) -> dict:
-    walls, rss = [r["wall_s"] for r in runs], [r["peak_rss_mb"] for r in runs]
+    walls, imports, rss = ([r[key] for r in runs] for key in ("wall_s", "import_s", "peak_rss_mb"))
     return {
         "wall_s": statistics.median(walls),
+        "import_s": statistics.median(imports),
         "peak_rss_mb": statistics.median(rss),
         "wall_s_runs": walls,
+        "import_s_runs": imports,
         "peak_rss_mb_runs": rss,
     }
 

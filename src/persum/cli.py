@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
 from pathlib import Path
 
 from .corpus import (
@@ -31,8 +30,8 @@ from .corpus import (
     write_corpus,
 )
 from .experiment import (
+    DEFAULT_N_SEEDS,
     DEFAULT_SIZES,
-    ExperimentConfig,
     ExperimentError,
     check_sizes,
     emit_report,
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="corpus JSONL with split assignment")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--sizes", type=_sizes, default=DEFAULT_SIZES)
-    p.add_argument("--seeds", type=_int_at_least(1), default=ExperimentConfig.n_seeds, help="number of seeds (0..N-1)")
+    p.add_argument("--seeds", type=_int_at_least(1), default=DEFAULT_N_SEEDS, help="number of seeds (0..N-1)")
     p.add_argument("--cap-to-population", action="store_true")
     p.set_defaults(func=cmd_subsets)
 
@@ -193,10 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _prefixes_from_args(args, base: PrefixConfig = PrefixConfig()) -> PrefixConfig:
     """--prefix-customer/--prefix-agent where given, else the prefixes of `base`."""
-    return PrefixConfig(
-        customer=args.prefix_customer if args.prefix_customer is not None else base.customer,
-        agent=args.prefix_agent if args.prefix_agent is not None else base.agent,
-    )
+    given = {"customer": args.prefix_customer, "agent": args.prefix_agent}
+    return base._replace(**{role: prefix for role, prefix in given.items() if prefix is not None})
 
 
 def _test_dialogs(corpus: Corpus):
@@ -210,7 +207,7 @@ def cmd_ingest(args) -> int:
     if args.format == "kaggle-csv":
         dialogs, report = reconstruct_threads(read_tweet_csv(args.input))
         corpus = Corpus(dialogs)
-        for key, value in asdict(report).items():
+        for key, value in report._asdict().items():
             if value:
                 print(f"warning: {key}: {value}", file=sys.stderr)
     else:
@@ -241,7 +238,7 @@ def cmd_weaklabel(args) -> int:
     role, heuristic = SpeakerRole(args.perspective), HeuristicKind(args.heuristic)
     pairs, report = weaklabel_corpus(corpus, role, heuristic, args.masked, exclude, args.min_tokens)
     write_weak_pairs(pairs, args.output, role, heuristic, args.masked)
-    coverage = encode_json_line(asdict(report))
+    coverage = encode_json_line(report._asdict())
     print(coverage)
     if args.coverage:
         Path(args.coverage).write_text(coverage + "\n", encoding="utf-8")
@@ -280,13 +277,7 @@ def cmd_summarize(args) -> int:
             if cand is None:
                 skipped += 1
                 continue
-            record = {
-                "dialog_id": dialog.id,
-                "perspective": perspective.value,
-                "method": spec.name,
-                "text": cand.text,
-                "post_processed": cand.post_processed,
-            }
+            record = {"dialog_id": dialog.id, "perspective": perspective.value, "method": spec.name, **cand._asdict()}
             fh.write(encode_json_line(record) + "\n")
             produced += 1
     print(f"candidates: {produced} skipped: {skipped}")
@@ -300,9 +291,8 @@ def _print_warnings(messages: list[str]) -> None:
 
 def cmd_score(args) -> int:
     config, paths = load_config_file(args.config)
-    config.prefixes = _prefixes_from_args(args, config.prefixes)
-    if args.strict_missing:
-        config.strict_missing = True
+    prefixes = _prefixes_from_args(args, config.prefixes)
+    config = config._replace(prefixes=prefixes, strict_missing=config.strict_missing or args.strict_missing)
     corpus_path = args.corpus or paths.corpus
     if not corpus_path:
         raise ExperimentError("no corpus given: pass --corpus or set 'corpus' in the config")
@@ -403,10 +393,7 @@ def main(argv=None) -> int:
         name = exc.filename if exc.filename else exc
         print(f"error: file not found: {name}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -19,7 +19,6 @@ import math
 import re
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
@@ -47,15 +46,34 @@ class ParseError(CorpusError):
 def _naming_file(path: str | Path) -> Iterator[None]:
     """Re-raise errors from reading `path` as "<path>, line N: ..." or "<path>: ...".
 
-    A byte that is not UTF-8 is named without a line: the decoder reads ahead in blocks,
-    so a reader's line count is not where the byte is.
+    A byte that is not UTF-8 is named by the line and file offset `_undecodable_byte` finds.
     """
     try:
         yield
     except ParseError as exc:
         raise type(exc)(exc.line, exc.detail, path) from exc
-    except (CorpusError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise _undecodable_byte(path) or CorpusError(f"{path}: {exc}") from exc
+    except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
+
+
+def _undecodable_byte(path: str | Path) -> ParseError | None:
+    """The first byte of the file at `path` that is not UTF-8, as a ParseError naming its
+    line and file offset (the decoder that failed knew only its place in a block it read
+    ahead), or None when every byte is. A line ends at LF, CR LF or a lone CR, as in text mode."""
+    offset = line = 0
+    with open(path, "rb") as fh:
+        for raw in fh:  # LF is no byte of a multi-byte character, so each line decodes alone
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as error:
+                line += 1 + raw.count(b"\r", 0, error.start) - raw.count(b"\r\n", 0, error.start)
+                at, byte = offset + error.start, raw[error.start]
+                return ParseError(line, f"'utf-8' codec can't decode byte 0x{byte:02x} at offset {at}: {error.reason}", path)
+            line += 1 + raw.count(b"\r") - raw.count(b"\r\n")
+            offset += len(raw)
+    return None
 
 
 def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -93,7 +111,7 @@ def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tu
 
 def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """Yield (line, object) for each line of JSONL `lines` that is not blank; a line that is
-    not JSON, or not a JSON object, is a ParseError."""
+    not JSON, not a JSON object, or escapes a lone surrogate is a ParseError."""
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
@@ -103,7 +121,23 @@ def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
             raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
         if not isinstance(record, dict):
             raise ParseError(lineno, "expected a JSON object")
+        if "\\u" in raw:
+            reject_lone_surrogates(raw, lineno)
         yield lineno, record
+
+
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def reject_lone_surrogates(text: str, first_line: int = 1) -> None:
+    """Raise a ParseError at the line of `text` (valid JSON from `first_line` on; no string spans
+    lines) where a string escapes half a surrogate pair alone ("\\ud800"), which UTF-8 cannot hold."""
+    for lineno, line in enumerate(text.split("\n"), start=first_line):
+        for literal in _JSON_STRING.findall(line):
+            found = _SURROGATE.search(json.loads(literal))
+            if found:
+                raise ParseError(lineno, f"JSON string escapes a lone surrogate (\\u{ord(found.group()):04x})")
 
 
 class SpeakerRole(str, Enum):
@@ -151,20 +185,19 @@ class Utterance(_UtteranceFields):
         return Utterance(**{"role": self.role, "text": self.text, **changes})
 
 
-@dataclass(frozen=True)
-class Dialog:
+class Dialog(NamedTuple):
+    """A dialog id and its utterances, at least one; make_dialog checks that."""
+
     id: str
     utterances: tuple[Utterance, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "utterances", tuple(self.utterances))
-        if not self.utterances:
-            raise CorpusError(f"dialog {self.id!r} has no utterances")
-
 
 def make_dialog(dialog_id: str, turns: Sequence[tuple[SpeakerRole, str]]) -> Dialog:
-    """Build a Dialog from (role, text) pairs."""
-    return Dialog(dialog_id, tuple(Utterance(role, text) for role, text in turns))
+    """Build a Dialog from (role, text) pairs, of which there must be at least one."""
+    utterances = tuple(Utterance(role, text) for role, text in turns)
+    if not utterances:
+        raise CorpusError(f"dialog {dialog_id!r} has no utterances")
+    return Dialog(dialog_id, utterances)
 
 
 class GoldSummary(NamedTuple):
@@ -175,8 +208,9 @@ class GoldSummary(NamedTuple):
     agent_part: str
 
 
-@dataclass
-class Corpus:
+class Corpus(NamedTuple):
+    """Dialogs in corpus order; gold summaries and split by dialog id, when known. Immutable."""
+
     dialogs: list[Dialog]
     gold: dict[str, GoldSummary] | None = None
     split: dict[str, Split] | None = None
@@ -322,8 +356,7 @@ def clean_tweet_text(text: str) -> str:
     return " ".join(text.split())
 
 
-@dataclass
-class ThreadReport:
+class ThreadReport(NamedTuple):
     """Counters surfaced as warnings; reconstruction never hard-fails on data."""
 
     cyclic_chains_skipped: int = 0
@@ -349,7 +382,7 @@ def reconstruct_threads(pairs: Iterable[tuple[str, Tweet]]) -> tuple[list[Dialog
     broken by child order in the input. A repeated id keeps its last tweet;
     `read_tweet_csv` rejects repeats.
     """
-    report = ThreadReport()
+    cyclic = gaps = dropped = 0
     tweets = dict(pairs)
     children: dict[str, list[str]] = defaultdict(list)
 
@@ -361,7 +394,7 @@ def reconstruct_threads(pairs: Iterable[tuple[str, Tweet]]) -> tuple[list[Dialog
         elif parent in tweets:
             children[parent].append(tid)
         else:
-            report.gap_truncations += 1
+            gaps += 1
             roots.append(tid)
 
     visited: set[str] = set()
@@ -385,7 +418,7 @@ def reconstruct_threads(pairs: Iterable[tuple[str, Tweet]]) -> tuple[list[Dialog
             path.append(tweets[path[-1]].parent)
         dialog = _chain_to_dialog(root, path[::-1], tweets)
         if dialog is None:
-            report.dropped_chains += 1
+            dropped += 1
         else:
             dialogs.append(dialog)
 
@@ -400,9 +433,9 @@ def reconstruct_threads(pairs: Iterable[tuple[str, Tweet]]) -> tuple[list[Dialog
                 if n in remaining:
                     remaining.remove(n)
                     frontier.append(n)
-        report.cyclic_chains_skipped += 1
+        cyclic += 1
 
-    return dialogs, report
+    return dialogs, ThreadReport(cyclic, gaps, dropped)
 
 
 def _chain_to_dialog(root: str, path: list[str], tweets: dict[str, Tweet]) -> Dialog | None:
@@ -485,7 +518,7 @@ def split_corpus(
 
 def with_split(corpus: Corpus, assignment: dict[str, Split]) -> Corpus:
     """Return a corpus honoring an externally supplied split assignment."""
-    out = Corpus(corpus.dialogs, gold=corpus.gold, split=dict(assignment))
+    out = corpus._replace(split=dict(assignment))
     out.validate()
     return out
 

@@ -13,12 +13,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Corpus, GoldSummary, ParseError, SpeakerRole, Split, _naming_file, csv_rows
+from .corpus import Corpus, GoldSummary, ParseError, SpeakerRole, Split, _naming_file, csv_rows, reject_lone_surrogates
 from .rng import make_rng
 from .rouge import (
     AggregateCell,
@@ -41,6 +40,7 @@ from .summarize import (
 from .weaklabel import DEFAULT_MIN_TOKENS
 
 DEFAULT_SIZES = (0, 16, 32, 64, 128, 256, 512, 1024)
+DEFAULT_N_SEEDS = 5
 VARIANTS = ("rouge1", "rouge2", "rougeL")
 VARIANT_LABELS = {"rouge1": "Rouge-1", "rouge2": "Rouge-2", "rougeL": "Rouge-L"}
 PERSPECTIVE_LABELS = {
@@ -85,14 +85,15 @@ def check_sizes(sizes: Sequence[int]) -> None:
         raise ExperimentError("sizes must be non-negative")
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
+    """What `score` runs. Immutable; change a field with _replace."""
+
     methods: list[str]
     perspectives: list[Perspective]
     sizes: tuple[int, ...] = DEFAULT_SIZES
-    n_seeds: int = 5
-    tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
-    prefixes: PrefixConfig = field(default_factory=PrefixConfig)
+    n_seeds: int = DEFAULT_N_SEEDS
+    tokenizer: TokenizerConfig = TokenizerConfig()
+    prefixes: PrefixConfig = PrefixConfig()
     min_tokens: int = DEFAULT_MIN_TOKENS
     cap_to_population: bool = False
     strict_missing: bool = False
@@ -118,8 +119,7 @@ class ExperimentConfig:
 # --- nested subset sampling ----------------------------------------------------
 
 
-@dataclass
-class SubsetFamily:
+class SubsetFamily(NamedTuple):
     """Training subsets for one seed; every subset is a prefix of the next."""
 
     seed: int
@@ -154,10 +154,10 @@ def sample_nested_subsets(
 def write_subset_files(families: Iterable[SubsetFamily], out_dir: str | Path) -> None:
     """Write subsets/<seed>/<size>.txt, one dialog id per line."""
     base = Path(out_dir)
-    for family in families:
-        seed_dir = base / str(family.seed)
+    for seed, subsets in families:
+        seed_dir = base / str(seed)
         seed_dir.mkdir(parents=True, exist_ok=True)
-        for size, ids in family.subsets.items():
+        for size, ids in subsets.items():
             (seed_dir / f"{size}.txt").write_text(
                 "".join(did + "\n" for did in ids), encoding="utf-8"
             )
@@ -205,14 +205,12 @@ class RunScores:
                 yield PerDialogScore(did, *key, *row_scores)
 
 
-@dataclass
-class ResultTable:
+class ResultTable(NamedTuple):
     sizes: list[int]
     rows: dict[tuple[str, Perspective, str], dict[int, AggregateCell]]
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     table: ResultTable
     per_dialog: RunScores
     families: list[SubsetFamily]
@@ -376,9 +374,7 @@ def run_experiment(
     if not runs:
         raise ExperimentError("no dialog scored in any cell", warnings)
     per_dialog = RunScores(runs)
-    return RunResult(
-        table=table_from_per_dialog(per_dialog), per_dialog=per_dialog, families=families, warnings=warnings
-    )
+    return RunResult(table_from_per_dialog(per_dialog), per_dialog, families, warnings)
 
 
 # --- report emission ------------------------------------------------------------
@@ -610,11 +606,10 @@ def rate_curve_csv(rates: Mapping[int, float]) -> str:
 # --- experiment config files -------------------------------------------------------
 
 
-@dataclass
-class ConfigPaths:
+class ConfigPaths(NamedTuple):
     corpus: str | None = None
     split: str | None = None
-    predictions: list[str] = field(default_factory=list)
+    predictions: Sequence[str] = ()
 
 
 # Each config key's type, a list key as [item type], in the order parse_config checks them
@@ -691,7 +686,10 @@ def load_config_file(path: str | Path) -> tuple[ExperimentConfig, ConfigPaths]:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8-sig") as fh, _naming_file(path):
-            document = json.load(fh)
+            text = fh.read()
+            document = json.loads(text)
+            if "\\u" in text:
+                reject_lone_surrogates(text)
         if not isinstance(document, dict):
             raise ExperimentError("expected a JSON object")
         config, paths = parse_config(document)
@@ -699,12 +697,5 @@ def load_config_file(path: str | Path) -> tuple[ExperimentConfig, ConfigPaths]:
         raise ExperimentError(f"{path}: invalid JSON ({exc.msg})") from exc
     except ExperimentError as exc:
         raise ExperimentError(f"{path}: {exc}") from exc
-    base = path.parent
-
-    def _resolve(p: str | None) -> str | None:
-        return None if p is None else str(base / p)
-
-    paths.corpus = _resolve(paths.corpus)
-    paths.split = _resolve(paths.split)
-    paths.predictions = [str(base / p) for p in paths.predictions]
-    return config, paths
+    resolved = [None if p is None else str(path.parent / p) for p in (paths.corpus, paths.split, *paths.predictions)]
+    return config, ConfigPaths(resolved[0], resolved[1], resolved[2:])

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import _porter
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
+class TokenizerConfig(NamedTuple):
     lowercase: bool = True
     strip_non_alnum: bool = True
     stemming: bool = False
@@ -83,7 +81,6 @@ def _make_score(overlap: float, candidate_total: int, reference_total: int) -> R
     return RougeScore(precision, recall, _f_measure(precision, recall))
 
 
-@dataclass(frozen=True)
 class PreparedReference:
     """A tokenized reference with what every candidate is scored against.
 
@@ -95,8 +92,11 @@ class PreparedReference:
     and score_pair, and its length is the number of tokens.
     """
 
-    tokens: tuple[str, ...]
-    masks: dict[str, int]
+    __slots__ = ("tokens", "masks")
+
+    def __init__(self, tokens: tuple[str, ...], masks: dict[str, int]):
+        self.tokens = tokens
+        self.masks = masks
 
     def __len__(self) -> int:
         return len(self.tokens)

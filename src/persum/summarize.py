@@ -15,7 +15,6 @@ by the harness before scoring.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -54,8 +53,7 @@ class CandidateSummary(NamedTuple):
 OPENER_PATTERN = re.compile(r"^(the\s+)?(customer|agent)\b", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class PrefixConfig:
+class PrefixConfig(NamedTuple):
     customer: str = "The customer says: "
     agent: str = "The agent says: "
 
@@ -91,8 +89,7 @@ _BUILTIN_RE = re.compile(r"^(lead|long)(?:_(lead|long))?(_post_process)?_base$")
 _POST_PROCESS_RE = re.compile(r"(?:^|_)post_process(?:_|$)")
 
 
-@dataclass(frozen=True)
-class BuiltinMethodSpec:
+class BuiltinMethodSpec(NamedTuple):
     name: str
     customer_heuristic: HeuristicKind
     agent_heuristic: HeuristicKind
@@ -123,11 +120,7 @@ def parse_builtin_method(name: str) -> BuiltinMethodSpec | None:
     first = HeuristicKind(match.group(1))
     second = HeuristicKind(match.group(2)) if match.group(2) else first
     return BuiltinMethodSpec(
-        name=name,
-        customer_heuristic=first,
-        agent_heuristic=second,
-        post_process=match.group(3) is not None,
-        two_sided=match.group(2) is not None,
+        name, first, second, post_process=match.group(3) is not None, two_sided=match.group(2) is not None
     )
 
 
@@ -180,8 +173,7 @@ class PredictionEntry(NamedTuple):
     agent: str | None
 
 
-@dataclass
-class PredictionSet:
+class PredictionSet(NamedTuple):
     """Outputs of one externally trained model at one (size, seed), keyed by dialog id."""
 
     method: str

@@ -8,7 +8,6 @@ is the hand-off format expected by sequence-to-sequence trainers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -31,8 +30,7 @@ class WeakPair(NamedTuple):
     target: str
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     total: int = 0
     excluded: int = 0
     labeled: int = 0
@@ -111,21 +109,19 @@ def weaklabel_corpus(
     min_tokens: int = DEFAULT_MIN_TOKENS,
 ) -> tuple[list[WeakPair], CoverageReport]:
     """Label every non-excluded dialog; skips (not errors) when a heuristic fails."""
-    excluded = set(exclude_ids)
-    report = CoverageReport()
+    exclude = set(exclude_ids)
+    excluded = skipped = 0
     pairs: list[WeakPair] = []
     for dialog in corpus.dialogs:
-        report.total += 1
-        if dialog.id in excluded:
-            report.excluded += 1
+        if dialog.id in exclude:
+            excluded += 1
             continue
         pair = make_weak_pair(dialog, role, heuristic, masked, min_tokens)
         if pair is None:
-            report.skipped += 1
+            skipped += 1
         else:
-            report.labeled += 1
             pairs.append(pair)
-    return pairs, report
+    return pairs, CoverageReport(len(corpus.dialogs), excluded, len(pairs), skipped)
 
 
 def write_weak_pairs(

@@ -7,6 +7,8 @@ import io
 import json
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,9 +169,25 @@ def test_corpus_error_without_a_line_names_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {src}: split assignment missing for 1 dialog(s), first: 'd2'\n"
 
 
+def _reading(reader, path, scored_setup, out):
+    """The command line that reads `path` as the input `reader` names and writes `out`; the
+    other inputs it needs are scored_setup's corpus and config."""
+    corpus_path, config_path = scored_setup
+    return {
+        "config": ["score", "--config", str(path), "--output-dir", str(out)],
+        "split": ["split", "--corpus", str(corpus_path), "--split-file", str(path), "--output", str(out)],
+        "tweet-csv": ["ingest", "--format", "kaggle-csv", "--input", str(path), "--output", str(out)],
+        "corpus": ["ingest", "--format", "dialog-jsonl", "--input", str(path), "--output", str(out)],
+        "predictions": ["score", "--config", str(config_path), "--predictions", str(path), "--output-dir", str(out)],
+        "dump": ["report", "--per-dialog", str(path), "--output", str(out)],
+        "exclude": ["weaklabel", "--corpus", str(corpus_path), "--perspective", "agent", "--heuristic", "long",
+                    "--exclude", str(path), "--output", str(out)],
+    }[reader]
+
+
 @pytest.mark.parametrize("reader", ["config", "split", "tweet-csv", "corpus", "predictions", "dump", "exclude"])
 def test_byte_that_is_not_utf8_names_file_and_no_line(scored_setup, tmp_path, capsys, reader):
-    corpus_path, config_path = scored_setup
+    corpus_path, _ = scored_setup
     first_line = {
         "config": '{"methods": ["lead_base"],\n',
         "split": "dialog_id,split\n",
@@ -180,24 +198,76 @@ def test_byte_that_is_not_utf8_names_file_and_no_line(scored_setup, tmp_path, ca
         "exclude": "d00000\n",
     }[reader].encode()
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(first_line + b"\xff\n")  # line 2, but the decoder reads ahead of the line count
+    bad.write_bytes(first_line + b"\xff\n")
     out = tmp_path / "out"
-    argv = {
-        "config": ["score", "--config", str(bad), "--output-dir", str(out)],
-        "split": ["split", "--corpus", str(corpus_path), "--split-file", str(bad), "--output", str(out)],
-        "tweet-csv": ["ingest", "--format", "kaggle-csv", "--input", str(bad), "--output", str(out)],
-        "corpus": ["ingest", "--format", "dialog-jsonl", "--input", str(bad), "--output", str(out)],
-        "predictions": ["score", "--config", str(config_path), "--predictions", str(bad), "--output-dir", str(out)],
-        "dump": ["report", "--per-dialog", str(bad), "--output", str(out)],
-        "exclude": ["weaklabel", "--corpus", str(corpus_path), "--perspective", "agent", "--heuristic", "long",
-                    "--exclude", str(bad), "--output", str(out)],
-    }[reader]
-    assert main(argv) == 2
-    position = len(first_line)
+    assert main(_reading(reader, bad, scored_setup, out)) == 2
     assert capsys.readouterr().err == (
-        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte\n"
+        f"error: {bad}, line 2: 'utf-8' codec can't decode byte 0xff at offset {len(first_line)}: invalid start byte\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("reader", ["config", "split", "tweet-csv", "corpus", "predictions", "dump", "exclude"])
+def test_byte_that_is_not_utf8_past_the_first_read_block_names_line_and_file_offset(
+    scored_setup, tmp_path, capsys, reader, mark
+):
+    """A first line longer than the 8 KB a text reader decodes at a time puts the byte in a
+    later block; the message still gives its line and its offset in the file, counting any
+    byte-order mark and the bytes of multi-byte characters."""
+    pad = "x" * 9000
+    first_line = {
+        "config": '{"methods": ["lead_base"],' + " " * 9000 + "\n",
+        "split": f"dialog_id,split,{pad}\n",
+        "tweet-csv": KAGGLE_HEADER.replace("\n", f",{pad}\n"),
+        "corpus": _record("d1", note=pad) + "\n",
+        "predictions": json.dumps({"method": "pegasus", "training_size": 0, "seed": 0, "note": pad}) + "\n",
+        "dump": DUMP_HEADER.replace("\n", f",{pad}\n"),
+        "exclude": pad + "\n",
+    }[reader]
+    head = mark + (first_line + "café, naïve\r\n").encode()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(head + b"\xff\n")
+    out = tmp_path / "out"
+    assert main(_reading(reader, bad, scored_setup, out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}, line 3: 'utf-8' codec can't decode byte 0xff at offset {len(head)}: invalid start byte\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["corpus", "predictions", "config"])
+def test_lone_surrogate_escape_names_file_and_line(scored_setup, tmp_path, capsys, reader):
+    """json reads "\\ud800" as half a surrogate pair, which is no character and which no
+    UTF-8 output can hold; each JSON input rejects it at its line, and nothing is written."""
+    config = json.loads(scored_setup[1].read_text(encoding="utf-8"))
+    text = {
+        "corpus": _record("d1") + "\n" + _record("d2", gold={"customer": "a \ud800 b", "agent": "x"}) + "\n",
+        "predictions": "".join(json.dumps(record) + "\n" for record in [
+            {"method": "pegasus", "training_size": 0, "seed": 0},
+            {"dialog_id": "d00001", "customer": "fine \U0001f600"},
+            {"dialog_id": "d00002", "customer": "half a pair \udfff"},
+        ]),
+        "config": json.dumps({**config, "prefix_customer": "\ud800: "}, indent=1),
+    }[reader]
+    escape = "\\udfff" if reader == "predictions" else "\\ud800"  # json.dumps escapes the pair too
+    line = text.count("\n", 0, text.index(escape)) + 1
+    src = tmp_path / "input.json"
+    src.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(_reading(reader, src, scored_setup, out)) == 2
+    assert capsys.readouterr().err == f"error: {src}, line {line}: JSON string escapes a lone surrogate ({escape})\n"
+    assert not out.exists()
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    """Every persum process pays for `import persum.cli`; dataclasses and inspect (with ast,
+    dis and tokenize) would add about 16 ms to it. -S keeps site's .pth files from
+    importing them first."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import persum.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def _written(out):
@@ -273,7 +343,7 @@ def test_field_over_the_csv_field_limit_names_file_and_line(scored_setup, tmp_pa
 # the bytes that CSV syntax turns on, and a field longer than csv's field limit
 CSV_PIECES = ['"', ",", "\n", "x" * 140_000]
 # the bytes that JSON syntax turns on, a null, a number that overflows a float, and NUL
-JSON_PIECES = ['"', ",", ":", "{", "}", "[", "]", "\n", "null", "1e400", "\u0000"]
+JSON_PIECES = ['"', ",", ":", "{", "}", "[", "]", "\n", "null", "1e400", "\u0000", "\\ud800"]
 
 
 def _edits(pieces):

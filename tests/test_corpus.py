@@ -72,6 +72,20 @@ def test_utterance_is_an_immutable_named_tuple(text):
         utt._replace(token_count=99)
 
 
+def test_dialog_needs_an_utterance():
+    with pytest.raises(CorpusError, match="^dialog 'd1' has no utterances$"):
+        make_dialog("d1", [])
+
+
+def test_corpus_is_immutable_and_changes_through_replace():
+    corpus = synthetic_corpus(random.Random(4), 3)
+    with pytest.raises(AttributeError):
+        corpus.split = {}
+    assigned = corpus._replace(split={d.id: Split.TEST for d in corpus.dialogs})
+    assert corpus.split is None and assigned.dialogs is corpus.dialogs
+    assert assigned.dialog_ids(Split.TEST) == corpus.dialog_ids()
+
+
 def test_gold_summary_requires_both_parts():
     utterances = [{"role": "customer", "text": "hello there"}, {"role": "agent", "text": "hi"}]
     good = record_line(id="d0", utterances=utterances, gold={"customer": "need", "agent": "help"})
@@ -114,6 +128,27 @@ def test_parse_malformed_line_carries_line_number():
     with pytest.raises(ParseError) as exc_info:
         parse_dialog_corpus([good, "{not json"])
     assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "escaped, lone",
+    [
+        ("\\ud83d\\ude00", None),  # a pair is one character
+        ("\\ud800", "\\ud800"),
+        ("x\\uDFFFy", "\\udfff"),
+        ("\\ude00\\ud83d", "\\ude00"),  # the halves in the wrong order
+        ("\\\\ud800", None),  # an escaped backslash, then the text "ud800"
+        ("\\\\\\ud800", "\\ud800"),
+    ],
+)
+def test_parse_rejects_only_lone_surrogate_escapes(escaped, lone):
+    line = '{"id": "d1", "utterances": [{"role": "customer", "text": "' + escaped + '"}]}'
+    if lone is None:
+        assert parse_dialog_corpus([line]).dialogs[0].utterances[0].text == json.loads(line)["utterances"][0]["text"]
+        return
+    with pytest.raises(ParseError) as info:
+        parse_dialog_corpus(["", line])
+    assert str(info.value) == f"line 2: JSON string escapes a lone surrogate ({lone})"
 
 
 def test_parse_unknown_split_value():

@@ -118,7 +118,7 @@ def scoring_corpus(n=10, n_test=2, seed=1):
             split[d.id] = Split.VALIDATION
         else:
             split[d.id] = Split.TEST
-    corpus.split = split
+    corpus = corpus._replace(split=split)
     corpus.validate()
     return corpus
 
@@ -653,7 +653,7 @@ def test_parse_config_minimal():
     config, paths = parse_config({"methods": ["lead_base"], "perspectives": ["customer"]})
     assert config.sizes == (0, 16, 32, 64, 128, 256, 512, 1024)
     assert config.n_seeds == 5
-    assert paths.predictions == []
+    assert paths.predictions == ()
     assert config == ExperimentConfig(methods=["lead_base"], perspectives=[Perspective.CUSTOMER])
     assert paths == ConfigPaths()
 

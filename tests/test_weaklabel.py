@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict
 
 import pytest
 
@@ -161,7 +160,7 @@ def test_weaklabel_corpus_counts_with_exclusion():
         make_corpus(dialogs), C, HeuristicKind.LEAD, exclude_ids={"d1"}
     )
     assert [p.dialog_id for p in pairs] == ["d0", "d2"]
-    assert asdict(report) == {"total": 3, "excluded": 1, "labeled": 2, "skipped": 0}
+    assert report._asdict() == {"total": 3, "excluded": 1, "labeled": 2, "skipped": 0}
 
 
 def test_weaklabel_corpus_counts_skips():
@@ -171,13 +170,13 @@ def test_weaklabel_corpus_counts_skips():
     ]
     pairs, report = weaklabel_corpus(make_corpus(dialogs), C, HeuristicKind.LEAD)
     assert len(pairs) == 1
-    assert asdict(report) == {"total": 2, "excluded": 0, "labeled": 1, "skipped": 1}
+    assert report._asdict() == {"total": 2, "excluded": 0, "labeled": 1, "skipped": 1}
 
 
 def test_weaklabel_corpus_empty():
     pairs, report = weaklabel_corpus(Corpus([]), C, HeuristicKind.LEAD)
     assert pairs == []
-    assert asdict(report) == {"total": 0, "excluded": 0, "labeled": 0, "skipped": 0}
+    assert report._asdict() == {"total": 0, "excluded": 0, "labeled": 0, "skipped": 0}
 
 
 def test_weaklabel_corpus_idempotent_streaming():
