@@ -157,46 +157,27 @@ _ROLES = {role.value: role for role in SpeakerRole}
 _SPLITS = {split.value: split for split in Split}
 
 
-class _UtteranceFields(NamedTuple):
+class Utterance(NamedTuple):
+    """One speaker turn; its position is its index in Dialog.utterances."""
+
     role: SpeakerRole
     text: str
-    token_count: int
-
-
-class Utterance(_UtteranceFields):
-    """One speaker turn; token_count is computed from text on construction.
-
-    A NamedTuple: immutable, and equal to the plain tuple (role, text, token_count).
-    Its position is its index in Dialog.utterances.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, role: SpeakerRole, text: str) -> Utterance:
-        token_count = len(text.split())
-        if not token_count:
-            raise CorpusError("utterance text must contain a non-whitespace character")
-        return tuple.__new__(cls, (role, text, token_count))
-
-    def __getnewargs__(self) -> tuple[SpeakerRole, str]:  # copy and pickle call __new__
-        return self[:2]
-
-    def _replace(self, **changes) -> Utterance:  # token_count follows the new text
-        return Utterance(**{"role": self.role, "text": self.text, **changes})
 
 
 class Dialog(NamedTuple):
-    """A dialog id and its utterances, at least one; make_dialog checks that."""
+    """A dialog id and its utterances, at least one and none blank; make_dialog checks that."""
 
     id: str
     utterances: tuple[Utterance, ...]
 
 
 def make_dialog(dialog_id: str, turns: Sequence[tuple[SpeakerRole, str]]) -> Dialog:
-    """Build a Dialog from (role, text) pairs, of which there must be at least one."""
+    """Build a Dialog from (role, text) pairs: at least one, and none with a blank text."""
     utterances = tuple(Utterance(role, text) for role, text in turns)
     if not utterances:
         raise CorpusError(f"dialog {dialog_id!r} has no utterances")
+    if not all(text.strip() for _, text in utterances):
+        raise CorpusError("utterance text must contain a non-whitespace character")
     return Dialog(dialog_id, utterances)
 
 

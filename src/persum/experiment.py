@@ -103,6 +103,10 @@ class ExperimentConfig(NamedTuple):
             raise ExperimentError("config needs at least one method")
         if not self.perspectives:
             raise ExperimentError("config needs at least one perspective")
+        for kind, names in (("method", self.methods), ("perspective", [p.value for p in self.perspectives])):
+            repeated = [name for pos, name in enumerate(names) if name in names[:pos]]
+            if repeated:
+                raise ExperimentError(f"config lists {kind} {repeated[0]!r} more than once")
         if not self.sizes:
             raise ExperimentError("config needs at least one training size")
         check_sizes(self.sizes)

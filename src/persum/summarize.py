@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Dialog, ParseError, SpeakerRole, _naming_file, encode_json_line, json_objects
+from .corpus import Dialog, ParseError, SpeakerRole, _naming_file, json_objects
 from .weaklabel import DEFAULT_MIN_TOKENS, HeuristicKind, select_target
 
 
@@ -227,15 +227,6 @@ def load_predictions(path: str | Path) -> PredictionSet:
     """Read a prediction file; every error names the file, and the line where there is one."""
     with open(path, "r", encoding="utf-8-sig") as fh, _naming_file(path):
         return parse_predictions(fh)
-
-
-def write_predictions(pred: PredictionSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = {"method": pred.method, "training_size": pred.training_size, "seed": pred.seed}
-        fh.write(encode_json_line(header) + "\n")
-        for did, entry in pred.entries.items():
-            record = {"dialog_id": did, "customer": entry.customer, "agent": entry.agent}
-            fh.write(encode_json_line(record) + "\n")
 
 
 def prediction_candidate(

@@ -40,21 +40,24 @@ class CoverageReport(NamedTuple):
 def lead_utterance(
     dialog: Dialog, role: SpeakerRole, min_tokens: int = DEFAULT_MIN_TOKENS
 ) -> Utterance | None:
-    """Earliest utterance of the role with at least min_tokens tokens."""
+    """Earliest utterance of the role with at least min_tokens words (str.split)."""
     if min_tokens < 1:
         raise ValueError("min_tokens must be >= 1")
     for utt in dialog.utterances:
-        if utt.role == role and utt.token_count >= min_tokens:
+        if utt.role == role and len(utt.text.split()) >= min_tokens:
             return utt
     return None
 
 
 def long_utterance(dialog: Dialog, role: SpeakerRole) -> Utterance | None:
-    """Utterance of the role with maximal token count; earliest index wins ties."""
+    """Utterance of the role with the most words (str.split); earliest index wins ties."""
     best: Utterance | None = None
+    most = -1
     for utt in dialog.utterances:
-        if utt.role == role and (best is None or utt.token_count > best.token_count):
-            best = utt
+        if utt.role == role:
+            words = len(utt.text.split())
+            if words > most:
+                best, most = utt, words
     return best
 
 

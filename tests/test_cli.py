@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -832,6 +833,92 @@ def test_summarize_bytes_pinned(helpdesk_path, tmp_path, method, perspective):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SUMMARIZE_SHA256[(method, perspective)]
 
 
+# Runs score (with --subsets), report, subsets and rate-curve on a seeded corpus from
+# util.synthetic_corpus, with three built-in methods and one external method whose
+# prediction files lack some entries and parts, and prints each output's sha256.
+SCORE_PIPELINE = r"""
+import hashlib, json, random, sys
+from pathlib import Path
+sys.path[:0] = sys.argv[1:3]
+from persum import Split, write_corpus
+from persum.cli import main
+from util import random_text, synthetic_corpus
+
+corpus = synthetic_corpus(random.Random(16), 60, with_gold=True, with_split=True, train_fraction=0.5)
+write_corpus(corpus, "corpus.jsonl")
+sizes, n_seeds, external = [0, 4, 16], 2, "pegasus_post_process"
+methods = ["long_base", "lead_post_process_base", "lead_long_post_process_base", external]
+config = {"methods": methods, "perspectives": ["customer", "agent", "full"], "sizes": sizes,
+          "n_seeds": n_seeds, "min_tokens": 8}
+Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+predictions = []
+for size in sizes:
+    for seed in range(n_seeds):
+        rand = random.Random(100 * size + seed)
+        records = [{"method": external, "training_size": size, "seed": seed}]
+        for did in corpus.dialog_ids(Split.TEST):
+            if rand.random() < 0.2:
+                continue
+            parts = [None if rand.random() < 0.15 else rand.choice(("", "the customer ", "Agent ")) + random_text(rand)
+                     for _ in range(2)]
+            records.append({"dialog_id": did, "customer": parts[0], "agent": parts[1]})
+        predictions.append(f"pred_{size}_{seed}.jsonl")
+        Path(predictions[-1]).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+commands = [
+    ["score", "--config", "config.json", "--corpus", "corpus.jsonl", "--predictions", *predictions,
+     "--output-dir", "out", "--subsets"],
+    ["report", "--per-dialog", "out/per_dialog_scores.csv", "--format", "csv", "--output", "report.csv"],
+    ["subsets", "--corpus", "corpus.jsonl", "--output-dir", "subsets", "--sizes", "0,4,16", "--seeds", "2"],
+]
+for method, perspective in (("lead_post_process_base", "customer"), ("long_base", "agent"),
+                            ("lead_long_post_process_base", "full")):
+    commands.append(["rate-curve", "--corpus", "corpus.jsonl", "--method", method, "--perspective", perspective,
+                     "--sizes", "0,4,16", "--output", f"rate_{perspective}.csv"])
+codes = [main(argv) for argv in commands]
+outputs = [Path(name) for name in ("out/report.md", "out/per_dialog_scores.csv", "report.csv")]
+outputs += sorted(Path("out/subsets").rglob("*.txt")) + sorted(Path().glob("rate_*.csv"))
+digests = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
+same_subsets = all(Path("subsets", p.relative_to("out/subsets")).read_bytes() == p.read_bytes()
+                   for p in Path("out/subsets").rglob("*.txt"))
+print(json.dumps({"codes": codes, "same_subsets": same_subsets, "sha256": digests}))
+"""
+
+# sha256 of each output of SCORE_PIPELINE, and of the warnings it prints, as written while
+# every Utterance still stored its token count
+SCORE_PIPELINE_SHA256 = {
+    "out/report.md": "e82b4de23c0bd19c872d479f6c7ec39c6c5d3827af70054fc4347e3472bd5201",
+    "out/per_dialog_scores.csv": "cdfbf97aed8ebd88d47b87ad1c26e32a48daa6563bd4514bc6dff4a40cff8aa3",
+    "report.csv": "4db666364c9620c02c5e0ca7b9dd4b3c40d0671f33ba334d91ef085dbb157a54",
+    "out/subsets/0/0.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "out/subsets/0/16.txt": "9a4567b6f0acd67500a979a31350b319720d9588bad74bd47ced6e170365b9f9",
+    "out/subsets/0/4.txt": "5f71d3b197fdfe7b327a2e5c100309baf496de47b1d1e9eaad243aa0d745a82a",
+    "out/subsets/1/0.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "out/subsets/1/16.txt": "f102ad2a6fa503cfecad92a47a63e080f772118ca73b29276a61f9e246df3dfd",
+    "out/subsets/1/4.txt": "c0d705a67aa476f77356abd4816f409abf052a9ca61ed2a7e780fadcd181e11d",
+    "rate_agent.csv": "466ae9293d47d3a9e2b1a546c9bfd6f2b1ce39c7c6372f76a8326049818e144c",
+    "rate_customer.csv": "7ff96bba44de58aa646577058afcc28c61349ce6007be439bb9fa7bf99cb0b98",
+    "rate_full.csv": "7ff96bba44de58aa646577058afcc28c61349ce6007be439bb9fa7bf99cb0b98",
+    "stderr": "cab45c0bfd3994435f840dfdb5a7d438c73c0d0f1b655437881a46475fefbe33",
+}
+
+
+def test_score_report_subsets_rate_curve_bytes_pinned(tmp_path):
+    paths = [str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    runs = []
+    for hash_seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        run_dir = tmp_path / hash_seed
+        run_dir.mkdir()
+        done = subprocess.run([sys.executable, "-c", SCORE_PIPELINE, *paths], cwd=run_dir, env=env,
+                              capture_output=True, text=True, check=True)
+        run = json.loads(done.stdout.splitlines()[-1])
+        run["sha256"]["stderr"] = hashlib.sha256(done.stderr.encode()).hexdigest()
+        runs.append(run)
+    assert runs[0] == runs[1]
+    assert runs[0]["codes"] == [0] * 6 and runs[0]["same_subsets"]
+    assert runs[0]["sha256"] == SCORE_PIPELINE_SHA256
+
+
 @pytest.mark.parametrize("command", ["summarize", "rate-curve"])
 @pytest.mark.parametrize(
     "method, perspective, message",
@@ -1144,6 +1231,23 @@ def test_score_duplicate_prediction_cell_exits_2_after_its_warnings(tmp_path, ca
         "warning: 1 test dialog(s) have no gold summary and are not scored",
         "error: duplicate prediction set for cell ('pegasus', 0, 0)",
     ]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, entry", [("methods", "pegasus"), ("perspectives", "customer")])
+def test_score_config_repeating_an_entry_exits_2(tmp_path, capsys, key, entry):
+    corpus = synthetic_corpus(random.Random(5), 20, with_gold=True, with_split=True)
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, corpus_path)
+    config = {"methods": ["pegasus", "lead_base"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1}
+    config[key].append(entry)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    predictions = _prediction_file(tmp_path / "p.jsonl", "pegasus", corpus.dialog_ids(Split.TEST))
+    code = main(["score", "--config", str(config_path), "--corpus", str(corpus_path),
+                 "--predictions", predictions, "--output-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {config_path}: config lists {key[:-1]} {entry!r} more than once\n"
     assert not (tmp_path / "run").exists()
 
 

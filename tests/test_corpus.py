@@ -40,36 +40,24 @@ def tweet(tweet_id, inbound, text, parent=None):
 # --- types --------------------------------------------------------------------
 
 
-def test_utterance_token_count_recomputed():
-    utt = Utterance(SpeakerRole.CUSTOMER, "one two  three")
-    assert utt.token_count == 3
-
-
-def test_utterance_rejects_blank_text():
-    with pytest.raises(CorpusError):
-        Utterance(SpeakerRole.AGENT, "   ")
-
-
 @given(st.text(alphabet=st.sampled_from("ab \t\n\x1c\x85\xa0\u3000"), max_size=12))
-def test_utterance_is_an_immutable_named_tuple(text):
-    if not text.strip():
-        with pytest.raises(CorpusError, match="non-whitespace"):
-            Utterance(SpeakerRole.AGENT, text)
+def test_blank_text_is_rejected_where_utterances_are_built(text):
+    """Only make_dialog and the corpus reader check an utterance's text; an Utterance
+    is the plain pair (role, text)."""
+    line = record_line(id="d1", utterances=[{"role": "agent", "text": text}])
+    if not text.split():
+        with pytest.raises(CorpusError, match="^utterance text must contain a non-whitespace character$"):
+            make_dialog("d1", [(SpeakerRole.AGENT, text)])
+        with pytest.raises(CorpusError, match="^line 1: dialog 'd1': empty utterance text at position 0$"):
+            parse_dialog_corpus([line])
         return
     utt = Utterance(SpeakerRole.AGENT, text)
-    assert utt == (SpeakerRole.AGENT, text, len(text.split()))
-    assert (utt.role, utt.text, utt.token_count) == tuple(utt)
-    for name in ("role", "text", "token_count"):
-        with pytest.raises(AttributeError):
-            setattr(utt, name, 1)
+    assert make_dialog("d1", [(SpeakerRole.AGENT, text)]).utterances == (utt,)
+    assert parse_dialog_corpus([line]).dialogs[0].utterances == (utt,)
+    assert utt == (SpeakerRole.AGENT, text) and Utterance._fields == ("role", "text")
     with pytest.raises(AttributeError):
-        utt.extra = 1
+        utt.text = "b"
     assert copy.deepcopy(utt) == pickle.loads(pickle.dumps(utt)) == utt
-    assert utt._replace(text="x y") == (SpeakerRole.AGENT, "x y", 2)
-    with pytest.raises(CorpusError):
-        utt._replace(text=" ")
-    with pytest.raises(TypeError):
-        utt._replace(token_count=99)
 
 
 def test_dialog_needs_an_utterance():
@@ -107,7 +95,7 @@ def test_parse_single_record():
     corpus = parse_dialog_corpus([line])
     assert len(corpus.dialogs) == 1
     dialog = corpus.dialogs[0]
-    assert dialog.utterances == ((SpeakerRole.CUSTOMER, "hello there", 2), (SpeakerRole.AGENT, "hi", 1))
+    assert dialog.utterances == ((SpeakerRole.CUSTOMER, "hello there"), (SpeakerRole.AGENT, "hi"))
     assert dialog.utterances[0].role is SpeakerRole.CUSTOMER
 
 

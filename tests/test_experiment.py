@@ -719,6 +719,19 @@ def test_parse_config_rejects_bad_sizes():
         parse_config({"methods": ["lead_base"], "perspectives": ["customer"], "sizes": [16, 16]})
 
 
+@pytest.mark.parametrize(
+    "methods, perspectives, message",
+    [
+        (["pegasus", "pegasus", "lead_base"], ["customer"], "config lists method 'pegasus' more than once"),
+        (["lead_base"], ["agent", "customer", "agent"], "config lists perspective 'agent' more than once"),
+    ],
+    ids=["method", "perspective"],
+)
+def test_parse_config_rejects_a_repeated_entry(methods, perspectives, message):
+    with pytest.raises(ExperimentError, match=f"^{message}$"):
+        parse_config({"methods": methods, "perspectives": perspectives})
+
+
 def test_parse_config_rejects_bad_perspective():
     with pytest.raises(ExperimentError):
         parse_config({"methods": ["lead_base"], "perspectives": ["speaker"]})

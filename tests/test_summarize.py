@@ -28,7 +28,6 @@ from persum.summarize import (
     parse_builtin_method,
     parse_predictions,
     prediction_candidate,
-    write_predictions,
 )
 from util import naive_builtin_candidate, naive_external_candidate, random_dialog
 
@@ -230,7 +229,12 @@ def sample_predictions():
 
 def test_predictions_round_trip(tmp_path):
     path = tmp_path / "preds.jsonl"
-    write_predictions(sample_predictions(), path)
+    path.write_text(
+        '{"method":"pegasus","training_size":16,"seed":0}\n'
+        '{"dialog_id":"d1","customer":"the customer need","agent":"the agent answer"}\n'
+        '{"dialog_id":"d2","customer":"another need","agent":null}\n',
+        encoding="utf-8",
+    )
     loaded = load_predictions(path)
     assert loaded == sample_predictions()
     assert loaded.cell == ("pegasus", 16, 0)

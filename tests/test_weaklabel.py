@@ -25,7 +25,7 @@ A = SpeakerRole.AGENT
 def test_lead_picks_first_customer_turn_on_helpdesk(helpdesk_dialog):
     lead = lead_utterance(helpdesk_dialog, C)
     assert lead is helpdesk_dialog.utterances[0]
-    assert lead.token_count >= 5
+    assert len(lead.text.split()) >= 5
 
 
 def test_lead_skips_short_turns():
