@@ -40,17 +40,23 @@ def tweet(tweet_id, inbound, text, parent=None):
 # --- types --------------------------------------------------------------------
 
 
-@given(st.text(alphabet=st.sampled_from("ab \t\n\x1c\x85\xa0\u3000"), max_size=12))
-def test_blank_text_is_rejected_where_utterances_are_built(text):
-    """Only make_dialog and the corpus reader check an utterance's text; an Utterance
-    is the plain pair (role, text)."""
+_WHITESPACE_TEXT = st.text(alphabet=st.sampled_from("ab \t\n\x1c\x85\xa0\u3000"), max_size=12)
+
+
+@given(_WHITESPACE_TEXT.filter(lambda text: not text.split()))
+def test_utterance_rejects_blank_text(text):
+    """Only make_dialog and the corpus reader check an utterance's text."""
     line = record_line(id="d1", utterances=[{"role": "agent", "text": text}])
-    if not text.split():
-        with pytest.raises(CorpusError, match="^utterance text must contain a non-whitespace character$"):
-            make_dialog("d1", [(SpeakerRole.AGENT, text)])
-        with pytest.raises(CorpusError, match="^line 1: dialog 'd1': empty utterance text at position 0$"):
-            parse_dialog_corpus([line])
-        return
+    with pytest.raises(CorpusError, match="^utterance text must contain a non-whitespace character$"):
+        make_dialog("d1", [(SpeakerRole.AGENT, text)])
+    with pytest.raises(CorpusError, match="^line 1: dialog 'd1': empty utterance text at position 0$"):
+        parse_dialog_corpus([line])
+
+
+@given(_WHITESPACE_TEXT.filter(lambda text: text.split()))
+def test_utterance_is_an_immutable_named_tuple(text):
+    """An Utterance is the plain pair (role, text), as both builders make it."""
+    line = record_line(id="d1", utterances=[{"role": "agent", "text": text}])
     utt = Utterance(SpeakerRole.AGENT, text)
     assert make_dialog("d1", [(SpeakerRole.AGENT, text)]).utterances == (utt,)
     assert parse_dialog_corpus([line]).dialogs[0].utterances == (utt,)
