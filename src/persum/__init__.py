@@ -53,7 +53,6 @@ from .summarize import (
     PrefixConfig,
     load_predictions,
     post_process,
-    post_process_rate,
 )
 from .weaklabel import (
     HeuristicKind,

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .corpus import (
     Corpus,
+    DEFAULT_SPLIT_RATIOS,
     CorpusError,
     ParseError,
     SpeakerRole,
@@ -119,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="assign train/val/test, seeded or from a split file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--ratios", type=_ratios, default=(0.8, 0.1, 0.1))
-    p.add_argument("--split-file", help="CSV with columns dialog_id, split; overrides --seed")
+    p.add_argument("--seed", type=_int_at_least(0), help="default 0")
+    p.add_argument("--ratios", type=_ratios, help="default 0.8,0.1,0.1")
+    p.add_argument("--split-file", help="CSV with columns dialog_id, split; excludes --seed and --ratios")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("weaklabel", help="emit weak (source, target) pairs for one perspective")
@@ -185,6 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--prefix-customer", default=None)
     p.add_argument("--prefix-agent", default=None)
+    p.add_argument(
+        "--min-tokens", type=_int_at_least(1),
+        help=f"default {DEFAULT_MIN_TOKENS}; applies to --corpus/--method only",
+    )
     p.set_defaults(func=cmd_rate_curve)
 
     return parser
@@ -196,11 +201,23 @@ def _prefixes_from_args(args, base: PrefixConfig = PrefixConfig()) -> PrefixConf
     return base._replace(**{role: prefix for role, prefix in given.items() if prefix is not None})
 
 
-def _test_dialogs(corpus: Corpus):
-    """Dialogs summarizers run on: the test split when assigned, else everything."""
-    if corpus.split is None:
-        return list(corpus.dialogs)
-    return [d for d in corpus.dialogs if corpus.split[d.id] == Split.TEST]
+def _builtin_candidates(args, perspective: Perspective):
+    """(dialog id, candidate or None) of the built-in --method for each dialog summarizers
+    run on: the test split when one is assigned, else every dialog."""
+    spec = parse_builtin_method(args.method)
+    if spec is None:
+        raise ExperimentError(
+            f"{args.method!r} is not a built-in method; supply its outputs as prediction files"
+        )
+    spec.require(perspective)
+    corpus = read_corpus(args.corpus)
+    prefixes = _prefixes_from_args(args)
+    min_tokens = DEFAULT_MIN_TOKENS if args.min_tokens is None else args.min_tokens
+    return [
+        (dialog.id, builtin_candidate(dialog, spec, perspective, prefixes, min_tokens))
+        for dialog in corpus.dialogs
+        if corpus.split is None or corpus.split[dialog.id] == Split.TEST
+    ]
 
 
 def cmd_ingest(args) -> int:
@@ -218,11 +235,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_split(args) -> int:
+    if args.split_file and (args.seed is not None or args.ratios is not None):
+        print("persum split: error: --seed and --ratios are not allowed with --split-file", file=sys.stderr)
+        return EXIT_USAGE
     corpus = read_corpus(args.corpus)
     if args.split_file:
         corpus = with_split_file(corpus, args.split_file)
     else:
-        corpus = split_corpus(corpus, ratios=args.ratios, seed=args.seed)
+        corpus = split_corpus(corpus, args.ratios or DEFAULT_SPLIT_RATIOS, args.seed or 0)
     write_corpus(corpus, args.output)
     counts = Counter(corpus.split.values())
     print(" ".join(f"{split.value}={count}" for split, count in counts.items()))
@@ -260,27 +280,17 @@ def cmd_subsets(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    spec = parse_builtin_method(args.method)
-    if spec is None:
-        raise ExperimentError(
-            f"{args.method!r} is not a built-in method; supply its outputs as prediction files"
-        )
     perspective = Perspective(args.perspective)
-    spec.require(perspective)
-    corpus = read_corpus(args.corpus)
-    prefixes = _prefixes_from_args(args)
+    candidates = _builtin_candidates(args, perspective)
     produced = 0
-    skipped = 0
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        for dialog in _test_dialogs(corpus):
-            cand = builtin_candidate(dialog, spec, perspective, prefixes, args.min_tokens)
+        for dialog_id, cand in candidates:
             if cand is None:
-                skipped += 1
                 continue
-            record = {"dialog_id": dialog.id, "perspective": perspective.value, "method": spec.name, **cand._asdict()}
+            record = {"dialog_id": dialog_id, "perspective": perspective.value, "method": args.method, **cand._asdict()}
             fh.write(encode_json_line(record) + "\n")
             produced += 1
-    print(f"candidates: {produced} skipped: {skipped}")
+    print(f"candidates: {produced} skipped: {len(candidates) - produced}")
     return EXIT_OK
 
 
@@ -342,6 +352,8 @@ def cmd_report(args) -> int:
 def cmd_rate_curve(args) -> int:
     if args.predictions and (args.corpus or args.method):
         problem = "--predictions is not allowed with --corpus or --method"
+    elif args.predictions and args.min_tokens is not None:
+        problem = "--min-tokens is not allowed with --predictions"
     elif not (args.predictions or (args.corpus and args.method)):
         problem = "give either --predictions or --corpus with --method"
     else:
@@ -350,9 +362,9 @@ def cmd_rate_curve(args) -> int:
         print(f"persum rate-curve: error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     perspective = Perspective(args.perspective)
-    prefixes = _prefixes_from_args(args)
     per_size: dict[int, list] = {}
     if args.predictions:
+        prefixes = _prefixes_from_args(args)
         sets = index_prediction_sets(load_predictions(p) for p in args.predictions).values()
         methods = {s.method for s in sets}
         if len(methods) != 1:
@@ -364,16 +376,7 @@ def cmd_rate_curve(args) -> int:
                 if cand is not None:
                     bucket.append(cand)
     else:
-        spec = parse_builtin_method(args.method)
-        if spec is None:
-            raise ExperimentError(f"{args.method!r} is not a built-in method")
-        spec.require(perspective)
-        corpus = read_corpus(args.corpus)
-        candidates = []
-        for dialog in _test_dialogs(corpus):
-            cand = builtin_candidate(dialog, spec, perspective, prefixes)
-            if cand is not None:
-                candidates.append(cand)
+        candidates = [cand for _, cand in _builtin_candidates(args, perspective) if cand is not None]
         per_size = {size: candidates for size in args.sizes}
     rates = rate_curve(per_size)
     Path(args.output).write_text(rate_curve_csv(rates), encoding="utf-8")

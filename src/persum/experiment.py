@@ -34,7 +34,6 @@ from .summarize import (
     PrefixConfig,
     builtin_candidate,
     parse_builtin_method,
-    post_process_rate,
     prediction_candidate,
 )
 from .weaklabel import DEFAULT_MIN_TOKENS
@@ -596,7 +595,7 @@ def rate_curve(candidates_per_size: Mapping[int, Sequence[CandidateSummary]]) ->
         candidates = candidates_per_size[size]
         if not candidates:
             raise ExperimentError(f"no candidates at size {size}")
-        rates[size] = post_process_rate(candidates)
+        rates[size] = sum(c.post_processed for c in candidates) / len(candidates)
     return rates
 
 

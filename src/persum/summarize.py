@@ -75,14 +75,6 @@ def post_process(
     return prefixes.for_role(role) + text, True
 
 
-def post_process_rate(candidates: Sequence[CandidateSummary]) -> float:
-    """Fraction of candidates on which the prefix rule fired."""
-    if not candidates:
-        raise ValueError("cannot compute a post-process rate over an empty list")
-    fired = sum(1 for c in candidates if c.post_processed)
-    return fired / len(candidates)
-
-
 # --- method names -------------------------------------------------------------
 
 _BUILTIN_RE = re.compile(r"^(lead|long)(?:_(lead|long))?(_post_process)?_base$")
@@ -209,6 +201,8 @@ def parse_predictions(lines: Iterable[str]) -> PredictionSet:
                 isinstance(v, int) and not isinstance(v, bool) for v in header[1:]
             ):
                 raise ParseError(lineno, "bad header field types")
+            if header[1] < 0 or header[2] < 0:
+                raise ParseError(lineno, "training_size and seed must be non-negative")
             continue
         did = record.get("dialog_id")
         if not isinstance(did, str) or not did:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persum import Split, read_corpus, write_corpus
+from persum import SpeakerRole, Split, make_dialog, read_corpus, write_corpus
 from persum import cli
 from persum.cli import main
 from persum.experiment import RunScores
@@ -544,11 +544,12 @@ def test_config_error_names_config_file(scored_setup, tmp_path, capsys, setting,
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
-@pytest.mark.parametrize("command", ["weaklabel", "summarize"])
+@pytest.mark.parametrize("command", ["weaklabel", "summarize", "rate-curve"])
 def test_min_tokens_below_one_is_a_usage_error(helpdesk_path, tmp_path, capsys, command, value):
     argv = {
         "weaklabel": ["weaklabel", "--perspective", "agent", "--heuristic", "long"],
         "summarize": ["summarize", "--perspective", "agent", "--method", "long_base"],
+        "rate-curve": ["rate-curve", "--perspective", "agent", "--method", "long_base"],
     }[command]
     out = tmp_path / "out.jsonl"
     assert main([*argv, "--corpus", str(helpdesk_path), "--min-tokens", value, "--output", str(out)]) == 1
@@ -630,6 +631,110 @@ def test_rate_curve_without_a_source_is_a_usage_error(tmp_path, capsys, source):
     out = tmp_path / "rates.csv"
     assert main(["rate-curve", *source, "--perspective", "customer", "--output", str(out)]) == 1
     assert capsys.readouterr().err == "persum rate-curve: error: give either --predictions or --corpus with --method\n"
+    assert not out.exists()
+
+
+def test_rate_curve_predictions_with_min_tokens_is_a_usage_error(tmp_path, capsys):
+    pred = tmp_path / "a.jsonl"
+    pred.write_text('{"method": "lead_post_process", "training_size": 0, "seed": 0}\n', encoding="utf-8")
+    out = tmp_path / "rates.csv"
+    argv = ["rate-curve", "--predictions", str(pred), "--min-tokens", "8", "--perspective", "customer",
+            "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "persum rate-curve: error: --min-tokens is not allowed with --predictions\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["summarize", "rate-curve"])
+def test_external_method_name_is_refused_before_reading(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(tmp_path / "absent.jsonl"), "--method", "pegasus", "--perspective", "customer"]
+    assert main([*argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'pegasus' is not a built-in method; supply its outputs as prediction files\n"
+    )
+    assert not out.exists()
+
+
+def _customer_lead_corpus(path):
+    # the crafted dialogs open with a 5-word "customer ..." or "agent ..." turn and only later
+    # reach 8 words, so the lead's post-process share differs between --min-tokens 5 and 8
+    crafted = [
+        make_dialog(f"x{i}", [
+            (SpeakerRole.CUSTOMER, "customer here, parcel still missing"),
+            (SpeakerRole.AGENT, "agent here, checking that now"),
+            (SpeakerRole.CUSTOMER, "it was due last friday and never came"),
+            (SpeakerRole.AGENT, "the courier shows it left our depot on monday"),
+        ])
+        for i in range(3)
+    ]
+    corpus = synthetic_corpus(random.Random(16), 60)
+    write_corpus(corpus._replace(dialogs=corpus.dialogs + crafted), path)
+
+
+BUILTIN_METHODS = [
+    f"{first}{second}{post}_base"
+    for first in ("lead", "long")
+    for second in ("", "_lead", "_long")
+    for post in ("", "_post_process")
+]
+
+
+@pytest.mark.parametrize("min_tokens", ["1", "5", "8"])
+def test_rate_curve_of_a_builtin_method_matches_summarize_output(tmp_path, min_tokens):
+    corpus = tmp_path / "corpus.jsonl"
+    _customer_lead_corpus(corpus)
+    summaries, rates = tmp_path / "summaries.jsonl", tmp_path / "rates.csv"
+    for method in BUILTIN_METHODS:
+        two_sided = method.count("lead") + method.count("long") == 2
+        for perspective in ["full"] if two_sided else ["customer", "agent"]:
+            argv = ["--corpus", str(corpus), "--method", method, "--perspective", perspective,
+                    "--min-tokens", min_tokens]
+            assert main(["summarize", *argv, "--output", str(summaries)]) == 0
+            records = [json.loads(line) for line in summaries.read_text(encoding="utf-8").splitlines()]
+            share = sum(r["post_processed"] for r in records) / len(records)
+            assert main(["rate-curve", *argv, "--sizes", "0", "--output", str(rates)]) == 0
+            assert rates.read_text(encoding="utf-8") == f"size,rate\n0,{share!r}\n", (method, perspective)
+
+
+def test_rate_curve_min_tokens_changes_the_lead_rate(tmp_path):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "rates.csv"
+    _customer_lead_corpus(corpus)
+    rates = []
+    for flags in ([], ["--min-tokens", "5"], ["--min-tokens", "8"]):
+        argv = ["rate-curve", "--corpus", str(corpus), "--method", "lead_post_process_base",
+                "--perspective", "customer", "--sizes", "0", *flags, "--output", str(out)]
+        assert main(argv) == 0
+        rates.append(out.read_text(encoding="utf-8"))
+    assert rates[0] == rates[1] != rates[2]
+
+
+@pytest.mark.parametrize("command", ["score", "rate-curve"])
+def test_negative_prediction_header_is_a_data_error_naming_the_file(scored_setup, tmp_path, capsys, command):
+    _, config_path = scored_setup
+    pred = tmp_path / "neg.jsonl"
+    pred.write_text('{"method": "m_post_process", "training_size": -3, "seed": -1}\n'
+                    '{"dialog_id": "d1", "customer": "cannot log in", "agent": null}\n', encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "score": ["score", "--config", str(config_path), "--predictions", str(pred), "--output-dir", str(out)],
+        "rate-curve": ["rate-curve", "--predictions", str(pred), "--perspective", "customer",
+                       "--output", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {pred}, line 1: training_size and seed must be non-negative\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--seed", "7"], ["--seed", "0"], ["--ratios", "0.5,0.25,0.25"],
+                                   ["--seed", "7", "--ratios", "0.5,0.25,0.25"]],
+                         ids=["seed", "seed-zero", "ratios", "both"])
+def test_split_file_with_seed_or_ratios_is_a_usage_error(tmp_path, capsys, flags):
+    missing = tmp_path / "absent.jsonl"  # a usage error comes before any file is read
+    out = tmp_path / "o"
+    argv = ["split", "--corpus", str(missing), "--split-file", str(tmp_path / "s.csv"), *flags, "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "persum split: error: --seed and --ratios are not allowed with --split-file\n"
     assert not out.exists()
 
 

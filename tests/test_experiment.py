@@ -623,6 +623,24 @@ def test_rate_curve_empty_size_names_size():
         rate_curve({16: []})
 
 
+def test_rate_curve_counts_fired_share():
+    per_size = {0: [fired_candidate(i, fired) for i, fired in enumerate([True, False, False, False])]}
+    assert rate_curve(per_size) == {0: 0.25}
+
+
+def test_rate_curve_extremes():
+    per_size = {0: [fired_candidate(0, True)] * 3, 16: [fired_candidate(0, False)] * 3}
+    assert rate_curve(per_size) == {0: 1.0, 16: 0.0}
+
+
+def test_rate_curve_permutation_invariant():
+    rand = random.Random(2)
+    candidates = [fired_candidate(i, rand.random() < 0.3) for i in range(40)]
+    shuffled = candidates[:]
+    rand.shuffle(shuffled)
+    assert rate_curve({0: candidates}) == rate_curve({0: shuffled})
+
+
 def test_rate_curve_base_candidates_mostly_fire():
     # extractive utterances rarely open with "[The] customer/agent"; one dialog
     # is built so its lead utterance does, pinning the rate at 0.75

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persum import (
-    CandidateSummary,
     HeuristicKind,
     ParseError,
     Perspective,
     SpeakerRole,
     make_dialog,
     post_process,
-    post_process_rate,
 )
 from persum.summarize import (
     OPENER_PATTERN,
@@ -138,33 +136,6 @@ def test_prefixed_output_matches_detector():
                 assert out.endswith(text)
 
 
-def make_candidate(i, fired):
-    return CandidateSummary(f"text {i}", fired)
-
-
-def test_post_process_rate_counts():
-    cands = [make_candidate(i, fired) for i, fired in enumerate([True, False, False, False])]
-    assert post_process_rate(cands) == 0.25
-
-
-def test_post_process_rate_extremes():
-    assert post_process_rate([make_candidate(0, True)] * 3) == 1.0
-    assert post_process_rate([make_candidate(0, False)] * 3) == 0.0
-
-
-def test_post_process_rate_empty_errors():
-    with pytest.raises(ValueError):
-        post_process_rate([])
-
-
-def test_post_process_rate_permutation_invariant():
-    rand = random.Random(2)
-    cands = [make_candidate(i, rand.random() < 0.3) for i in range(40)]
-    shuffled = cands[:]
-    rand.shuffle(shuffled)
-    assert post_process_rate(cands) == post_process_rate(shuffled)
-
-
 # --- method names -----------------------------------------------------------------------
 
 
@@ -266,6 +237,13 @@ def test_parse_predictions_rejects_bad_types():
     ]
     with pytest.raises(ParseError):
         parse_predictions(lines)
+
+
+@pytest.mark.parametrize("size, seed", [(-3, -1), (-3, 0), (16, -1)])
+def test_parse_predictions_rejects_negative_size_or_seed(size, seed):
+    header = f'{{"method": "m_post_process", "training_size": {size}, "seed": {seed}}}'
+    with pytest.raises(ParseError, match="^line 1: training_size and seed must be non-negative$"):
+        parse_predictions([header, '{"dialog_id": "d1", "customer": "a", "agent": null}'])
 
 
 def test_parse_predictions_bad_json_line():
