@@ -633,6 +633,12 @@ def test_rate_curve_extremes():
     assert rate_curve(per_size) == {0: 1.0, 16: 0.0}
 
 
+def test_rate_curve_empty_errors():
+    # one empty size fails the whole curve, even when another size has candidates
+    with pytest.raises(ValueError):
+        rate_curve({0: [], 16: [fired_candidate(0, True)]})
+
+
 def test_rate_curve_permutation_invariant():
     rand = random.Random(2)
     candidates = [fired_candidate(i, rand.random() < 0.3) for i in range(40)]
