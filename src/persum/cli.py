@@ -97,6 +97,16 @@ def _ratios(text: str) -> tuple[float, float, float]:
     return ratios
 
 
+def _text(text: str) -> str:
+    """An argument that is UTF-8 text: bytes that are not UTF-8 reach argv as lone
+    surrogates, which no output file can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"expected UTF-8 text, got {text!r}") from None
+    return text
+
+
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         if not text.strip().isdecimal() or int(text) < minimum:
@@ -149,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True)
     p.add_argument("--perspective", choices=["customer", "agent", "full"], required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--prefix-customer", default=None)
-    p.add_argument("--prefix-agent", default=None)
+    p.add_argument("--prefix-customer", type=_text, default=None)
+    p.add_argument("--prefix-agent", type=_text, default=None)
     p.add_argument("--min-tokens", type=_int_at_least(1), default=DEFAULT_MIN_TOKENS)
     p.set_defaults(func=cmd_summarize)
 
@@ -162,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=["md", "csv"], default="md")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--subsets", action="store_true", help="also write subsets/<seed>/<size>.txt")
-    p.add_argument("--prefix-customer", default=None, help="override the config's customer prefix")
-    p.add_argument("--prefix-agent", default=None, help="override the config's agent prefix")
+    p.add_argument("--prefix-customer", type=_text, default=None, help="override the config's customer prefix")
+    p.add_argument("--prefix-agent", type=_text, default=None, help="override the config's agent prefix")
     p.add_argument("--strict-missing", action="store_true", help="error on unscorable dialogs")
     p.set_defaults(func=cmd_score)
 
@@ -184,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", type=_sizes, default=DEFAULT_SIZES,
         help="training sizes to report; applies to --corpus/--method only",
     )
-    p.add_argument("--prefix-customer", default=None)
-    p.add_argument("--prefix-agent", default=None)
+    p.add_argument("--prefix-customer", type=_text, default=None)
+    p.add_argument("--prefix-agent", type=_text, default=None)
     p.add_argument(
         "--min-tokens", type=_int_at_least(1),
         help=f"default {DEFAULT_MIN_TOKENS}; applies to --corpus/--method only",
@@ -209,7 +219,10 @@ def _builtin_candidates(args, perspective: Perspective):
         raise ExperimentError(
             f"{args.method!r} is not a built-in method; supply its outputs as prediction files"
         )
-    spec.require(perspective)
+    try:
+        spec.require(perspective)
+    except ValueError as exc:
+        raise ExperimentError(str(exc)) from None
     corpus = read_corpus(args.corpus)
     prefixes = _prefixes_from_args(args)
     min_tokens = DEFAULT_MIN_TOKENS if args.min_tokens is None else args.min_tokens
@@ -396,7 +409,7 @@ def main(argv=None) -> int:
         name = exc.filename if exc.filename else exc
         print(f"error: file not found: {name}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, OSError) as exc:
+    except (CorpusError, ExperimentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

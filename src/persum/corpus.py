@@ -109,16 +109,27 @@ def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tu
             raise ParseError(reader.line_num, str(exc)) from None
 
 
+def decode_json(text: str, line: int | None = None):
+    """json.loads(text); text that is not JSON is a ParseError at `line`, and so are an
+    integer of more digits than int() converts, which json raises as a plain ValueError,
+    and nesting deeper than the recursion limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(line, f"invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:
+        raise ParseError(line, f"invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise ParseError(line, "invalid JSON (nested too deeply)") from None
+
+
 def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """Yield (line, object) for each line of JSONL `lines` that is not blank; a line that is
     not JSON, not a JSON object, or escapes a lone surrogate is a ParseError."""
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+        record = decode_json(raw, lineno)
         if not isinstance(record, dict):
             raise ParseError(lineno, "expected a JSON object")
         if "\\u" in raw:

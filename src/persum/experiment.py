@@ -11,13 +11,22 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import Corpus, GoldSummary, ParseError, SpeakerRole, Split, _naming_file, csv_rows, reject_lone_surrogates
+from .corpus import (
+    Corpus,
+    GoldSummary,
+    ParseError,
+    SpeakerRole,
+    Split,
+    _naming_file,
+    csv_rows,
+    decode_json,
+    reject_lone_surrogates,
+)
 from .rng import make_rng
 from .rouge import (
     AggregateCell,
@@ -690,14 +699,12 @@ def load_config_file(path: str | Path) -> tuple[ExperimentConfig, ConfigPaths]:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh, _naming_file(path):
             text = fh.read()
-            document = json.loads(text)
+            document = decode_json(text)
             if "\\u" in text:
                 reject_lone_surrogates(text)
         if not isinstance(document, dict):
             raise ExperimentError("expected a JSON object")
         config, paths = parse_config(document)
-    except json.JSONDecodeError as exc:
-        raise ExperimentError(f"{path}: invalid JSON ({exc.msg})") from exc
     except ExperimentError as exc:
         raise ExperimentError(f"{path}: {exc}") from exc
     resolved = [None if p is None else str(path.parent / p) for p in (paths.corpus, paths.split, *paths.predictions)]

@@ -10,8 +10,8 @@ deviation (n-1 denominator) as the +/- column.
 
 from __future__ import annotations
 
-import statistics
-from collections import Counter
+import math
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from . import _porter
@@ -85,11 +85,12 @@ class PreparedReference:
     """A tokenized reference with what every candidate is scored against.
 
     `masks` maps each token to the bitmask of its positions (bit i set when
-    tokens[i] is that token). A token's count is the popcount of its mask, and
-    the count of a bigram (a, b) is the popcount of masks[a] & masks[b] >> 1.
-    Scoring only reads these fields, so one instance serves any number of
-    candidates. It stands in for the reference token list in rouge_n, rouge_l
-    and score_pair, and its length is the number of tokens.
+    tokens[i] is that token), and the positions of a bigram (a, b) are
+    masks[a] & masks[b] >> 1. ROUGE-1 and ROUGE-2 clip by consuming these
+    positions and ROUGE-L runs its LCS row over them. Scoring only reads these
+    fields, so one instance serves any number of candidates. It stands in for
+    the reference token list in rouge_n, rouge_l and score_pair, and its length
+    is the number of tokens.
     """
 
     __slots__ = ("tokens", "masks")
@@ -115,23 +116,31 @@ def prepare_reference(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) ->
 
 
 def _rouge_1(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
+    """Each candidate token consumes the lowest reference position of that token not yet
+    consumed. Distinct tokens have disjoint masks, so a token counts min(candidate count,
+    reference count) times: the clipped overlap."""
     overlap = 0
-    for token, count in Counter(candidate).items():
-        mask = ref.masks.get(token)
-        if mask:
-            ref_count = mask.bit_count()
-            overlap += count if count < ref_count else ref_count
+    left = (1 << len(ref.tokens)) - 1  # reference positions not yet consumed
+    for mask in map(ref.masks.get, candidate, repeat(0)):
+        free = mask & left
+        if free:
+            left ^= free & -free
+            overlap += 1
     return _make_score(overlap, len(candidate), len(ref.tokens))
 
 
 def _rouge_2(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
-    overlap = 0
-    for (first, second), count in Counter(zip(candidate, candidate[1:])).items():
-        first_mask = ref.masks.get(first)
-        second_mask = ref.masks.get(second)
-        if first_mask and second_mask:
-            ref_count = (first_mask & second_mask >> 1).bit_count()
-            overlap += count if count < ref_count else ref_count
+    """As _rouge_1 over bigrams: bit i of prev & mask >> 1 is set when the reference has
+    the candidate's last two tokens at positions i and i + 1. A position fixes its bigram,
+    so distinct bigrams have disjoint position masks."""
+    overlap = prev = 0
+    left = (1 << len(ref.tokens)) - 1
+    for mask in map(ref.masks.get, candidate, repeat(0)):
+        free = prev & (mask >> 1) & left
+        if free:
+            left ^= free & -free
+            overlap += 1
+        prev = mask
     return _make_score(overlap, max(len(candidate) - 1, 0), max(len(ref.tokens) - 1, 0))
 
 
@@ -140,8 +149,10 @@ def _rouge_l(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
 
     v holds one row of the LCS table: bit j is clear when the LCS of the
     candidate so far with reference[:j + 1] is one longer than with
-    reference[:j]. The LCS length is the number of clear bits, and each
-    candidate token updates the whole row with a few integer operations.
+    reference[:j]. The LCS length is the number of clear bits among the low n,
+    and each candidate token updates the whole row with a few integer
+    operations. u has no bit at or above n and carries only move upward, so
+    bits above n never change the low n and the row is masked once, at the end.
     """
     n = len(ref.tokens)
     full = (1 << n) - 1
@@ -150,8 +161,8 @@ def _rouge_l(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
         mask = ref.masks.get(token)
         if mask:
             u = v & mask
-            v = ((v + u) | (v - u)) & full
-    return _make_score(n - v.bit_count(), len(candidate), n)
+            v = (v + u) | (v - u)
+    return _make_score(n - (v & full).bit_count(), len(candidate), n)
 
 
 def _prepared(reference: Sequence[str] | PreparedReference) -> PreparedReference:
@@ -194,10 +205,37 @@ class AggregateCell(NamedTuple):
     n_runs: int
 
 
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den), correctly rounded, by the method of Python 3.11's
+    statistics._float_sqrt_of_frac: the integer square root of the ratio scaled to
+    109 (2 * 53 + 3) or more bits, rounded to odd, then rounded once to a float."""
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def aggregate(per_run_means: Sequence[float]) -> AggregateCell:
-    """Mean and sample standard deviation over per-run means."""
-    if not per_run_means:
+    """Mean and sample standard deviation over per-run means: the same floats as
+    statistics.fmean and statistics.stdev.
+
+    Every mean is an integer over a common power-of-two denominator, so the sum of
+    squared deviations is an exact integer ratio and the deviation is rounded once.
+    """
+    n = len(per_run_means)
+    if not n:
         raise ValueError("cannot aggregate an empty list of run means")
-    mean = statistics.fmean(per_run_means)
-    deviation = statistics.stdev(per_run_means) if len(per_run_means) >= 2 else 0.0
-    return AggregateCell(mean, deviation, len(per_run_means))
+    mean = math.fsum(per_run_means) / n
+    if n < 2:
+        return AggregateCell(mean, 0.0, n)
+    ratios = [x.as_integer_ratio() for x in per_run_means]
+    exp = max(den for _, den in ratios).bit_length() - 1  # each mean is an integer over 2 ** exp
+    scaled = [num * (1 << exp) // den for num, den in ratios]
+    total = sum(scaled)
+    # variance = (n * sum(x * x) - sum(x) ** 2) / (n * (n - 1)), here with every x scaled by 2 ** exp
+    squares = n * sum(x * x for x in scaled) - total * total
+    return AggregateCell(mean, _sqrt_of_ratio(squares, n * (n - 1) << 2 * exp), n)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persum import SpeakerRole, Split, make_dialog, read_corpus, write_corpus
-from persum import cli
+from persum import cli, rouge
 from persum.cli import main
 from persum.experiment import RunScores
 from util import synthetic_corpus, tweet_table
@@ -136,6 +136,18 @@ def _utterance(text="hello there", role="customer"):
     return {"role": role, "text": text}
 
 
+# an integer of more digits than int() converts (4 300 by default from Python 3.10.7), which
+# json raises as a plain ValueError
+LONG_INT = "9" * 5_000
+try:
+    int(LONG_INT)
+except ValueError as exc:
+    LONG_INT_ERROR = str(exc)
+else:
+    LONG_INT_ERROR = None
+NEEDS_INT_LIMIT = pytest.mark.skipif(LONG_INT_ERROR is None, reason="int() converts any number of digits")
+
+
 def _record(did, **extra):
     return json.dumps({"id": did, "utterances": [_utterance(), _utterance("hi", "agent")], **extra})
 
@@ -150,8 +162,12 @@ def _record(did, **extra):
         (json.dumps({"id": "d2", "utterances": [_utterance(" \t")]}), "dialog 'd2': empty utterance text at position 0"),
         (_record("d2", split="dev"), "dialog 'd2': unknown split 'dev'"),
         ("{not json", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        pytest.param(_record("d2")[:-1] + f', "n": {LONG_INT}}}', f"invalid JSON ({LONG_INT_ERROR})",
+                     marks=NEEDS_INT_LIMIT),
+        ("[" * 100_000, "invalid JSON (nested too deeply)"),
     ],
-    ids=["blank-gold-part", "duplicate-id", "bad-role", "blank-text", "bad-split", "bad-json"],
+    ids=["blank-gold-part", "duplicate-id", "bad-role", "blank-text", "bad-split", "bad-json", "long-int",
+         "deep-nesting"],
 )
 def test_corpus_error_names_file_and_line(tmp_path, capsys, second, complaint):
     src = tmp_path / "c.jsonl"
@@ -525,13 +541,16 @@ def test_split_file_that_does_not_match_the_corpus_names_file(tmp_path, capsys, 
         ({"typo": 1}, "unknown config key(s): typo"),
         ("[1, 2]", "expected a JSON object"),
         ("{oops", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        pytest.param(f'{{"n_seeds": {LONG_INT}}}', f"invalid JSON ({LONG_INT_ERROR})", marks=NEEDS_INT_LIMIT),
+        ('{"n_seeds": ' + "[" * 100_000, "invalid JSON (nested too deeply)"),
         ({"corpus": "c\u0000.jsonl"}, "config key 'corpus' must not contain a NUL character, got 'c\\x00.jsonl'"),
         ({"split": "\u0000"}, "config key 'split' must not contain a NUL character, got '\\x00'"),
         ({"predictions": ["p.jsonl", "q\u0000"]},
          "config key 'predictions' must not contain a NUL character, got 'q\\x00'"),
     ],
     ids=["n-seeds-zero", "n-seeds-string", "min-tokens-zero-lead", "min-tokens-negative-long", "no-perspective",
-         "unknown-key", "not-an-object", "bad-json", "nul-in-corpus", "nul-in-split", "nul-in-predictions"],
+         "unknown-key", "not-an-object", "bad-json", "long-int", "deep-nesting", "nul-in-corpus", "nul-in-split",
+         "nul-in-predictions"],
 )
 def test_config_error_names_config_file(scored_setup, tmp_path, capsys, setting, complaint):
     corpus_path, _ = scored_setup
@@ -1024,6 +1043,25 @@ def test_score_report_subsets_rate_curve_bytes_pinned(tmp_path):
     assert runs[0]["sha256"] == SCORE_PIPELINE_SHA256
 
 
+@pytest.mark.parametrize("flag", ["--prefix-customer", "--prefix-agent"])
+@pytest.mark.parametrize("command", ["summarize", "score", "rate-curve"])
+def test_prefix_that_is_not_utf8_is_a_usage_error(scored_setup, tmp_path, capsys, command, flag):
+    """A byte that is not UTF-8 reaches argv as a lone surrogate, which `summarize` could
+    not write into its output."""
+    corpus_path, config_path = scored_setup
+    out = tmp_path / "out"
+    argv = {
+        "summarize": ["summarize", "--corpus", str(corpus_path), "--method", "lead_post_process_base",
+                      "--perspective", "customer", "--output", str(out)],
+        "score": ["score", "--config", str(config_path), "--output-dir", str(out)],
+        "rate-curve": ["rate-curve", "--corpus", str(corpus_path), "--method", "lead_post_process_base",
+                       "--perspective", "customer", "--output", str(out)],
+    }[command]
+    assert main([*argv, flag, b"\xff says: ".decode("utf-8", "surrogateescape")]) == 1
+    assert f"argument {flag}: expected UTF-8 text, got '\\udcff says: '\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["summarize", "rate-curve"])
 @pytest.mark.parametrize(
     "method, perspective, message",
@@ -1283,6 +1321,19 @@ def test_score_leaves_no_partial_output_when_the_dump_write_fails(scored_setup, 
     assert code == 2
     assert "no space left on device" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
+
+
+def test_score_lets_a_bug_raise_instead_of_exiting_2(scored_setup, tmp_path, monkeypatch):
+    """main turns only CorpusError, ExperimentError and OSError into exit 2, so a
+    ValueError from inside the kernel ends in a traceback, not as a data error."""
+    _, config_path = scored_setup
+
+    def broken_kernel(candidate, ref):
+        raise ValueError("kernel bug")
+
+    monkeypatch.setattr(rouge, "_rouge_1", broken_kernel)
+    with pytest.raises(ValueError, match="^kernel bug$"):
+        main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "run")])
 
 
 def test_score_prints_warnings_before_the_error_that_ends_it(tmp_path, capsys):

@@ -4,9 +4,12 @@ import itertools
 import math
 import random
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persum import rouge
@@ -250,3 +253,33 @@ def test_aggregate_constant_runs():
 def test_aggregate_empty_errors():
     with pytest.raises(ValueError):
         aggregate([])
+
+
+# 2-6 run means drawn from a pool of at most six, so values repeat (a pool of one gives an
+# all-equal list); each may move one ulp toward 0 or 1, for near-ties; k/40 gives the
+# ratios a 40-dialog run mean takes
+RUN_MEANS = st.lists(st.floats(0.0, 1.0) | st.integers(0, 40).map(lambda k: k / 40), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([None, 0.0, 1.0])), min_size=2, max_size=6)
+).map(lambda picks: [x if toward is None else math.nextafter(x, toward) for x, toward in picks])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds its square root once from 3.11")
+@settings(max_examples=500)
+@given(RUN_MEANS)
+@example([0.3, 0.3, 0.3])
+@example([0.0, 5e-324])
+@example([0.2, math.nextafter(0.2, 1.0)])
+def test_aggregate_equals_statistics_to_the_bit(means):
+    cell = aggregate(means)
+    assert cell.mean.hex() == statistics.fmean(means).hex()
+    assert cell.deviation.hex() == statistics.stdev(means).hex()
+    assert cell.n_runs == len(means)
+
+
+def test_importing_cli_leaves_statistics_out():
+    """aggregate needs no statistics module, whose import pulls in fractions, decimal and
+    random on every persum start."""
+    src = str(Path(rouge.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import persum.cli; print('statistics' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
