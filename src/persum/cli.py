@@ -107,6 +107,12 @@ def _text(text: str) -> str:
     return text
 
 
+def _shown(path: str | Path) -> str:
+    """`path` for printing: a byte that is not UTF-8, which reaches argv as a lone
+    surrogate, is shown as an escape such as \\xff."""
+    return str(path).encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         if not text.strip().isdecimal() or int(text) < minimum:
@@ -288,7 +294,7 @@ def cmd_subsets(args) -> int:
         for seed in range(args.seeds)
     ]
     write_subset_files(families, args.output_dir)
-    print(f"wrote {len(families)} seed(s) x {len(args.sizes)} size(s) under {args.output_dir}")
+    print(f"wrote {len(families)} seed(s) x {len(args.sizes)} size(s) under {_shown(args.output_dir)}")
     return EXIT_OK
 
 
@@ -348,7 +354,7 @@ def cmd_score(args) -> int:
         dump_path.unlink(missing_ok=True)
     if args.subsets:
         write_subset_files(result.families, out_dir / "subsets")
-    print(f"wrote {report_name} and per_dialog_scores.csv to {out_dir}")
+    print(f"wrote {report_name} and per_dialog_scores.csv to {_shown(out_dir)}")
     return EXIT_OK
 
 
@@ -358,7 +364,7 @@ def cmd_report(args) -> int:
         raise ParseError(None, "per-dialog dump is empty", args.per_dialog)
     table = table_from_per_dialog(runs)
     Path(args.output).write_text(emit_report(table, args.format), encoding="utf-8")
-    print(f"wrote {args.output}")
+    print(f"wrote {_shown(args.output)}")
     return EXIT_OK
 
 
@@ -393,7 +399,7 @@ def cmd_rate_curve(args) -> int:
         per_size = {size: candidates for size in args.sizes}
     rates = rate_curve(per_size)
     Path(args.output).write_text(rate_curve_csv(rates), encoding="utf-8")
-    print(f"wrote {args.output}")
+    print(f"wrote {_shown(args.output)}")
     return EXIT_OK
 
 

@@ -536,33 +536,73 @@ _KEY_PARSERS = (str, Perspective, int, int)
 _SCORE_PARSERS = (_unit_score,) * len(_SCORE_COLUMNS)
 
 
+def _blocks(rows: Iterable[tuple[int, tuple[str, ...]]]):
+    """Group (line, values) dump rows into lists of consecutive rows with the same key
+    text. When reading a row fails, the rows before it are yielded first, so that their
+    own faults are raised in file order."""
+    block, key_text = [], None
+    try:
+        for row in rows:
+            if row[1][1:5] != key_text:
+                if block:
+                    yield block
+                block, key_text = [], row[1][1:5]
+            block.append(row)
+    except (ParseError, UnicodeDecodeError, OSError):
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
 def read_per_dialog_csv(path: str | Path) -> RunScores:
     """Read a dump written by write_per_dialog_csv into its runs; a malformed row, or a
-    dialog that repeats within its run, is an error naming its line.
+    dialog that repeats within its run, is an error naming its line, raised in file order.
 
-    The key columns are parsed once per distinct key text. A row whose score text
-    equals that of the previous row of its dialog reuses that row's floats, so a
-    score repeated across a dialog's rows is parsed and range-checked once.
+    The rows are read in blocks of consecutive rows with the same key text, so normally
+    one run per block. A block that opens a run with the same dialog ids and score texts
+    as the block that last opened a run of its (method, perspective) shares that run's
+    scores dict unparsed, as the runs of a built-in method do in `score`. The rows of
+    other blocks are parsed and checked one at a time; a row whose score text equals the
+    last parsed row's reuses its scores, as in a dump that interleaves a built-in method's
+    runs row by row. A run that re-opens gets its own copy of its scores dict first, so
+    no other run's scores change.
     """
     runs = RunScores()
-    run_of: dict[tuple[str, ...], dict[str, tuple[float, ...]]] = {}  # key text -> the run's scores
-    last: dict[str, tuple[tuple[str, ...], tuple[float, ...]]] = {}  # dialog id -> score text, floats
+    key_of: dict[tuple[str, ...], RunKey] = {}  # key text -> the run's key
+    opened: dict[tuple[str, ...], tuple[list, dict]] = {}  # (method, perspective) text -> columns, scores
+    copied: set[RunKey] = set()  # runs whose scores dict no other run or block holds
+    score_text, parsed = None, ()  # the last parsed row's score text, and its scores
     with _naming_file(path):
-        for line, record in csv_rows(path, "per-dialog dump", PER_DIALOG_COLUMNS):
+        for block in _blocks(csv_rows(path, "per-dialog dump", PER_DIALOG_COLUMNS)):
+            line, record = block[0]
             key_text = record[1:5]
-            scores = run_of.get(key_text)
+            key = key_of.get(key_text)
+            if key is None:
+                key = key_of[key_text] = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, key_text, line))
+            scores = runs.runs.get(key)
             if scores is None:
-                key = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, key_text, line))
-                scores = run_of[key_text] = runs.runs.setdefault(key, {})
-            did = record[0]
-            if did in scores:
-                method, perspective, size, seed = key_text
-                raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
-            score_text = record[5:]
-            seen = last.get(did)
-            if seen is None or seen[0] != score_text:
-                seen = last[did] = (score_text, tuple(_parse_columns(_SCORE_COLUMNS, _SCORE_PARSERS, score_text, line)))
-            scores[did] = seen[1]
+                columns = list(zip(*map(itemgetter(1), block)))
+                del columns[1:5]  # the dialog ids, then the five score columns
+                last = opened.get(key_text[:2])
+                if last is not None and last[0] == columns:
+                    runs.runs[key] = last[1]
+                    continue
+                scores = runs.runs[key] = {}
+                opened[key_text[:2]] = (columns, scores)
+            elif key not in copied:
+                scores = runs.runs[key] = dict(scores)
+                copied.add(key)
+            for line, record in block:
+                did = record[0]
+                if did in scores:
+                    method, perspective, size, seed = key_text
+                    raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
+                if record[5:] != score_text:
+                    score_text = record[5:]
+                    parsed = tuple(_parse_columns(_SCORE_COLUMNS, _SCORE_PARSERS, score_text, line))
+                scores[did] = parsed
     return runs
 
 

@@ -14,8 +14,6 @@ import math
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from . import _porter
-
 
 class TokenizerConfig(NamedTuple):
     lowercase: bool = True
@@ -53,6 +51,8 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
         text = text.translate(_ALNUM_OR_SPACE)
     tokens = text.split()
     if config.stemming:
+        from . import _porter  # only stemming needs it, so a start without stemming skips compiling it
+
         tokens = [_porter.stem(t) for t in tokens]
     return tokens
 

@@ -1043,6 +1043,32 @@ def test_score_report_subsets_rate_curve_bytes_pinned(tmp_path):
     assert runs[0]["sha256"] == SCORE_PIPELINE_SHA256
 
 
+@pytest.mark.parametrize("command", ["score", "report", "rate-curve", "subsets"])
+def test_output_name_that_is_not_utf8_prints_escaped_on_a_strict_stdout(scored_setup, tmp_path, command):
+    """A byte that is not UTF-8 reaches argv as a lone surrogate, which a stdout that
+    encodes strictly cannot print: the output is written, and its name printed with the
+    byte as an escape. A name that is UTF-8 prints as it is."""
+    corpus_path, config_path = scored_setup
+    dump = tmp_path / "scored" / "per_dialog_scores.csv"
+    if command == "report":
+        assert main(["score", "--config", str(config_path), "--output-dir", str(dump.parent)]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict", "PYTHONPATH": src}
+    for name, shown in [(b"out\xff", b"out\\xff"), ("outé".encode(), "outé".encode())]:
+        out = os.fsencode(tmp_path) + b"/" + name
+        argv = {
+            "score": ["score", "--config", config_path, "--output-dir", out],
+            "report": ["report", "--per-dialog", dump, "--output", out],
+            "rate-curve": ["rate-curve", "--corpus", corpus_path, "--method", "lead_base", "--perspective", "customer",
+                           "--sizes", "0", "--output", out],
+            "subsets": ["subsets", "--corpus", corpus_path, "--sizes", "0,4", "--seeds", "1", "--output-dir", out],
+        }[command]
+        done = subprocess.run([sys.executable, "-m", "persum.cli", *argv], env=env, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.endswith(b" " + os.fsencode(tmp_path) + b"/" + shown + b"\n")
+        assert os.path.exists(out)
+
+
 @pytest.mark.parametrize("flag", ["--prefix-customer", "--prefix-agent"])
 @pytest.mark.parametrize("command", ["summarize", "score", "rate-curve"])
 def test_prefix_that_is_not_utf8_is_a_usage_error(scored_setup, tmp_path, capsys, command, flag):

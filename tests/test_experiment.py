@@ -46,7 +46,7 @@ from persum.summarize import (
     builtin_candidate,
     parse_builtin_method,
 )
-from util import synthetic_corpus
+from util import naive_read_dump, synthetic_corpus
 
 C = SpeakerRole.CUSTOMER
 A = SpeakerRole.AGENT
@@ -525,6 +525,167 @@ def test_dump_writer_equals_csv_writer_on_awkward_fields(tmp_path_factory, draws
     read = read_per_dialog_csv(path)
     assert list(read) == rows
     assert exact(read) == exact(rows)
+
+
+# --- the block reader against the row-by-row oracle ---------------------------------
+
+KEY_TEXT = st.tuples(
+    st.sampled_from(["lead_base", "pegasus"]),
+    st.sampled_from(["customer", "agent"]),
+    st.sampled_from(["0", "1", "01"]),  # "01" and "1" name one run
+    st.sampled_from(["0", "1"]),
+)
+SCORE_TEXT = st.sampled_from(["0.5", "0.0", "-0.0", "1", "1.0", "0.25", "1e-3", "0.30000000000000004"])
+DIALOG_ID = st.sampled_from(["d1", "d2", "d3", "d,4"])
+
+
+def dump_blocks(key_text, row):
+    """Blocks of rows with one key text; None copies the rows of the last block of the
+    same (method, perspective), so that its run may share that block's scores."""
+    return st.lists(st.tuples(key_text, st.one_of(st.none(), st.lists(row, min_size=1, max_size=4))), max_size=12)
+
+
+def dump_rows(blocks) -> list[list[str]]:
+    rows, last = [], {}
+    for key_text, block_rows in blocks:
+        block_rows = last.get(key_text[:2], []) if block_rows is None else block_rows
+        last[key_text[:2]] = block_rows
+        rows += [[did, *key_text, *scores] for did, scores in block_rows]
+    return rows
+
+
+def write_dump_rows(path, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([PER_DIALOG_COLUMNS, *rows])
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+def read_outcome(reader, path):
+    """The runs `reader` reads from `path`, each run's key with its rows as (dialog id,
+    score reprs) in dump order, or the text of the ParseError it raises."""
+    try:
+        runs = reader(path)
+    except ParseError as exc:
+        return str(exc)
+    return [(key, [(did, tuple(map(repr, s))) for did, s in scores.items()]) for key, scores in runs.runs.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dump_blocks(KEY_TEXT, st.tuples(DIALOG_ID, st.lists(SCORE_TEXT, min_size=5, max_size=5))))
+def test_block_reader_equals_row_by_row_reader_on_valid_dumps(tmp_path_factory, blocks):
+    """Shared, re-opened and row-interleaved runs; a row that would repeat its dialog in
+    its run is left out."""
+    rows, seen = [], set()
+    for row in dump_rows(blocks):
+        run_dialog = (*row[1:3], int(row[3]), int(row[4]), row[0])
+        if run_dialog not in seen:
+            seen.add(run_dialog)
+            rows.append(row)
+    path = tmp_path_factory.mktemp("dump") / "dump.csv"
+    write_dump_rows(path, rows)
+    want = read_outcome(naive_read_dump, path)
+    assert not isinstance(want, str)
+    assert read_outcome(read_per_dialog_csv, path) == want
+
+
+FAULTY_KEY_TEXT = st.tuples(
+    st.sampled_from(["lead_base", "pegasus"]),
+    st.sampled_from(["customer", "agent", "speaker"]),
+    st.sampled_from(["0", "1", "01", "x"]),
+    st.sampled_from(["0", "1"]),
+)
+FAULTY_SCORE_TEXT = st.one_of(SCORE_TEXT, SCORE_TEXT, st.sampled_from(["1.5", "-0.5", "nan", "inf", "-inf", "abc", ""]))
+FAULTY_SCORES = st.one_of(*[st.lists(FAULTY_SCORE_TEXT, min_size=5, max_size=5)] * 3, st.lists(SCORE_TEXT, min_size=3, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dump_blocks(FAULTY_KEY_TEXT, st.tuples(DIALOG_ID, FAULTY_SCORES)))
+def test_block_reader_names_the_fault_the_row_by_row_reader_names(tmp_path_factory, blocks):
+    """Out-of-range, NaN, infinite and non-numeric scores, bad keys, repeated dialogs and
+    rows of the wrong width, anywhere in shared, re-opened and interleaved runs."""
+    path = tmp_path_factory.mktemp("dump") / "dump.csv"
+    write_dump_rows(path, dump_rows(blocks))
+    assert read_outcome(read_per_dialog_csv, path) == read_outcome(naive_read_dump, path)
+
+
+GOOD = "0.5,0.5,0.5,0.25,0.5"
+
+
+def run_rows(key, dids, scores=GOOD) -> str:
+    return "".join(f"{did},pegasus,customer,{key},{scores}\n" for did in dids)
+
+
+@pytest.mark.parametrize(
+    "body, line, complaint",
+    [
+        (run_rows("0,0", ["d1"]) + "d2,pegasus,customer,0,0,0.5,0.5,1.5,0.25,0.5\nd3,pegasus,customer,0,0,0.5,0.5,0.5\n",
+         3, "r1_f: '1.5' is not a score in [0, 1]"),
+        (run_rows("0,0", ["d1"]) + "d2,pegasus,customer,0,0,0.5,0.5,0.5,0.25,abc\n" + "d3,pegasus,customer,0,0," + "9" * 131_073 + "\n",
+         3, "rl_f: could not convert string to float: 'abc'"),
+        (run_rows("0,0", ["d1"]) + run_rows("0,0", ["d2"], "0.5,nan,0.5,0.25,0.5"), 3, "r1_r: 'nan' is not a score in [0, 1]"),
+        (run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1"], "0.5,0.5,0.5,0.25,nan"), 4, "rl_f: 'nan' is not a score in [0, 1]"),
+        (run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]) + run_rows("00,1", ["d3", "d2"]),
+         7, "dialog 'd2' repeats in run (pegasus, customer, size=00, seed=1)"),
+        (run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]) + run_rows("0,0", ["d3", "d2", "d4"], "0.5,0.5,0.5,0.25,inf"),
+         6, "rl_f: 'inf' is not a score in [0, 1]"),
+    ],
+    ids=["then-a-short-row", "then-a-csv-error", "nan-in-a-column", "nan-in-a-shared-text", "repeat-in-reopened-shared-run", "fault-before-repeat"],
+)
+def test_block_reader_names_the_first_faulty_row_in_file_order(tmp_path, body, line, complaint):
+    path = tmp_path / "dump.csv"
+    path.write_text(plain_dump([]) + body, encoding="utf-8")
+    got = read_outcome(read_per_dialog_csv, path)
+    assert got == read_outcome(naive_read_dump, path)
+    assert got.startswith(f"{path}, line {line}: {complaint}")
+
+
+def test_block_reader_names_a_faulty_row_before_an_undecodable_byte_of_its_run(tmp_path):
+    """The bad byte lies past the text decoder's first block, so the faulty row before it
+    is read first, and its fault is the one named."""
+    path = tmp_path / "dump.csv"
+    rows = run_rows("0,0", [f"d{i}" for i in range(100)]) + run_rows("0,0", ["d100"], "0.5,-0.5,0.5,0.25,0.5")
+    rows += run_rows("0,0", [f"d{i}" for i in range(101, 300)])
+    path.write_bytes((plain_dump([]) + rows).encode("utf-8") + b"d\xff,pegasus,customer,0,0," + GOOD.encode() + b"\n")
+    got = read_outcome(read_per_dialog_csv, path)
+    assert got == read_outcome(naive_read_dump, path)
+    assert got.startswith(f"{path}, line 102: r1_r: '-0.5' is not a score in [0, 1]")
+
+
+def scores_by_dict(runs: RunScores) -> list[list]:
+    """The runs' keys grouped by the scores dict they hold, in order of first appearance."""
+    groups: dict[int, list] = {}
+    for key, scores in runs.runs.items():
+        groups.setdefault(id(scores), []).append(key)
+    return list(groups.values())
+
+
+def test_report_shares_scores_where_score_shares_them(tmp_path):
+    corpus = scoring_corpus(n=12, n_test=3)
+    config = ExperimentConfig(
+        methods=["lead_base", "long_post_process_base"], perspectives=[C_, A_], sizes=(0, 4), n_seeds=3
+    )
+    result = run_experiment(corpus, config)
+    path = tmp_path / "per_dialog_scores.csv"
+    write_per_dialog_csv(result.per_dialog, path)
+    read = read_per_dialog_csv(path)
+    assert scores_by_dict(read) == scores_by_dict(result.per_dialog)
+    assert len(scores_by_dict(read)) == 4
+    assert table_from_per_dialog(read) == result.table
+
+
+def test_reopening_a_run_that_shares_its_scores_leaves_the_other_runs_alone(tmp_path):
+    path = tmp_path / "dump.csv"
+    low = "0.25,0.25,0.25,0.125,0.25"
+    body = run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]) + run_rows("0,2", ["d1", "d2"])
+    body += run_rows("0,0", ["d3"], low) + run_rows("00,1", ["d4"], low) + run_rows("0,0", ["d5"], low)
+    path.write_text(plain_dump([]) + body, encoding="utf-8")
+    read = read_per_dialog_csv(path)
+    assert read_outcome(lambda _: read, path) == read_outcome(naive_read_dump, path)
+    runs = {key[3]: scores for key, scores in read.runs.items()}
+    assert list(runs[0]) == ["d1", "d2", "d3", "d5"]
+    assert list(runs[1]) == ["d1", "d2", "d4"]
+    assert list(runs[2]) == ["d1", "d2"]
+    assert runs[0] is not runs[2] and runs[1] is not runs[2]
 
 
 def test_full_perspective_matches_direct_score_pair():

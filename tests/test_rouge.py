@@ -283,3 +283,12 @@ def test_importing_cli_leaves_statistics_out():
     code = f"import sys; sys.path.insert(0, {src!r}); import persum.cli; print('statistics' in sys.modules)"
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def test_importing_cli_leaves_the_stemmer_out():
+    """The Porter stemmer is imported by the first tokenize call that stems."""
+    src = str(Path(rouge.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import persum.cli; print('persum._porter' in sys.modules); "
+            "persum.rouge.tokenize('running', persum.rouge.TokenizerConfig(stemming=True)); print('persum._porter' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "False\nTrue\n"

@@ -10,8 +10,9 @@ import csv
 import random
 import re
 
-from persum import Corpus, Dialog, GoldSummary, SpeakerRole, Split, _porter, make_dialog
-from persum.corpus import TWEET_CSV_COLUMNS, Tweet
+from persum import Corpus, Dialog, GoldSummary, ParseError, Perspective, SpeakerRole, Split, _porter, make_dialog
+from persum.corpus import TWEET_CSV_COLUMNS, Tweet, _naming_file, csv_rows
+from persum.experiment import PER_DIALOG_COLUMNS, RunScores
 from persum.rouge import TokenizerConfig
 
 VOCAB = ("alpha", "bravo", "charlie", "delta", "echo")
@@ -208,6 +209,36 @@ def naive_read_tweet_csv(path) -> list[tuple[str, Tweet]]:
             inbound = str(row["inbound"]).strip().lower() in ("true", "1", "yes")
             pairs.append((tid, Tweet(SpeakerRole.CUSTOMER if inbound else SpeakerRole.AGENT, text, parent)))
     return pairs
+
+
+def _naive_score(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{text!r} is not a score in [0, 1]")
+    return value
+
+
+def _naive_field(parse, column: str, text: str, line: int):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ParseError(line, f"{column}: {exc}") from None
+
+
+def naive_read_dump(path) -> RunScores:
+    """The per-dialog dump read one row at a time, as it was first read: every row's key
+    and scores parsed on their own, and the first faulty row raising its fault."""
+    runs = RunScores()
+    key_parsers = (str, Perspective, int, int)
+    with _naming_file(path):
+        for line, record in csv_rows(path, "per-dialog dump", PER_DIALOG_COLUMNS):
+            did, method, perspective, size, seed = record[:5]
+            key = tuple(_naive_field(parse, column, text, line) for parse, column, text in zip(key_parsers, PER_DIALOG_COLUMNS[1:5], record[1:5]))
+            scores = runs.runs.setdefault(key, {})
+            if did in scores:
+                raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
+            scores[did] = tuple(_naive_field(_naive_score, column, text, line) for column, text in zip(PER_DIALOG_COLUMNS[5:], record[5:]))
+    return runs
 
 
 # --- tweet tables ----------------------------------------------------------------
