@@ -8,6 +8,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections import Counter
@@ -264,7 +265,7 @@ def cmd_split(args) -> int:
         corpus = split_corpus(corpus, args.ratios or DEFAULT_SPLIT_RATIOS, args.seed or 0)
     write_corpus(corpus, args.output)
     counts = Counter(corpus.split.values())
-    print(" ".join(f"{split.value}={count}" for split, count in counts.items()))
+    print(" ".join(f"{split.value}={counts[split]}" for split in Split))
     return EXIT_OK
 
 
@@ -409,6 +410,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # persum's values hold no reference cycles, so reference counting frees them and the
+    # cyclic collector's passes over them find nothing; it is paused for the command
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except FileNotFoundError as exc:
@@ -418,6 +423,9 @@ def main(argv=None) -> int:
     except (CorpusError, ExperimentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def app() -> None:

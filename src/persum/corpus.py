@@ -123,15 +123,28 @@ def decode_json(text: str, line: int | None = None):
         raise ParseError(line, "invalid JSON (nested too deeply)") from None
 
 
+# decodes one JSON value at the start of a string and returns it with the index after it
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def json_objects(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """Yield (line, object) for each line of JSONL `lines` that is not blank; a line that is
-    not JSON, not a JSON object, or escapes a lone surrogate is a ParseError."""
+    not JSON, not a JSON object, or escapes a lone surrogate is a ParseError.
+
+    A line that is one object followed by nothing or a newline is taken from `_raw_decode`;
+    any other line goes through `decode_json`, which words every error."""
     for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        record = decode_json(raw, lineno)
-        if not isinstance(record, dict):
-            raise ParseError(lineno, "expected a JSON object")
+        try:
+            record, end = _raw_decode(raw)
+            whole = isinstance(record, dict) and raw[end:] in ("\n", "")
+        except (ValueError, RecursionError):
+            whole = False
+        if not whole:
+            if not raw.strip():
+                continue
+            record = decode_json(raw, lineno)
+            if not isinstance(record, dict):
+                raise ParseError(lineno, "expected a JSON object")
         if "\\u" in raw:
             reject_lone_surrogates(raw, lineno)
         yield lineno, record
@@ -184,10 +197,10 @@ class Dialog(NamedTuple):
 
 def make_dialog(dialog_id: str, turns: Sequence[tuple[SpeakerRole, str]]) -> Dialog:
     """Build a Dialog from (role, text) pairs: at least one, and none with a blank text."""
-    utterances = tuple(Utterance(role, text) for role, text in turns)
+    utterances = tuple([Utterance(role, text) for role, text in turns])
     if not utterances:
         raise CorpusError(f"dialog {dialog_id!r} has no utterances")
-    if not all(text.strip() for _, text in utterances):
+    if not all([text.strip() for _, text in utterances]):
         raise CorpusError("utterance text must contain a non-whitespace character")
     return Dialog(dialog_id, utterances)
 
@@ -379,8 +392,7 @@ def reconstruct_threads(pairs: Iterable[tuple[str, Tweet]]) -> tuple[list[Dialog
     children: dict[str, list[str]] = defaultdict(list)
 
     roots = []
-    for tid, tweet in tweets.items():
-        parent = tweet.parent
+    for tid, (_, _, parent) in tweets.items():
         if parent is None:
             roots.append(tid)
         elif parent in tweets:
@@ -389,58 +401,61 @@ def reconstruct_threads(pairs: Iterable[tuple[str, Tweet]]) -> tuple[list[Dialog
             gaps += 1
             roots.append(tid)
 
-    visited: set[str] = set()
     dialogs: list[Dialog] = []
+    reached = 0
     for root in roots:
-        # iterative DFS to the first deepest leaf; the first child in input order is
-        # explored first. Every tweet below a root has one parent and reaches the root
-        # through it, so no path repeats a tweet and the leaf's parents spell its chain.
-        leaf, leaf_depth = root, 0
-        stack = [(root, 1)]
-        while stack:
-            node, depth = stack.pop()
-            visited.add(node)
-            kids = children.get(node)
-            if kids:
-                stack.extend([(kid, depth + 1) for kid in reversed(kids)])
-            elif depth > leaf_depth:
-                leaf, leaf_depth = node, depth
-        path = [leaf]
-        while path[-1] != root:
-            path.append(tweets[path[-1]].parent)
-        dialog = _chain_to_dialog(root, path[::-1], tweets)
-        if dialog is None:
+        # walk down level by level; each level lists its tweets in depth-first order (the
+        # first child in input order first), so the first tweet of the last level is the
+        # first deepest leaf. Every tweet below a root has one parent and reaches the root
+        # through it, so the leaf's parents spell its chain.
+        level = [root]
+        while True:
+            reached += len(level)
+            if len(level) == 1:
+                below = children.get(level[0])
+            else:
+                below = [kid for tid in level if tid in children for kid in children[tid]]
+            if not below:
+                break
+            level = below
+        tid, path = level[0], []
+        while True:
+            tweet = tweets[tid]
+            path.append(tweet)
+            if tid == root:
+                break
+            tid = tweet.parent
+        merged: list[tuple[SpeakerRole, str]] = []  # the chain with its same-role runs merged
+        for role, text, _ in reversed(path):
+            if merged and merged[-1][0] == role:
+                merged[-1] = (role, merged[-1][1] + " " + text)
+            else:
+                merged.append((role, text))
+        # adjacent turns differ in role, so two turns hold both roles
+        if len(merged) < 2:
             dropped += 1
         else:
-            dialogs.append(dialog)
+            dialogs.append(make_dialog(root, merged))
 
     # tweets unreachable from any root sit on reply cycles; count components
     # (their number does not depend on which node each search starts from)
-    remaining = set(tweets) - visited
-    while remaining:
-        frontier = [remaining.pop()]
+    if reached < len(tweets):
+        remaining = set(tweets).difference(roots)
+        frontier = roots
         while frontier:
-            cur = frontier.pop()
-            for n in (tweets[cur].parent, *children.get(cur, ())):
-                if n in remaining:
-                    remaining.remove(n)
-                    frontier.append(n)
-        cyclic += 1
+            frontier = [kid for tid in frontier if tid in children for kid in children[tid]]
+            remaining.difference_update(frontier)
+        while remaining:
+            frontier = [remaining.pop()]
+            while frontier:
+                cur = frontier.pop()
+                for n in (tweets[cur].parent, *children.get(cur, ())):
+                    if n in remaining:
+                        remaining.remove(n)
+                        frontier.append(n)
+            cyclic += 1
 
     return dialogs, ThreadReport(cyclic, gaps, dropped)
-
-
-def _chain_to_dialog(root: str, path: list[str], tweets: dict[str, Tweet]) -> Dialog | None:
-    merged: list[tuple[SpeakerRole, str]] = []
-    for tid in path:
-        tweet = tweets[tid]
-        if merged and merged[-1][0] == tweet.role:
-            merged[-1] = (tweet.role, merged[-1][1] + " " + tweet.text)
-        else:
-            merged.append((tweet.role, tweet.text))
-    if len(merged) < 2 or len({role for role, _ in merged}) < 2:
-        return None
-    return make_dialog(root, merged)
 
 
 _INBOUND_TRUE = frozenset({"true", "1", "yes"})

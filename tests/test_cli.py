@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -797,6 +798,73 @@ def test_usage_error_exits_1(capsys):
     assert main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-collects", "caller-paused"])
+@pytest.mark.parametrize("outcome", ["success", "usage-before-command", "usage-in-command", "data-error", "bug"])
+def test_main_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, capsys, enabled, outcome):
+    corpus_path, out = tmp_path / "c.jsonl", tmp_path / "s.jsonl"
+    write_corpus(synthetic_corpus(random.Random(2), 6), corpus_path)
+    split = ["split", "--corpus", str(corpus_path), "--output", str(out)]
+    argv, code = {
+        "success": (split, 0),
+        "usage-before-command": ([*split, "--seed", "x"], 1),
+        "usage-in-command": ([*split, "--seed", "1", "--split-file", "x.csv"], 1),
+        "data-error": ([*split, "--split-file", str(tmp_path / "missing.csv")], 2),
+        "bug": (split, None),
+    }[outcome]
+    seen, read_corpus = [], cli.read_corpus  # whether the collector runs while the command reads
+    monkeypatch.setattr(cli, "read_corpus", lambda path: seen.append(gc.isenabled()) or read_corpus(path))
+    if outcome == "bug":
+        monkeypatch.setattr(cli, "split_corpus", lambda *args: 1 / 0)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(ZeroDivisionError):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([] if outcome.startswith("usage") else [False])
+
+
+def _pipeline_garbage(tmp_path, n) -> dict[str, int]:
+    """What gc.collect() finds after each of ingest, split, weaklabel, score and report,
+    run on inputs of about `n` dialogs."""
+    tweets, corpus_path, split_path = tmp_path / "tweets.csv", tmp_path / "corpus.jsonl", tmp_path / "split.jsonl"
+    with open(tweets, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(tweet_table(random.Random(n), n))
+    scored = tmp_path / "scored.jsonl"
+    write_corpus(synthetic_corpus(random.Random(n), n, with_gold=True, with_split=True), scored)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"methods": ["lead_base", "long_post_process_base"], "perspectives": ["customer", "full"],
+                                  "sizes": [0, 4], "n_seeds": 2, "corpus": str(scored)}), encoding="utf-8")
+    commands = {
+        "ingest": ["ingest", "--format", "kaggle-csv", "--input", tweets, "--output", corpus_path],
+        "split": ["split", "--corpus", corpus_path, "--output", split_path],
+        "weaklabel": ["weaklabel", "--corpus", split_path, "--perspective", "agent", "--heuristic", "long",
+                      "--output", tmp_path / "weak.jsonl"],
+        "score": ["score", "--config", config, "--output-dir", tmp_path / "run"],
+        "report": ["report", "--per-dialog", tmp_path / "run" / "per_dialog_scores.csv", "--output", tmp_path / "r.md"],
+    }
+    found = {}
+    for name, argv in commands.items():
+        gc.collect()
+        assert main([str(arg) for arg in argv]) == 0
+        found[name] = gc.collect()
+    return found
+
+
+def test_commands_leave_garbage_that_does_not_grow_with_the_input(tmp_path, capsys):
+    """persum's values hold no reference cycles, so pausing the collector for a command
+    holds back only what main itself leaves (its argument parser), whatever the input size."""
+    (tmp_path / "small").mkdir()
+    (tmp_path / "large").mkdir()
+    small = _pipeline_garbage(tmp_path / "small", 40)
+    assert _pipeline_garbage(tmp_path / "large", 400) == small
+
+
 def test_split_command_deterministic(tmp_path, capsys):
     corpus = synthetic_corpus(random.Random(2), 10)
     src = tmp_path / "c.jsonl"
@@ -820,6 +888,25 @@ def test_split_command_honors_split_file(tmp_path):
     out = tmp_path / "s.jsonl"
     assert main(["split", "--corpus", str(src), "--output", str(out), "--split-file", str(split_file)]) == 0
     assert read_corpus(out).split["d00000"].value == "test"
+
+
+@pytest.mark.parametrize(
+    "flags, counts",
+    [(["--split-file"], "train=4 val=4 test=4"), (["--ratios", "0,0.5,0.5"], "train=0 val=6 test=6")],
+    ids=["split-file-test-first", "empty-train"],
+)
+def test_split_command_prints_counts_in_split_order(tmp_path, capsys, flags, counts):
+    corpus = synthetic_corpus(random.Random(2), 12)
+    src = tmp_path / "c.jsonl"
+    write_corpus(corpus, src)
+    if flags == ["--split-file"]:  # assignments cycle test, val, train
+        split_file = tmp_path / "split.csv"
+        cycle = ("test", "val", "train")
+        rows = "".join(f"{d.id},{cycle[i % 3]}\n" for i, d in enumerate(corpus.dialogs))
+        split_file.write_text("dialog_id,split\n" + rows, encoding="utf-8")
+        flags = [*flags, str(split_file)]
+    assert main(["split", "--corpus", str(src), "--output", str(tmp_path / "s.jsonl"), *flags]) == 0
+    assert capsys.readouterr().out == counts + "\n"
 
 
 def test_weaklabel_command_counts_add_up(tmp_path, capsys):

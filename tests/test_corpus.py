@@ -25,8 +25,23 @@ from persum import (
     split_corpus,
     write_corpus,
 )
-from persum.corpus import Tweet, Utterance, clean_tweet_text, load_split_csv, read_tweet_csv, with_split
-from util import naive_clean_tweet_text, naive_read_tweet_csv, synthetic_corpus, tweet_table
+from persum.corpus import (
+    Tweet,
+    Utterance,
+    clean_tweet_text,
+    json_objects,
+    load_split_csv,
+    read_tweet_csv,
+    with_split,
+)
+from util import (
+    naive_clean_tweet_text,
+    naive_json_objects,
+    naive_read_tweet_csv,
+    naive_reconstruct_threads,
+    synthetic_corpus,
+    tweet_table,
+)
 
 
 def record_line(**kwargs) -> str:
@@ -143,6 +158,79 @@ def test_parse_rejects_only_lone_surrogate_escapes(escaped, lone):
     with pytest.raises(ParseError) as info:
         parse_dialog_corpus(["", line])
     assert str(info.value) == f"line 2: JSON string escapes a lone surrogate ({lone})"
+
+
+def _read_outcome(read, lines):
+    """The (line, object) pairs `read` yields for `lines`, or the text of its ParseError."""
+    try:
+        return list(read(lines))
+    except ParseError as exc:
+        return str(exc)
+
+
+_OBJECT = '{"id": "d1", "n": [1, 2.5, null], "t": "caf\u00e9"}'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "", "\n", "   \n", "\t\r\n", "\x0b\n", "\xa0\n",
+        *(pad + _OBJECT + "\n" for pad in (" ", "\t", "\r", "\x0b", "\xa0")),
+        *(_OBJECT + pad + end for pad in (" ", "\t", "\r", "\x0b", "\xa0") for end in ("\n", "")),
+        _OBJECT, _OBJECT + "\r\n", "\ufeff" + _OBJECT + "\n",
+        "[1, 2]\n", "1\n", '"text"\n', "null\n", "true\n",
+        _OBJECT + _OBJECT + "\n", _OBJECT + " " + _OBJECT + "\n", _OBJECT + "\n" + _OBJECT, _OBJECT + " 1\n",
+        '{"a": ' * 100_000 + "1" + "}" * 100_000 + "\n",
+        '{"a": ' * 50 + "1" + "}" * 50 + "\n",
+        '{"n": 1' + "0" * 4999 + "}\n", '{"n": -1' + "0" * 4299 + "}\n", '{"n": 1' + "0" * 4999 + ".5}\n",
+        '{"t": "\\ud800"}\n', '{"t": "\\ud83d\\ude00"}\n', '{"t": "\\\\ud800"}\n', '{"t": "x"}\n',
+        "{not json\n", '{"a": 1,}\n', "{}\n",
+    ],
+)
+def test_json_objects_equals_per_line_decoder(line):
+    lines = [_OBJECT + "\n", line, "\n", _OBJECT + "\n"]
+    assert _read_outcome(json_objects, lines) == _read_outcome(naive_json_objects, lines)
+
+
+_JSON_PIECES = st.sampled_from(
+    ["", " ", "\t", "\r", "\x0b", "\xa0", "\ufeff", "{", "}", "[", "]", ",", ":", '"a"', '"\\ud800"', '"\\u00e9"',
+     "1", "1e400", "-0", "null", "true", _OBJECT, '{"a": ' * 3000]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_JSON_PIECES, max_size=6).map("".join).flatmap(
+    lambda text: st.sampled_from([text, text + "\n", text + "\r\n"])), max_size=5))
+def test_json_objects_equals_per_line_decoder_on_pieced_lines(lines):
+    assert _read_outcome(json_objects, lines) == _read_outcome(naive_json_objects, lines)
+
+
+_UTTERANCE_FAULTS = [
+    ("not-a-dict", "a turn", "bad utterance"),
+    ("none", None, "bad utterance"),
+    ("list", ["customer", "hi"], "bad utterance"),
+    ("missing-role", {"text": "hi"}, "bad utterance"),
+    ("unknown-role", {"role": "bot", "text": "hi"}, "bad utterance"),
+    ("unhashable-role", {"role": ["customer"], "text": "hi"}, "bad utterance"),
+    ("missing-text", {"role": "agent"}, "bad utterance"),
+    ("int-text", {"role": "agent", "text": 5}, "empty utterance text"),
+    ("null-text", {"role": "agent", "text": None}, "empty utterance text"),
+    ("list-text", {"role": "agent", "text": ["hi"]}, "empty utterance text"),
+    ("blank-text", {"role": "agent", "text": " \t\u3000"}, "empty utterance text"),
+    ("empty-text", {"role": "agent", "text": ""}, "empty utterance text"),
+]
+
+
+@pytest.mark.parametrize("position", [0, 1, 3])
+@pytest.mark.parametrize("bad, complaint", [fault[1:] for fault in _UTTERANCE_FAULTS], ids=[f[0] for f in _UTTERANCE_FAULTS])
+def test_parse_names_first_bad_utterance_after_valid_ones(position, bad, complaint):
+    good = [{"role": "customer" if i % 2 else "agent", "text": f"turn {i}"} for i in range(position)]
+    later = [{"role": "bot", "text": "x"}, {"role": "agent", "text": " "}]  # faults after it do not count
+    lines = [record_line(id="d0", utterances=[{"role": "agent", "text": "ok"}]),
+             record_line(id="d1", utterances=[*good, bad, *later])]
+    with pytest.raises(ParseError) as info:
+        parse_dialog_corpus(lines)
+    assert str(info.value) == f"line 2: dialog 'd1': {complaint} at position {position}"
 
 
 def test_parse_unknown_split_value():
@@ -359,6 +447,20 @@ def test_reconstruct_keeps_first_longest_chain(data):
     assert {d.id: [u.text for u in d.utterances] for d in dialogs} == expected
     assert [d.id for d in dialogs] == list(expected)
     assert report.dropped_chains + len(dialogs) == sum(parent < 0 for parent in parents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reconstruct_threads_equals_depth_first_oracle(data):
+    # each tweet replies to nothing, to a tweet missing from the input, or to any tweet,
+    # itself and later ones included, which makes branches and reply cycles
+    n = data.draw(st.integers(1, 30))
+    targets = st.one_of(st.none(), st.sampled_from(["gone1", "gone2"]), st.integers(0, n - 1).map(lambda i: f"t{i}"))
+    parents = data.draw(st.lists(targets, min_size=n, max_size=n))
+    inbound = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    order = data.draw(st.permutations(range(n)))
+    rows = [tweet(f"t{i}", inbound[i], f"text {i}", parents[i]) for i in order]
+    assert reconstruct_threads(rows) == naive_reconstruct_threads(rows)
 
 
 # --- splitting --------------------------------------------------------------------

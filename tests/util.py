@@ -9,9 +9,18 @@ from __future__ import annotations
 import csv
 import random
 import re
+from collections import defaultdict
 
 from persum import Corpus, Dialog, GoldSummary, ParseError, Perspective, SpeakerRole, Split, _porter, make_dialog
-from persum.corpus import TWEET_CSV_COLUMNS, Tweet, _naming_file, csv_rows
+from persum.corpus import (
+    TWEET_CSV_COLUMNS,
+    ThreadReport,
+    Tweet,
+    _naming_file,
+    csv_rows,
+    decode_json,
+    reject_lone_surrogates,
+)
 from persum.experiment import PER_DIALOG_COLUMNS, RunScores
 from persum.rouge import TokenizerConfig
 
@@ -209,6 +218,95 @@ def naive_read_tweet_csv(path) -> list[tuple[str, Tweet]]:
             inbound = str(row["inbound"]).strip().lower() in ("true", "1", "yes")
             pairs.append((tid, Tweet(SpeakerRole.CUSTOMER if inbound else SpeakerRole.AGENT, text, parent)))
     return pairs
+
+
+def naive_json_objects(lines) -> list[tuple[int, dict]]:
+    """(line, object) pairs of JSONL `lines` as they were first read: every line that is not
+    blank decoded on its own by `decode_json`."""
+    objects = []
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        record = decode_json(raw, lineno)
+        if not isinstance(record, dict):
+            raise ParseError(lineno, "expected a JSON object")
+        if "\\u" in raw:
+            reject_lone_surrogates(raw, lineno)
+        objects.append((lineno, record))
+    return objects
+
+
+def naive_reconstruct_threads(pairs) -> tuple[list[Dialog], ThreadReport]:
+    """Dialogs and report of (tweet_id, Tweet) pairs as threads were first rebuilt: a
+    depth-first search from each root to its first deepest leaf, a visited set, and a
+    search for the components of the tweets no root reached."""
+    cyclic = gaps = dropped = 0
+    tweets = dict(pairs)
+    children: dict[str, list[str]] = defaultdict(list)
+
+    roots = []
+    for tid, tweet in tweets.items():
+        parent = tweet.parent
+        if parent is None:
+            roots.append(tid)
+        elif parent in tweets:
+            children[parent].append(tid)
+        else:
+            gaps += 1
+            roots.append(tid)
+
+    visited: set[str] = set()
+    dialogs: list[Dialog] = []
+    for root in roots:
+        # iterative DFS to the first deepest leaf; the first child in input order is
+        # explored first. Every tweet below a root has one parent and reaches the root
+        # through it, so no path repeats a tweet and the leaf's parents spell its chain.
+        leaf, leaf_depth = root, 0
+        stack = [(root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            visited.add(node)
+            kids = children.get(node)
+            if kids:
+                stack.extend([(kid, depth + 1) for kid in reversed(kids)])
+            elif depth > leaf_depth:
+                leaf, leaf_depth = node, depth
+        path = [leaf]
+        while path[-1] != root:
+            path.append(tweets[path[-1]].parent)
+        dialog = _naive_chain_to_dialog(root, path[::-1], tweets)
+        if dialog is None:
+            dropped += 1
+        else:
+            dialogs.append(dialog)
+
+    # tweets unreachable from any root sit on reply cycles; count components
+    # (their number does not depend on which node each search starts from)
+    remaining = set(tweets) - visited
+    while remaining:
+        frontier = [remaining.pop()]
+        while frontier:
+            cur = frontier.pop()
+            for n in (tweets[cur].parent, *children.get(cur, ())):
+                if n in remaining:
+                    remaining.remove(n)
+                    frontier.append(n)
+        cyclic += 1
+
+    return dialogs, ThreadReport(cyclic, gaps, dropped)
+
+
+def _naive_chain_to_dialog(root: str, path: list[str], tweets: dict[str, Tweet]) -> Dialog | None:
+    merged: list[tuple[SpeakerRole, str]] = []
+    for tid in path:
+        tweet = tweets[tid]
+        if merged and merged[-1][0] == tweet.role:
+            merged[-1] = (tweet.role, merged[-1][1] + " " + tweet.text)
+        else:
+            merged.append((tweet.role, tweet.text))
+    if len(merged) < 2 or len({role for role, _ in merged}) < 2:
+        return None
+    return make_dialog(root, merged)
 
 
 def _naive_score(text: str) -> float:
