@@ -339,6 +339,7 @@ def cmd_score(args) -> int:
         _print_warnings(exc.warnings)
         raise
     _print_warnings(result.warnings)
+    del corpus, external  # the result holds what the outputs need; this lowers the write's peak
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

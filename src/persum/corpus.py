@@ -20,6 +20,7 @@ import re
 from collections import defaultdict
 from contextlib import contextmanager
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -84,9 +85,15 @@ def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tu
     The header must name each of `columns` once, and every row must have as many fields as
     the header. Errors are ParseErrors whose messages start with `what`; the caller names
     the file with `_naming_file`.
+
+    The file is read a line at a time, the header by csv.reader. After it, a line that holds no
+    quote, CR or NUL, is no longer than csv's field limit and splits on its commas into the
+    header's width is a row of those fields, as csv.reader would parse it. From the first other
+    line on, csv.reader reads the rest, at the same line numbers, so every row, error and line
+    number is csv.reader's.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader, lineno = csv.reader(fh), 0
         try:
             header = next(reader, None)
             if header is None:
@@ -99,14 +106,26 @@ def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tu
                     raise ParseError(1, f"{what} header names column {column!r} more than once")
             pick = itemgetter(*map(header.index, columns))
             width = len(header)
+            limit, lineno = csv.field_size_limit(), reader.line_num
+            for line in fh:
+                if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+                    break
+                fields = line.removesuffix("\n").split(",")
+                if len(fields) != width:
+                    break
+                lineno += 1
+                yield lineno, pick(fields)
+            else:
+                return
+            reader = csv.reader(chain((line,), fh))
             for fields in reader:
                 if len(fields) != width:
                     if not fields:
                         continue
-                    raise ParseError(reader.line_num, f"{what} row has {len(fields)} field(s), the header has {width}")
-                yield reader.line_num, pick(fields)
+                    raise ParseError(lineno + reader.line_num, f"{what} row has {len(fields)} field(s), the header has {width}")
+                yield lineno + reader.line_num, pick(fields)
         except csv.Error as exc:
-            raise ParseError(reader.line_num, str(exc)) from None
+            raise ParseError(lineno + reader.line_num, str(exc)) from None
 
 
 def decode_json(text: str, line: int | None = None):

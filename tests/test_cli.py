@@ -21,7 +21,7 @@ from persum import SpeakerRole, Split, make_dialog, read_corpus, write_corpus
 from persum import cli, rouge
 from persum.cli import main
 from persum.experiment import RunScores
-from util import synthetic_corpus, tweet_table
+from util import CSV_PIECES, synthetic_corpus, tweet_table
 
 KAGGLE_HEADER = "tweet_id,author_id,inbound,created_at,text,response_tweet_id,in_response_to_tweet_id\n"
 
@@ -358,8 +358,6 @@ def test_field_over_the_csv_field_limit_names_file_and_line(scored_setup, tmp_pa
     assert not out.exists()
 
 
-# the bytes that CSV syntax turns on, and a field longer than csv's field limit
-CSV_PIECES = ['"', ",", "\n", "x" * 140_000]
 # the bytes that JSON syntax turns on, a null, a number that overflows a float, and NUL
 JSON_PIECES = ['"', ",", ":", "{", "}", "[", "]", "\n", "null", "1e400", "\u0000", "\\ud800"]
 

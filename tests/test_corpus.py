@@ -29,13 +29,16 @@ from persum.corpus import (
     Tweet,
     Utterance,
     clean_tweet_text,
+    csv_rows,
     json_objects,
     load_split_csv,
     read_tweet_csv,
     with_split,
 )
 from util import (
+    CSV_PIECES,
     naive_clean_tweet_text,
+    naive_csv_rows,
     naive_json_objects,
     naive_read_tweet_csv,
     naive_reconstruct_threads,
@@ -203,6 +206,40 @@ _JSON_PIECES = st.sampled_from(
     lambda text: st.sampled_from([text, text + "\n", text + "\r\n"])), max_size=5))
 def test_json_objects_equals_per_line_decoder_on_pieced_lines(lines):
     assert _read_outcome(json_objects, lines) == _read_outcome(naive_json_objects, lines)
+
+
+# lines with no quote, CR or NUL and no longer than csv's field limit (131 072) with their
+# newline; csv_rows splits those of the header's width itself
+_PLAIN_CSV_LINES = ["a,b\n", "b,a\n", "1,2\n", "1,2,3\n", "x\n", ",\n", " , \n", "\n", "\ufeff,b\n", "1," + "x" * 131_069 + "\n"]
+# what csv.reader must read: the bytes of CSV syntax, CR, NUL (an error to csv.reader before
+# Python 3.11), and fields at and over the limit
+_LONG_CSV_FIELDS = ["x" * 131_072, "x" * 131_073, "1," + "x" * 131_072, "," + "x" * 131_073]
+_SPECIAL_CSV_PIECES = [*CSV_PIECES, "\r", "\r\n", "1,2\r\n", "1,\r2\n", "\0", "1,\0\n", '"a\nb",c\n', '"q""q",d\n', "\ufeff",
+                       *(field + "\n" for field in _LONG_CSV_FIELDS)]
+
+
+def _csv_outcome(read, path):
+    """The (line, values) rows `read` gives for the CSV at `path`, or the text of its ParseError."""
+    try:
+        return list(read(path, "test CSV", ("a", "b")))
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["", "\ufeff"]),
+    st.one_of(st.just("a,b\n"), st.sampled_from(["", "\n", "a\n", "b,c,a\n", "a,b,a\n", '"a",b\n', "a,b\r\n", 'a,b,"c\nd"\n'])),
+    *[st.lists(st.sampled_from(_PLAIN_CSV_LINES), max_size=4)] * 2,
+    st.lists(st.sampled_from(_SPECIAL_CSV_PIECES + _PLAIN_CSV_LINES), max_size=4),
+    st.sampled_from(["", "1,2", *_LONG_CSV_FIELDS]),
+)
+def test_csv_rows_equals_csv_reader(tmp_path_factory, bom, header, before, after, special, last):
+    """The same rows, or the same error and line, as csv.reader over the whole file, with
+    plain lines before and after the first line that csv.reader must read."""
+    path = tmp_path_factory.mktemp("csv") / "input.csv"
+    path.write_text(bom + header + "".join(before + special + after) + last, encoding="utf-8", newline="")
+    assert _csv_outcome(csv_rows, path) == _csv_outcome(naive_csv_rows, path)
 
 
 _UTTERANCE_FAULTS = [

@@ -17,7 +17,6 @@ from persum.corpus import (
     ThreadReport,
     Tweet,
     _naming_file,
-    csv_rows,
     decode_json,
     reject_lone_surrogates,
 )
@@ -220,6 +219,37 @@ def naive_read_tweet_csv(path) -> list[tuple[str, Tweet]]:
     return pairs
 
 
+# the bytes that CSV syntax turns on, and a field longer than csv's field limit
+CSV_PIECES = ['"', ",", "\n", "x" * 140_000]
+
+
+def naive_csv_rows(path, what: str, columns) -> list[tuple[int, tuple[str, ...]]]:
+    """(line, values) rows of a CSV input as they were first read: csv.reader over the
+    whole file, with `csv_rows`'s header, width and blank-row rules."""
+    rows = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(1, f"{what} has no header row")
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ParseError(1, f"{what} missing column(s): {', '.join(missing)}")
+            for column in columns:
+                if header.count(column) > 1:
+                    raise ParseError(1, f"{what} header names column {column!r} more than once")
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise ParseError(reader.line_num, f"{what} row has {len(fields)} field(s), the header has {len(header)}")
+                rows.append((reader.line_num, tuple(fields[header.index(c)] for c in columns)))
+        except csv.Error as exc:
+            raise ParseError(reader.line_num, str(exc)) from None
+    return rows
+
+
 def naive_json_objects(lines) -> list[tuple[int, dict]]:
     """(line, object) pairs of JSONL `lines` as they were first read: every line that is not
     blank decoded on its own by `decode_json`."""
@@ -324,18 +354,31 @@ def _naive_field(parse, column: str, text: str, line: int):
 
 
 def naive_read_dump(path) -> RunScores:
-    """The per-dialog dump read one row at a time, as it was first read: every row's key
-    and scores parsed on their own, and the first faulty row raising its fault."""
+    """The per-dialog dump read one row at a time, as it was first read: csv.reader over the
+    whole file, a header that must be the columns as written, every row's key and scores
+    parsed on their own, and the first faulty row raising its fault."""
     runs = RunScores()
     key_parsers = (str, Perspective, int, int)
-    with _naming_file(path):
-        for line, record in csv_rows(path, "per-dialog dump", PER_DIALOG_COLUMNS):
-            did, method, perspective, size, seed = record[:5]
-            key = tuple(_naive_field(parse, column, text, line) for parse, column, text in zip(key_parsers, PER_DIALOG_COLUMNS[1:5], record[1:5]))
-            scores = runs.runs.setdefault(key, {})
-            if did in scores:
-                raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
-            scores[did] = tuple(_naive_field(_naive_score, column, text, line) for column, text in zip(PER_DIALOG_COLUMNS[5:], record[5:]))
+    width = len(PER_DIALOG_COLUMNS)
+    with _naming_file(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(PER_DIALOG_COLUMNS):
+                raise ParseError(1, "per-dialog dump header is not the columns as written")
+            for record in reader:
+                line = reader.line_num
+                if not record:
+                    continue
+                if len(record) != width:
+                    raise ParseError(line, f"per-dialog dump row has {len(record)} field(s), the header has {width}")
+                did, method, perspective, size, seed = record[:5]
+                key = tuple(_naive_field(parse, column, text, line) for parse, column, text in zip(key_parsers, PER_DIALOG_COLUMNS[1:5], record[1:5]))
+                scores = runs.runs.setdefault(key, {})
+                if did in scores:
+                    raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
+                scores[did] = tuple(_naive_field(_naive_score, column, text, line) for column, text in zip(PER_DIALOG_COLUMNS[5:], record[5:]))
+        except csv.Error as exc:
+            raise ParseError(reader.line_num, str(exc)) from None
     return runs
 
 
