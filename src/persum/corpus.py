@@ -80,52 +80,64 @@ def _undecodable_byte(path: str | Path) -> ParseError | None:
 def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Yield (line, values) for each row after the header of the CSV (RFC 4180, UTF-8, a
     leading byte-order mark skipped) at `path` that is not blank, `values` being the row's
-    fields under `columns` (two or more), in that order.
-
-    The header must name each of `columns` once, and every row must have as many fields as
-    the header. Errors are ParseErrors whose messages start with `what`; the caller names
-    the file with `_naming_file`.
-
-    The file is read a line at a time, the header by csv.reader. After it, a line that holds no
-    quote, CR or NUL, is no longer than csv's field limit and splits on its commas into the
-    header's width is a row of those fields, as csv.reader would parse it. From the first other
-    line on, csv.reader reads the rest, at the same line numbers, so every row, error and line
-    number is csv.reader's.
-    """
+    fields under `columns` (two or more), in that order: `csv_header`, then `csv_body`.
+    Errors are ParseErrors whose messages start with `what`; the caller names the file with
+    `_naming_file`. Every row, error and line number is csv.reader's over the whole file."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader, lineno = csv.reader(fh), 0
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(1, f"{what} has no header row")
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise ParseError(1, f"{what} missing column(s): {', '.join(missing)}")
-            for column in columns:
-                if header.count(column) > 1:
-                    raise ParseError(1, f"{what} header names column {column!r} more than once")
-            pick = itemgetter(*map(header.index, columns))
-            width = len(header)
-            limit, lineno = csv.field_size_limit(), reader.line_num
-            for line in fh:
-                if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
-                    break
-                fields = line.removesuffix("\n").split(",")
-                if len(fields) != width:
-                    break
-                lineno += 1
-                yield lineno, pick(fields)
-            else:
-                return
-            reader = csv.reader(chain((line,), fh))
-            for fields in reader:
-                if len(fields) != width:
-                    if not fields:
-                        continue
-                    raise ParseError(lineno + reader.line_num, f"{what} row has {len(fields)} field(s), the header has {width}")
-                yield lineno + reader.line_num, pick(fields)
-        except csv.Error as exc:
-            raise ParseError(lineno + reader.line_num, str(exc)) from None
+        header, pick, lineno = csv_header(fh, what, columns)
+        yield from csv_body(fh, what, len(header), pick, lineno)
+
+
+def csv_header(fh: Iterable[str], what: str, columns: Sequence[str]) -> tuple[list[str], itemgetter, int]:
+    """Read the header of a CSV from the lines `fh` with csv.reader, no further than its last
+    line, and return it with the itemgetter that picks `columns` from a row of its width and
+    the number of lines it took. It must name each of `columns` once."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
+    if header is None:
+        raise ParseError(1, f"{what} has no header row")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ParseError(1, f"{what} missing column(s): {', '.join(missing)}")
+    for column in columns:
+        if header.count(column) > 1:
+            raise ParseError(1, f"{what} header names column {column!r} more than once")
+    return header, itemgetter(*map(header.index, columns)), reader.line_num
+
+
+def csv_body(lines: Iterable[str], what: str, width: int, pick: itemgetter, lineno: int) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line, pick(fields)) for each row of the CSV `lines` that is not blank, the first
+    line being line `lineno` + 1 of its file; every row must have `width` fields. No line is
+    read past the row it ends, so a caller may stop after any row and go on at the next line.
+
+    A line that holds no quote, CR or NUL, is no longer than csv's field limit and splits on
+    its commas into `width` fields is a row of those fields, as csv.reader would parse it.
+    From the first other line on, csv.reader reads the rest, at the same line numbers.
+    """
+    lines, limit = iter(lines), csv.field_size_limit()
+    try:
+        for line in lines:
+            if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+                break
+            fields = line.removesuffix("\n").split(",")
+            if len(fields) != width:
+                break
+            lineno += 1
+            yield lineno, pick(fields)
+        else:
+            return
+        reader = csv.reader(chain((line,), lines))
+        for fields in reader:
+            if len(fields) != width:
+                if not fields:
+                    continue
+                raise ParseError(lineno + reader.line_num, f"{what} row has {len(fields)} field(s), the header has {width}")
+            yield lineno + reader.line_num, pick(fields)
+    except csv.Error as exc:
+        raise ParseError(lineno + reader.line_num, str(exc)) from None
 
 
 def decode_json(text: str, line: int | None = None):

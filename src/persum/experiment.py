@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Corpus,
@@ -23,7 +24,8 @@ from .corpus import (
     SpeakerRole,
     Split,
     _naming_file,
-    csv_rows,
+    csv_body,
+    csv_header,
     decode_json,
     reject_lone_surrogates,
 )
@@ -536,65 +538,98 @@ _KEY_PARSERS = (str, Perspective, int, int)
 _SCORE_PARSERS = (_unit_score,) * len(_SCORE_COLUMNS)
 
 
-def _blocks(rows: Iterable[tuple[int, tuple[str, ...]]]):
-    """Group (line, values) dump rows into lists of consecutive rows with the same key
-    text. When reading a row fails, the rows before it are yielded first, so that their
-    own faults are raised in file order."""
-    block, key_text = [], None
+def _text_pieces(method: str, rows: Sequence[tuple[str, tuple[str, ...]]]) -> list[str]:
+    """The pieces that `"<key text>,".join` makes into the lines of the dump rows (dialog id,
+    score texts) under a key of `method`, as write_per_dialog_csv builds them; () when the
+    method or a field holds a comma, quote or NUL. (A size or seed that int() reads holds none.)"""
+    pieces = [""]  # "<id>," before the first row's key, "<scores>\n<next id>," after it
+    for did, texts in rows:
+        pieces[-1] += did + ","
+        pieces.append(",".join(texts) + "\n")
+    text = method + "".join(pieces)
+    return pieces if text.count(",") == 5 * len(rows) and '"' not in text and "\0" not in text else ()
+
+
+def _raising(exc: BaseException) -> Iterator[str]:
+    """An iterator that raises `exc` when it is first read."""
+    raise exc
+    yield
+
+
+def _read_repeat(fh: Iterator[str], pieces: list[str], sep: str) -> tuple[bool, list[str], Iterator[str]]:
+    """Read from `fh` the lines that would hold the rows of `pieces` after their first under
+    the key text `sep`, and the line after them. Return whether they do while the line after
+    cannot continue their block (no quote, not blank, another key text), the lines read, and
+    what to read after them: `fh`, or an iterator that raises the error reading them raised."""
+    n, got = len(pieces), []
     try:
-        for row in rows:
-            if row[1][1:5] != key_text:
-                if block:
-                    yield block
-                block, key_text = [], row[1][1:5]
-            block.append(row)
-    except (ParseError, UnicodeDecodeError, OSError):
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
+        got.extend(islice(fh, n))
+    except (UnicodeDecodeError, OSError) as exc:
+        return False, got, _raising(exc)
+    after = got[n - 1] if len(got) == n else ""
+    continues = '"' in after or after in ("\n", "\r\n", "\r") or after.startswith(sep, after.find(",") + 1)
+    return not continues and "".join(got[: n - 1]) == sep.join(pieces), got, fh
 
 
 def read_per_dialog_csv(path: str | Path) -> RunScores:
     """Read a dump written by write_per_dialog_csv into its runs; a malformed row, or a
     dialog that repeats within its run, is an error naming its line, raised in file order.
 
-    The rows are read in blocks of consecutive rows with the same key text, so normally
-    one run per block. A block that opens a run with the same dialog ids and score texts
-    as the block that last opened a run of its (method, perspective) shares that run's
-    scores dict unparsed, as the runs of a built-in method do in `score`. The rows of
-    other blocks are parsed and checked one at a time; a row whose score text equals the
-    last parsed row's reuses its scores, as in a dump that interleaves a built-in method's
-    runs row by row. A run that re-opens gets its own copy of its scores dict first, so
-    no other run's scores change.
+    The rows come in blocks of consecutive rows with the same key text, so normally one run
+    per block. When the header is the columns as written and a block that opens a run starts
+    with the first dialog id and score text of the block that last opened a run of its
+    (method, perspective), as a built-in method's runs do, its other lines and the line after
+    are read straight from the file. If they are that block's lines under the new key, no
+    field of which holds a comma, quote or NUL, and the line after cannot continue the block,
+    the run shares that block's scores dict and its lines are never split. (Equal lines hold
+    a CR or LF only at their ends, and a CR there ends a score, which float() reads the same
+    without it.) Otherwise the lines go back to `csv_body`, and no block is compared until
+    they are consumed. Other rows are parsed and checked one at a time; a row whose score
+    text equals the last parsed row's reuses its scores. A run that re-opens gets its own
+    copy of its scores dict first, so no other run's scores change.
     """
     runs = RunScores()
     key_of: dict[tuple[str, ...], RunKey] = {}  # key text -> the run's key
-    opened: dict[tuple[str, ...], tuple[list, dict]] = {}  # (method, perspective) text -> columns, scores
+    # (method, perspective) text -> the block that last opened a run of it: its rows' (dialog
+    # id, score text), only the first once it is compared, the other rows' `_text_pieces`
+    # from then on, and its scores dict
+    opened: dict[tuple[str, ...], list] = {}
     copied: set[RunKey] = set()  # runs whose scores dict no other run or block holds
     score_text, parsed = None, ()  # the last parsed row's score text, and its scores
-    with _naming_file(path):
-        for block in _blocks(csv_rows(path, "per-dialog dump", PER_DIALOG_COLUMNS)):
-            line, record = block[0]
-            key_text = record[1:5]
-            key = key_of.get(key_text)
-            if key is None:
-                key = key_of[key_text] = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, key_text, line))
-            scores = runs.runs.get(key)
-            if scores is None:
-                columns = list(zip(*map(itemgetter(1), block)))
-                del columns[1:5]  # the dialog ids, then the five score columns
-                last = opened.get(key_text[:2])
-                if last is not None and last[0] == columns:
-                    runs.runs[key] = last[1]
-                    continue
-                scores = runs.runs[key] = {}
-                opened[key_text[:2]] = (columns, scores)
-            elif key not in copied:
-                scores = runs.runs[key] = dict(scores)
-                copied.add(key)
-            for line, record in block:
+    key_text, what = None, "per-dialog dump"  # the current block's key text
+    with _naming_file(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header, pick, direct_from = csv_header(fh, what, PER_DIALOG_COLUMNS)
+        compare, width = header == list(PER_DIALOG_COLUMNS), len(header)
+        rows = csv_body(fh, what, width, pick, direct_from)
+        while True:
+            for line, record in rows:
+                if record[1:5] != key_text:
+                    key = key_of.get(record[1:5])
+                    if key is None:
+                        key = key_of[record[1:5]] = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, record[1:5], line))
+                    scores = runs.runs.get(key)
+                    # rows before line `direct_from` come from lines handed back to csv_body
+                    last = opened.get(record[1:3]) if scores is None and compare and line >= direct_from else None
+                    if last is not None and last[0][0] == (record[0], record[5:]):
+                        if last[1] is None:
+                            last[0], last[1] = last[0][:1], _text_pieces(record[1], last[0][1:])
+                        sep, n = ",".join(record[1:5]) + ",", len(last[1])
+                        if last[1]:
+                            shared, got, tail = _read_repeat(fh, last[1], sep)
+                            direct_from = line + max(len(got), 1)  # the row itself is not compared again
+                            if shared:
+                                runs.runs[key], key_text = last[2], record[1:5]
+                                rows = csv_body(chain(got[n - 1 :], fh), what, width, pick, line + n - 1)
+                            else:
+                                rows = chain(((line, record),), csv_body(chain(got, tail), what, width, pick, line))
+                            break
+                    key_text, block = record[1:5], []
+                    if scores is None:
+                        scores = runs.runs[key] = {}
+                        opened[key_text[:2]] = [block, None, scores]
+                    elif key not in copied:
+                        scores = runs.runs[key] = dict(scores)
+                        copied.add(key)
                 did = record[0]
                 if did in scores:
                     method, perspective, size, seed = key_text
@@ -603,7 +638,9 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
                     score_text = record[5:]
                     parsed = tuple(_parse_columns(_SCORE_COLUMNS, _SCORE_PARSERS, score_text, line))
                 scores[did] = parsed
-    return runs
+                block.append((did, score_text))
+            else:
+                return runs
 
 
 def table_from_per_dialog(runs: RunScores) -> ResultTable:

@@ -29,6 +29,8 @@ from persum.corpus import (
     Tweet,
     Utterance,
     clean_tweet_text,
+    csv_body,
+    csv_header,
     csv_rows,
     json_objects,
     load_split_csv,
@@ -226,20 +228,59 @@ def _csv_outcome(read, path):
         return str(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+# a header, plain lines before and after pieces that csv.reader must read, and a last line
+# that may not end
+_CSV_FILE = (
     st.sampled_from(["", "\ufeff"]),
     st.one_of(st.just("a,b\n"), st.sampled_from(["", "\n", "a\n", "b,c,a\n", "a,b,a\n", '"a",b\n', "a,b\r\n", 'a,b,"c\nd"\n'])),
     *[st.lists(st.sampled_from(_PLAIN_CSV_LINES), max_size=4)] * 2,
     st.lists(st.sampled_from(_SPECIAL_CSV_PIECES + _PLAIN_CSV_LINES), max_size=4),
     st.sampled_from(["", "1,2", *_LONG_CSV_FIELDS]),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(*_CSV_FILE)
 def test_csv_rows_equals_csv_reader(tmp_path_factory, bom, header, before, after, special, last):
     """The same rows, or the same error and line, as csv.reader over the whole file, with
     plain lines before and after the first line that csv.reader must read."""
     path = tmp_path_factory.mktemp("csv") / "input.csv"
     path.write_text(bom + header + "".join(before + special + after) + last, encoding="utf-8", newline="")
     assert _csv_outcome(csv_rows, path) == _csv_outcome(naive_csv_rows, path)
+
+
+def _rows_then_error(rows) -> tuple[list, str | None]:
+    """The rows before the first ParseError of `rows`, and its text (None when there is none)."""
+    read = []
+    try:
+        for row in rows:
+            read.append(row)
+    except ParseError as exc:
+        return read, str(exc)
+    return read, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(*_CSV_FILE, st.integers(0, 12))
+def test_csv_body_restarted_at_any_row_boundary_reads_what_csv_rows_reads(
+    tmp_path_factory, bom, header, before, after, special, last, boundary
+):
+    """csv_header, then csv_body over the lines after any row csv_rows yields, from that
+    row's line on: the rows after it, and the same error at the same line."""
+    path = tmp_path_factory.mktemp("csv") / "input.csv"
+    path.write_text(bom + header + "".join(before + special + after) + last, encoding="utf-8", newline="")
+    rows, error = _rows_then_error(csv_rows(path, "test CSV", ("a", "b")))
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            names, pick, lineno = csv_header(fh, "test CSV", ("a", "b"))
+        except ParseError as exc:
+            assert (rows, error) == ([], str(exc))
+            return
+        lines = list(fh)
+    boundary = min(boundary, len(rows))
+    start = rows[boundary - 1][0] if boundary else lineno
+    rest = _rows_then_error(csv_body(lines[start - lineno :], "test CSV", len(names), pick, start))
+    assert (rows[:boundary] + rest[0], rest[1]) == (rows, error)
 
 
 _UTTERANCE_FAULTS = [

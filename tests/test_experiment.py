@@ -554,10 +554,20 @@ def dump_rows(blocks) -> list[list[str]]:
     return rows
 
 
-def write_dump_rows(path, rows) -> None:
+# the rows that end in CR LF, the rows with a blank line before them (LF or CR LF), and
+# whether the last line ends
+DUMP_LAYOUT = st.tuples(st.sets(st.integers(0, 48)), st.dictionaries(st.integers(0, 48), st.sampled_from(["\n", "\r\n"])), st.booleans())
+
+
+def write_dump_rows(path, rows, layout=((), {}, True)) -> None:
+    crlf, blanks, last_ends = layout
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([PER_DIALOG_COLUMNS, *rows])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    csv.writer(buf, lineterminator="\n").writerow(PER_DIALOG_COLUMNS)
+    for pos, row in enumerate(rows):
+        buf.write(blanks.get(pos, ""))
+        csv.writer(buf, lineterminator="\r\n" if pos in crlf else "\n").writerow(row)
+    text = buf.getvalue()
+    path.write_text(text if last_ends else text.removesuffix("\n").removesuffix("\r"), encoding="utf-8", newline="")
 
 
 def read_outcome(reader, path):
@@ -571,10 +581,11 @@ def read_outcome(reader, path):
 
 
 @settings(max_examples=150, deadline=None)
-@given(dump_blocks(KEY_TEXT, st.tuples(DIALOG_ID, st.lists(SCORE_TEXT, min_size=5, max_size=5))))
-def test_block_reader_equals_row_by_row_reader_on_valid_dumps(tmp_path_factory, blocks):
-    """Shared, re-opened and row-interleaved runs; a row that would repeat its dialog in
-    its run is left out."""
+@given(dump_blocks(KEY_TEXT, st.tuples(DIALOG_ID, st.lists(SCORE_TEXT, min_size=5, max_size=5))), DUMP_LAYOUT)
+def test_block_reader_equals_row_by_row_reader_on_valid_dumps(tmp_path_factory, blocks, layout):
+    """Shared, re-opened and row-interleaved runs, with LF or CR LF line ends, blank lines
+    and a last line that may not end; a row that would repeat its dialog in its run is left
+    out."""
     rows, seen = [], set()
     for row in dump_rows(blocks):
         run_dialog = (*row[1:3], int(row[3]), int(row[4]), row[0])
@@ -582,7 +593,7 @@ def test_block_reader_equals_row_by_row_reader_on_valid_dumps(tmp_path_factory, 
             seen.add(run_dialog)
             rows.append(row)
     path = tmp_path_factory.mktemp("dump") / "dump.csv"
-    write_dump_rows(path, rows)
+    write_dump_rows(path, rows, layout)
     want = read_outcome(naive_read_dump, path)
     assert not isinstance(want, str)
     assert read_outcome(read_per_dialog_csv, path) == want
@@ -599,12 +610,13 @@ FAULTY_SCORES = st.one_of(*[st.lists(FAULTY_SCORE_TEXT, min_size=5, max_size=5)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(dump_blocks(FAULTY_KEY_TEXT, st.tuples(DIALOG_ID, FAULTY_SCORES)))
-def test_block_reader_names_the_fault_the_row_by_row_reader_names(tmp_path_factory, blocks):
+@given(dump_blocks(FAULTY_KEY_TEXT, st.tuples(DIALOG_ID, FAULTY_SCORES)), DUMP_LAYOUT)
+def test_block_reader_names_the_fault_the_row_by_row_reader_names(tmp_path_factory, blocks, layout):
     """Out-of-range, NaN, infinite and non-numeric scores, bad keys, repeated dialogs and
-    rows of the wrong width, anywhere in shared, re-opened and interleaved runs."""
+    rows of the wrong width, anywhere in shared, re-opened and interleaved runs, laid out
+    as in the test above."""
     path = tmp_path_factory.mktemp("dump") / "dump.csv"
-    write_dump_rows(path, dump_rows(blocks))
+    write_dump_rows(path, dump_rows(blocks), layout)
     assert read_outcome(read_per_dialog_csv, path) == read_outcome(naive_read_dump, path)
 
 
@@ -649,6 +661,95 @@ def test_block_reader_names_a_faulty_row_before_an_undecodable_byte_of_its_run(t
     got = read_outcome(read_per_dialog_csv, path)
     assert got == read_outcome(naive_read_dump, path)
     assert got.startswith(f"{path}, line 102: r1_r: '-0.5' is not a score in [0, 1]")
+
+
+# --- blocks compared by text with the block that last opened a run of their (method,
+# perspective): each dump below has a block whose first row is that block's first row
+
+OPENER = [f"d{i}" for i in range(300)]
+
+
+def test_text_compare_names_a_faulty_row_before_an_undecodable_byte(tmp_path):
+    """Reading the compared block's lines stops at the bad byte, past the decoder's block
+    that holds the faulty row; the lines read before it are read as rows first."""
+    path = tmp_path / "dump.csv"
+    rows = run_rows("0,0", OPENER) + run_rows("0,1", OPENER[:100]) + run_rows("0,1", ["d100"], "0.5,-0.5,0.5,0.25,0.5")
+    rows += run_rows("0,1", OPENER[101:299])
+    path.write_bytes((plain_dump([]) + rows).encode("utf-8") + b"d\xff,pegasus,customer,0,1," + GOOD.encode() + b"\n")
+    assert len(plain_dump([]) + rows) > 3 * 8192
+    got = read_outcome(read_per_dialog_csv, path)
+    assert got == read_outcome(naive_read_dump, path)
+    assert got.startswith(f"{path}, line 402: r1_r: '-0.5' is not a score in [0, 1]")
+
+
+def test_text_compare_names_an_undecodable_byte_of_the_compared_block(tmp_path):
+    path = tmp_path / "dump.csv"
+    head = plain_dump([]) + run_rows("0,0", OPENER) + run_rows("0,1", OPENER[:250])
+    tail = run_rows("0,1", OPENER[251:])
+    path.write_bytes(head.encode("utf-8") + b"d2\xff0,pegasus,customer,0,1," + GOOD.encode() + b"\n" + tail.encode("utf-8"))
+    got = read_outcome(read_per_dialog_csv, path)
+    assert got == read_outcome(naive_read_dump, path)
+    assert got.startswith(f"{path}, line 552: 'utf-8' codec can't decode byte 0xff at offset {len(head) + 2}: invalid start byte")
+
+
+def csv_line(*fields: str) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+ODD = [("d,2", "pegasus"), ('"d2', "pegasus"), ("d\x002", "pegasus"), ("d2", "a,b"), ("d2", '"m')]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2", "d3"]) + run_rows("0,2", ["d1", "d2"]),
+        run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]) + 'd3,"pegasus",customer,0,1,' + GOOD + "\n",
+        run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]) + '"d3",pegasus,customer,0,1,' + GOOD + "\n",
+        run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]) + "\n" + run_rows("0,1", ["d3"]),
+        run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]) + "\r\n" + run_rows("0,1", ["d3"]),
+        run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1"]) + "\n" + run_rows("0,1", ["d2"]),
+        run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]).replace("\n", "\r\n") + run_rows("0,2", ["d1", "d2"]),
+        run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]) + run_rows("0,1", ["d3"]).replace("\n", "\r\n"),
+        run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"])[:-1],
+        run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]) + run_rows("0,2", ["d1"])[:-1],
+        run_rows("0,0", ["d1", "d2", "d3", "d4"]) + "".join(run_rows(f"0,{seed}", ["d1"]) for seed in range(1, 9)),
+        *(
+            "".join(csv_line(did, method, "customer", "0", "0", *GOOD.split(",")) for did in ("d1", odd))
+            + csv_line("d1", method, "customer", "0", "1", *GOOD.split(",")) + f"{odd},{method},customer,0,1,{GOOD}\n"
+            for odd, method in ODD
+        ),
+    ],
+    ids=[
+        "one-row-longer", "quoted-key-after", "quoted-id-after", "blank-then-same-key", "blank-crlf-then-same-key",
+        "blank-inside", "crlf-inside", "crlf-same-key-after", "no-final-newline-inside", "no-final-newline-after",
+        "handed-back-lines-hold-a-match", *(f"unquoted-{odd!r}-{method!r}" for odd, method in ODD),
+    ],
+)
+def test_text_compare_reads_what_the_row_by_row_reader_reads(tmp_path, body):
+    """A block that must not share: longer than the block it repeats, a row of its key
+    after it that is quoted or follows a blank line, CR LF ends and missing final newlines;
+    rows handed back that hold a block which repeats another; and lines whose text is the
+    repeated block's but whose fields csv.reader splits otherwise."""
+    path = tmp_path / "dump.csv"
+    path.write_text(plain_dump([]) + body, encoding="utf-8", newline="")
+    assert read_outcome(read_per_dialog_csv, path) == read_outcome(naive_read_dump, path)
+
+
+def test_dump_with_reordered_columns_reads_the_same_runs(tmp_path):
+    corpus = scoring_corpus(n=12, n_test=3)
+    config = ExperimentConfig(methods=["lead_base", "long_post_process_base"], perspectives=[C_, A_], sizes=(0, 4), n_seeds=2)
+    path, reordered = tmp_path / "dump.csv", tmp_path / "reordered.csv"
+    write_per_dialog_csv(run_experiment(corpus, config).per_dialog, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    order = [9, 3, 0, 7, 1, 8, 2, 4, 6, 5]
+    with open(reordered, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([row[i] for i in order] for row in rows)
+    want = read_outcome(naive_read_dump, path)
+    assert read_outcome(read_per_dialog_csv, path) == want
+    assert read_outcome(read_per_dialog_csv, reordered) == want
 
 
 def scores_by_dict(runs: RunScores) -> list[list]:
