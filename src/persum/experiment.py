@@ -487,14 +487,28 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]
 
 
+class _ScoreTexts(dict):
+    """score float -> its repr, learned on first sight. A zero is never stored: 0.0 and
+    -0.0 are equal and hash alike, so a stored zero would give the other its repr."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
 def write_per_dialog_csv(runs: RunScores, path: str | Path) -> None:
     """Full-precision per-dialog score dump ('.' decimal, no locale), one run at a time.
 
-    Scores are written with repr. A scores dict's text is built once, as the pieces
-    between its rows' key columns, and reused by every run that shares the dict.
+    Scores are written with repr, computed once per distinct score of the call; a zero is
+    formatted each time, since 0.0 and -0.0 are equal but their reprs differ. A scores
+    dict's text is built once, as the pieces between its rows' key columns, and reused by
+    every run that shares the dict.
     """
     fields: dict[str, str] = {}  # dialog id or method -> its csv text
     pieces: dict[int, list[str]] = {}  # id of a scores dict that `runs` holds -> its text pieces
+    text_of = _ScoreTexts().__getitem__
 
     def field(text: str) -> str:
         quoted = fields.get(text)
@@ -511,7 +525,7 @@ def write_per_dialog_csv(runs: RunScores, path: str | Path) -> None:
                 run_pieces = pieces[id(scores)] = [""]
                 for did, row_scores in scores.items():
                     run_pieces[-1] += field(did) + ","
-                    run_pieces.append(",".join(map(repr, row_scores)) + "\n")
+                    run_pieces.append(",".join(map(text_of, row_scores)) + "\n")
             fh.write(f"{field(method)},{perspective.value},{size},{seed},".join(run_pieces))
 
 
@@ -585,8 +599,11 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
     a CR or LF only at their ends, and a CR there ends a score, which float() reads the same
     without it.) Otherwise the lines go back to `csv_body`, and no block is compared until
     they are consumed. Other rows are parsed and checked one at a time; a row whose score
-    text equals the last parsed row's reuses its scores. A run that re-opens gets its own
-    copy of its scores dict first, so no other run's scores change.
+    text equals the last parsed row's reuses its scores. A score's value is computed once
+    per distinct text of the call, and taken from a row only once all five of its score
+    texts parse, so a bad text is checked, and named, on every row that holds it. (Texts,
+    not values, are the keys, so "-0.0" keeps its sign after "0.0".) A run that re-opens
+    gets its own copy of its scores dict first, so no other run's scores change.
     """
     runs = RunScores()
     key_of: dict[tuple[str, ...], RunKey] = {}  # key text -> the run's key
@@ -596,6 +613,7 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
     opened: dict[tuple[str, ...], list] = {}
     copied: set[RunKey] = set()  # runs whose scores dict no other run or block holds
     score_text, parsed = None, ()  # the last parsed row's score text, and its scores
+    values: dict[str, float] = {}  # score text of a row that parsed -> its value
     key_text, what = None, "per-dialog dump"  # the current block's key text
     with _naming_file(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header, pick, direct_from = csv_header(fh, what, PER_DIALOG_COLUMNS)
@@ -636,7 +654,11 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
                     raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
                 if record[5:] != score_text:
                     score_text = record[5:]
-                    parsed = tuple(_parse_columns(_SCORE_COLUMNS, _SCORE_PARSERS, score_text, line))
+                    try:
+                        parsed = tuple(map(values.__getitem__, score_text))
+                    except KeyError:
+                        parsed = tuple(_parse_columns(_SCORE_COLUMNS, _SCORE_PARSERS, score_text, line))
+                        values.update(zip(score_text, parsed))
                 scores[did] = parsed
                 block.append((did, score_text))
             else:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import signal
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,30 @@ import pytest
 from persum import read_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Far above the slowest test (a few seconds), so that only a test that would not end
+# fails on it: a loop that never ends fails its test instead of hanging the suite.
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT_S, by SIGALRM in the main thread; no
+    thread or process is started, and where SIGALRM does not exist nothing is armed."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -416,6 +416,32 @@ def test_dump_round_trip_scores_change_between_cells(tmp_path):
     assert_round_trip(runs_of(rows), tmp_path / "dump.csv")
 
 
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)], ids=["zero-then-negative", "negative-then-zero"])
+def test_dump_writes_each_zero_as_it_is(tmp_path, first, second):
+    """0.0 and -0.0 are equal and hash alike, so a writer that formats each distinct
+    value once must not hand one the other's text: within one scores dict, and across runs."""
+    one_dict = {"d1": (first, second, first, 0.5, second), "d2": (second, first, 0.5, second, first)}
+    runs = RunScores({("pegasus", C_, 0, 0): one_dict})
+    assert_round_trip(runs, tmp_path / "one.csv")
+    runs = RunScores({("pegasus", C_, 0, 0): {"d1": (first,) * 5}, ("pegasus", C_, 0, 1): {"d1": (second,) * 5}})
+    assert_round_trip(runs, tmp_path / "two.csv")
+    lines = (tmp_path / "two.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == [f"d1,pegasus,customer,0,{seed},{','.join([repr(zero)] * 5)}" for seed, zero in enumerate((first, second))]
+
+
+def test_dump_writes_equal_floats_and_a_shared_float_with_their_repr(tmp_path):
+    """Floats that are equal but distinct objects, and one float object in every row."""
+    third, shared = 1 / 3, 0.1 + 0.2
+    equal = float(repr(third))
+    assert equal == third and equal is not third
+    runs = RunScores({
+        ("pegasus", C_, 0, seed): {f"d{i}": (third, equal, shared, shared, 1 - equal) for i in range(50)}
+        for seed in range(3)
+    })
+    assert_round_trip(runs, tmp_path / "dump.csv")
+    assert (tmp_path / "dump.csv").read_text(encoding="utf-8").count("0.30000000000000004") == 3 * 50 * 2
+
+
 def test_dump_round_trip_methods_and_perspectives_interleaved(tmp_path):
     a = (0.5, 0.5, 0.5, 0.25, 0.5)
     b = (0.75, 0.5, 0.6, 0.3, 0.55)
@@ -535,7 +561,7 @@ KEY_TEXT = st.tuples(
     st.sampled_from(["0", "1", "01"]),  # "01" and "1" name one run
     st.sampled_from(["0", "1"]),
 )
-SCORE_TEXT = st.sampled_from(["0.5", "0.0", "-0.0", "1", "1.0", "0.25", "1e-3", "0.30000000000000004"])
+SCORE_TEXT = st.sampled_from(["0.5", "0.50", "5e-1", "0.0", "-0.0", "1", "1.0", "0.25", "1e-3", "0.30000000000000004"])
 DIALOG_ID = st.sampled_from(["d1", "d2", "d3", "d,4"])
 
 
@@ -640,8 +666,16 @@ def run_rows(key, dids, scores=GOOD) -> str:
          7, "dialog 'd2' repeats in run (pegasus, customer, size=00, seed=1)"),
         (run_rows("0,0", ["d1", "d2"]) + run_rows("0,1", ["d1", "d2"]) + run_rows("0,0", ["d3", "d2", "d4"], "0.5,0.5,0.5,0.25,inf"),
          6, "rl_f: 'inf' is not a score in [0, 1]"),
+        *(
+            (run_rows("0,0", ["d1", "d2"]) + run_rows("0,0", ["d3"], f"0.5,0.5,{bad},0.25,0.5") + run_rows("0,0", ["d4"])
+             + run_rows("0,0", ["d5"], f"{bad},0.5,0.5,0.25,0.5"), 4, f"r1_f: {complaint}")
+            for bad, complaint in (("1.5", "'1.5' is not a score in [0, 1]"), ("abc", "could not convert string to float: 'abc'"))
+        ),
     ],
-    ids=["then-a-short-row", "then-a-csv-error", "nan-in-a-column", "nan-in-a-shared-text", "repeat-in-reopened-shared-run", "fault-before-repeat"],
+    ids=[
+        "then-a-short-row", "then-a-csv-error", "nan-in-a-column", "nan-in-a-shared-text", "repeat-in-reopened-shared-run",
+        "fault-before-repeat", "out-of-range-on-two-lines", "non-numeric-on-two-lines",
+    ],
 )
 def test_block_reader_names_the_first_faulty_row_in_file_order(tmp_path, body, line, complaint):
     path = tmp_path / "dump.csv"
@@ -649,6 +683,21 @@ def test_block_reader_names_the_first_faulty_row_in_file_order(tmp_path, body, l
     got = read_outcome(read_per_dialog_csv, path)
     assert got == read_outcome(naive_read_dump, path)
     assert got.startswith(f"{path}, line {line}: {complaint}")
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["0.5,0.50,5e-1,0.25,0.5", "5e-1,0.5,0.50,0.25,0.50"],  # equal values of other texts
+        ["0.0,0.0,0.0,0.0,0.0", "-0.0,0.0,-0.0,0.0,-0.0", "0.0,-0.0,0.0,-0.0,0.0"],  # a zero's sign
+        [GOOD, "0.25,0.5,0.5,0.5,0.25", "0.5,0.25,0.5,0.5,0.5", GOOD, "0.25,0.5,0.5,0.5,0.25"],  # repeats apart
+    ],
+    ids=["equal-values", "signed-zeros", "non-adjacent-repeats"],
+)
+def test_dump_score_texts_read_as_the_row_by_row_reader_reads_them(tmp_path, texts):
+    path = tmp_path / "dump.csv"
+    path.write_text(plain_dump([]) + "".join(run_rows("0,0", [f"d{i}"], t) for i, t in enumerate(texts)), encoding="utf-8")
+    assert exact(read_per_dialog_csv(path)) == exact(naive_read_dump(path))
 
 
 def test_block_reader_names_a_faulty_row_before_an_undecodable_byte_of_its_run(tmp_path):
