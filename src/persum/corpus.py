@@ -21,6 +21,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from enum import Enum
 from itertools import chain
+from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -252,27 +253,11 @@ class Corpus(NamedTuple):
     split: dict[str, Split] | None = None
 
     def validate(self) -> None:
-        ids = [d.id for d in self.dialogs]
-        id_set = set(ids)
-        if len(ids) != len(id_set):
-            seen: set[str] = set()
-            for did in ids:
-                if did in seen:
-                    raise CorpusError(f"duplicate dialog id {did!r}")
-                seen.add(did)
-        if self.gold is not None:
-            for did in self.gold:
-                if did not in id_set:
-                    raise CorpusError(f"gold summary references unknown dialog id {did!r}")
+        """A split assignment, if any, must cover every dialog; parsing checks the rest."""
         if self.split is not None:
-            for did in self.split:
-                if did not in id_set:
-                    raise CorpusError(f"split assignment references unknown dialog id {did!r}")
-            missing = [i for i in ids if i not in self.split]
+            missing = [d.id for d in self.dialogs if d.id not in self.split]
             if missing:
-                raise CorpusError(
-                    f"split assignment missing for {len(missing)} dialog(s), first: {missing[0]!r}"
-                )
+                raise CorpusError(f"split assignment missing for {len(missing)} dialog(s), first: {missing[0]!r}")
 
     def dialog_ids(self, split: Split | None = None) -> list[str]:
         """Dialog ids in corpus order, optionally filtered to one split."""
@@ -289,26 +274,30 @@ class Corpus(NamedTuple):
 # --- canonical JSONL ---------------------------------------------------------
 
 
-# one compact, UTF-8-preserving encoder for every JSONL line persum writes
+# one compact, UTF-8-preserving JSONL encoder; it writes every str (enum members too) by encode_basestring
 encode_json_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+_UTTERANCE_HEADS = {role: '{"role":' + encode_basestring(role) + ',"text":' for role in SpeakerRole}
+_SPLIT_TAILS = {split: ',"split":' + encode_basestring(split) for split in Split}
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write `corpus` as canonical JSONL, one dialog per line in corpus order."""
-    gold = corpus.gold or {}
-    split = corpus.split or {}
+    """Write `corpus` as canonical JSONL, one dialog per line in corpus order: the line is
+    `encode_json_line` of {"id", "utterances"[, "gold"][, "split"]}, built from pre-encoded
+    pieces, so every id, text and gold part must be a str, every role a SpeakerRole."""
+    gold, split = corpus.gold or {}, corpus.split or {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for dialog in corpus.dialogs:
-            record: dict = {
-                "id": dialog.id,
-                "utterances": [{"role": u.role, "text": u.text} for u in dialog.utterances],
-            }
-            summary = gold.get(dialog.id)
+        for did, utterances in corpus.dialogs:
+            line = '{"id":' + encode_basestring(did) + ',"utterances":[' + "},".join(
+                [_UTTERANCE_HEADS[role] + encode_basestring(text) for role, text in utterances]
+            ) + "}]"
+            summary = gold.get(did)
             if summary is not None:
-                record["gold"] = {"customer": summary.customer_part, "agent": summary.agent_part}
-            if dialog.id in split:
-                record["split"] = split[dialog.id]
-            fh.write(encode_json_line(record) + "\n")
+                line += (',"gold":{"customer":' + encode_basestring(summary.customer_part)
+                         + ',"agent":' + encode_basestring(summary.agent_part) + "}")
+            if did in split:
+                line += _SPLIT_TAILS[split[did]]
+            fh.write(line + "}\n")
 
 
 def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
@@ -555,7 +544,12 @@ def split_corpus(
 
 
 def with_split(corpus: Corpus, assignment: dict[str, Split]) -> Corpus:
-    """Return a corpus honoring an externally supplied split assignment."""
+    """Return a corpus honoring an externally supplied split assignment, which must name
+    every dialog of `corpus` and no other."""
+    ids = {d.id for d in corpus.dialogs}
+    for did in assignment:
+        if did not in ids:
+            raise CorpusError(f"split assignment references unknown dialog id {did!r}")
     out = corpus._replace(split=dict(assignment))
     out.validate()
     return out

@@ -9,10 +9,11 @@ is the hand-off format expected by sequence-to-sequence trainers.
 from __future__ import annotations
 
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Corpus, Dialog, SpeakerRole, Utterance, encode_json_line
+from .corpus import Corpus, Dialog, SpeakerRole, Utterance
 
 DEFAULT_MIN_TOKENS = 5
 
@@ -130,8 +131,12 @@ def weaklabel_corpus(
 def write_weak_pairs(
     pairs: Sequence[WeakPair], path: str | Path, role: SpeakerRole, heuristic: HeuristicKind, masked: bool
 ) -> None:
-    """One JSONL record per pair, with the perspective, heuristic and masking all pairs share."""
-    shared = {"perspective": role, "heuristic": heuristic, "masked": masked}
+    """One JSONL line per pair: `corpus.encode_json_line` of {"dialog_id", "perspective", "heuristic",
+    "masked", "source", "target"}, built from pre-encoded pieces (the middle three shared by all
+    pairs), so every dialog id, source and target must be a str."""
+    middle = (',"perspective":' + encode_basestring(role) + ',"heuristic":' + encode_basestring(heuristic)
+              + ',"masked":' + ("true" if masked else "false") + ',"source":')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for dialog_id, source, target in pairs:
-            fh.write(encode_json_line({"dialog_id": dialog_id, **shared, "source": source, "target": target}) + "\n")
+            fh.write('{"dialog_id":' + encode_basestring(dialog_id) + middle + encode_basestring(source)
+                     + ',"target":' + encode_basestring(target) + "}\n")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from persum import (
     Corpus,
     CorpusError,
+    Dialog,
     GoldSummary,
     ParseError,
     SpeakerRole,
@@ -39,9 +40,11 @@ from persum.corpus import (
 )
 from util import (
     CSV_PIECES,
+    JSON_TEXT_PIECES,
     naive_clean_tweet_text,
     naive_csv_rows,
     naive_json_objects,
+    naive_jsonl_line,
     naive_read_tweet_csv,
     naive_reconstruct_threads,
     synthetic_corpus,
@@ -349,6 +352,58 @@ def test_round_trip_preserves_corpus(tmp_path):
     assert again == corpus
     write_corpus(again, tmp_path / "corpus2.jsonl")
     assert (tmp_path / "corpus2.jsonl").read_bytes() == path.read_bytes()
+
+
+_JSON_TEXT = st.lists(st.sampled_from(JSON_TEXT_PIECES) | st.characters(codec="utf-8"), max_size=6).map("".join)
+# (id, (role, text) turns, gold parts or None, split or None)
+_WRITTEN_DIALOG = st.tuples(
+    _JSON_TEXT,
+    st.lists(st.tuples(st.sampled_from(SpeakerRole), _JSON_TEXT), min_size=1, max_size=4),
+    st.none() | st.tuples(_JSON_TEXT, _JSON_TEXT),
+    st.none() | st.sampled_from(Split),
+)
+
+
+def _naive_corpus_lines(drawn) -> str:
+    lines = []
+    for did, turns, parts, split in drawn:
+        record = {"id": did, "utterances": [{"role": role.value, "text": text} for role, text in turns]}
+        if parts is not None:
+            record["gold"] = {"customer": parts[0], "agent": parts[1]}
+        if split is not None:
+            record["split"] = split.value
+        lines.append(naive_jsonl_line(record) + "\n")
+    return "".join(lines)
+
+
+def _drawn_corpus(drawn) -> Corpus:
+    gold = {did: GoldSummary(*parts) for did, _, parts, _ in drawn if parts is not None}
+    split = {did: split for did, _, _, split in drawn if split is not None}
+    dialogs = [Dialog(did, tuple(Utterance(role, text) for role, text in turns)) for did, turns, _, _ in drawn]
+    return Corpus(dialogs, gold or None, split or None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WRITTEN_DIALOG, max_size=5, unique_by=lambda dialog: dialog[0]))
+def test_write_corpus_equals_json_dumps_oracle(tmp_path_factory, drawn):
+    """Every line is json.dumps of the record, compact and not ASCII-escaped, whatever the
+    strings hold, with and without gold and split."""
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    write_corpus(_drawn_corpus(drawn), path)
+    assert path.read_bytes() == _naive_corpus_lines(drawn).encode("utf-8")
+
+
+@pytest.mark.parametrize("where", ["id", "text", "customer part", "agent part"])
+def test_write_corpus_lone_surrogate_fails_like_oracle(tmp_path, where):
+    lone = "a\ud800"
+    drawn = [("d1", [(SpeakerRole.AGENT, "ok"), (SpeakerRole.CUSTOMER, lone if where == "text" else "b")],
+              (lone if where == "customer part" else "c", lone if where == "agent part" else "d"), Split.TEST)]
+    if where == "id":
+        drawn[0] = (lone, *drawn[0][1:])
+    with pytest.raises(UnicodeEncodeError):
+        _naive_corpus_lines(drawn).encode("utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        write_corpus(_drawn_corpus(drawn), tmp_path / "corpus.jsonl")
 
 
 # --- thread reconstruction ------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persum import (
     Corpus,
@@ -15,8 +17,8 @@ from persum import (
     make_weak_pair,
     weaklabel_corpus,
 )
-from persum.weaklabel import serialize_dialog, utterance_line, write_weak_pairs
-from util import naive_lead, naive_long, random_dialog
+from persum.weaklabel import WeakPair, serialize_dialog, utterance_line, write_weak_pairs
+from util import JSON_TEXT_PIECES, naive_jsonl_line, naive_lead, naive_long, random_dialog
 
 C = SpeakerRole.CUSTOMER
 A = SpeakerRole.AGENT
@@ -202,6 +204,37 @@ def test_write_weak_pairs_jsonl_schema(tmp_path):
         "source": "customer: the printer is jammed again today\nagent: clear tray two",
         "target": "the printer is jammed again today",
     }
+
+
+_JSON_TEXT = st.lists(st.sampled_from(JSON_TEXT_PIECES) | st.characters(codec="utf-8"), max_size=6).map("".join)
+
+
+def _naive_pair_lines(pairs, role, heuristic, masked) -> str:
+    return "".join(
+        naive_jsonl_line({"dialog_id": dialog_id, "perspective": role.value, "heuristic": heuristic.value,
+                          "masked": masked, "source": source, "target": target}) + "\n"
+        for dialog_id, source, target in pairs
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(WeakPair, _JSON_TEXT, _JSON_TEXT, _JSON_TEXT), max_size=5),
+       st.sampled_from(SpeakerRole), st.sampled_from(HeuristicKind), st.booleans())
+def test_write_weak_pairs_equals_json_dumps_oracle(tmp_path_factory, pairs, role, heuristic, masked):
+    """Every line is json.dumps of the record, compact and not ASCII-escaped, whatever the
+    strings hold, for both roles, both heuristics and either masking."""
+    path = tmp_path_factory.mktemp("pairs") / "pairs.jsonl"
+    write_weak_pairs(pairs, path, role, heuristic, masked)
+    assert path.read_bytes() == _naive_pair_lines(pairs, role, heuristic, masked).encode("utf-8")
+
+
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["dialog_id", "source", "target"])
+def test_write_weak_pairs_lone_surrogate_fails_like_oracle(tmp_path, where):
+    pair = WeakPair(*("a\ud800" if field == where else "b" for field in range(3)))
+    with pytest.raises(UnicodeEncodeError):
+        _naive_pair_lines([pair], A, HeuristicKind.LONG, True).encode("utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        write_weak_pairs([pair], tmp_path / "pairs.jsonl", A, HeuristicKind.LONG, True)
 
 
 def test_utterance_line_format():

@@ -7,6 +7,7 @@ quadratic DP table so they stay independent of the library code they check.
 from __future__ import annotations
 
 import csv
+import json
 import random
 import re
 from collections import defaultdict
@@ -248,6 +249,17 @@ def naive_csv_rows(path, what: str, columns) -> list[tuple[int, tuple[str, ...]]
         except csv.Error as exc:
             raise ParseError(reader.line_num, str(exc)) from None
     return rows
+
+
+# characters a JSON string escapes, or writes as they are though a reader may trip on them:
+# quote, backslash, C0 controls, DEL, the JavaScript line separators, non-ASCII, non-BMP
+JSON_TEXT_PIECES = ['"', "\\", "\x00", "\b", "\t", "\n", "\x0c", "\r", "\x1f", "\x7f", "\u2028", "\u2029",
+                    "\xe9", "\u4e2d", "\U0001f600", "a b"]
+
+
+def naive_jsonl_line(record: dict) -> str:
+    """A JSONL line as persum writes it: compact, with non-ASCII as it is, keys in `record`'s order."""
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
 def naive_json_objects(lines) -> list[tuple[int, dict]]:
