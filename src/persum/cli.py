@@ -244,9 +244,7 @@ def cmd_ingest(args) -> int:
     if args.format == "kaggle-csv":
         dialogs, report = reconstruct_threads(read_tweet_csv(args.input))
         corpus = Corpus(dialogs)
-        for key, value in report._asdict().items():
-            if value:
-                print(f"warning: {key}: {value}", file=sys.stderr)
+        _print_warnings([f"{key}: {value}" for key, value in report._asdict().items() if value])
     else:
         corpus = read_corpus(args.input)
     write_corpus(corpus, args.output)
@@ -270,6 +268,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_weaklabel(args) -> int:
+    if args.coverage and Path(args.coverage).is_dir():
+        raise OSError(f"cannot write {_shown(args.coverage)}: it is a directory")
     corpus = read_corpus(args.corpus)
     exclude: set[str] = set()
     if args.exclude:
@@ -333,17 +333,22 @@ def cmd_score(args) -> int:
     prediction_paths = list(paths.predictions) + list(args.predictions)
     external = [load_predictions(p) for p in prediction_paths]
 
+    warnings: list[str] = []
     try:
-        result = run_experiment(corpus, config, external)
-    except ExperimentError as exc:
-        _print_warnings(exc.warnings)
-        raise
-    _print_warnings(result.warnings)
+        result = run_experiment(corpus, config, external, warnings)
+    finally:
+        _print_warnings(warnings)
     del corpus, external  # the result holds what the outputs need; this lowers the write's peak
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_name = "report.md" if args.report == "md" else "report.csv"
+    # a target that no rename can replace is refused before any output is replaced
+    for target in (out_dir / report_name, out_dir / "per_dialog_scores.csv"):
+        if target.is_dir():
+            raise OSError(f"cannot replace {_shown(target)}: it is a directory")
+    if args.subsets and (out_dir / "subsets").exists() and not (out_dir / "subsets").is_dir():
+        raise OSError(f"cannot write under {_shown(out_dir / 'subsets')}: it is not a directory")
     # both outputs go to temporary names and are renamed only once both are whole
     report_path, dump_path = (out_dir / f"{name}.tmp" for name in (report_name, "per_dialog_scores.csv"))
     try:

@@ -61,12 +61,7 @@ PERSPECTIVE_LABELS = {
 
 
 class ExperimentError(ValueError):
-    """The experiment configuration or its inputs are unusable. `warnings` holds what
-    run_experiment had warned before it failed."""
-
-    def __init__(self, message: str, warnings: Sequence[str] = ()):
-        super().__init__(message)
-        self.warnings = list(warnings)
+    """The experiment configuration or its inputs are unusable."""
 
 
 def _cell_text(cell: tuple[str, int, int]) -> str:
@@ -79,11 +74,11 @@ class MissingCellsError(ExperimentError):
 
     SHOWN = 10  # cells the message lists; `cells` holds them all
 
-    def __init__(self, cells: Sequence[tuple[str, int, int]], warnings: Sequence[str] = ()):
+    def __init__(self, cells: Sequence[tuple[str, int, int]]):
         listing = ", ".join(map(_cell_text, cells[: self.SHOWN]))
         if len(cells) > self.SHOWN:
             listing += f", … and {len(cells) - self.SHOWN} more"
-        super().__init__(f"missing prediction cells: {listing}", warnings)
+        super().__init__(f"missing prediction cells: {listing}")
         self.cells = list(cells)
 
 
@@ -252,7 +247,7 @@ def _score_dialogs(
         if cand is None:
             message = missing.format(did)
             if config.strict_missing:
-                raise ExperimentError(message, warnings)
+                raise ExperimentError(message)
             warnings.append(message)
             continue
         r1, r2, rl = score_pair(cand.text, reference, config.tokenizer)
@@ -260,15 +255,13 @@ def _score_dialogs(
     return scores
 
 
-def index_prediction_sets(
-    sets: Iterable[PredictionSet], warnings: Sequence[str] = ()
-) -> dict[tuple[str, int, int], PredictionSet]:
+def index_prediction_sets(sets: Iterable[PredictionSet]) -> dict[tuple[str, int, int], PredictionSet]:
     """Prediction sets by (method, size, seed) cell, in input order; two sets for one
     cell are an error."""
     index: dict[tuple[str, int, int], PredictionSet] = {}
     for pred in sets:
         if pred.cell in index:
-            raise ExperimentError(f"duplicate prediction set for cell {pred.cell}", warnings)
+            raise ExperimentError(f"duplicate prediction set for cell {pred.cell}")
         index[pred.cell] = pred
     return index
 
@@ -277,6 +270,7 @@ def run_experiment(
     corpus: Corpus,
     config: ExperimentConfig,
     external: Sequence[PredictionSet] = (),
+    warnings: list[str] | None = None,
 ) -> RunResult:
     """Score every (method, perspective, size, seed) cell on the test split.
 
@@ -284,9 +278,10 @@ def run_experiment(
     and cell. Built-in candidates do not depend on the training subset, so they
     are scored once per dialog and reused in every (size, seed) cell.
 
-    Warnings go to RunResult.warnings, or to ExperimentError.warnings when
-    scoring fails.
+    Warnings are appended to `warnings` (a new list if None), which is RunResult.warnings,
+    so a caller that passes its own list also sees them when scoring fails.
     """
+    warnings = [] if warnings is None else warnings
     config.validate()
     if corpus.gold is None:
         raise ExperimentError("corpus has no gold summaries; scoring needs references")
@@ -297,18 +292,17 @@ def run_experiment(
     train_ids = corpus.dialog_ids(Split.TRAIN)
     test_ids = [did for did in corpus.dialog_ids(Split.TEST) if did in corpus.gold]
     gold_missing = len(corpus.dialog_ids(Split.TEST)) - len(test_ids)
-    warnings: list[str] = []
     if gold_missing:
         warnings.append(f"{gold_missing} test dialog(s) have no gold summary and are not scored")
     if not test_ids:
-        raise ExperimentError("no test dialogs with gold summaries to score", warnings)
+        raise ExperimentError("no test dialogs with gold summaries to score")
 
     families = [
         sample_nested_subsets(train_ids, config.sizes, seed, config.cap_to_population)
         for seed in config.seeds
     ]
 
-    ext_index = index_prediction_sets(external, warnings)
+    ext_index = index_prediction_sets(external)
 
     requested = [
         (method, size, seed)
@@ -326,7 +320,7 @@ def run_experiment(
         )
     missing_cells = [cell for cell in requested if cell not in ext_index]
     if missing_cells:
-        raise MissingCellsError(missing_cells, warnings)
+        raise MissingCellsError(missing_cells)
     scored_ids = set(test_ids)
     stray = [(did, cell) for cell in requested for did in ext_index[cell].entries if did not in scored_ids]
     if stray:
@@ -386,7 +380,7 @@ def run_experiment(
                         warnings.append(f"{label}: no dialog scored at size={size}, seed={seed}")
 
     if not runs:
-        raise ExperimentError("no dialog scored in any cell", warnings)
+        raise ExperimentError("no dialog scored in any cell")
     per_dialog = RunScores(runs)
     return RunResult(table_from_per_dialog(per_dialog), per_dialog, families, warnings)
 

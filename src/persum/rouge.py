@@ -181,13 +181,6 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str] | PreparedReferen
     return _rouge_l(candidate, _prepared(reference))
 
 
-def score_tokens(candidate: Sequence[str], reference: PreparedReference) -> ScoreTriple:
-    """ROUGE-1, ROUGE-2, and ROUGE-L of candidate tokens against a prepared reference."""
-    return ScoreTriple(
-        rouge_n(candidate, reference, 1), rouge_n(candidate, reference, 2), rouge_l(candidate, reference)
-    )
-
-
 def score_pair(
     candidate: str, reference: str | PreparedReference, config: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> ScoreTriple:
@@ -196,7 +189,8 @@ def score_pair(
     is used as it is."""
     if not isinstance(reference, PreparedReference):
         reference = prepare_reference(reference, config)
-    return score_tokens(tokenize(candidate, config), reference)
+    tokens = tokenize(candidate, config)
+    return ScoreTriple(rouge_n(tokens, reference, 1), rouge_n(tokens, reference, 2), rouge_l(tokens, reference))
 
 
 class AggregateCell(NamedTuple):

@@ -936,6 +936,19 @@ def test_weaklabel_command_counts_add_up(tmp_path, capsys):
     assert len(out.read_text(encoding="utf-8").splitlines()) == coverage["labeled"]
 
 
+def test_weaklabel_refuses_a_coverage_directory_before_writing_pairs(tmp_path, capsys):
+    src = tmp_path / "c.jsonl"
+    write_corpus(synthetic_corpus(random.Random(3), 10), src)
+    out = tmp_path / "pairs.jsonl"
+    out.write_bytes(b"old pairs\n")
+    (tmp_path / "coverage").mkdir()
+    code = main(["weaklabel", "--corpus", str(src), "--perspective", "customer", "--heuristic", "lead",
+                 "--output", str(out), "--coverage", str(tmp_path / "coverage")])
+    assert code == 2
+    assert out.read_bytes() == b"old pairs\n"
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'coverage'}: it is a directory\n"
+
+
 def test_weaklabel_min_tokens_one_labels_every_dialog(tmp_path, capsys):
     corpus = synthetic_corpus(random.Random(4), 15)
     src = tmp_path / "c.jsonl"
@@ -1432,6 +1445,28 @@ def test_score_leaves_no_partial_output_when_the_dump_write_fails(scored_setup, 
     assert code == 2
     assert "no space left on device" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("blocked", ["per_dialog_scores.csv", "subsets"])
+def test_score_refuses_a_target_it_cannot_replace_before_replacing_any(scored_setup, tmp_path, capsys, blocked):
+    """A dump path taken by a directory, or a subsets path taken by a file, ends the run
+    with exit 2 while every output still holds the bytes of the run before."""
+    _, config_path = scored_setup
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    old = {"report.md": b"old report\n", "per_dialog_scores.csv": b"old dump\n", "subsets": b"old subsets\n"}
+    for name, data in old.items():
+        (out_dir / name).write_bytes(data)
+    if blocked == "per_dialog_scores.csv":
+        (out_dir / blocked).unlink()
+        (out_dir / blocked).mkdir()
+        del old[blocked]
+    code = main(["score", "--config", str(config_path), "--output-dir", str(out_dir), "--subsets"])
+    assert code == 2
+    assert {name: (out_dir / name).read_bytes() for name in old} == old
+    assert sorted(path.name for path in out_dir.iterdir()) == ["per_dialog_scores.csv", "report.md", "subsets"]
+    problem = "it is a directory" if blocked == "per_dialog_scores.csv" else "it is not a directory"
+    assert capsys.readouterr().err.endswith(f"{out_dir / blocked}: {problem}\n")
 
 
 def test_score_lets_a_bug_raise_instead_of_exiting_2(scored_setup, tmp_path, monkeypatch):

@@ -211,8 +211,10 @@ def test_missing_prediction_entry_excluded_with_warning():
     config = ExperimentConfig(
         methods=["pegasus"], perspectives=[Perspective.CUSTOMER], sizes=(0,), n_seeds=1
     )
-    result = run_experiment(corpus, config, [pred])
-    assert any(test_ids[0] in w for w in result.warnings)
+    warnings = ["before the run"]
+    result = run_experiment(corpus, config, [pred], warnings)
+    assert result.warnings is warnings
+    assert warnings == ["before the run", f"pegasus/customer: no prediction for dialog {test_ids[0]} (size=0, seed=0)"]
     scored = {row.dialog_id for row in result.per_dialog}
     assert test_ids[0] not in scored
 
@@ -263,15 +265,47 @@ def test_prediction_entries_for_unscored_dialogs_warned_in_one_line():
     assert list(result.per_dialog) == list(clean.per_dialog)
 
 
-def test_run_with_no_scored_dialog_errors():
+@pytest.mark.parametrize("failure", ["duplicate-cell", "missing-cells", "strict-missing", "nothing-scored"])
+def test_run_failing_after_warnings_leaves_them_in_the_callers_list(failure):
     corpus = scoring_corpus()
+    test_ids, train_ids = corpus.dialog_ids(Split.TEST), corpus.dialog_ids(Split.TRAIN)
     pred = prediction_set(corpus, "pegasus", 0, 0)
-    pred.entries.clear()
     config = ExperimentConfig(
         methods=["pegasus"], perspectives=[Perspective.CUSTOMER], sizes=(0,), n_seeds=1
     )
-    with pytest.raises(ExperimentError, match="no dialog scored"):
-        run_experiment(corpus, config, [pred])
+    external = [pred]
+    if failure == "duplicate-cell":
+        del corpus.gold[test_ids[0]]
+        external = [pred, pred]
+        expected = ["1 test dialog(s) have no gold summary and are not scored"]
+        error = "duplicate prediction set for cell ('pegasus', 0, 0)"
+    elif failure == "missing-cells":
+        config = config._replace(n_seeds=2)
+        external = [pred, prediction_set(corpus, "bart", 0, 0)]
+        expected = [
+            "1 prediction set(s) are for cells the config does not request and are not scored, "
+            "first: (bart, size=0, seed=0)"
+        ]
+        error = "missing prediction cells: (pegasus, size=0, seed=1)"
+    elif failure == "strict-missing":
+        config = config._replace(strict_missing=True)
+        del pred.entries[test_ids[0]]
+        pred.entries[train_ids[0]] = PredictionEntry("stray text", None)
+        expected = [
+            f"1 prediction entry(ies) are for dialogs that are not scored, first: dialog {train_ids[0]!r} "
+            "in (pegasus, size=0, seed=0)"
+        ]
+        error = f"pegasus/customer: no prediction for dialog {test_ids[0]} (size=0, seed=0)"
+    else:
+        pred.entries.clear()
+        expected = [f"pegasus/customer: no prediction for dialog {did} (size=0, seed=0)" for did in test_ids]
+        expected.append("pegasus/customer: no dialog scored at size=0, seed=0")
+        error = "no dialog scored in any cell"
+    warnings = ["before the run"]
+    with pytest.raises(ExperimentError) as exc_info:
+        run_experiment(corpus, config, external, warnings)
+    assert str(exc_info.value) == error
+    assert warnings == ["before the run", *expected]
 
 
 def test_incompatible_builtin_rows_skipped_with_warning():

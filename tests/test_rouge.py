@@ -20,7 +20,6 @@ from persum.rouge import (
     rouge_l,
     rouge_n,
     score_pair,
-    score_tokens,
     tokenize,
 )
 from util import VOCAB, naive_lcs_prf, naive_ngram_prf, naive_tokenize, random_token_list
@@ -211,7 +210,6 @@ def test_kernel_equals_naive_oracles_exactly(cand, ref):
     want = (naive_ngram_prf(cand, ref, 1), naive_ngram_prf(cand, ref, 2), naive_lcs_prf(cand, ref))
     prepared = prepare_reference(" ".join(ref))
     for triple in (
-        score_tokens(cand, prepared),
         score_pair(" ".join(cand), " ".join(ref)),
         score_pair(" ".join(cand), prepared),
     ):
@@ -225,8 +223,8 @@ def test_kernel_equals_naive_oracles_exactly(cand, ref):
 def test_prepared_reference_is_reusable(ref, candidates):
     shared = prepare_reference(" ".join(ref))
     masks = dict(shared.masks)
-    reused = [score_tokens(cand, shared) for cand in candidates]
-    assert reused == [score_tokens(cand, prepare_reference(" ".join(ref))) for cand in candidates]
+    reused = [score_pair(" ".join(cand), shared) for cand in candidates]
+    assert reused == [score_pair(" ".join(cand), prepare_reference(" ".join(ref))) for cand in candidates]
     assert shared.tokens == tuple(ref) and shared.masks == masks
 
 
