@@ -338,7 +338,11 @@ def cmd_score(args) -> int:
         result = run_experiment(corpus, config, external, warnings)
     finally:
         _print_warnings(warnings)
-    del corpus, external  # the result holds what the outputs need; this lowers the write's peak
+    families = [
+        sample_nested_subsets(corpus.dialog_ids(Split.TRAIN), config.sizes, seed, config.cap_to_population)
+        for seed in config.seeds
+    ] if args.subsets else []
+    del corpus, external  # the result and families hold what the outputs need; this lowers the write's peak
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -360,7 +364,7 @@ def cmd_score(args) -> int:
         report_path.unlink(missing_ok=True)
         dump_path.unlink(missing_ok=True)
     if args.subsets:
-        write_subset_files(result.families, out_dir / "subsets")
+        write_subset_files(families, out_dir / "subsets")
     print(f"wrote {report_name} and per_dialog_scores.csv to {_shown(out_dir)}")
     return EXIT_OK
 

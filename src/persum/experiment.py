@@ -135,6 +135,14 @@ class SubsetFamily(NamedTuple):
     subsets: dict[int, list[str]]
 
 
+def _check_population(population: int, sizes: Sequence[int], cap_to_population: bool) -> None:
+    if not cap_to_population and max(sizes) > population:
+        raise ExperimentError(
+            f"subset size {max(sizes)} exceeds the {population}-id training population "
+            f"(pass cap_to_population to clamp oversized requests)"
+        )
+
+
 def sample_nested_subsets(
     train_ids: Sequence[str],
     sizes: Sequence[int],
@@ -149,11 +157,7 @@ def sample_nested_subsets(
     if not sizes:
         raise ExperimentError("no subset sizes requested")
     population = len(train_ids)
-    if not cap_to_population and max(sizes) > population:
-        raise ExperimentError(
-            f"subset size {max(sizes)} exceeds the {population}-id training population "
-            f"(pass cap_to_population to clamp oversized requests)"
-        )
+    _check_population(population, sizes, cap_to_population)
     rng = make_rng(seed)
     shuffled = [train_ids[i] for i in rng.permutation(population)]
     subsets = {size: shuffled[: min(size, population)] for size in sizes}
@@ -222,7 +226,6 @@ class ResultTable(NamedTuple):
 class RunResult(NamedTuple):
     table: ResultTable
     per_dialog: RunScores
-    families: list[SubsetFamily]
     warnings: list[str]
 
 
@@ -289,7 +292,6 @@ def run_experiment(
         raise ExperimentError("corpus has no split assignment")
 
     dialogs = corpus.by_id()
-    train_ids = corpus.dialog_ids(Split.TRAIN)
     test_ids = [did for did in corpus.dialog_ids(Split.TEST) if did in corpus.gold]
     gold_missing = len(corpus.dialog_ids(Split.TEST)) - len(test_ids)
     if gold_missing:
@@ -297,10 +299,7 @@ def run_experiment(
     if not test_ids:
         raise ExperimentError("no test dialogs with gold summaries to score")
 
-    families = [
-        sample_nested_subsets(train_ids, config.sizes, seed, config.cap_to_population)
-        for seed in config.seeds
-    ]
+    _check_population(len(corpus.dialog_ids(Split.TRAIN)), config.sizes, config.cap_to_population)
 
     ext_index = index_prediction_sets(external)
 
@@ -382,7 +381,7 @@ def run_experiment(
     if not runs:
         raise ExperimentError("no dialog scored in any cell")
     per_dialog = RunScores(runs)
-    return RunResult(table_from_per_dialog(per_dialog), per_dialog, families, warnings)
+    return RunResult(table_from_per_dialog(per_dialog), per_dialog, warnings)
 
 
 # --- report emission ------------------------------------------------------------

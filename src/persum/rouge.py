@@ -3,7 +3,8 @@
 ROUGE-L uses the longest common subsequence over the full token sequences
 (summary level, no sentence splitting), computed bit-parallel. F-measure is the
 plain harmonic mean. A reference is tokenized once into a PreparedReference
-and any number of candidate token lists are scored against it.
+and any number of candidate token lists are scored against it, each in one
+pass that yields all three scores.
 Aggregation renders the mean of per-run scores with the sample standard
 deviation (n-1 denominator) as the +/- column.
 """
@@ -86,9 +87,10 @@ class PreparedReference:
 
     `masks` maps each token to the bitmask of its positions (bit i set when
     tokens[i] is that token), and the positions of a bigram (a, b) are
-    masks[a] & masks[b] >> 1. ROUGE-1 and ROUGE-2 clip by consuming these
-    positions and ROUGE-L runs its LCS row over them. Scoring only reads these
-    fields, so one instance serves any number of candidates. It stands in for
+    masks[a] & masks[b] >> 1. One pass over a candidate's masks feeds all three
+    scores: ROUGE-1 and ROUGE-2 clip by consuming these positions, each in its own
+    set, and ROUGE-L runs its LCS row over them. Scoring only reads these fields,
+    so one instance serves any number of candidates. It stands in for
     the reference token list in rouge_n, rouge_l and score_pair, and its length
     is the number of tokens.
     """
@@ -115,54 +117,44 @@ def prepare_reference(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) ->
     return _prepare_tokens(tokenize(text, config))
 
 
-def _rouge_1(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
-    """Each candidate token consumes the lowest reference position of that token not yet
-    consumed. Distinct tokens have disjoint masks, so a token counts min(candidate count,
-    reference count) times: the clipped overlap."""
-    overlap = 0
-    left = (1 << len(ref.tokens)) - 1  # reference positions not yet consumed
-    for mask in map(ref.masks.get, candidate, repeat(0)):
-        free = mask & left
-        if free:
-            left ^= free & -free
-            overlap += 1
-    return _make_score(overlap, len(candidate), len(ref.tokens))
+def _rouge_triple(candidate: Sequence[str], ref: PreparedReference) -> ScoreTriple:
+    """ROUGE-1, ROUGE-2 and ROUGE-L in one pass over the candidate's masks, each with its
+    own state. A token absent from the reference (mask 0) changes none of them but prev.
 
+    ROUGE-1 and ROUGE-2 clip: each candidate unigram, or bigram, consumes the lowest
+    reference position of it not yet consumed, in left1 or left2. Bit i of
+    prev & mask >> 1 is set when the reference has the candidate's last two tokens at
+    positions i and i + 1. Distinct n-grams have disjoint position masks, so each counts
+    min(candidate count, reference count) times: the clipped overlap.
 
-def _rouge_2(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
-    """As _rouge_1 over bigrams: bit i of prev & mask >> 1 is set when the reference has
-    the candidate's last two tokens at positions i and i + 1. A position fixes its bigram,
-    so distinct bigrams have disjoint position masks."""
-    overlap = prev = 0
-    left = (1 << len(ref.tokens)) - 1
-    for mask in map(ref.masks.get, candidate, repeat(0)):
-        free = prev & (mask >> 1) & left
-        if free:
-            left ^= free & -free
-            overlap += 1
-        prev = mask
-    return _make_score(overlap, max(len(candidate) - 1, 0), max(len(ref.tokens) - 1, 0))
-
-
-def _rouge_l(candidate: Sequence[str], ref: PreparedReference) -> RougeScore:
-    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004).
-
-    v holds one row of the LCS table: bit j is clear when the LCS of the
-    candidate so far with reference[:j + 1] is one longer than with
-    reference[:j]. The LCS length is the number of clear bits among the low n,
-    and each candidate token updates the whole row with a few integer
-    operations. u has no bit at or above n and carries only move upward, so
-    bits above n never change the low n and the row is masked once, at the end.
+    ROUGE-L is the bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004). v holds one
+    row of the LCS table: bit j is clear when the LCS of the candidate so far with
+    reference[:j + 1] is one longer than with reference[:j], so the LCS length is the
+    number of clear bits among the low n. u has no bit at or above n and carries only
+    move upward, so bits above n never change the low n and v is masked once, at the end.
     """
     n = len(ref.tokens)
-    full = (1 << n) - 1
-    v = full
-    for token in candidate:
-        mask = ref.masks.get(token)
+    left1 = left2 = v = full = (1 << n) - 1
+    overlap1 = overlap2 = prev = 0
+    for mask in map(ref.masks.get, candidate, repeat(0)):
         if mask:
+            free = mask & left1
+            if free:
+                left1 ^= free & -free
+                overlap1 += 1
+            free = prev & (mask >> 1) & left2
+            if free:
+                left2 ^= free & -free
+                overlap2 += 1
             u = v & mask
             v = (v + u) | (v - u)
-    return _make_score(n - (v & full).bit_count(), len(candidate), n)
+        prev = mask
+    m = len(candidate)
+    return ScoreTriple(
+        _make_score(overlap1, m, n),
+        _make_score(overlap2, max(m - 1, 0), max(n - 1, 0)),
+        _make_score(n - (v & full).bit_count(), m, n),
+    )
 
 
 def _prepared(reference: Sequence[str] | PreparedReference) -> PreparedReference:
@@ -173,12 +165,12 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str] | PreparedReferen
     """Clipped n-gram overlap score for n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    return (_rouge_1 if n == 1 else _rouge_2)(candidate, _prepared(reference))
+    return _rouge_triple(candidate, _prepared(reference))[n - 1]
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str] | PreparedReference) -> RougeScore:
     """Longest-common-subsequence score over the full token sequences."""
-    return _rouge_l(candidate, _prepared(reference))
+    return _rouge_triple(candidate, _prepared(reference)).rl
 
 
 def score_pair(
@@ -189,8 +181,7 @@ def score_pair(
     is used as it is."""
     if not isinstance(reference, PreparedReference):
         reference = prepare_reference(reference, config)
-    tokens = tokenize(candidate, config)
-    return ScoreTriple(rouge_n(tokens, reference, 1), rouge_n(tokens, reference, 2), rouge_l(tokens, reference))
+    return _rouge_triple(tokenize(candidate, config), reference)
 
 
 class AggregateCell(NamedTuple):

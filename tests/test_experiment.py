@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 
 import pytest
@@ -20,7 +21,9 @@ from persum import (
     make_dialog,
     run_experiment,
     sample_nested_subsets,
+    write_corpus,
 )
+from persum.cli import main
 from persum.experiment import (
     PER_DIALOG_COLUMNS,
     ConfigPaths,
@@ -335,21 +338,22 @@ def test_run_requires_gold_and_split():
         run_experiment(no_split, config)
 
 
-def test_oversized_sizes_error_without_cap_flag():
+def test_oversized_sizes_error_without_cap_flag(tmp_path):
     corpus = scoring_corpus()
     config = ExperimentConfig(
         methods=["lead_base"], perspectives=[Perspective.CUSTOMER], sizes=(0, 1024)
     )
-    with pytest.raises(ExperimentError):
+    with pytest.raises(ExperimentError, match="subset size 1024 exceeds the 7-id training population"):
         run_experiment(corpus, config)
-    capped = ExperimentConfig(
-        methods=["lead_base"],
-        perspectives=[Perspective.CUSTOMER],
-        sizes=(0, 1024),
-        cap_to_population=True,
-    )
-    result = run_experiment(corpus, capped)
-    assert len(result.families[0].subsets[1024]) == len(corpus.dialog_ids(Split.TRAIN))
+    # capped, the 1024 subset that score --subsets writes is the whole training set
+    corpus_path, config_path, out = tmp_path / "corpus.jsonl", tmp_path / "config.json", tmp_path / "run"
+    write_corpus(corpus, corpus_path)
+    capped = {"methods": ["lead_base"], "perspectives": ["customer"], "sizes": [0, 1024], "cap_to_population": True}
+    config_path.write_text(json.dumps(capped), encoding="utf-8")
+    argv = ["score", "--config", str(config_path), "--corpus", str(corpus_path), "--output-dir", str(out), "--subsets"]
+    assert main(argv) == 0
+    written = (out / "subsets" / "0" / "1024.txt").read_text(encoding="utf-8").splitlines()
+    assert sorted(written) == sorted(corpus.dialog_ids(Split.TRAIN))
 
 
 def test_run_deterministic():

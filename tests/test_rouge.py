@@ -136,6 +136,18 @@ def test_score_pair_worked_example():
     assert triple.rl.f_measure == pytest.approx(0.8, abs=1e-12)
 
 
+def test_score_pair_keeps_three_states_in_one_pass():
+    """Candidate "a a b x a", reference "a b a". ROUGE-1 consumes all three reference
+    positions before the last "a", which still extends the LCS to "a b a". ROUGE-2
+    finds "a b" at position 0, which ROUGE-1 has consumed too. And "x" breaks the
+    bigram "b a" although it is no reference token."""
+    triple = score_pair("a a b x a", "a b a")
+    assert (triple.r1.precision, triple.r1.recall) == (3 / 5, 3 / 3)
+    assert (triple.r2.precision, triple.r2.recall) == (1 / 4, 1 / 2)
+    assert (triple.rl.precision, triple.rl.recall) == (3 / 5, 3 / 3)
+    assert triple.r2.f_measure == pytest.approx(1 / 3, abs=1e-12)
+
+
 def test_score_pair_identical_and_empty():
     assert score_pair("a b", "a b").r1.f_measure == 1.0
     triple = score_pair("", "a b")
