@@ -37,8 +37,8 @@ from .experiment import (
 from .rng import make_rng
 from .rouge import (
     AggregateCell,
+    PairScores,
     RougeScore,
-    ScoreTriple,
     TokenizerConfig,
     aggregate,
     rouge_l,

@@ -242,8 +242,8 @@ def _score_dialogs(
     missing: str,
 ) -> dict[str, tuple[float, ...]]:
     """Score each dialog's candidate against its prepared reference, in reference order,
-    as the five score columns of its dump rows. A dialog without a candidate is an
-    error under strict_missing, else a warning `missing.format(did)`."""
+    as score_pair's PairScores, the five score columns of its dump rows. A dialog without
+    a candidate is an error under strict_missing, else a warning `missing.format(did)`."""
     scores: dict[str, tuple[float, ...]] = {}
     for did, reference in references.items():
         cand = candidates[did]
@@ -253,8 +253,7 @@ def _score_dialogs(
                 raise ExperimentError(message)
             warnings.append(message)
             continue
-        r1, r2, rl = score_pair(cand.text, reference, config.tokenizer)
-        scores[did] = (*r1, r2.f_measure, rl.f_measure)
+        scores[did] = score_pair(cand.text, reference, config.tokenizer)
     return scores
 
 

@@ -4,7 +4,7 @@ ROUGE-L uses the longest common subsequence over the full token sequences
 (summary level, no sentence splitting), computed bit-parallel. F-measure is the
 plain harmonic mean. A reference is tokenized once into a PreparedReference
 and any number of candidate token lists are scored against it, each in one
-pass that yields all three scores.
+pass that counts all three overlaps, which score_pair turns into a PairScores.
 Aggregation renders the mean of per-run scores with the sample standard
 deviation (n-1 denominator) as the +/- column.
 """
@@ -64,10 +64,14 @@ class RougeScore(NamedTuple):
     f_measure: float
 
 
-class ScoreTriple(NamedTuple):
-    r1: RougeScore
-    r2: RougeScore
-    rl: RougeScore
+class PairScores(NamedTuple):
+    """A candidate's scores against one reference, named after the dump's score columns."""
+
+    r1_p: float
+    r1_r: float
+    r1_f: float
+    r2_f: float
+    rl_f: float
 
 
 def _f_measure(precision: float, recall: float) -> float:
@@ -117,9 +121,9 @@ def prepare_reference(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) ->
     return _prepare_tokens(tokenize(text, config))
 
 
-def _rouge_triple(candidate: Sequence[str], ref: PreparedReference) -> ScoreTriple:
-    """ROUGE-1, ROUGE-2 and ROUGE-L in one pass over the candidate's masks, each with its
-    own state. A token absent from the reference (mask 0) changes none of them but prev.
+def _rouge_counts(candidate: Sequence[str], ref: PreparedReference) -> tuple[int, int, int]:
+    """ROUGE-1, ROUGE-2 and ROUGE-L overlaps in one pass over the candidate's masks, each with
+    its own state. A token absent from the reference (mask 0) changes none of them but prev.
 
     ROUGE-1 and ROUGE-2 clip: each candidate unigram, or bigram, consumes the lowest
     reference position of it not yet consumed, in left1 or left2. Bit i of
@@ -149,12 +153,7 @@ def _rouge_triple(candidate: Sequence[str], ref: PreparedReference) -> ScoreTrip
             u = v & mask
             v = (v + u) | (v - u)
         prev = mask
-    m = len(candidate)
-    return ScoreTriple(
-        _make_score(overlap1, m, n),
-        _make_score(overlap2, max(m - 1, 0), max(n - 1, 0)),
-        _make_score(n - (v & full).bit_count(), m, n),
-    )
+    return overlap1, overlap2, n - (v & full).bit_count()
 
 
 def _prepared(reference: Sequence[str] | PreparedReference) -> PreparedReference:
@@ -165,23 +164,33 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str] | PreparedReferen
     """Clipped n-gram overlap score for n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    return _rouge_triple(candidate, _prepared(reference))[n - 1]
+    ref = _prepared(reference)
+    m = len(candidate)
+    return _make_score(_rouge_counts(candidate, ref)[n - 1], max(m - n + 1, 0), max(len(ref) - n + 1, 0))
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str] | PreparedReference) -> RougeScore:
     """Longest-common-subsequence score over the full token sequences."""
-    return _rouge_triple(candidate, _prepared(reference)).rl
+    ref = _prepared(reference)
+    return _make_score(_rouge_counts(candidate, ref)[2], len(candidate), len(ref))
 
 
 def score_pair(
     candidate: str, reference: str | PreparedReference, config: TokenizerConfig = DEFAULT_TOKENIZER
-) -> ScoreTriple:
-    """Tokenize the candidate and compute ROUGE-1, ROUGE-2, and ROUGE-L. A reference
-    given as text is tokenized here; a PreparedReference, made with the same config,
-    is used as it is."""
+) -> PairScores:
+    """Tokenize the candidate and score it with ROUGE-1, ROUGE-2, and ROUGE-L, as
+    _make_score would. A reference given as text is tokenized here; a PreparedReference,
+    made with the same config, is used as it is."""
     if not isinstance(reference, PreparedReference):
         reference = prepare_reference(reference, config)
-    return _rouge_triple(tokenize(candidate, config), reference)
+    tokens = tokenize(candidate, config)
+    overlap1, overlap2, lcs = _rouge_counts(tokens, reference)
+    if not overlap1:  # no shared token, so no shared bigram and an empty LCS
+        return PairScores(0.0, 0.0, 0.0, 0.0, 0.0)
+    m, n = len(tokens), len(reference.tokens)
+    p1, r1, pl, rl = overlap1 / m, overlap1 / n, lcs / m, lcs / n
+    f2 = _f_measure(overlap2 / (m - 1), overlap2 / (n - 1)) if overlap2 else 0.0
+    return PairScores(p1, r1, _f_measure(p1, r1), f2, _f_measure(pl, rl))
 
 
 class AggregateCell(NamedTuple):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -116,6 +117,7 @@ def parse_builtin_method(name: str) -> BuiltinMethodSpec | None:
     )
 
 
+@cache  # a run has few method names and asks once per candidate
 def method_has_post_process(name: str) -> bool:
     return _POST_PROCESS_RE.search(name) is not None
 
@@ -235,7 +237,7 @@ def prediction_candidate(
     summaries can populate just one field.
     """
     sides = []
-    for role in perspective.roles:
+    for role in _PERSPECTIVE_ROLES[perspective]:
         text = entry.customer if role is SpeakerRole.CUSTOMER else entry.agent
         if text is not None and text.strip():
             sides.append((role, text))

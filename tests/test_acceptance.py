@@ -87,10 +87,10 @@ def test_criterion_1_rouge_matches_oracles(announce):
 
 
 def test_criterion_2_pinned_worked_example(announce):
-    triple = score_pair("the cat on mat", "the cat sat on the mat")
-    assert triple.r1.f_measure == 0.8
-    assert triple.r2.f_measure == 0.25
-    assert triple.rl.f_measure == 0.8
+    row = score_pair("the cat on mat", "the cat sat on the mat")
+    assert row.r1_f == 0.8
+    assert row.r2_f == 0.25
+    assert row.rl_f == 0.8
     announce("PASS criterion 2: worked example scores exactly (0.8, 0.25, 0.8)")
 
 

@@ -1477,7 +1477,7 @@ def test_score_lets_a_bug_raise_instead_of_exiting_2(scored_setup, tmp_path, mon
     def broken_kernel(candidate, ref):
         raise ValueError("kernel bug")
 
-    monkeypatch.setattr(rouge, "_rouge_triple", broken_kernel)
+    monkeypatch.setattr(rouge, "_rouge_counts", broken_kernel)
     with pytest.raises(ValueError, match="^kernel bug$"):
         main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "run")])
 

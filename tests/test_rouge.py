@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from persum import rouge
 from persum.rouge import (
+    PairScores,
     TokenizerConfig,
     aggregate,
     prepare_reference,
@@ -130,28 +131,35 @@ def test_rouge_l_empty_side_is_zero():
 
 
 def test_score_pair_worked_example():
-    triple = score_pair("the cat on mat", "the cat sat on the mat")
-    assert triple.r1.f_measure == pytest.approx(0.8, abs=1e-12)
-    assert triple.r2.f_measure == pytest.approx(0.25, abs=1e-12)
-    assert triple.rl.f_measure == pytest.approx(0.8, abs=1e-12)
+    row = score_pair("the cat on mat", "the cat sat on the mat")
+    assert row.r1_f == pytest.approx(0.8, abs=1e-12)
+    assert row.r2_f == pytest.approx(0.25, abs=1e-12)
+    assert row.rl_f == pytest.approx(0.8, abs=1e-12)
 
 
 def test_score_pair_keeps_three_states_in_one_pass():
     """Candidate "a a b x a", reference "a b a". ROUGE-1 consumes all three reference
     positions before the last "a", which still extends the LCS to "a b a". ROUGE-2
     finds "a b" at position 0, which ROUGE-1 has consumed too. And "x" breaks the
-    bigram "b a" although it is no reference token."""
-    triple = score_pair("a a b x a", "a b a")
-    assert (triple.r1.precision, triple.r1.recall) == (3 / 5, 3 / 3)
-    assert (triple.r2.precision, triple.r2.recall) == (1 / 4, 1 / 2)
-    assert (triple.rl.precision, triple.rl.recall) == (3 / 5, 3 / 3)
-    assert triple.r2.f_measure == pytest.approx(1 / 3, abs=1e-12)
+    bigram "b a" although it is no reference token. The row leaves out ROUGE-2's and
+    ROUGE-L's precision and recall, so rouge_n and rouge_l give them from the same
+    prepared reference."""
+    ref = prepare_reference("a b a")
+    row = score_pair("a a b x a", ref)
+    assert score_pair("a a b x a", "a b a") == row
+    cand = tokenize("a a b x a")
+    r2, rl = rouge_n(cand, ref, 2), rouge_l(cand, ref)
+    assert (row.r1_p, row.r1_r) == (3 / 5, 3 / 3)
+    assert (r2.precision, r2.recall) == (1 / 4, 1 / 2)
+    assert (rl.precision, rl.recall) == (3 / 5, 3 / 3)
+    assert row.r2_f == r2.f_measure == pytest.approx(1 / 3, abs=1e-12)
+    assert row.rl_f == rl.f_measure
 
 
 def test_score_pair_identical_and_empty():
-    assert score_pair("a b", "a b").r1.f_measure == 1.0
-    triple = score_pair("", "a b")
-    assert triple.r1.f_measure == triple.r2.f_measure == triple.rl.f_measure == 0.0
+    assert score_pair("a b", "a b").r1_f == 1.0
+    row = score_pair("", "a b")
+    assert row.r1_f == row.r2_f == row.rl_f == 0.0
 
 
 def test_matches_naive_oracles_on_random_pairs():
@@ -221,14 +229,29 @@ def _prf(score):
 def test_kernel_equals_naive_oracles_exactly(cand, ref):
     want = (naive_ngram_prf(cand, ref, 1), naive_ngram_prf(cand, ref, 2), naive_lcs_prf(cand, ref))
     prepared = prepare_reference(" ".join(ref))
-    for triple in (
-        score_pair(" ".join(cand), " ".join(ref)),
-        score_pair(" ".join(cand), prepared),
-    ):
-        assert (_prf(triple.r1), _prf(triple.r2), _prf(triple.rl)) == want
+    for reference in (" ".join(ref), prepared):
+        assert score_pair(" ".join(cand), reference) == (*want[0], want[1][2], want[2][2])
     for reference in (ref, prepared):
         got = rouge_n(cand, reference, 1), rouge_n(cand, reference, 2), rouge_l(cand, reference)
         assert tuple(map(_prf, got)) == want
+
+
+@given(LONG_TOKENS, LONG_TOKENS)
+@example([], [])
+@example([], ["alpha", "bravo"])
+@example(["alpha"], ["alpha"])
+@example(["alpha"], ["alpha", "bravo"])
+@example(["alpha", "bravo"], ["alpha", "bravo", "alpha"])
+def test_score_pair_row_equals_naive_oracles_exactly(cand, ref):
+    """The row is ROUGE-1's precision, recall and F, then ROUGE-2's and ROUGE-L's F, each
+    the oracle's float to the sign of a zero. The examples cover an empty candidate and
+    one-token sides, whose ROUGE-2 totals m - 1 and n - 1 are 0."""
+    want = [*naive_ngram_prf(cand, ref, 1), naive_ngram_prf(cand, ref, 2)[2], naive_lcs_prf(cand, ref)[2]]
+    want = list(map(repr, want))
+    for reference in (" ".join(ref), prepare_reference(" ".join(ref))):
+        row = score_pair(" ".join(cand), reference)
+        assert type(row) is PairScores
+        assert list(map(repr, row)) == want
 
 
 @given(LONG_TOKENS, st.lists(LONG_TOKENS, max_size=8))
