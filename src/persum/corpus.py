@@ -20,7 +20,6 @@ import re
 from collections import defaultdict
 from contextlib import contextmanager
 from enum import Enum
-from itertools import chain
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -114,29 +113,34 @@ def csv_body(lines: Iterable[str], what: str, width: int, pick: itemgetter, line
     line being line `lineno` + 1 of its file; every row must have `width` fields. No line is
     read past the row it ends, so a caller may stop after any row and go on at the next line.
 
-    A line that holds no quote, CR or NUL, is no longer than csv's field limit and splits on
-    its commas into `width` fields is a row of those fields, as csv.reader would parse it.
-    From the first other line on, csv.reader reads the rest, at the same line numbers.
+    A line that holds no quote, NUL or CR before its line end, is no longer than csv's field
+    limit and splits on its commas into `width` fields is a row of those fields, as csv.reader
+    would parse it. Each other line starts a row that one csv.reader reads, with any further
+    lines of it from `lines`, at the same line numbers; the line after that row is split.
     """
-    lines, limit = iter(lines), csv.field_size_limit()
+    lines, limit, held = iter(lines), csv.field_size_limit(), []
+    reader = csv.reader(iter(lambda: held.pop() if held else next(lines, None), None))
     try:
-        for line in lines:
-            if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
-                break
-            fields = line.removesuffix("\n").split(",")
-            if len(fields) != width:
-                break
-            lineno += 1
-            yield lineno, pick(fields)
-        else:
-            return
-        reader = csv.reader(chain((line,), lines))
-        for fields in reader:
-            if len(fields) != width:
-                if not fields:
-                    continue
-                raise ParseError(lineno + reader.line_num, f"{what} row has {len(fields)} field(s), the header has {width}")
-            yield lineno + reader.line_num, pick(fields)
+        while True:
+            for line in lines:
+                row = line.rstrip("\r\n")
+                if '"' in row or "\r" in row or "\0" in row or len(line) > limit:
+                    break
+                fields = row.split(",")
+                if len(fields) != width:
+                    break
+                lineno += 1
+                yield lineno, pick(fields)
+            else:
+                return
+            held.append(line)
+            lineno -= reader.line_num
+            fields = next(reader)
+            lineno += reader.line_num
+            if len(fields) == width:
+                yield lineno, pick(fields)
+            elif fields:
+                raise ParseError(lineno, f"{what} row has {len(fields)} field(s), the header has {width}")
     except csv.Error as exc:
         raise ParseError(lineno + reader.line_num, str(exc)) from None
 
@@ -221,20 +225,24 @@ class Utterance(NamedTuple):
 
 
 class Dialog(NamedTuple):
-    """A dialog id and its utterances, at least one and none blank; make_dialog checks that."""
+    """A dialog id and its utterances, at least one and none blank; its builders check that."""
 
     id: str
     utterances: tuple[Utterance, ...]
 
 
+# builds a NamedTuple of checked values in C, without the interpreted __new__ its class generates
+_new_tuple = tuple.__new__
+
+
 def make_dialog(dialog_id: str, turns: Sequence[tuple[SpeakerRole, str]]) -> Dialog:
     """Build a Dialog from (role, text) pairs: at least one, and none with a blank text."""
-    utterances = tuple([Utterance(role, text) for role, text in turns])
+    utterances = tuple([_new_tuple(Utterance, (role, text)) for role, text in turns])
     if not utterances:
         raise CorpusError(f"dialog {dialog_id!r} has no utterances")
     if not all([text.strip() for _, text in utterances]):
         raise CorpusError("utterance text must contain a non-whitespace character")
-    return Dialog(dialog_id, utterances)
+    return _new_tuple(Dialog, (dialog_id, utterances))
 
 
 class GoldSummary(NamedTuple):
@@ -328,8 +336,8 @@ def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
                 raise ParseError(lineno, f"dialog {did!r}: bad utterance at position {pos}") from exc
             if not isinstance(text, str) or not text.strip():
                 raise ParseError(lineno, f"dialog {did!r}: empty utterance text at position {pos}")
-            utts.append(Utterance(role, text))
-        dialogs.append(Dialog(did, tuple(utts)))
+            utts.append(_new_tuple(Utterance, (role, text)))
+        dialogs.append(_new_tuple(Dialog, (did, tuple(utts))))
         if "gold" in record and record["gold"] is not None:
             g = record["gold"]
             try:
@@ -378,6 +386,9 @@ def clean_tweet_text(text: str) -> str:
         text = _URL_RE.sub("http://url", text)
     if "@" in text:
         text = _MENTION_RE.sub("@user", text)
+    # U+0020 is the one printable whitespace character, so such a text is already collapsed
+    if text.isprintable() and "  " not in text and not text.startswith(" ") and not text.endswith(" "):
+        return text
     return " ".join(text.split())
 
 
@@ -499,7 +510,7 @@ def read_tweet_csv(path: str | Path) -> Iterator[tuple[str, Tweet]]:
             text = clean_tweet_text(text)
             if tid and text:
                 role = customer if inbound.strip().lower() in _INBOUND_TRUE else agent
-                yield tid, Tweet(role, text, parent.strip() or None)
+                yield tid, _new_tuple(Tweet, (role, text, parent.strip() or None))
 
 
 # --- splitting ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -263,15 +264,9 @@ def _rows_then_error(rows) -> tuple[list, str | None]:
     return read, None
 
 
-@settings(max_examples=300, deadline=None)
-@given(*_CSV_FILE, st.integers(0, 12))
-def test_csv_body_restarted_at_any_row_boundary_reads_what_csv_rows_reads(
-    tmp_path_factory, bom, header, before, after, special, last, boundary
-):
-    """csv_header, then csv_body over the lines after any row csv_rows yields, from that
-    row's line on: the rows after it, and the same error at the same line."""
-    path = tmp_path_factory.mktemp("csv") / "input.csv"
-    path.write_text(bom + header + "".join(before + special + after) + last, encoding="utf-8", newline="")
+def _assert_restarts_at_row(path, boundary):
+    """csv_header, then csv_body over the lines after row `boundary` (clipped to the rows) of
+    csv_rows, from that row's line on: the rows after it, and the same error at the same line."""
     rows, error = _rows_then_error(csv_rows(path, "test CSV", ("a", "b")))
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
@@ -284,6 +279,44 @@ def test_csv_body_restarted_at_any_row_boundary_reads_what_csv_rows_reads(
     start = rows[boundary - 1][0] if boundary else lineno
     rest = _rows_then_error(csv_body(lines[start - lineno :], "test CSV", len(names), pick, start))
     assert (rows[:boundary] + rest[0], rest[1]) == (rows, error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*_CSV_FILE, st.integers(0, 12))
+def test_csv_body_restarted_at_any_row_boundary_reads_what_csv_rows_reads(
+    tmp_path_factory, bom, header, before, after, special, last, boundary
+):
+    """With plain lines before and after the first line that csv.reader must read."""
+    path = tmp_path_factory.mktemp("csv") / "input.csv"
+    path.write_text(bom + header + "".join(before + special + after) + last, encoding="utf-8", newline="")
+    _assert_restarts_at_row(path, boundary)
+
+
+# rows under the header "a,b" that csv.reader must read, each followed by plain lines that
+# csv_body splits again (with LF, CR LF and lone CR ends): a quoted field over two and three
+# lines, a quoted CR, a quoted comma, blank rows, a NUL, a field at the limit, and errors (a
+# field over the limit, a row of the wrong width)
+_SPECIAL_CSV_ROWS = ['"a\nb",c\n', '1,"x\n\ny"\r\n', '"1\r2",3\n', '"1,2",3\n', '"q""q",d\r\n', "\n", "\r\n", "\r",
+                     "1,\0\n", "1," + "x" * 131_072 + "\n", "x" * 131_072 + ",1\n", "1," + "x" * 131_073 + "\n", '"1",2,3\n']
+_PLAIN_CSV_LINES = ["a,b\n", "b,a\r\n", "1,2\r", ",\n"]
+_INTERLEAVED_CSV_FILE = (
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(st.tuples(st.sampled_from(_SPECIAL_CSV_ROWS), st.lists(st.sampled_from(_PLAIN_CSV_LINES), max_size=3)),
+             min_size=1, max_size=6).map(lambda groups: "".join(row + "".join(plain) for row, plain in groups)),
+    st.sampled_from(["", "1,2", '"1\n2",3', "1,2\r"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*_INTERLEAVED_CSV_FILE, st.integers(0, 24))
+def test_csv_body_splits_again_after_each_row_csv_reader_reads(tmp_path_factory, bom, body, last, boundary):
+    """Rows that csv.reader must read, anywhere among plain lines and more than once: the
+    same rows, or the same error and line, as csv.reader over the whole file, and the same
+    again from any row boundary."""
+    path = tmp_path_factory.mktemp("csv") / "input.csv"
+    path.write_text(bom + "a,b\n" + body + last, encoding="utf-8", newline="")
+    assert _csv_outcome(csv_rows, path) == _csv_outcome(naive_csv_rows, path)
+    _assert_restarts_at_row(path, boundary)
 
 
 _UTTERANCE_FAULTS = [
@@ -524,6 +557,13 @@ def test_clean_tweet_text_equals_regex_oracle_on_every_code_point():
     assert clean_tweet_text(text) == naive_clean_tweet_text(text)
 
 
+def test_whitespace_other_than_space_is_not_printable():
+    """clean_tweet_text returns a printable text as it is when no space starts, ends or
+    doubles in it; that is `" ".join(text.split())` only while U+0020 is the one character
+    that is both whitespace and printable."""
+    assert [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c.isprintable()] == [" "]
+
+
 def test_reconstruct_counts_many_cycles():
     rows = []
     for i in range(5000):
@@ -549,6 +589,48 @@ def test_read_tweet_csv_equals_naive_decoder(tmp_path, seed):
         csv.writer(fh).writerows([header, *((pad(row[0]), *row[1:-1], pad(row[-1])) for row in rows)])
     assert list(read_tweet_csv(path)) == naive_read_tweet_csv(path)
     assert reconstruct_threads(read_tweet_csv(path)) == reconstruct_threads(naive_read_tweet_csv(path))
+
+
+def _assert_is_built_as(value, cls):
+    """`value` is the `cls` that `cls`'s constructor builds from its fields: the same type,
+    fields, equality, hash, `_replace` and pickle round trip."""
+    built = cls(*value)
+    assert type(value) is cls and value == built and hash(value) == hash(built)
+    assert tuple(getattr(value, name) for name in cls._fields) == built
+    replaced = value._replace(**{cls._fields[-1]: "other"})
+    assert type(replaced) is cls and replaced == cls(*built[:-1], "other")
+    copied = pickle.loads(pickle.dumps(value))
+    assert type(copied) is cls and copied == built
+
+
+def test_readers_build_the_named_tuples_their_constructors_build(tmp_path):
+    path = tmp_path / "tweets.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(tweet_table(random.Random(7), 60))
+    pairs = list(read_tweet_csv(path))
+    dialogs, _ = reconstruct_threads(pairs)
+    write_corpus(Corpus(dialogs), tmp_path / "corpus.jsonl")
+    read = read_corpus(tmp_path / "corpus.jsonl").dialogs
+    assert dialogs and read == dialogs
+    for _, value in pairs:
+        _assert_is_built_as(value, Tweet)
+    for dialog in dialogs + read:
+        _assert_is_built_as(dialog, Dialog)
+        assert type(dialog.utterances) is tuple
+        for utterance in dialog.utterances:
+            _assert_is_built_as(utterance, Utterance)
+
+
+@pytest.mark.parametrize(
+    "turns",
+    [((True, " "), (True, "\t"), (False, "hi")), ((True, "hi"), (False, "\u3000"), (True, "ok"))],
+    ids=["merged", "alone"],
+)
+def test_reconstruct_blank_text_raises_make_dialogs_error(turns):
+    """reconstruct_threads takes any pairs; a chain with a blank utterance fails in make_dialog."""
+    pairs = [tweet(str(i), inbound, text, parent=str(i - 1) if i else None) for i, (inbound, text) in enumerate(turns)]
+    with pytest.raises(CorpusError, match="^utterance text must contain a non-whitespace character$"):
+        reconstruct_threads(pairs)
 
 
 def _all_chains(children, tid):
