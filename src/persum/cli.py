@@ -277,11 +277,21 @@ def cmd_weaklabel(args) -> int:
             exclude = {line.strip() for line in fh if line.strip()}
     role, heuristic = SpeakerRole(args.perspective), HeuristicKind(args.heuristic)
     pairs, report = weaklabel_corpus(corpus, role, heuristic, args.masked, exclude, args.min_tokens)
-    write_weak_pairs(pairs, args.output, role, heuristic, args.masked)
     coverage = encode_json_line(report._asdict())
+    # both outputs go to temporary names beside them and are renamed only once both are whole
+    pairs_path = Path(f"{args.output}.tmp")
+    coverage_path = Path(f"{args.coverage}.tmp") if args.coverage else None
+    try:
+        write_weak_pairs(pairs, pairs_path, role, heuristic, args.masked)
+        if coverage_path:
+            coverage_path.write_text(coverage + "\n", encoding="utf-8")
+            os.replace(coverage_path, args.coverage)
+        os.replace(pairs_path, args.output)
+    finally:
+        pairs_path.unlink(missing_ok=True)
+        if coverage_path:
+            coverage_path.unlink(missing_ok=True)
     print(coverage)
-    if args.coverage:
-        Path(args.coverage).write_text(coverage + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -358,13 +368,13 @@ def cmd_score(args) -> int:
     try:
         report_path.write_text(emit_report(result.table, args.report), encoding="utf-8")
         write_per_dialog_csv(result.per_dialog, dump_path)
+        if args.subsets:
+            write_subset_files(families, out_dir / "subsets")
         os.replace(report_path, out_dir / report_name)
         os.replace(dump_path, out_dir / "per_dialog_scores.csv")
     finally:
         report_path.unlink(missing_ok=True)
         dump_path.unlink(missing_ok=True)
-    if args.subsets:
-        write_subset_files(families, out_dir / "subsets")
     print(f"wrote {report_name} and per_dialog_scores.csv to {_shown(out_dir)}")
     return EXIT_OK
 

@@ -547,13 +547,15 @@ _SCORE_PARSERS = (_unit_score,) * len(_SCORE_COLUMNS)
 def _text_pieces(method: str, rows: Sequence[tuple[str, tuple[str, ...]]]) -> list[str]:
     """The pieces that `"<key text>,".join` makes into the lines of the dump rows (dialog id,
     score texts) under a key of `method`, as write_per_dialog_csv builds them; () when the
-    method or a field holds a comma, quote or NUL. (A size or seed that int() reads holds none.)"""
+    method or a field holds a comma, quote, NUL, CR or LF. (A size or seed that int() reads
+    holds no comma, quote or NUL.)"""
     pieces = [""]  # "<id>," before the first row's key, "<scores>\n<next id>," after it
     for did, texts in rows:
         pieces[-1] += did + ","
         pieces.append(",".join(texts) + "\n")
     text = method + "".join(pieces)
-    return pieces if text.count(",") == 5 * len(rows) and '"' not in text and "\0" not in text else ()
+    plain = '"' not in text and "\0" not in text and "\r" not in text
+    return pieces if plain and text.count(",") == 5 * len(rows) and text.count("\n") == len(rows) else ()
 
 
 def _raising(exc: BaseException) -> Iterator[str]:
@@ -562,19 +564,50 @@ def _raising(exc: BaseException) -> Iterator[str]:
     yield
 
 
-def _read_repeat(fh: Iterator[str], pieces: list[str], sep: str) -> tuple[bool, list[str], Iterator[str]]:
-    """Read from `fh` the lines that would hold the rows of `pieces` after their first under
-    the key text `sep`, and the line after them. Return whether they do while the line after
-    cannot continue their block (no quote, not blank, another key text), the lines read, and
-    what to read after them: `fh`, or an iterator that raises the error reading them raised."""
-    n, got = len(pieces), []
+# Characters per read of a compared block. Line iteration decodes the file in blocks of
+# 8 192 bytes, and a read of k characters asks for a block of k times the bytes per
+# character of the last one, if that is more: at most 4 bytes a character, plus a held-back
+# partial character, a pending CR and the BOM, keep 2 000 characters under 8 192 bytes.
+_PIECE = 2_000
+
+
+def _read_repeat(fh, path: str | Path, line: int, pieces: list[str], sep: str) -> tuple[bool, Iterable[str], float, Iterator[str]]:
+    """Compare the text after line `line` of `fh`, the file at `path`, with the rows of
+    `pieces` after their first under the key text `sep`, in reads of at most `_PIECE`
+    characters, and read the line after them. Return whether they match while the line after
+    cannot continue their block (no quote, not blank, another key text); the lines to read
+    next, as line iteration would read them (on a match, the line after alone); the first
+    line whose row is read from `fh` again; and what to read after those lines.
+
+    On a mismatch the reads stop at the first piece that differs, and the lines end with the
+    rest of its last line. A read that fails loses its text, so the lines are read again from
+    a fresh handle on `path`, up to the error, which is what follows them; `fh` is then past
+    where they end, so no row is read from it again."""
+    expected = sep.join(pieces)
     try:
-        got.extend(islice(fh, n))
+        for start in range(0, len(expected), _PIECE):
+            want = expected[start : start + _PIECE]
+            got = fh.read(len(want))
+            if got != want:
+                text = expected[:start] + got + fh.readline()
+                break
+        else:
+            after = fh.readline()
+            if not ('"' in after or after in ("\n", "\r\n", "\r") or after.startswith(sep, after.find(",") + 1)):
+                return True, (after,) if after else (), line + len(pieces), fh
+            text = expected + after
     except (UnicodeDecodeError, OSError) as exc:
-        return False, got, _raising(exc)
-    after = got[n - 1] if len(got) == n else ""
-    continues = '"' in after or after in ("\n", "\r\n", "\r") or after.startswith(sep, after.find(",") + 1)
-    return not continues and "".join(got[: n - 1]) == sep.join(pieces), got, fh
+        back: list[str] = []
+        try:
+            with open(path, "r", encoding="utf-8-sig", newline="") as again:
+                back.extend(islice(again, line, line + len(pieces)))
+        except (UnicodeDecodeError, OSError):
+            pass
+        return False, back, math.inf, _raising(exc)
+    back = io.StringIO(text, newline="")
+    handed = sum(1 for _ in back)
+    back.seek(0)
+    return False, back, line + max(handed, 1), fh  # the row at `line` is not compared again
 
 
 def read_per_dialog_csv(path: str | Path) -> RunScores:
@@ -584,13 +617,15 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
     The rows come in blocks of consecutive rows with the same key text, so normally one run
     per block. When the header is the columns as written and a block that opens a run starts
     with the first dialog id and score text of the block that last opened a run of its
-    (method, perspective), as a built-in method's runs do, its other lines and the line after
-    are read straight from the file. If they are that block's lines under the new key, no
-    field of which holds a comma, quote or NUL, and the line after cannot continue the block,
-    the run shares that block's scores dict and its lines are never split. (Equal lines hold
-    a CR or LF only at their ends, and a CR there ends a score, which float() reads the same
-    without it.) Otherwise the lines go back to `csv_body`, and no block is compared until
-    they are consumed. Other rows are parsed and checked one at a time; a row whose score
+    (method, perspective), as a built-in method's runs do, the text of its other lines is
+    compared with that block's lines under the new key, read straight from the file in
+    pieces of at most 2 000 characters, and the line after is read. (A piece that size
+    stays inside the 8 192-byte blocks that line iteration decodes, so an undecodable byte
+    stops the reader where line iteration would, after the same rows.) If the text is equal,
+    no field holds a comma, quote, NUL, CR or LF, and the line after cannot continue the
+    block, the run shares that block's scores dict and its lines are never split. Otherwise
+    the lines read go back to `csv_body`, and no block is compared until they are consumed,
+    nor after a read error. Other rows are parsed and checked one at a time; a row whose score
     text equals the last parsed row's reuses its scores. A score's value is computed once
     per distinct text of the call, and taken from a row only once all five of its score
     texts parse, so a bad text is checked, and named, on every row that holds it. (Texts,
@@ -624,14 +659,13 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
                         if last[1] is None:
                             last[0], last[1] = last[0][:1], _text_pieces(record[1], last[0][1:])
                         sep, n = ",".join(record[1:5]) + ",", len(last[1])
-                        if last[1]:
-                            shared, got, tail = _read_repeat(fh, last[1], sep)
-                            direct_from = line + max(len(got), 1)  # the row itself is not compared again
+                        if last[1] and "\r" not in sep and "\n" not in sep:
+                            shared, back, direct_from, tail = _read_repeat(fh, path, line, last[1], sep)
                             if shared:
                                 runs.runs[key], key_text = last[2], record[1:5]
-                                rows = csv_body(chain(got[n - 1 :], fh), what, width, pick, line + n - 1)
+                                rows = csv_body(chain(back, fh), what, width, pick, line + n - 1)
                             else:
-                                rows = chain(((line, record),), csv_body(chain(got, tail), what, width, pick, line))
+                                rows = chain(((line, record),), csv_body(chain(back, tail), what, width, pick, line))
                             break
                     key_text, block = record[1:5], []
                     if scores is None:

@@ -949,6 +949,21 @@ def test_weaklabel_refuses_a_coverage_directory_before_writing_pairs(tmp_path, c
     assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'coverage'}: it is a directory\n"
 
 
+def test_weaklabel_leaves_the_old_pairs_when_the_coverage_cannot_be_written(tmp_path, capsys):
+    src = tmp_path / "c.jsonl"
+    write_corpus(synthetic_corpus(random.Random(3), 10), src)
+    out = tmp_path / "pairs.jsonl"
+    out.write_bytes(b"old pairs\n")
+    code = main(["weaklabel", "--corpus", str(src), "--perspective", "customer", "--heuristic", "lead",
+                 "--output", str(out), "--coverage", str(tmp_path / "nodir" / "cov.json")])
+    assert code == 2
+    assert out.read_bytes() == b"old pairs\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.jsonl", "pairs.jsonl"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: file not found: {tmp_path / 'nodir' / 'cov.json'}")
+
+
 def test_weaklabel_min_tokens_one_labels_every_dialog(tmp_path, capsys):
     corpus = synthetic_corpus(random.Random(4), 15)
     src = tmp_path / "c.jsonl"
@@ -1467,6 +1482,20 @@ def test_score_refuses_a_target_it_cannot_replace_before_replacing_any(scored_se
     assert sorted(path.name for path in out_dir.iterdir()) == ["per_dialog_scores.csv", "report.md", "subsets"]
     problem = "it is a directory" if blocked == "per_dialog_scores.csv" else "it is not a directory"
     assert capsys.readouterr().err.endswith(f"{out_dir / blocked}: {problem}\n")
+
+
+def test_score_leaves_its_outputs_when_a_subset_directory_is_taken_by_a_file(scored_setup, tmp_path, capsys):
+    _, config_path = scored_setup
+    out_dir = tmp_path / "run"
+    (out_dir / "subsets").mkdir(parents=True)
+    old = {"report.md": b"old report\n", "per_dialog_scores.csv": b"old dump\n", "subsets/0": b"old subset\n"}
+    for name, data in old.items():
+        (out_dir / name).write_bytes(data)
+    code = main(["score", "--config", str(config_path), "--output-dir", str(out_dir), "--subsets"])
+    assert code == 2
+    assert {name: (out_dir / name).read_bytes() for name in old} == old
+    assert sorted(path.name for path in out_dir.iterdir()) == ["per_dialog_scores.csv", "report.md", "subsets"]
+    assert capsys.readouterr().err.endswith(f"File exists: '{out_dir / 'subsets' / '0'}'\n")
 
 
 def test_score_lets_a_bug_raise_instead_of_exiting_2(scored_setup, tmp_path, monkeypatch):

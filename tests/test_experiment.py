@@ -779,13 +779,82 @@ def test_text_compare_names_an_undecodable_byte_of_the_compared_block(tmp_path):
     assert got.startswith(f"{path}, line 552: 'utf-8' codec can't decode byte 0xff at offset {len(head) + 2}: invalid start byte")
 
 
+# --- compared blocks read in pieces of at most 2 000 characters
+
+LONG = [f"dialog-{i:04d}" for i in range(400)]  # a block of 400 rows is eleven pieces long
+BLOCK = 8192  # the bytes that line iteration decodes at a time
+BAD = "0.5,0.5,0.5,0.25,-0.5"  # a faulty row's scores, which differ from GOOD's near the row's end
+
+
+def filler_row(before: str, after: str) -> str:
+    """A dump row of a run of its own, to go between `before` and `after`, that makes the
+    UTF-8 bytes of the three end where a decoder block ends."""
+    row = f",lead_base,customer,0,0,{GOOD}\n"
+    return "f" * (-len((before + row + after).encode("utf-8")) % BLOCK or BLOCK) + row
+
+
+def ids_of(char: str) -> list[str]:
+    return [f"{char * 20}{i}" for i in range(150)]
+
+
+def test_text_compare_names_a_faulty_row_of_the_compared_block_before_an_undecodable_byte(tmp_path):
+    """The faulty row is the last line of a decoder block, and the bad byte opens the next:
+    the piece that holds the fault reaches the bad byte, whose error loses the piece, so
+    the lines before the error are read again and their rows read first."""
+    path = tmp_path / "dump.csv"
+    head, opener = plain_dump([]), run_rows("0,0", LONG)
+    compared = run_rows("0,1", LONG[:200]) + run_rows("0,1", LONG[200:201], BAD)
+    assert len(compared) - len(run_rows("0,1", LONG[:1])) > 10_000  # past five pieces
+    text = head + filler_row(head, opener + compared) + opener + compared
+    tail = b"d\xff,pegasus,customer,0,1," + GOOD.encode() + b"\n" + run_rows("0,1", LONG[202:]).encode()
+    path.write_bytes(text.encode("utf-8") + tail)
+    got = read_outcome(read_per_dialog_csv, path)
+    assert got == read_outcome(naive_read_dump, path)
+    assert got.startswith(f"{path}, line {text.count(chr(10))}: rl_f: '-0.5' is not a score in [0, 1]")
+
+
+@pytest.mark.parametrize("char, bom", [("d", ""), ("\u00e9", "\ufeff"), ("\u20ac", "\ufeff"), ("\U0001f642", "\ufeff")])
+def test_text_compare_leaves_the_decoder_blocks_where_line_iteration_puts_them(tmp_path, char, bom):
+    """Two blocks compared with the one they repeat, whose dialog ids are of 1- to 4-byte
+    UTF-8 characters, behind a BOM but for the first, read alone; then with a faulty row
+    that ends a decoder block 8 KiB or more after them, and a bad byte that opens the next:
+    the fault is named first only while every read of a compared block stays inside one
+    decoder block."""
+    path = tmp_path / "dump.csv"
+    head = bom + plain_dump([])
+    blocks = run_rows("0,0", ids_of(char)) + run_rows("0,1", ids_of(char)) + run_rows("0,2", ids_of(char))
+    gap = (run_rows("0,0", [f"g{i}" for i in range(200)]) + run_rows("0,0", ["g200"], BAD)).replace("customer", "agent")
+    assert len(gap.encode()) >= BLOCK
+    path.write_bytes((head + blocks).encode("utf-8"))
+    assert read_outcome(read_per_dialog_csv, path) == read_outcome(naive_read_dump, path)
+    text = head + filler_row(head, blocks + gap) + blocks + gap
+    path.write_bytes(text.encode("utf-8") + b"g\xff,pegasus,agent,0,0," + GOOD.encode() + b"\n")
+    got = read_outcome(read_per_dialog_csv, path)
+    assert got == read_outcome(naive_read_dump, path)
+    assert got.startswith(f"{path}, line {text.count(chr(10))}: rl_f: '-0.5' is not a score in [0, 1]")
+
+
+def test_text_compare_compares_no_row_handed_back_before_an_undecodable_byte(tmp_path):
+    """A compared block's lines hold one-row blocks that each repeat the one before, up to
+    a bad byte past a decoder block. The decoder's block with the bad byte is lost to the
+    failed read, so no row handed back may compare the lines after it."""
+    path = tmp_path / "dump.csv"
+    text = plain_dump([]) + run_rows("0,0", [f"d{i}" for i in range(300)]) + run_rows("9,9", ["x" * 16]).replace("customer", "agent")
+    text += "".join(run_rows(f"0,{seed}", ["d0"]) for seed in range(1000, 1500))
+    data = text.encode("utf-8")
+    path.write_bytes(data[: 2 * BLOCK + 3] + b"\xff" + data[2 * BLOCK + 4 :])
+    got = read_outcome(read_per_dialog_csv, path)
+    assert got == read_outcome(naive_read_dump, path)
+    assert "can't decode byte 0xff" in got
+
+
 def csv_line(*fields: str) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()
 
 
-ODD = [("d,2", "pegasus"), ('"d2', "pegasus"), ("d\x002", "pegasus"), ("d2", "a,b"), ("d2", '"m')]
+ODD = [("d,2", "pegasus"), ('"d2', "pegasus"), ("d\x002", "pegasus"), ("d\n2", "pegasus"), ("d2", "a,b"), ("d2", '"m')]
 
 
 @pytest.mark.parametrize(
@@ -807,18 +876,32 @@ ODD = [("d,2", "pegasus"), ('"d2', "pegasus"), ("d\x002", "pegasus"), ("d2", "a,
             + csv_line("d1", method, "customer", "0", "1", *GOOD.split(",")) + f"{odd},{method},customer,0,1,{GOOD}\n"
             for odd, method in ODD
         ),
+        "".join(csv_line(did, "pegasus", "customer", "0", seed, *GOOD.split(",")) for did, seed in (("d1", "0"), ("d2", "0"), ("d1", "1\n")))
+        + f"d2,pegasus,customer,0,1\n,{GOOD}\n",
+        f'd1,pegasus,customer,0,0,{GOOD}\n"d\r2",pegasus,customer,0,0,{GOOD}\nd1,pegasus,customer,0,1,{GOOD}\nd\r2,pegasus,customer,0,1,{GOOD}\n',
+        run_rows("0,0", LONG) + run_rows("0,1", LONG)[:-2] + "6\n",
+        run_rows("0,0", LONG) + run_rows("0,1", LONG)[:-1] + "\r" + run_rows("0,2", LONG),
+        run_rows("0,0", LONG) + run_rows("0,1", LONG) + run_rows("0,1", ["dialog-9999"]),
+        run_rows("0,0", LONG) + run_rows("0,1", LONG),
+        run_rows("0,0", LONG) + run_rows("0,1", LONG)[:-1],
+        run_rows("0,0", LONG) + run_rows("0,1", LONG).replace("\n", "\r\n") + run_rows("0,2", LONG),
+        (run_rows("0,0", LONG) + run_rows("0,1", LONG) + run_rows("0,2", LONG)).replace("\n", "\r\n"),
     ],
     ids=[
         "one-row-longer", "quoted-key-after", "quoted-id-after", "blank-then-same-key", "blank-crlf-then-same-key",
         "blank-inside", "crlf-inside", "crlf-same-key-after", "no-final-newline-inside", "no-final-newline-after",
-        "handed-back-lines-hold-a-match", *(f"unquoted-{odd!r}-{method!r}" for odd, method in ODD),
+        "handed-back-lines-hold-a-match", *(f"unquoted-{odd!r}-{method!r}" for odd, method in ODD), "unquoted-lf-in-seed",
+        "unquoted-cr-in-id", "long-last-character-differs", "long-last-line-ends-in-a-lone-cr", "long-line-after-continues",
+        "long-ends-at-eof", "long-ends-at-eof-without-newline", "long-crlf-copy", "long-crlf-body",
     ],
 )
 def test_text_compare_reads_what_the_row_by_row_reader_reads(tmp_path, body):
     """A block that must not share: longer than the block it repeats, a row of its key
     after it that is quoted or follows a blank line, CR LF ends and missing final newlines;
     rows handed back that hold a block which repeats another; and lines whose text is the
-    repeated block's but whose fields csv.reader splits otherwise."""
+    repeated block's but whose fields csv.reader splits otherwise, a CR or LF in a field among
+    them. The long blocks are eleven pieces of text long; the first differs from the block
+    it repeats only in its last character, the next in its last line's end."""
     path = tmp_path / "dump.csv"
     path.write_text(plain_dump([]) + body, encoding="utf-8", newline="")
     assert read_outcome(read_per_dialog_csv, path) == read_outcome(naive_read_dump, path)
