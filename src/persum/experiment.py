@@ -15,7 +15,7 @@ import math
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .corpus import (
     Corpus,
@@ -571,7 +571,9 @@ def _raising(exc: BaseException) -> Iterator[str]:
 _PIECE = 2_000
 
 
-def _read_repeat(fh, path: str | Path, line: int, pieces: list[str], sep: str) -> tuple[bool, Iterable[str], float, Iterator[str]]:
+def _read_repeat(
+    fh: TextIO, path: str | Path, line: int, pieces: list[str], sep: str
+) -> tuple[bool, Iterable[str], float, Iterator[str]]:
     """Compare the text after line `line` of `fh`, the file at `path`, with the rows of
     `pieces` after their first under the key text `sep`, in reads of at most `_PIECE`
     characters, and read the line after them. Return whether they match while the line after

@@ -900,8 +900,9 @@ def test_text_compare_reads_what_the_row_by_row_reader_reads(tmp_path, body):
     after it that is quoted or follows a blank line, CR LF ends and missing final newlines;
     rows handed back that hold a block which repeats another; and lines whose text is the
     repeated block's but whose fields csv.reader splits otherwise, a CR or LF in a field among
-    them. The long blocks are eleven pieces of text long; the first differs from the block
-    it repeats only in its last character, the next in its last line's end."""
+    them. Then blocks eleven pieces of text long: one that differs from the block it repeats
+    only in its last character, one only in its last line end, one continued by the line
+    after, two that end the file, and CR LF copies."""
     path = tmp_path / "dump.csv"
     path.write_text(plain_dump([]) + body, encoding="utf-8", newline="")
     assert read_outcome(read_per_dialog_csv, path) == read_outcome(naive_read_dump, path)
