@@ -367,7 +367,7 @@ def cmd_score(args) -> int:
     report_path, dump_path = (out_dir / f"{name}.tmp" for name in (report_name, "per_dialog_scores.csv"))
     try:
         report_path.write_text(emit_report(result.table, args.report), encoding="utf-8")
-        write_per_dialog_csv(result.per_dialog, dump_path)
+        write_per_dialog_csv(result.runs, dump_path)
         if args.subsets:
             write_subset_files(families, out_dir / "subsets")
         os.replace(report_path, out_dir / report_name)

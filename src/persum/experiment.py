@@ -4,7 +4,7 @@ seed aggregation, and report emission in the method x training-size layout.
 Scores are stored in [0, 1] and rendered x100 with two decimals in reports.
 Per-run score is the unweighted mean over scored test dialogs; cells aggregate
 the per-run means over seeds as mean (+/- sample standard deviation). `score`
-and `report` build the table from the per-run scores with the same reducer.
+and `report` build the table from a `Runs` dict with the same reducer.
 """
 
 from __future__ import annotations
@@ -179,43 +179,11 @@ def write_subset_files(families: Iterable[SubsetFamily], out_dir: str | Path) ->
 # --- scoring runs ---------------------------------------------------------------
 
 
-class PerDialogScore(NamedTuple):
-    """One dump row, fields in dump-column order."""
-
-    dialog_id: str
-    method: str
-    perspective: Perspective
-    size: int
-    seed: int
-    r1_p: float
-    r1_r: float
-    r1_f: float
-    r2_f: float
-    rl_f: float
-
-
 RunKey = tuple[str, Perspective, int, int]  # method, perspective, size, seed
-
-
-class RunScores:
-    """The per-dialog scores of every run: `runs` maps each run's (method, perspective,
-    size, seed) to its {dialog id: (r1_p, r1_r, r1_f, r2_f, rl_f)}, in dump order. Runs
-    may share one scores dict, as a built-in method's runs do, and a run with no
-    scored dialog is not stored. The length and the iteration are those of the
-    dump's rows."""
-
-    __slots__ = ("runs",)
-
-    def __init__(self, runs: dict[RunKey, dict[str, tuple[float, ...]]] | None = None):
-        self.runs = {} if runs is None else runs
-
-    def __len__(self) -> int:
-        return sum(map(len, self.runs.values()))
-
-    def __iter__(self):
-        for key, scores in self.runs.items():
-            for did, row_scores in scores.items():
-                yield PerDialogScore(did, *key, *row_scores)
+# The per-dialog scores of every run: each run's key -> its {dialog id: (r1_p, r1_r, r1_f,
+# r2_f, rl_f)}, in dump order. Runs may share one scores dict, as a built-in method's runs
+# do, and a run with no scored dialog is not stored.
+Runs = dict[RunKey, dict[str, tuple[float, ...]]]
 
 
 class ResultTable(NamedTuple):
@@ -225,7 +193,7 @@ class ResultTable(NamedTuple):
 
 class RunResult(NamedTuple):
     table: ResultTable
-    per_dialog: RunScores
+    runs: Runs
     warnings: list[str]
 
 
@@ -335,7 +303,7 @@ def run_experiment(
         }
         for perspective in config.perspectives
     }
-    runs: dict[RunKey, dict[str, tuple[float, ...]]] = {}
+    runs: Runs = {}
     for method in config.methods:
         spec = parse_builtin_method(method)
         for perspective in config.perspectives:
@@ -379,8 +347,7 @@ def run_experiment(
 
     if not runs:
         raise ExperimentError("no dialog scored in any cell")
-    per_dialog = RunScores(runs)
-    return RunResult(table_from_per_dialog(per_dialog), per_dialog, warnings)
+    return RunResult(table_from_per_dialog(runs), runs, warnings)
 
 
 # --- report emission ------------------------------------------------------------
@@ -490,8 +457,8 @@ class _ScoreTexts(dict):
         return text
 
 
-def write_per_dialog_csv(runs: RunScores, path: str | Path) -> None:
-    """Full-precision per-dialog score dump ('.' decimal, no locale), one run at a time.
+def write_per_dialog_csv(runs: Runs, path: str | Path) -> None:
+    """Full-precision dump of a `Runs` dict ('.' decimal, no locale), one run at a time.
 
     Scores are written with repr, computed once per distinct score of the call; a zero is
     formatted each time, since 0.0 and -0.0 are equal but their reprs differ. A scores
@@ -510,7 +477,7 @@ def write_per_dialog_csv(runs: RunScores, path: str | Path) -> None:
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(PER_DIALOG_COLUMNS) + "\n")
-        for (method, perspective, size, seed), scores in runs.runs.items():
+        for (method, perspective, size, seed), scores in runs.items():
             run_pieces = pieces.get(id(scores))
             if run_pieces is None:
                 # "<id>," before the first row's key, "<scores>\n<next id>," between rows
@@ -612,9 +579,9 @@ def _read_repeat(
     return False, back, line + max(handed, 1), fh  # the row at `line` is not compared again
 
 
-def read_per_dialog_csv(path: str | Path) -> RunScores:
-    """Read a dump written by write_per_dialog_csv into its runs; a malformed row, or a
-    dialog that repeats within its run, is an error naming its line, raised in file order.
+def read_per_dialog_csv(path: str | Path) -> Runs:
+    """Read a dump written by write_per_dialog_csv into a `Runs` dict; a malformed row, or
+    a dialog that repeats within its run, is an error naming its line, raised in file order.
 
     The rows come in blocks of consecutive rows with the same key text, so normally one run
     per block. When the header is the columns as written and a block that opens a run starts
@@ -634,7 +601,7 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
     not values, are the keys, so "-0.0" keeps its sign after "0.0".) A run that re-opens
     gets its own copy of its scores dict first, so no other run's scores change.
     """
-    runs = RunScores()
+    runs: Runs = {}
     key_of: dict[tuple[str, ...], RunKey] = {}  # key text -> the run's key
     # (method, perspective) text -> the block that last opened a run of it: its rows' (dialog
     # id, score text), only the first once it is compared, the other rows' `_text_pieces`
@@ -654,7 +621,7 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
                     key = key_of.get(record[1:5])
                     if key is None:
                         key = key_of[record[1:5]] = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, record[1:5], line))
-                    scores = runs.runs.get(key)
+                    scores = runs.get(key)
                     # rows before line `direct_from` come from lines handed back to csv_body
                     last = opened.get(record[1:3]) if scores is None and compare and line >= direct_from else None
                     if last is not None and last[0][0] == (record[0], record[5:]):
@@ -664,17 +631,17 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
                         if last[1] and "\r" not in sep and "\n" not in sep:
                             shared, back, direct_from, tail = _read_repeat(fh, path, line, last[1], sep)
                             if shared:
-                                runs.runs[key], key_text = last[2], record[1:5]
+                                runs[key], key_text = last[2], record[1:5]
                                 rows = csv_body(chain(back, fh), what, width, pick, line + n - 1)
                             else:
                                 rows = chain(((line, record),), csv_body(chain(back, tail), what, width, pick, line))
                             break
                     key_text, block = record[1:5], []
                     if scores is None:
-                        scores = runs.runs[key] = {}
+                        scores = runs[key] = {}
                         opened[key_text[:2]] = [block, None, scores]
                     elif key not in copied:
-                        scores = runs.runs[key] = dict(scores)
+                        scores = runs[key] = dict(scores)
                         copied.add(key)
                 did = record[0]
                 if did in scores:
@@ -693,8 +660,8 @@ def read_per_dialog_csv(path: str | Path) -> RunScores:
                 return runs
 
 
-def table_from_per_dialog(runs: RunScores) -> ResultTable:
-    """Aggregate the runs' per-dialog scores into the report table, for `score` and
+def table_from_per_dialog(runs: Runs) -> ResultTable:
+    """Aggregate a `Runs` dict's per-dialog scores into the report table, for `score` and
     `report` alike.
 
     A run's score is the mean over its dialogs, computed once per scores dict that
@@ -706,7 +673,7 @@ def table_from_per_dialog(runs: RunScores) -> ResultTable:
         raise ExperimentError("per-dialog dump is empty")
     means: dict[int, tuple[float, float, float]] = {}  # id of a scores dict that `runs` holds -> f means
     seeds: dict[tuple[str, Perspective, int], list[tuple[int, tuple[float, float, float]]]] = {}
-    for (method, perspective, size, seed), scores in runs.runs.items():
+    for (method, perspective, size, seed), scores in runs.items():
         run_means = means.get(id(scores))
         if run_means is None:
             columns = list(zip(*scores.values()))[2:]  # r1_f, r2_f, rl_f

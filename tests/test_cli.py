@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from persum import SpeakerRole, Split, make_dialog, read_corpus, write_corpus
 from persum import cli, rouge
 from persum.cli import main
-from persum.experiment import RunScores
 from util import CSV_PIECES, synthetic_corpus, tweet_table
 
 KAGGLE_HEADER = "tweet_id,author_id,inbound,created_at,text,response_tweet_id,in_response_to_tweet_id\n"
@@ -1450,8 +1449,7 @@ def test_score_leaves_no_partial_output_when_the_dump_write_fails(scored_setup, 
     write = cli.write_per_dialog_csv
 
     def fail_after_the_first_run(runs, path):
-        first = next(iter(runs.runs.items()))
-        write(RunScores(dict([first])), path)
+        write(dict([next(iter(runs.items()))]), path)
         raise OSError(f"{path}: no space left on device")
 
     monkeypatch.setattr(cli, "write_per_dialog_csv", fail_after_the_first_run)

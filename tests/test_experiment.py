@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from persum import (
     Corpus,
     ExperimentConfig,
+    GoldSummary,
     ExperimentError,
     MissingCellsError,
     ParseError,
@@ -23,13 +25,13 @@ from persum import (
     sample_nested_subsets,
     write_corpus,
 )
+from persum import experiment
 from persum.cli import main
 from persum.experiment import (
     PER_DIALOG_COLUMNS,
     ConfigPaths,
-    PerDialogScore,
     ResultTable,
-    RunScores,
+    Runs,
     emit_report,
     format_cell,
     parse_config,
@@ -49,7 +51,7 @@ from persum.summarize import (
     builtin_candidate,
     parse_builtin_method,
 )
-from util import naive_read_dump, synthetic_corpus
+from util import dump_rows, naive_read_dump, naive_run_experiment, synthetic_corpus
 
 C = SpeakerRole.CUSTOMER
 A = SpeakerRole.AGENT
@@ -218,7 +220,7 @@ def test_missing_prediction_entry_excluded_with_warning():
     result = run_experiment(corpus, config, [pred], warnings)
     assert result.warnings is warnings
     assert warnings == ["before the run", f"pegasus/customer: no prediction for dialog {test_ids[0]} (size=0, seed=0)"]
-    scored = {row.dialog_id for row in result.per_dialog}
+    scored = {row[0] for row in dump_rows(result.runs)}
     assert test_ids[0] not in scored
 
     strict = ExperimentConfig(
@@ -246,7 +248,7 @@ def test_prediction_sets_for_unrequested_cells_warned_in_one_line():
         "4 prediction set(s) are for cells the config does not request and are not scored, "
         "first: (pegasus, size=16, seed=0)"
     ]
-    assert list(result.per_dialog) == list(clean.per_dialog)
+    assert list(dump_rows(result.runs)) == list(dump_rows(clean.runs))
 
 
 def test_prediction_entries_for_unscored_dialogs_warned_in_one_line():
@@ -265,7 +267,7 @@ def test_prediction_entries_for_unscored_dialogs_warned_in_one_line():
         f"7 prediction entry(ies) are for dialogs that are not scored, first: dialog {train_ids[0]!r} "
         "in (pegasus, size=0, seed=0)"
     ]
-    assert list(result.per_dialog) == list(clean.per_dialog)
+    assert list(dump_rows(result.runs)) == list(dump_rows(clean.runs))
 
 
 @pytest.mark.parametrize("failure", ["duplicate-cell", "missing-cells", "strict-missing", "nothing-scored"])
@@ -367,7 +369,7 @@ def test_run_deterministic():
     first = run_experiment(corpus, config)
     second = run_experiment(corpus, config)
     assert first.table == second.table
-    assert list(first.per_dialog) == list(second.per_dialog)
+    assert list(dump_rows(first.runs)) == list(dump_rows(second.runs))
 
 
 def test_aggregation_consistent_with_per_dialog_dump(tmp_path):
@@ -380,7 +382,7 @@ def test_aggregation_consistent_with_per_dialog_dump(tmp_path):
     )
     result = run_experiment(corpus, config)
     path = tmp_path / "per_dialog_scores.csv"
-    write_per_dialog_csv(result.per_dialog, path)
+    write_per_dialog_csv(result.runs, path)
     recomputed = table_from_per_dialog(read_per_dialog_csv(path))
     # one reducer and repr floats in the dump: the round trip is exact
     assert recomputed == result.table
@@ -394,7 +396,7 @@ def plain_dump(rows) -> str:
     rows in the order the runs structure yields them. Fields are quoted as for "\r\n"
     line ends, so that a lone "\r" is quoted too, and each line ends in "\n"."""
     lines = []
-    for fields in [PER_DIALOG_COLUMNS, *([*row[:2], row.perspective.value, *row[3:5], *map(repr, row[5:])] for row in rows)]:
+    for fields in [PER_DIALOG_COLUMNS, *([*row[:2], row[2].value, *row[3:5], *map(repr, row[5:])] for row in rows)]:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\r\n").writerow(fields)
         lines.append(buf.getvalue()[:-2] + "\n")
@@ -406,21 +408,21 @@ def exact(rows):
     return [(*row[:5], *map(repr, row[5:])) for row in rows]
 
 
-def runs_of(rows) -> RunScores:
-    """The runs structure holding `rows`, grouped by run in order of first appearance."""
-    runs = RunScores()
+def runs_of(rows) -> Runs:
+    """The runs holding `rows`, grouped by run in order of first appearance."""
+    runs: Runs = {}
     for row in rows:
-        runs.runs.setdefault(row[1:5], {})[row.dialog_id] = row[5:]
+        runs.setdefault(row[1:5], {})[row[0]] = row[5:]
     return runs
 
 
 def assert_round_trip(runs, path):
     write_per_dialog_csv(runs, path)
-    assert path.read_text(encoding="utf-8") == plain_dump(runs)
+    assert path.read_text(encoding="utf-8") == plain_dump(dump_rows(runs))
     read = read_per_dialog_csv(path)
-    assert len(read) == len(runs)
     assert list(read) == list(runs)
-    assert exact(read) == exact(runs)
+    assert list(dump_rows(read)) == list(dump_rows(runs))
+    assert exact(dump_rows(read)) == exact(dump_rows(runs))
     return read
 
 
@@ -430,26 +432,26 @@ C_, A_ = Perspective.CUSTOMER, Perspective.AGENT
 def test_dump_round_trip_scores_repeated_across_cells(tmp_path):
     corpus = scoring_corpus(n=12, n_test=3)
     config = ExperimentConfig(methods=["lead_base"], perspectives=[C_], sizes=(0, 4), n_seeds=3)
-    rows = run_experiment(corpus, config).per_dialog
-    assert len(rows) == 3 * 2 * 3
-    read = assert_round_trip(rows, tmp_path / "dump.csv")
+    runs = run_experiment(corpus, config).runs
+    assert len(list(dump_rows(runs))) == 3 * 2 * 3
+    read = assert_round_trip(runs, tmp_path / "dump.csv")
     # a dialog's rows share the floats of its first row, as run_experiment's rows do
     first = {}
-    for row in read:
-        assert all(a is b for a, b in zip(row[5:], first.setdefault(row.dialog_id, row)[5:]))
+    for row in dump_rows(read):
+        assert all(a is b for a, b in zip(row[5:], first.setdefault(row[0], row)[5:]))
 
 
 def test_dump_round_trip_scores_change_between_cells(tmp_path):
     high = (0.5, 0.25, 1 / 3, 0.125, 0.2)
     low = (0.0, 0.0, 0.0, 0.0, 0.0)
     rows = [
-        PerDialogScore("d1", "pegasus", C_, 0, 0, *high),
-        PerDialogScore("d1", "pegasus", C_, 0, 1, *high),
-        PerDialogScore("d1", "pegasus", C_, 16, 0, *low),  # a stale reuse would repeat `high`
-        PerDialogScore("d1", "pegasus", C_, 16, 1, -0.0, *low[1:]),  # equal to `low`, other text
-        PerDialogScore("d1", "pegasus", C_, 32, 0, *low),
-        PerDialogScore("d1", "pegasus", C_, 32, 1, *high),
-        PerDialogScore("d1", "pegasus", C_, 64, 0, *high[:4], 0.75),  # one column changes
+        ("d1", "pegasus", C_, 0, 0, *high),
+        ("d1", "pegasus", C_, 0, 1, *high),
+        ("d1", "pegasus", C_, 16, 0, *low),  # a stale reuse would repeat `high`
+        ("d1", "pegasus", C_, 16, 1, -0.0, *low[1:]),  # equal to `low`, other text
+        ("d1", "pegasus", C_, 32, 0, *low),
+        ("d1", "pegasus", C_, 32, 1, *high),
+        ("d1", "pegasus", C_, 64, 0, *high[:4], 0.75),  # one column changes
     ]
     assert_round_trip(runs_of(rows), tmp_path / "dump.csv")
 
@@ -459,9 +461,9 @@ def test_dump_writes_each_zero_as_it_is(tmp_path, first, second):
     """0.0 and -0.0 are equal and hash alike, so a writer that formats each distinct
     value once must not hand one the other's text: within one scores dict, and across runs."""
     one_dict = {"d1": (first, second, first, 0.5, second), "d2": (second, first, 0.5, second, first)}
-    runs = RunScores({("pegasus", C_, 0, 0): one_dict})
+    runs = {("pegasus", C_, 0, 0): one_dict}
     assert_round_trip(runs, tmp_path / "one.csv")
-    runs = RunScores({("pegasus", C_, 0, 0): {"d1": (first,) * 5}, ("pegasus", C_, 0, 1): {"d1": (second,) * 5}})
+    runs = {("pegasus", C_, 0, 0): {"d1": (first,) * 5}, ("pegasus", C_, 0, 1): {"d1": (second,) * 5}}
     assert_round_trip(runs, tmp_path / "two.csv")
     lines = (tmp_path / "two.csv").read_text(encoding="utf-8").splitlines()
     assert lines[1:] == [f"d1,pegasus,customer,0,{seed},{','.join([repr(zero)] * 5)}" for seed, zero in enumerate((first, second))]
@@ -472,10 +474,10 @@ def test_dump_writes_equal_floats_and_a_shared_float_with_their_repr(tmp_path):
     third, shared = 1 / 3, 0.1 + 0.2
     equal = float(repr(third))
     assert equal == third and equal is not third
-    runs = RunScores({
+    runs = {
         ("pegasus", C_, 0, seed): {f"d{i}": (third, equal, shared, shared, 1 - equal) for i in range(50)}
         for seed in range(3)
-    })
+    }
     assert_round_trip(runs, tmp_path / "dump.csv")
     assert (tmp_path / "dump.csv").read_text(encoding="utf-8").count("0.30000000000000004") == 3 * 50 * 2
 
@@ -487,10 +489,10 @@ def test_dump_round_trip_methods_and_perspectives_interleaved(tmp_path):
     for seed in range(2):
         for did in ("d1", "d2"):
             rows += [
-                PerDialogScore(did, "lead_base", C_, 0, seed, *a),
-                PerDialogScore(did, "long_base", A_, 0, seed, *b),
-                PerDialogScore(did, "pegasus", C_, 0, seed, *(b if seed else a)),
-                PerDialogScore(did, 'odd, "quoted" method', A_, 0, seed, *a),
+                (did, "lead_base", C_, 0, seed, *a),
+                (did, "long_base", A_, 0, seed, *b),
+                (did, "pegasus", C_, 0, seed, *(b if seed else a)),
+                (did, 'odd, "quoted" method', A_, 0, seed, *a),
             ]
     assert_round_trip(runs_of(rows), tmp_path / "dump.csv")
 
@@ -540,11 +542,11 @@ def test_dump_round_trip_property(tmp_path_factory, draws):
     for cell, (did, method, perspective, seed, scores) in enumerate(draws):
         scores = last.get(did, SCORE_POOL[:5]) if scores is None else tuple(scores)
         last[did] = scores
-        rows.append(PerDialogScore(did, method, perspective, cell, seed, *scores))
+        rows.append((did, method, perspective, cell, seed, *scores))
     path = tmp_path_factory.mktemp("dump") / "dump.csv"
     write_per_dialog_csv(runs_of(rows), path)
     assert path.read_text(encoding="utf-8") == plain_dump(rows)
-    assert exact(read_per_dialog_csv(path)) == exact(rows)
+    assert exact(dump_rows(read_per_dialog_csv(path))) == exact(rows)
 
 
 # csv's special characters, spaces at either end, and the empty string
@@ -569,7 +571,7 @@ FIELD_TEXT = st.text(st.sampled_from(["a", "b", "é", ",", '"', "\n", "\r", " "]
 def test_dump_writer_equals_csv_writer_on_awkward_fields(tmp_path_factory, draws):
     """Runs keyed by their draw index, so that every draw is its own run; an integer
     shares the scores dict of an earlier run, as a built-in method's runs do."""
-    runs, dicts = RunScores(), []
+    runs, dicts = {}, []
     for cell, (method, perspective, seed, scores) in enumerate(draws):
         if isinstance(scores, int):
             if not dicts:
@@ -580,15 +582,15 @@ def test_dump_writer_equals_csv_writer_on_awkward_fields(tmp_path_factory, draws
             if not scores:
                 continue  # a run with no scored dialog is not stored
             dicts.append(scores)
-        runs.runs[(method, perspective, cell, seed)] = scores
-    rows = list(runs)
-    assert len(runs) == len(rows) == sum(len(scores) for scores in runs.runs.values())
+        runs[(method, perspective, cell, seed)] = scores
+    rows = list(dump_rows(runs))
     path = tmp_path_factory.mktemp("dump") / "dump.csv"
     write_per_dialog_csv(runs, path)
     assert path.read_bytes().decode("utf-8") == plain_dump(rows)  # no newline translation
     read = read_per_dialog_csv(path)
-    assert list(read) == rows
-    assert exact(read) == exact(rows)
+    assert list(read) == list(runs)
+    assert list(dump_rows(read)) == rows
+    assert exact(dump_rows(read)) == exact(rows)
 
 
 # --- the block reader against the row-by-row oracle ---------------------------------
@@ -609,7 +611,7 @@ def dump_blocks(key_text, row):
     return st.lists(st.tuples(key_text, st.one_of(st.none(), st.lists(row, min_size=1, max_size=4))), max_size=12)
 
 
-def dump_rows(blocks) -> list[list[str]]:
+def rows_of_blocks(blocks) -> list[list[str]]:
     rows, last = [], {}
     for key_text, block_rows in blocks:
         block_rows = last.get(key_text[:2], []) if block_rows is None else block_rows
@@ -641,7 +643,7 @@ def read_outcome(reader, path):
         runs = reader(path)
     except ParseError as exc:
         return str(exc)
-    return [(key, [(did, tuple(map(repr, s))) for did, s in scores.items()]) for key, scores in runs.runs.items()]
+    return [(key, [(did, tuple(map(repr, s))) for did, s in scores.items()]) for key, scores in runs.items()]
 
 
 @settings(max_examples=150, deadline=None)
@@ -651,7 +653,7 @@ def test_block_reader_equals_row_by_row_reader_on_valid_dumps(tmp_path_factory, 
     and a last line that may not end; a row that would repeat its dialog in its run is left
     out."""
     rows, seen = [], set()
-    for row in dump_rows(blocks):
+    for row in rows_of_blocks(blocks):
         run_dialog = (*row[1:3], int(row[3]), int(row[4]), row[0])
         if run_dialog not in seen:
             seen.add(run_dialog)
@@ -680,7 +682,7 @@ def test_block_reader_names_the_fault_the_row_by_row_reader_names(tmp_path_facto
     rows of the wrong width, anywhere in shared, re-opened and interleaved runs, laid out
     as in the test above."""
     path = tmp_path_factory.mktemp("dump") / "dump.csv"
-    write_dump_rows(path, dump_rows(blocks), layout)
+    write_dump_rows(path, rows_of_blocks(blocks), layout)
     assert read_outcome(read_per_dialog_csv, path) == read_outcome(naive_read_dump, path)
 
 
@@ -735,7 +737,7 @@ def test_block_reader_names_the_first_faulty_row_in_file_order(tmp_path, body, l
 def test_dump_score_texts_read_as_the_row_by_row_reader_reads_them(tmp_path, texts):
     path = tmp_path / "dump.csv"
     path.write_text(plain_dump([]) + "".join(run_rows("0,0", [f"d{i}"], t) for i, t in enumerate(texts)), encoding="utf-8")
-    assert exact(read_per_dialog_csv(path)) == exact(naive_read_dump(path))
+    assert exact(dump_rows(read_per_dialog_csv(path))) == exact(dump_rows(naive_read_dump(path)))
 
 
 def test_block_reader_names_a_faulty_row_before_an_undecodable_byte_of_its_run(tmp_path):
@@ -912,7 +914,7 @@ def test_dump_with_reordered_columns_reads_the_same_runs(tmp_path):
     corpus = scoring_corpus(n=12, n_test=3)
     config = ExperimentConfig(methods=["lead_base", "long_post_process_base"], perspectives=[C_, A_], sizes=(0, 4), n_seeds=2)
     path, reordered = tmp_path / "dump.csv", tmp_path / "reordered.csv"
-    write_per_dialog_csv(run_experiment(corpus, config).per_dialog, path)
+    write_per_dialog_csv(run_experiment(corpus, config).runs, path)
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     order = [9, 3, 0, 7, 1, 8, 2, 4, 6, 5]
@@ -923,10 +925,10 @@ def test_dump_with_reordered_columns_reads_the_same_runs(tmp_path):
     assert read_outcome(read_per_dialog_csv, reordered) == want
 
 
-def scores_by_dict(runs: RunScores) -> list[list]:
+def scores_by_dict(runs: Runs) -> list[list]:
     """The runs' keys grouped by the scores dict they hold, in order of first appearance."""
     groups: dict[int, list] = {}
-    for key, scores in runs.runs.items():
+    for key, scores in runs.items():
         groups.setdefault(id(scores), []).append(key)
     return list(groups.values())
 
@@ -938,11 +940,29 @@ def test_report_shares_scores_where_score_shares_them(tmp_path):
     )
     result = run_experiment(corpus, config)
     path = tmp_path / "per_dialog_scores.csv"
-    write_per_dialog_csv(result.per_dialog, path)
+    write_per_dialog_csv(result.runs, path)
     read = read_per_dialog_csv(path)
-    assert scores_by_dict(read) == scores_by_dict(result.per_dialog)
+    assert scores_by_dict(read) == scores_by_dict(result.runs)
     assert len(scores_by_dict(read)) == 4
+    assert exact(dump_rows(read)) == exact(dump_rows(result.runs))
     assert table_from_per_dialog(read) == result.table
+
+
+def test_score_and_report_hold_their_runs_in_plain_dicts_in_one_order(tmp_path):
+    """A built-in method's shared runs and an external method's own runs, in the order
+    `run_experiment` scores them, which the dump keeps."""
+    corpus = scoring_corpus(n=12, n_test=3)
+    config = ExperimentConfig(methods=["pegasus", "lead_base"], perspectives=[A_, C_], sizes=(0, 4), n_seeds=2)
+    external = [prediction_set(corpus, "pegasus", size, seed, vary=" x" * seed) for size in (0, 4) for seed in (0, 1)]
+    runs = run_experiment(corpus, config, external).runs
+    path = tmp_path / "per_dialog_scores.csv"
+    write_per_dialog_csv(runs, path)
+    read = read_per_dialog_csv(path)
+    assert type(runs) is dict and type(read) is dict
+    assert list(read) == list(runs) == [
+        (method, perspective, size, seed)
+        for method in ("pegasus", "lead_base") for perspective in (A_, C_) for size in (0, 4) for seed in (0, 1)
+    ]
 
 
 def test_reopening_a_run_that_shares_its_scores_leaves_the_other_runs_alone(tmp_path):
@@ -953,7 +973,7 @@ def test_reopening_a_run_that_shares_its_scores_leaves_the_other_runs_alone(tmp_
     path.write_text(plain_dump([]) + body, encoding="utf-8")
     read = read_per_dialog_csv(path)
     assert read_outcome(lambda _: read, path) == read_outcome(naive_read_dump, path)
-    runs = {key[3]: scores for key, scores in read.runs.items()}
+    runs = {key[3]: scores for key, scores in read.items()}
     assert list(runs[0]) == ["d1", "d2", "d3", "d5"]
     assert list(runs[1]) == ["d1", "d2", "d4"]
     assert list(runs[2]) == ["d1", "d2"]
@@ -968,12 +988,89 @@ def test_full_perspective_matches_direct_score_pair():
     result = run_experiment(corpus, config)
     spec = parse_builtin_method("lead_long_post_process_base")
     dialogs = corpus.by_id()
-    for row in result.per_dialog:
-        cand = builtin_candidate(dialogs[row.dialog_id], spec, Perspective.FULL)
-        gold = corpus.gold[row.dialog_id]
+    for did, *_, r1_f, _, rl_f in dump_rows(result.runs):
+        cand = builtin_candidate(dialogs[did], spec, Perspective.FULL)
+        gold = corpus.gold[did]
         pair = score_pair(cand.text, gold.customer_part + " " + gold.agent_part)
-        assert row.rl_f == pair.rl_f
-        assert row.r1_f == pair.r1_f
+        assert rl_f == pair.rl_f
+        assert r1_f == pair.r1_f
+
+
+
+# --- whole runs against the naive oracles -------------------------------------------
+
+RUN_WORDS = ("alpha", "Bravo", "charlie!", "the customer", "Agent", "delta-echo", "running", "runs", "x")
+RUN_TEXT = st.lists(st.sampled_from(RUN_WORDS), min_size=1, max_size=7).map(" ".join)
+RUN_IDS = ("d0", "d,1", 'd"2', "d3", "d\r4", "d 5")
+RUN_METHODS = ("lead_base", "long_post_process_base", "lead_long_post_process_base", "pegasus", 'odd, "m"_post_process')
+# a gold part or a prediction side: text, blank or tokenless text, or (for a side) None
+RUN_PART = st.one_of(RUN_TEXT, st.sampled_from(["", "  ", "?!"]))
+RUN_SIDE = st.one_of(st.none(), RUN_PART)
+
+
+@st.composite
+def whole_runs(draw):
+    """A small corpus with test dialogs that may lack gold, a valid config, prediction sets
+    with stray, missing and blank entries, for unrequested cells too and now and then
+    without a requested cell, and the score columns whose zeros are negative."""
+    n = draw(st.integers(2, len(RUN_IDS)))
+    turns = st.lists(st.tuples(st.sampled_from([C, A]), RUN_TEXT), min_size=1, max_size=5)
+    dialogs = [make_dialog(did, draw(turns)) for did in RUN_IDS[:n]]
+    split = {did: draw(st.sampled_from([Split.TEST, Split.TEST, Split.TRAIN, Split.VALIDATION])) for did in RUN_IDS[:n]}
+    no_gold = draw(st.sets(st.sampled_from(RUN_IDS[:n]), max_size=1))
+    gold = {did: GoldSummary(*draw(st.tuples(RUN_PART, RUN_PART))) for did in RUN_IDS[:n] if did not in no_gold}
+    config = ExperimentConfig(
+        methods=draw(st.lists(st.sampled_from(RUN_METHODS), min_size=1, max_size=3, unique=True)),
+        perspectives=draw(st.lists(st.sampled_from(list(Perspective)), min_size=1, max_size=3, unique=True)),
+        sizes=tuple(sorted(draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)))),
+        n_seeds=draw(st.sampled_from([2, 1])),
+        tokenizer=TokenizerConfig(*draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))),
+        prefixes=draw(st.sampled_from([PrefixConfig(), PrefixConfig("C: ", "A: "), PrefixConfig("", "agent ")])),
+        min_tokens=draw(st.integers(1, 4)),
+        cap_to_population=draw(st.sampled_from([True, True, False])),
+        strict_missing=draw(st.sampled_from([False, False, False, True])),
+    )
+    # every requested cell but, now and then, one; then cells the config does not request
+    cells = [(m, size, seed) for m in config.methods if parse_builtin_method(m) is None
+             for size in config.sizes for seed in config.seeds if draw(st.integers(0, 15))]
+    cells += [cell for cell in draw(st.lists(st.tuples(st.sampled_from(["pegasus", "bart", "lead_base"]), st.integers(0, 4),
+                                                       st.integers(0, 2)), max_size=2, unique=True)) if cell not in cells]
+    entry_or_none = st.one_of(st.builds(PredictionEntry, RUN_SIDE, RUN_SIDE), st.none())
+    entries = st.lists(entry_or_none, min_size=n + 1, max_size=n + 1).map(lambda drawn: {
+        did: entry for did, entry in zip([*RUN_IDS[:n], "stray"], drawn) if entry is not None})
+    external = [PredictionSet(*cell, draw(entries)) for cell in draw(st.permutations(cells))]
+    return Corpus(dialogs, gold=gold, split=split), config, external, draw(st.sets(st.integers(0, 4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(whole_runs())
+def test_run_equals_the_naive_whole_run(tmp_path_factory, run):
+    """The table's cells, the dump's bytes and the warnings, or the error, of a whole run as
+    the naive oracles put them together; and the table that `report` builds from the dump.
+    score_pair never gives -0.0, so the drawn score columns get their zeros negated, as a
+    scorer that signs its zeros would give them: the dump must keep each zero's sign."""
+    corpus, config, external, negative_zeros = run
+    cells, dump, warnings = naive_run_experiment(corpus, config, external, negative_zeros)
+
+    def signed_score_pair(*args):
+        return tuple(-0.0 if col in negative_zeros and not x else x for col, x in enumerate(score_pair(*args)))
+
+    got_warnings: list[str] = []
+    with mock.patch.object(experiment, "score_pair", signed_score_pair):
+        try:
+            result = run_experiment(corpus, config, external, got_warnings)
+        except ExperimentError as exc:
+            result = str(exc)
+    assert got_warnings == warnings
+    if dump is None:
+        assert result == cells
+        return
+    assert {key: {size: tuple(cell) for size, cell in row.items()} for key, row in result.table.rows.items()} == cells
+    assert result.table.sizes == sorted({size for row in cells.values() for size in row})
+    path = tmp_path_factory.mktemp("run") / "per_dialog_scores.csv"
+    write_per_dialog_csv(result.runs, path)
+    assert path.read_bytes() == dump.encode("utf-8")
+    assert table_from_per_dialog(read_per_dialog_csv(path)) == result.table
 
 
 # --- report emission ---------------------------------------------------------------

@@ -7,9 +7,12 @@ quadratic DP table so they stay independent of the library code they check.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import random
 import re
+import statistics
 from collections import defaultdict
 
 from persum import Corpus, Dialog, GoldSummary, ParseError, Perspective, SpeakerRole, Split, _porter, make_dialog
@@ -21,7 +24,7 @@ from persum.corpus import (
     decode_json,
     reject_lone_surrogates,
 )
-from persum.experiment import PER_DIALOG_COLUMNS, RunScores
+from persum.experiment import PER_DIALOG_COLUMNS, Runs
 from persum.rouge import TokenizerConfig
 
 VOCAB = ("alpha", "bravo", "charlie", "delta", "echo")
@@ -365,11 +368,11 @@ def _naive_field(parse, column: str, text: str, line: int):
         raise ParseError(line, f"{column}: {exc}") from None
 
 
-def naive_read_dump(path) -> RunScores:
+def naive_read_dump(path) -> Runs:
     """The per-dialog dump read one row at a time, as it was first read: csv.reader over the
     whole file, a header that must be the columns as written, every row's key and scores
     parsed on their own, and the first faulty row raising its fault."""
-    runs = RunScores()
+    runs: Runs = {}
     key_parsers = (str, Perspective, int, int)
     width = len(PER_DIALOG_COLUMNS)
     with _naming_file(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -385,12 +388,149 @@ def naive_read_dump(path) -> RunScores:
                     raise ParseError(line, f"per-dialog dump row has {len(record)} field(s), the header has {width}")
                 did, method, perspective, size, seed = record[:5]
                 key = tuple(_naive_field(parse, column, text, line) for parse, column, text in zip(key_parsers, PER_DIALOG_COLUMNS[1:5], record[1:5]))
-                scores = runs.runs.setdefault(key, {})
+                scores = runs.setdefault(key, {})
                 if did in scores:
                     raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
                 scores[did] = tuple(_naive_field(_naive_score, column, text, line) for column, text in zip(PER_DIALOG_COLUMNS[5:], record[5:]))
         except csv.Error as exc:
             raise ParseError(reader.line_num, str(exc)) from None
+    return runs
+
+
+def dump_rows(runs: Runs):
+    """The dump rows of `runs` as (dialog_id, method, perspective, size, seed, *scores), in
+    dump order."""
+    for key, scores in runs.items():
+        for did, row_scores in scores.items():
+            yield (did, *key, *row_scores)
+
+
+def naive_pair_scores(candidate: str, reference: str, config: TokenizerConfig) -> tuple[float, ...]:
+    """(r1_p, r1_r, r1_f, r2_f, rl_f) of a candidate against a reference, from the naive
+    tokenizer, n-gram and LCS oracles."""
+    cand, ref = naive_tokenize(candidate, config), naive_tokenize(reference, config)
+    return (*naive_ngram_prf(cand, ref, 1), naive_ngram_prf(cand, ref, 2)[2], naive_lcs_prf(cand, ref)[2])
+
+
+def _naive_cell(cell: tuple[str, int, int]) -> str:
+    return "({}, size={}, seed={})".format(*cell)
+
+
+class _NaiveRunFails(Exception):
+    """Ends a naive run with the text of the error that run_experiment raises."""
+
+
+def naive_run_experiment(corpus: Corpus, config, external=(), negative_zeros=()):
+    """run_experiment on a valid config, put together from the naive oracles: candidates
+    from naive_builtin_candidate and naive_external_candidate, scores from
+    naive_pair_scores, a run's mean as math.fsum over its dialogs divided by their number,
+    a cell's mean and deviation over its runs in seed order from `statistics`, and the dump
+    written with csv.writer and repr. The zero scores of the score columns (0 to 4) in
+    `negative_zeros` are -0.0, as a scorer that signs its zeros would give them; prediction
+    sets name distinct cells.
+
+    Returns (cells, dump, warnings). `cells` maps each (method, perspective, variant) to
+    {size: (mean, deviation, number of runs)}; when the run fails, it is the error's text
+    and the dump is None."""
+    warnings: list[str] = []
+    try:
+        runs = _naive_runs(corpus, config, external, negative_zeros, warnings)
+    except _NaiveRunFails as exc:
+        return str(exc), None, warnings
+
+    by_cell = defaultdict(list)
+    for method, perspective, size, seed, scores in runs:
+        means = [math.fsum(row[col] for row in scores.values()) / len(scores) for col in (2, 3, 4)]
+        by_cell[(method, perspective, size)].append((seed, means))
+    cells: dict = {}
+    for (method, perspective, size), seed_means in by_cell.items():
+        seed_means.sort()
+        for col, variant in enumerate(("rouge1", "rouge2", "rougeL")):
+            values = [means[col] for _, means in seed_means]
+            deviation = statistics.stdev(values) if len(values) > 1 else 0.0
+            cells.setdefault((method, perspective, variant), {})[size] = (statistics.fmean(values), deviation, len(values))
+
+    dump = []
+    rows = ([did, method, perspective.value, size, seed, *map(repr, row)]
+            for method, perspective, size, seed, scores in runs for did, row in scores.items())
+    for fields in [PER_DIALOG_COLUMNS, *rows]:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(fields)  # "\r\n" quotes a lone "\r" too
+        dump.append(line.getvalue()[:-2] + "\n")
+    return cells, "".join(dump), warnings
+
+
+def _naive_runs(corpus: Corpus, config, external, negative_zeros, warnings: list[str]) -> list[tuple]:
+    """naive_run_experiment's runs that score a dialog, as (method, perspective, size, seed,
+    {dialog id: scores}) in scoring order."""
+    tests = [d.id for d in corpus.dialogs if corpus.split[d.id] == Split.TEST]
+    test_ids = [did for did in tests if did in corpus.gold]
+    if len(tests) > len(test_ids):
+        warnings.append(f"{len(tests) - len(test_ids)} test dialog(s) have no gold summary and are not scored")
+    if not test_ids:
+        raise _NaiveRunFails("no test dialogs with gold summaries to score")
+    population = sum(corpus.split[d.id] == Split.TRAIN for d in corpus.dialogs)
+    if max(config.sizes) > population and not config.cap_to_population:
+        raise _NaiveRunFails(f"subset size {max(config.sizes)} exceeds the {population}-id training population "
+                             "(pass cap_to_population to clamp oversized requests)")
+
+    seeds = range(config.n_seeds)
+    sets = {(pred.method, pred.training_size, pred.seed): pred.entries for pred in external}
+    requested = [(m, size, seed) for m in config.methods if not _BASE_RE.match(m) for size in config.sizes for seed in seeds]
+    unrequested = [cell for cell in sets if cell not in requested]
+    if unrequested:
+        warnings.append(f"{len(unrequested)} prediction set(s) are for cells the config does not request "
+                        f"and are not scored, first: {_naive_cell(unrequested[0])}")
+    missing = [cell for cell in requested if cell not in sets]
+    if missing:
+        more = f", … and {len(missing) - 10} more" if len(missing) > 10 else ""
+        raise _NaiveRunFails("missing prediction cells: " + ", ".join(map(_naive_cell, missing[:10])) + more)
+    stray = [(did, cell) for cell in requested for did in sets[cell] if did not in test_ids]
+    if stray:
+        warnings.append(f"{len(stray)} prediction entry(ies) are for dialogs that are not scored, "
+                        f"first: dialog {stray[0][0]!r} in {_naive_cell(stray[0][1])}")
+
+    def score(candidate, perspective, message) -> dict[str, tuple[float, ...]]:
+        """Each test dialog's scores, for the dialogs whose `candidate(did)` is not None."""
+        scores = {}
+        for did in test_ids:
+            cand = candidate(did)
+            if cand is None:
+                if config.strict_missing:
+                    raise _NaiveRunFails(message.format(did))
+                warnings.append(message.format(did))
+                continue
+            gold = corpus.gold[did]
+            parts = {"customer": gold.customer_part, "agent": gold.agent_part}
+            reference = parts[perspective] if perspective != "full" else parts["customer"] + " " + parts["agent"]
+            pair = naive_pair_scores(cand[0], reference, config.tokenizer)
+            scores[did] = tuple(-0.0 if col in negative_zeros and not x else x for col, x in enumerate(pair))
+        return scores
+
+    dialogs = {d.id: d for d in corpus.dialogs}
+    runs = []
+    for method in config.methods:
+        builtin = _BASE_RE.match(method)
+        for perspective in config.perspectives:
+            view = perspective.value
+            if builtin and (builtin.group(2) is None) == (view == "full"):
+                warnings.append(f"{method}: not applicable to the {view} perspective, row skipped")
+                continue
+            if builtin:  # one candidate per dialog, whatever the cell
+                scores = score(lambda did: naive_builtin_candidate(dialogs[did], method, view, config.prefixes, config.min_tokens),
+                               view, f"{method}/{view}: no candidate for dialog {{}}")
+            for size in config.sizes:
+                for seed in seeds:
+                    if not builtin:
+                        entries = sets[(method, size, seed)]
+                        scores = score(lambda did: None if did not in entries else naive_external_candidate(*entries[did], method, view, config.prefixes),
+                                       view, f"{method}/{view}: no prediction for dialog {{}} (size={size}, seed={seed})")
+                    if scores:
+                        runs.append((method, perspective, size, seed, scores))
+                    else:
+                        warnings.append(f"{method}/{view}: no dialog scored at size={size}, seed={seed}")
+    if not runs:
+        raise _NaiveRunFails("no dialog scored in any cell")
     return runs
 
 
