@@ -12,6 +12,7 @@ import gc
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 from .corpus import (
@@ -123,6 +124,31 @@ def _int_at_least(minimum: int):
     return parse
 
 
+@contextmanager
+def _outputs(*targets: str | Path):
+    """Write the files `targets` all or not at all. The body writes each to the `<target>.tmp`
+    handed out for it, and all are renamed onto their targets once it returns. A directory
+    target is refused first; on any error the temporaries go and an OSError names the target."""
+    for target in targets:
+        if os.path.isdir(target):
+            raise OSError(f"cannot write {_shown(target)}: it is a directory")
+    temps = [f"{target}.tmp" for target in targets]
+    try:
+        yield temps
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    except OSError as exc:
+        if exc.filename in temps:
+            exc.filename = os.fspath(targets[temps.index(exc.filename)])
+        raise
+    finally:
+        for temp in temps:
+            Path(temp).unlink(missing_ok=True)
+
+
+def _write_text(text: str, path: str | Path) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="persum", description=__doc__.splitlines()[0])
@@ -178,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", nargs="*", default=[], help="prediction JSONL files")
     p.add_argument("--report", choices=["md", "csv"], default="md")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--subsets", action="store_true", help="also write subsets/<seed>/<size>.txt")
     p.add_argument("--prefix-customer", type=_text, default=None, help="override the config's customer prefix")
     p.add_argument("--prefix-agent", type=_text, default=None, help="override the config's agent prefix")
     p.add_argument("--strict-missing", action="store_true", help="error on unscorable dialogs")
@@ -247,7 +272,8 @@ def cmd_ingest(args) -> int:
         _print_warnings([f"{key}: {value}" for key, value in report._asdict().items() if value])
     else:
         corpus = read_corpus(args.input)
-    write_corpus(corpus, args.output)
+    with _outputs(args.output) as (path,):
+        write_corpus(corpus, path)
     print(f"dialogs: {len(corpus.dialogs)}")
     return EXIT_OK
 
@@ -261,15 +287,14 @@ def cmd_split(args) -> int:
         corpus = with_split_file(corpus, args.split_file)
     else:
         corpus = split_corpus(corpus, args.ratios or DEFAULT_SPLIT_RATIOS, args.seed or 0)
-    write_corpus(corpus, args.output)
+    with _outputs(args.output) as (path,):
+        write_corpus(corpus, path)
     counts = Counter(corpus.split.values())
     print(" ".join(f"{split.value}={counts[split]}" for split in Split))
     return EXIT_OK
 
 
 def cmd_weaklabel(args) -> int:
-    if args.coverage and Path(args.coverage).is_dir():
-        raise OSError(f"cannot write {_shown(args.coverage)}: it is a directory")
     corpus = read_corpus(args.corpus)
     exclude: set[str] = set()
     if args.exclude:
@@ -278,19 +303,11 @@ def cmd_weaklabel(args) -> int:
     role, heuristic = SpeakerRole(args.perspective), HeuristicKind(args.heuristic)
     pairs, report = weaklabel_corpus(corpus, role, heuristic, args.masked, exclude, args.min_tokens)
     coverage = encode_json_line(report._asdict())
-    # both outputs go to temporary names beside them and are renamed only once both are whole
-    pairs_path = Path(f"{args.output}.tmp")
-    coverage_path = Path(f"{args.coverage}.tmp") if args.coverage else None
-    try:
-        write_weak_pairs(pairs, pairs_path, role, heuristic, args.masked)
-        if coverage_path:
-            coverage_path.write_text(coverage + "\n", encoding="utf-8")
-            os.replace(coverage_path, args.coverage)
-        os.replace(pairs_path, args.output)
-    finally:
-        pairs_path.unlink(missing_ok=True)
-        if coverage_path:
-            coverage_path.unlink(missing_ok=True)
+    targets = [args.output, args.coverage] if args.coverage else [args.output]
+    with _outputs(*targets) as paths:
+        write_weak_pairs(pairs, paths[0], role, heuristic, args.masked)
+        if args.coverage:
+            _write_text(coverage + "\n", paths[1])
     print(coverage)
     return EXIT_OK
 
@@ -312,15 +329,11 @@ def cmd_subsets(args) -> int:
 def cmd_summarize(args) -> int:
     perspective = Perspective(args.perspective)
     candidates = _builtin_candidates(args, perspective)
-    produced = 0
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        for dialog_id, cand in candidates:
-            if cand is None:
-                continue
-            record = {"dialog_id": dialog_id, "perspective": perspective.value, "method": args.method, **cand._asdict()}
-            fh.write(encode_json_line(record) + "\n")
-            produced += 1
-    print(f"candidates: {produced} skipped: {len(candidates) - produced}")
+    lines = [encode_json_line({"dialog_id": dialog_id, "perspective": perspective.value, "method": args.method,
+                               **cand._asdict()}) + "\n" for dialog_id, cand in candidates if cand is not None]
+    with _outputs(args.output) as (path,):
+        _write_text("".join(lines), path)
+    print(f"candidates: {len(lines)} skipped: {len(candidates) - len(lines)}")
     return EXIT_OK
 
 
@@ -348,33 +361,14 @@ def cmd_score(args) -> int:
         result = run_experiment(corpus, config, external, warnings)
     finally:
         _print_warnings(warnings)
-    families = [
-        sample_nested_subsets(corpus.dialog_ids(Split.TRAIN), config.sizes, seed, config.cap_to_population)
-        for seed in config.seeds
-    ] if args.subsets else []
-    del corpus, external  # the result and families hold what the outputs need; this lowers the write's peak
+    del corpus, external  # the result holds what the outputs need; this lowers the write's peak
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_name = "report.md" if args.report == "md" else "report.csv"
-    # a target that no rename can replace is refused before any output is replaced
-    for target in (out_dir / report_name, out_dir / "per_dialog_scores.csv"):
-        if target.is_dir():
-            raise OSError(f"cannot replace {_shown(target)}: it is a directory")
-    if args.subsets and (out_dir / "subsets").exists() and not (out_dir / "subsets").is_dir():
-        raise OSError(f"cannot write under {_shown(out_dir / 'subsets')}: it is not a directory")
-    # both outputs go to temporary names and are renamed only once both are whole
-    report_path, dump_path = (out_dir / f"{name}.tmp" for name in (report_name, "per_dialog_scores.csv"))
-    try:
-        report_path.write_text(emit_report(result.table, args.report), encoding="utf-8")
+    with _outputs(out_dir / report_name, out_dir / "per_dialog_scores.csv") as (report_path, dump_path):
+        _write_text(emit_report(result.table, args.report), report_path)
         write_per_dialog_csv(result.runs, dump_path)
-        if args.subsets:
-            write_subset_files(families, out_dir / "subsets")
-        os.replace(report_path, out_dir / report_name)
-        os.replace(dump_path, out_dir / "per_dialog_scores.csv")
-    finally:
-        report_path.unlink(missing_ok=True)
-        dump_path.unlink(missing_ok=True)
     print(f"wrote {report_name} and per_dialog_scores.csv to {_shown(out_dir)}")
     return EXIT_OK
 
@@ -384,7 +378,8 @@ def cmd_report(args) -> int:
     if not runs:
         raise ParseError(None, "per-dialog dump is empty", args.per_dialog)
     table = table_from_per_dialog(runs)
-    Path(args.output).write_text(emit_report(table, args.format), encoding="utf-8")
+    with _outputs(args.output) as (path,):
+        _write_text(emit_report(table, args.format), path)
     print(f"wrote {_shown(args.output)}")
     return EXIT_OK
 
@@ -419,7 +414,8 @@ def cmd_rate_curve(args) -> int:
         candidates = [cand for _, cand in _builtin_candidates(args, perspective) if cand is not None]
         per_size = {size: candidates for size in args.sizes}
     rates = rate_curve(per_size)
-    Path(args.output).write_text(rate_curve_csv(rates), encoding="utf-8")
+    with _outputs(args.output) as (path,):
+        _write_text(rate_curve_csv(rates), path)
     print(f"wrote {_shown(args.output)}")
     return EXIT_OK
 

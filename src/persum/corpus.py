@@ -456,17 +456,17 @@ def reconstruct_threads(pairs: Iterable[tuple[str, Tweet]]) -> tuple[list[Dialog
             if tid == root:
                 break
             tid = tweet.parent
-        merged: list[tuple[SpeakerRole, str]] = []  # the chain with its same-role runs merged
+        turns: list[tuple[SpeakerRole, list[str]]] = []  # the chain's same-role runs, joined once
         for role, text, _ in reversed(path):
-            if merged and merged[-1][0] == role:
-                merged[-1] = (role, merged[-1][1] + " " + text)
+            if turns and turns[-1][0] == role:
+                turns[-1][1].append(text)
             else:
-                merged.append((role, text))
+                turns.append((role, [text]))
         # adjacent turns differ in role, so two turns hold both roles
-        if len(merged) < 2:
+        if len(turns) < 2:
             dropped += 1
         else:
-            dialogs.append(make_dialog(root, merged))
+            dialogs.append(make_dialog(root, [(role, " ".join(texts)) for role, texts in turns]))
 
     # tweets unreachable from any root sit on reply cycles; count components
     # (their number does not depend on which node each search starts from)

@@ -109,9 +109,11 @@ class ExperimentConfig(NamedTuple):
         if not self.perspectives:
             raise ExperimentError("config needs at least one perspective")
         for kind, names in (("method", self.methods), ("perspective", [p.value for p in self.perspectives])):
-            repeated = [name for pos, name in enumerate(names) if name in names[:pos]]
-            if repeated:
-                raise ExperimentError(f"config lists {kind} {repeated[0]!r} more than once")
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise ExperimentError(f"config lists {kind} {name!r} more than once")
+                seen.add(name)
         if not self.sizes:
             raise ExperimentError("config needs at least one training size")
         check_sizes(self.sizes)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from persum import SpeakerRole, Split, make_dialog, read_corpus, write_corpus
 from persum import cli, rouge
 from persum.cli import main
-from util import CSV_PIECES, synthetic_corpus, tweet_table
+from util import CSV_PIECES, random_text, synthetic_corpus, tweet_table
 
 KAGGLE_HEADER = "tweet_id,author_id,inbound,created_at,text,response_tweet_id,in_response_to_tweet_id\n"
 
@@ -1069,7 +1070,7 @@ def test_summarize_bytes_pinned(helpdesk_path, tmp_path, method, perspective):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SUMMARIZE_SHA256[(method, perspective)]
 
 
-# Runs score (with --subsets), report, subsets and rate-curve on a seeded corpus from
+# Runs score, report, subsets and rate-curve on a seeded corpus from
 # util.synthetic_corpus, with three built-in methods and one external method whose
 # prediction files lack some entries and parts, and prints each output's sha256.
 SCORE_PIPELINE = r"""
@@ -1102,7 +1103,7 @@ for size in sizes:
         Path(predictions[-1]).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 commands = [
     ["score", "--config", "config.json", "--corpus", "corpus.jsonl", "--predictions", *predictions,
-     "--output-dir", "out", "--subsets"],
+     "--output-dir", "out"],
     ["report", "--per-dialog", "out/per_dialog_scores.csv", "--format", "csv", "--output", "report.csv"],
     ["subsets", "--corpus", "corpus.jsonl", "--output-dir", "subsets", "--sizes", "0,4,16", "--seeds", "2"],
 ]
@@ -1112,11 +1113,9 @@ for method, perspective in (("lead_post_process_base", "customer"), ("long_base"
                      "--sizes", "0,4,16", "--output", f"rate_{perspective}.csv"])
 codes = [main(argv) for argv in commands]
 outputs = [Path(name) for name in ("out/report.md", "out/per_dialog_scores.csv", "report.csv")]
-outputs += sorted(Path("out/subsets").rglob("*.txt")) + sorted(Path().glob("rate_*.csv"))
+outputs += sorted(Path("subsets").rglob("*.txt")) + sorted(Path().glob("rate_*.csv"))
 digests = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
-same_subsets = all(Path("subsets", p.relative_to("out/subsets")).read_bytes() == p.read_bytes()
-                   for p in Path("out/subsets").rglob("*.txt"))
-print(json.dumps({"codes": codes, "same_subsets": same_subsets, "sha256": digests}))
+print(json.dumps({"codes": codes, "sha256": digests}))
 """
 
 # sha256 of each output of SCORE_PIPELINE, and of the warnings it prints, as written while
@@ -1125,12 +1124,12 @@ SCORE_PIPELINE_SHA256 = {
     "out/report.md": "e82b4de23c0bd19c872d479f6c7ec39c6c5d3827af70054fc4347e3472bd5201",
     "out/per_dialog_scores.csv": "cdfbf97aed8ebd88d47b87ad1c26e32a48daa6563bd4514bc6dff4a40cff8aa3",
     "report.csv": "4db666364c9620c02c5e0ca7b9dd4b3c40d0671f33ba334d91ef085dbb157a54",
-    "out/subsets/0/0.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "out/subsets/0/16.txt": "9a4567b6f0acd67500a979a31350b319720d9588bad74bd47ced6e170365b9f9",
-    "out/subsets/0/4.txt": "5f71d3b197fdfe7b327a2e5c100309baf496de47b1d1e9eaad243aa0d745a82a",
-    "out/subsets/1/0.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "out/subsets/1/16.txt": "f102ad2a6fa503cfecad92a47a63e080f772118ca73b29276a61f9e246df3dfd",
-    "out/subsets/1/4.txt": "c0d705a67aa476f77356abd4816f409abf052a9ca61ed2a7e780fadcd181e11d",
+    "subsets/0/0.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "subsets/0/16.txt": "9a4567b6f0acd67500a979a31350b319720d9588bad74bd47ced6e170365b9f9",
+    "subsets/0/4.txt": "5f71d3b197fdfe7b327a2e5c100309baf496de47b1d1e9eaad243aa0d745a82a",
+    "subsets/1/0.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "subsets/1/16.txt": "f102ad2a6fa503cfecad92a47a63e080f772118ca73b29276a61f9e246df3dfd",
+    "subsets/1/4.txt": "c0d705a67aa476f77356abd4816f409abf052a9ca61ed2a7e780fadcd181e11d",
     "rate_agent.csv": "466ae9293d47d3a9e2b1a546c9bfd6f2b1ce39c7c6372f76a8326049818e144c",
     "rate_customer.csv": "7ff96bba44de58aa646577058afcc28c61349ce6007be439bb9fa7bf99cb0b98",
     "rate_full.csv": "7ff96bba44de58aa646577058afcc28c61349ce6007be439bb9fa7bf99cb0b98",
@@ -1151,9 +1150,41 @@ def test_score_report_subsets_rate_curve_bytes_pinned(tmp_path):
         run["sha256"]["stderr"] = hashlib.sha256(done.stderr.encode()).hexdigest()
         runs.append(run)
     assert runs[0] == runs[1]
-    assert runs[0]["codes"] == [0] * 6 and runs[0]["same_subsets"]
+    assert runs[0]["codes"] == [0] * 6
     assert runs[0]["sha256"] == SCORE_PIPELINE_SHA256
 
+
+def test_score_and_report_write_the_same_bytes_under_two_hash_seeds(tmp_path):
+    """`python -m persum.cli score`, then `report` on its dump, write the same files and
+    the same warnings whatever PYTHONHASHSEED the interpreter runs under."""
+    rand = random.Random(31)
+    corpus = synthetic_corpus(rand, 40, with_gold=True, with_split=True, train_fraction=0.5)
+    write_corpus(corpus, tmp_path / "corpus.jsonl")
+    records = [{"method": "pegasus", "training_size": 0, "seed": 0}]
+    records += [{"dialog_id": did, "customer": random_text(rand), "agent": None if rand.random() < 0.3 else ""}
+                for did in corpus.dialog_ids(Split.TEST) if rand.random() < 0.7]
+    (tmp_path / "pegasus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    config = {"methods": ["lead_post_process_base", "long_base", "pegasus"],
+              "perspectives": ["customer", "agent", "full"], "sizes": [0], "n_seeds": 1,
+              "corpus": "corpus.jsonl", "predictions": ["pegasus.jsonl"]}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = f"out{hash_seed}"
+        stderr = b""
+        for argv in (["score", "--config", "config.json", "--output-dir", out],
+                     ["report", "--per-dialog", f"{out}/per_dialog_scores.csv", "--format", "csv",
+                      "--output", f"{out}/report.csv"]):
+            done = subprocess.run([sys.executable, "-m", "persum.cli", *argv], cwd=tmp_path, env=env,
+                                  capture_output=True)
+            assert done.returncode == 0, done.stderr
+            stderr += done.stderr
+        runs.append((stderr, {path.name: path.read_bytes() for path in (tmp_path / out).iterdir()}))
+    assert runs[0][0].count(b"warning: ") > 1
+    assert sorted(runs[0][1]) == ["per_dialog_scores.csv", "report.csv", "report.md"]
+    assert runs[0] == runs[1]
 
 @pytest.mark.parametrize("command", ["score", "report", "rate-curve", "subsets"])
 def test_output_name_that_is_not_utf8_prints_escaped_on_a_strict_stdout(scored_setup, tmp_path, command):
@@ -1241,7 +1272,7 @@ def test_score_end_to_end_base_rows_constant(scored_setup, tmp_path, capsys):
     _, config_path = scored_setup
     out_dir = tmp_path / "run"
     code = main(
-        ["score", "--config", str(config_path), "--report", "csv", "--output-dir", str(out_dir), "--subsets"]
+        ["score", "--config", str(config_path), "--report", "csv", "--output-dir", str(out_dir)]
     )
     assert code == 0
     with open(out_dir / "report.csv", newline="", encoding="utf-8") as fh:
@@ -1250,7 +1281,6 @@ def test_score_end_to_end_base_rows_constant(scored_setup, tmp_path, capsys):
     for row in rows[1:]:
         assert row[3] == row[4], f"base method row varies across sizes: {row}"
     assert (out_dir / "per_dialog_scores.csv").exists()
-    assert (out_dir / "subsets" / "0" / "4.txt").exists()
 
 
 def test_score_idempotent_bytes(scored_setup, tmp_path):
@@ -1460,40 +1490,104 @@ def test_score_leaves_no_partial_output_when_the_dump_write_fails(scored_setup, 
     assert list(out_dir.iterdir()) == []
 
 
-@pytest.mark.parametrize("blocked", ["per_dialog_scores.csv", "subsets"])
+@pytest.mark.parametrize("blocked", ["per_dialog_scores.csv"])
 def test_score_refuses_a_target_it_cannot_replace_before_replacing_any(scored_setup, tmp_path, capsys, blocked):
-    """A dump path taken by a directory, or a subsets path taken by a file, ends the run
-    with exit 2 while every output still holds the bytes of the run before."""
+    """A dump path taken by a directory ends the run with exit 2 while the report still
+    holds the bytes of the run before."""
     _, config_path = scored_setup
     out_dir = tmp_path / "run"
     out_dir.mkdir()
-    old = {"report.md": b"old report\n", "per_dialog_scores.csv": b"old dump\n", "subsets": b"old subsets\n"}
+    old = {"report.md": b"old report\n", "per_dialog_scores.csv": b"old dump\n"}
     for name, data in old.items():
         (out_dir / name).write_bytes(data)
-    if blocked == "per_dialog_scores.csv":
-        (out_dir / blocked).unlink()
-        (out_dir / blocked).mkdir()
-        del old[blocked]
-    code = main(["score", "--config", str(config_path), "--output-dir", str(out_dir), "--subsets"])
+    (out_dir / blocked).unlink()
+    (out_dir / blocked).mkdir()
+    del old[blocked]
+    code = main(["score", "--config", str(config_path), "--output-dir", str(out_dir)])
     assert code == 2
     assert {name: (out_dir / name).read_bytes() for name in old} == old
-    assert sorted(path.name for path in out_dir.iterdir()) == ["per_dialog_scores.csv", "report.md", "subsets"]
-    problem = "it is a directory" if blocked == "per_dialog_scores.csv" else "it is not a directory"
-    assert capsys.readouterr().err.endswith(f"{out_dir / blocked}: {problem}\n")
+    assert sorted(path.name for path in out_dir.iterdir()) == ["per_dialog_scores.csv", "report.md"]
+    assert capsys.readouterr().err.endswith(f"error: cannot write {out_dir / blocked}: it is a directory\n")
 
 
-def test_score_leaves_its_outputs_when_a_subset_directory_is_taken_by_a_file(scored_setup, tmp_path, capsys):
+def test_score_subsets_is_a_usage_error(scored_setup, tmp_path, capsys):
+    """`persum subsets` alone writes the subsets/<seed>/<size>.txt tree."""
     _, config_path = scored_setup
     out_dir = tmp_path / "run"
-    (out_dir / "subsets").mkdir(parents=True)
-    old = {"report.md": b"old report\n", "per_dialog_scores.csv": b"old dump\n", "subsets/0": b"old subset\n"}
+    assert main(["score", "--config", str(config_path), "--output-dir", str(out_dir), "--subsets"]) == 1
+    assert "unrecognized arguments: --subsets" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# each command that writes files: its argv (with the inputs that `scored_setup` and a
+# dump at <tmp>/scored hold, and its outputs under <tmp>/out), its outputs, and the
+# name in `cli` of the writer each output is written by
+WRITING_COMMANDS = {
+    "ingest": (["ingest", "--format", "dialog-jsonl", "--input", "{corpus}", "--output", "{out}/corpus.jsonl"],
+               [("corpus.jsonl", "write_corpus")]),
+    "split": (["split", "--corpus", "{corpus}", "--output", "{out}/split.jsonl"], [("split.jsonl", "write_corpus")]),
+    "weaklabel": (["weaklabel", "--corpus", "{corpus}", "--perspective", "customer", "--heuristic", "lead",
+                   "--output", "{out}/pairs.jsonl", "--coverage", "{out}/coverage.json"],
+                  [("pairs.jsonl", "write_weak_pairs"), ("coverage.json", "_write_text")]),
+    "summarize": (["summarize", "--corpus", "{corpus}", "--method", "lead_post_process_base",
+                   "--perspective", "customer", "--output", "{out}/cands.jsonl"], [("cands.jsonl", "_write_text")]),
+    "score": (["score", "--config", "{config}", "--output-dir", "{out}"],
+              [("report.md", "_write_text"), ("per_dialog_scores.csv", "write_per_dialog_csv")]),
+    "report": (["report", "--per-dialog", "{dump}", "--output", "{out}/report.md"], [("report.md", "_write_text")]),
+    "rate-curve": (["rate-curve", "--corpus", "{corpus}", "--method", "lead_post_process_base",
+                    "--perspective", "customer", "--sizes", "0,4", "--output", "{out}/rate.csv"],
+                   [("rate.csv", "_write_text")]),
+}
+
+
+def _cut_short(write):
+    """`write` that writes the first half of its file and then fails as a full disk does."""
+
+    def partial(value, path, *rest):
+        write(value, path, *rest)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) // 2)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    return partial
+
+
+@pytest.mark.parametrize("failure", ["directory", "write-with-old-outputs", "write-without-old-outputs"])
+@pytest.mark.parametrize(
+    "command, failing", [(command, i) for command, (_, outs) in WRITING_COMMANDS.items() for i in range(len(outs))]
+)
+def test_a_command_that_exits_2_leaves_every_output_as_it_was(scored_setup, tmp_path, monkeypatch, capsys,
+                                                              command, failing, failure):
+    """Every file-writing command writes all its outputs or none: an output path taken by a
+    directory is refused before anything is written, and a write that fails part-way
+    leaves each output with its old bytes, or absent, and no temporary behind."""
+    corpus_path, config_path = scored_setup
+    dump = tmp_path / "scored" / "per_dialog_scores.csv"
+    if command == "report":
+        assert main(["score", "--config", str(config_path), "--output-dir", str(dump.parent)]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    template, outputs = WRITING_COMMANDS[command]
+    argv = [arg.format(corpus=corpus_path, config=config_path, dump=dump, out=out) for arg in template]
+    old = {name: f"old {name}\n".encode() for name, _ in outputs} if failure != "write-without-old-outputs" else {}
     for name, data in old.items():
-        (out_dir / name).write_bytes(data)
-    code = main(["score", "--config", str(config_path), "--output-dir", str(out_dir), "--subsets"])
-    assert code == 2
-    assert {name: (out_dir / name).read_bytes() for name in old} == old
-    assert sorted(path.name for path in out_dir.iterdir()) == ["per_dialog_scores.csv", "report.md", "subsets"]
-    assert capsys.readouterr().err.endswith(f"File exists: '{out_dir / 'subsets' / '0'}'\n")
+        (out / name).write_bytes(data)
+    target, writer = out / outputs[failing][0], outputs[failing][1]
+    if failure == "directory":
+        target.unlink()
+        target.mkdir()
+        del old[target.name]
+        message = f"cannot write {target}: it is a directory"
+    else:
+        monkeypatch.setattr(cli, writer, _cut_short(getattr(cli, writer)))
+        message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{target}'"
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == old
+    names = sorted(path.name for path in out.iterdir())
+    assert names == sorted([*old, target.name] if failure == "directory" else old)
 
 
 def test_score_lets_a_bug_raise_instead_of_exiting_2(scored_setup, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -677,6 +678,23 @@ def test_reconstruct_threads_equals_depth_first_oracle(data):
     rows = [tweet(f"t{i}", inbound[i], f"text {i}", parents[i]) for i in order]
     assert reconstruct_threads(rows) == naive_reconstruct_threads(rows)
 
+
+
+def test_reconstruct_threads_merges_a_long_same_role_chain_in_linear_time():
+    """A same-role run is joined once, not re-copied at each tweet it takes in: one chain of
+    40 000 customer tweets of 12 words and one agent reply merges in about 0.1 s, where
+    repeated concatenation took 20-35 s on the same 2-vCPU host."""
+    n = 40_000
+    texts = [f"tweet {i} " + "word " * 10 + "end" for i in range(n)]
+    rows = [tweet(f"t{i}", True, text, f"t{i - 1}" if i else None) for i, text in enumerate(texts)]
+    rows.append(tweet("reply", False, "we are on it", f"t{n - 1}"))
+    start = time.perf_counter()
+    dialogs, _ = reconstruct_threads(rows)
+    elapsed = time.perf_counter() - start
+    assert [(u.role, u.text) for u in dialogs[0].utterances] == [
+        (SpeakerRole.CUSTOMER, " ".join(texts)), (SpeakerRole.AGENT, "we are on it")
+    ]
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 # --- splitting --------------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -347,14 +348,13 @@ def test_oversized_sizes_error_without_cap_flag(tmp_path):
     )
     with pytest.raises(ExperimentError, match="subset size 1024 exceeds the 7-id training population"):
         run_experiment(corpus, config)
-    # capped, the 1024 subset that score --subsets writes is the whole training set
-    corpus_path, config_path, out = tmp_path / "corpus.jsonl", tmp_path / "config.json", tmp_path / "run"
+    # capped, the 1024 subset that `persum subsets` writes is the whole training set
+    corpus_path, out = tmp_path / "corpus.jsonl", tmp_path / "subsets"
     write_corpus(corpus, corpus_path)
-    capped = {"methods": ["lead_base"], "perspectives": ["customer"], "sizes": [0, 1024], "cap_to_population": True}
-    config_path.write_text(json.dumps(capped), encoding="utf-8")
-    argv = ["score", "--config", str(config_path), "--corpus", str(corpus_path), "--output-dir", str(out), "--subsets"]
+    argv = ["subsets", "--corpus", str(corpus_path), "--sizes", "0,1024", "--seeds", "1", "--cap-to-population",
+            "--output-dir", str(out)]
     assert main(argv) == 0
-    written = (out / "subsets" / "0" / "1024.txt").read_text(encoding="utf-8").splitlines()
+    written = (out / "0" / "1024.txt").read_text(encoding="utf-8").splitlines()
     assert sorted(written) == sorted(corpus.dialog_ids(Split.TRAIN))
 
 
@@ -1285,6 +1285,17 @@ def test_parse_config_rejects_a_repeated_entry(methods, perspectives, message):
     with pytest.raises(ExperimentError, match=f"^{message}$"):
         parse_config({"methods": methods, "perspectives": perspectives})
 
+
+
+def test_parse_config_finds_a_repeat_among_40000_methods_in_linear_time():
+    """The first name that repeats, in list order, is named: 'm39999' repeats before 'm0'
+    does. Slicing the list before each name took 5 s at 20 000 names on a 2-vCPU host."""
+    methods = [f"m{i}" for i in range(40_000)] + ["m39999", "m0"]
+    start = time.perf_counter()
+    with pytest.raises(ExperimentError, match="^config lists method 'm39999' more than once$"):
+        parse_config({"methods": methods, "perspectives": ["customer"]})
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 def test_parse_config_rejects_bad_perspective():
     with pytest.raises(ExperimentError):
