@@ -12,7 +12,7 @@ import gc
 import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .corpus import (
@@ -127,12 +127,15 @@ def _int_at_least(minimum: int):
 @contextmanager
 def _outputs(*targets: str | Path):
     """Write the files `targets` all or not at all. The body writes each to the `<target>.tmp`
-    handed out for it, and all are renamed onto their targets once it returns. A directory
-    target is refused first; on any error the temporaries go and an OSError names the target."""
-    for target in targets:
+    handed out for it, and all are renamed onto their targets once it returns. A target or
+    temporary that is a directory is refused first; on any error the temporaries go and an
+    OSError names the target."""
+    temps = [f"{target}.tmp" for target in targets]
+    for target, temp in zip(targets, temps):
         if os.path.isdir(target):
             raise OSError(f"cannot write {_shown(target)}: it is a directory")
-    temps = [f"{target}.tmp" for target in targets]
+        if os.path.isdir(temp):
+            raise OSError(f"cannot write {_shown(target)}: {_shown(temp)} is a directory")
     try:
         yield temps
         for temp, target in zip(temps, targets):
@@ -143,7 +146,8 @@ def _outputs(*targets: str | Path):
         raise
     finally:
         for temp in temps:
-            Path(temp).unlink(missing_ok=True)
+            with suppress(OSError):  # a failed cleanup never replaces the error being raised
+                os.unlink(temp)
 
 
 def _write_text(text: str, path: str | Path) -> None:

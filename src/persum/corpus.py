@@ -13,9 +13,11 @@ this format; the Kaggle tweet CSV adapter converts external data once.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
+import os
 import re
 from collections import defaultdict
 from contextlib import contextmanager
@@ -75,6 +77,23 @@ def _undecodable_byte(path: str | Path) -> ParseError | None:
             line += 1 + raw.count(b"\r") - raw.count(b"\r\n")
             offset += len(raw)
     return None
+
+
+def utf8_file(path: str | Path) -> bool:
+    """Whether `path` is a regular file whose every byte decodes as UTF-8, so that no text
+    read of it can fail to decode: one binary pass in 64 KiB chunks through an incremental
+    decoder. Any other path, such as a pipe, which the pass would consume, is not read."""
+    if not os.path.isfile(path):
+        return False
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    with open(path, "rb") as fh:
+        try:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                decode(chunk)
+            decode(b"", True)
+        except UnicodeDecodeError:
+            return False
+    return True
 
 
 def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:

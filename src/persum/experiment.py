@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .corpus import (
     Corpus,
@@ -28,6 +28,7 @@ from .corpus import (
     csv_header,
     decode_json,
     reject_lone_surrogates,
+    utf8_file,
 )
 from .rng import make_rng
 from .rouge import (
@@ -527,58 +528,21 @@ def _text_pieces(method: str, rows: Sequence[tuple[str, tuple[str, ...]]]) -> li
     return pieces if plain and text.count(",") == 5 * len(rows) and text.count("\n") == len(rows) else ()
 
 
-def _raising(exc: BaseException) -> Iterator[str]:
-    """An iterator that raises `exc` when it is first read."""
-    raise exc
-    yield
-
-
-# Characters per read of a compared block. Line iteration decodes the file in blocks of
-# 8 192 bytes, and a read of k characters asks for a block of k times the bytes per
-# character of the last one, if that is more: at most 4 bytes a character, plus a held-back
-# partial character, a pending CR and the BOM, keep 2 000 characters under 8 192 bytes.
-_PIECE = 2_000
-
-
-def _read_repeat(
-    fh: TextIO, path: str | Path, line: int, pieces: list[str], sep: str
-) -> tuple[bool, Iterable[str], float, Iterator[str]]:
-    """Compare the text after line `line` of `fh`, the file at `path`, with the rows of
-    `pieces` after their first under the key text `sep`, in reads of at most `_PIECE`
-    characters, and read the line after them. Return whether they match while the line after
-    cannot continue their block (no quote, not blank, another key text); the lines to read
-    next, as line iteration would read them (on a match, the line after alone); the first
-    line whose row is read from `fh` again; and what to read after those lines.
-
-    On a mismatch the reads stop at the first piece that differs, and the lines end with the
-    rest of its last line. A read that fails loses its text, so the lines are read again from
-    a fresh handle on `path`, up to the error, which is what follows them; `fh` is then past
-    where they end, so no row is read from it again."""
+def _read_repeat(fh: TextIO, line: int, pieces: list[str], sep: str) -> tuple[bool, Iterable[str], int]:
+    """Compare the text after line `line` of `fh` with the rows of `pieces` after their first
+    under the key text `sep`, in one read, and read the line after it. Return whether they
+    match while the line after cannot continue their block (no quote, not blank, another key
+    text); the lines to read next, as line iteration would read them (on a match, the line
+    after alone); and the first line whose row is read from `fh` again."""
     expected = sep.join(pieces)
-    try:
-        for start in range(0, len(expected), _PIECE):
-            want = expected[start : start + _PIECE]
-            got = fh.read(len(want))
-            if got != want:
-                text = expected[:start] + got + fh.readline()
-                break
-        else:
-            after = fh.readline()
-            if not ('"' in after or after in ("\n", "\r\n", "\r") or after.startswith(sep, after.find(",") + 1)):
-                return True, (after,) if after else (), line + len(pieces), fh
-            text = expected + after
-    except (UnicodeDecodeError, OSError) as exc:
-        back: list[str] = []
-        try:
-            with open(path, "r", encoding="utf-8-sig", newline="") as again:
-                back.extend(islice(again, line, line + len(pieces)))
-        except (UnicodeDecodeError, OSError):
-            pass
-        return False, back, math.inf, _raising(exc)
-    back = io.StringIO(text, newline="")
+    got = fh.read(len(expected))
+    after = fh.readline()
+    if got == expected and not ('"' in after or after in ("\n", "\r\n", "\r") or after.startswith(sep, after.find(",") + 1)):
+        return True, (after,) if after else (), line + len(pieces)
+    back = io.StringIO(got + after, newline="")
     handed = sum(1 for _ in back)
     back.seek(0)
-    return False, back, line + max(handed, 1), fh  # the row at `line` is not compared again
+    return False, back, line + max(handed, 1)  # the row at `line` is not compared again
 
 
 def read_per_dialog_csv(path: str | Path) -> Runs:
@@ -586,43 +550,38 @@ def read_per_dialog_csv(path: str | Path) -> Runs:
     a dialog that repeats within its run, is an error naming its line, raised in file order.
 
     The rows come in blocks of consecutive rows with the same key text, so normally one run
-    per block. When the header is the columns as written and a block that opens a run starts
-    with the first dialog id and score text of the block that last opened a run of its
-    (method, perspective), as a built-in method's runs do, the text of its other lines is
-    compared with that block's lines under the new key, read straight from the file in
-    pieces of at most 2 000 characters, and the line after is read. (A piece that size
-    stays inside the 8 192-byte blocks that line iteration decodes, so an undecodable byte
-    stops the reader where line iteration would, after the same rows.) If the text is equal,
-    no field holds a comma, quote, NUL, CR or LF, and the line after cannot continue the
-    block, the run shares that block's scores dict and its lines are never split. Otherwise
-    the lines read go back to `csv_body`, and no block is compared until they are consumed,
-    nor after a read error. Other rows are parsed and checked one at a time; a row whose score
-    text equals the last parsed row's reuses its scores. A score's value is computed once
-    per distinct text of the call, and taken from a row only once all five of its score
-    texts parse, so a bad text is checked, and named, on every row that holds it. (Texts,
-    not values, are the keys, so "-0.0" keeps its sign after "0.0".) A run that re-opens
-    gets its own copy of its scores dict first, so no other run's scores change.
+    per block. When the header is the columns as written, the dump is a regular file whose
+    every byte is UTF-8 (`utf8_file`), and a block that opens a run starts with the first
+    dialog id and score text of the block that last opened a run of its (method,
+    perspective), as a built-in method's runs do, the text of its other lines is compared
+    with that block's lines under the new key, read straight from the file in one read, and
+    the line after is read. If the text is equal, no field holds a comma, quote, NUL, CR or
+    LF, and the line after cannot continue the block, the run shares that block's scores dict
+    and its lines are never split. Otherwise the lines read go back to `csv_body`, and no
+    block is compared until they are consumed. Other rows, and every row of any other dump (a
+    pipe, or a file with an undecodable byte), are parsed and checked one at a time, as line
+    iteration reads them, so a fault is named where the row-by-row reader names it. A score's
+    value is computed once per distinct text of the call, and taken from a row only once all
+    five of its score texts parse, so a bad text is checked, and named, on every row that
+    holds it. (Texts, not values, are the keys, so "-0.0" keeps its sign after "0.0".) A run
+    that re-opens gets its own copy of its scores dict first, so no other run's scores change.
     """
     runs: Runs = {}
-    key_of: dict[tuple[str, ...], RunKey] = {}  # key text -> the run's key
     # (method, perspective) text -> the block that last opened a run of it: its rows' (dialog
     # id, score text), only the first once it is compared, the other rows' `_text_pieces`
     # from then on, and its scores dict
     opened: dict[tuple[str, ...], list] = {}
     copied: set[RunKey] = set()  # runs whose scores dict no other run or block holds
-    score_text, parsed = None, ()  # the last parsed row's score text, and its scores
     values: dict[str, float] = {}  # score text of a row that parsed -> its value
     key_text, what = None, "per-dialog dump"  # the current block's key text
     with _naming_file(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header, pick, direct_from = csv_header(fh, what, PER_DIALOG_COLUMNS)
-        compare, width = header == list(PER_DIALOG_COLUMNS), len(header)
+        compare, width = header == list(PER_DIALOG_COLUMNS) and utf8_file(path), len(header)
         rows = csv_body(fh, what, width, pick, direct_from)
         while True:
             for line, record in rows:
                 if record[1:5] != key_text:
-                    key = key_of.get(record[1:5])
-                    if key is None:
-                        key = key_of[record[1:5]] = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, record[1:5], line))
+                    key = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, record[1:5], line))
                     scores = runs.get(key)
                     # rows before line `direct_from` come from lines handed back to csv_body
                     last = opened.get(record[1:3]) if scores is None and compare and line >= direct_from else None
@@ -631,12 +590,12 @@ def read_per_dialog_csv(path: str | Path) -> Runs:
                             last[0], last[1] = last[0][:1], _text_pieces(record[1], last[0][1:])
                         sep, n = ",".join(record[1:5]) + ",", len(last[1])
                         if last[1] and "\r" not in sep and "\n" not in sep:
-                            shared, back, direct_from, tail = _read_repeat(fh, path, line, last[1], sep)
+                            shared, back, direct_from = _read_repeat(fh, line, last[1], sep)
                             if shared:
                                 runs[key], key_text = last[2], record[1:5]
                                 rows = csv_body(chain(back, fh), what, width, pick, line + n - 1)
                             else:
-                                rows = chain(((line, record),), csv_body(chain(back, tail), what, width, pick, line))
+                                rows = chain(((line, record),), csv_body(chain(back, fh), what, width, pick, line))
                             break
                     key_text, block = record[1:5], []
                     if scores is None:
@@ -645,17 +604,15 @@ def read_per_dialog_csv(path: str | Path) -> Runs:
                     elif key not in copied:
                         scores = runs[key] = dict(scores)
                         copied.add(key)
-                did = record[0]
+                did, score_text = record[0], record[5:]
                 if did in scores:
                     method, perspective, size, seed = key_text
                     raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
-                if record[5:] != score_text:
-                    score_text = record[5:]
-                    try:
-                        parsed = tuple(map(values.__getitem__, score_text))
-                    except KeyError:
-                        parsed = tuple(_parse_columns(_SCORE_COLUMNS, _SCORE_PARSERS, score_text, line))
-                        values.update(zip(score_text, parsed))
+                try:
+                    parsed = tuple(map(values.__getitem__, score_text))
+                except KeyError:
+                    parsed = tuple(_parse_columns(_SCORE_COLUMNS, _SCORE_PARSERS, score_text, line))
+                    values.update(zip(score_text, parsed))
                 scores[did] = parsed
                 block.append((did, score_text))
             else:

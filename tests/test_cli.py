@@ -1458,6 +1458,27 @@ def test_report_on_a_dump_without_rows_names_the_file(tmp_path, capsys):
     assert not (tmp_path / "report.md").exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_report_reads_a_dump_piped_to_dev_stdin_as_it_reads_the_file(tmp_path):
+    """A dump of built-in runs that share their scores, larger than a read buffer, piped in:
+    nothing may read the pipe ahead of the report's own reads."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(synthetic_corpus(random.Random(7), 300, with_gold=True, with_split=True), corpus_path)
+    config = {"methods": ["lead_base", "long_post_process_base"], "perspectives": ["customer", "agent"],
+              "sizes": [0, 4, 8], "n_seeds": 3, "corpus": str(corpus_path)}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "run")]) == 0
+    dump = tmp_path / "run" / "per_dialog_scores.csv"
+    assert dump.stat().st_size > 64 * 1024
+    assert main(["report", "--per-dialog", str(dump), "--output", str(tmp_path / "from_file.md")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "persum.cli", "report", "--per-dialog", "/dev/stdin", "--output", str(tmp_path / "piped.md")]
+    done = subprocess.run(argv, input=dump.read_bytes(), env=env, capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (tmp_path / "piped.md").read_bytes() == (tmp_path / "from_file.md").read_bytes()
+
+
 def test_report_rejects_a_dialog_repeated_within_its_run(tmp_path, capsys):
     dump = tmp_path / "repeated.csv"
     rows = ["d1,pegasus,customer,0,0,0.5,0.5,0.5,0.5,0.5", "d2,pegasus,customer,0,0,0.1,0.1,0.1,0.1,0.1"]
@@ -1552,15 +1573,16 @@ def _cut_short(write):
     return partial
 
 
-@pytest.mark.parametrize("failure", ["directory", "write-with-old-outputs", "write-without-old-outputs"])
+@pytest.mark.parametrize("failure", ["directory", "temporary-directory", "write-with-old-outputs", "write-without-old-outputs"])
 @pytest.mark.parametrize(
     "command, failing", [(command, i) for command, (_, outs) in WRITING_COMMANDS.items() for i in range(len(outs))]
 )
 def test_a_command_that_exits_2_leaves_every_output_as_it_was(scored_setup, tmp_path, monkeypatch, capsys,
                                                               command, failing, failure):
-    """Every file-writing command writes all its outputs or none: an output path taken by a
-    directory is refused before anything is written, and a write that fails part-way
-    leaves each output with its old bytes, or absent, and no temporary behind."""
+    """Every file-writing command writes all its outputs or none: an output path, or its
+    `.tmp` path, taken by a directory is refused before anything is written, and a write
+    that fails part-way leaves each output with its old bytes, or absent, and no temporary
+    behind."""
     corpus_path, config_path = scored_setup
     dump = tmp_path / "scored" / "per_dialog_scores.csv"
     if command == "report":
@@ -1578,6 +1600,9 @@ def test_a_command_that_exits_2_leaves_every_output_as_it_was(scored_setup, tmp_
         target.mkdir()
         del old[target.name]
         message = f"cannot write {target}: it is a directory"
+    elif failure == "temporary-directory":
+        (out / f"{target.name}.tmp").mkdir()
+        message = f"cannot write {target}: {target}.tmp is a directory"
     else:
         monkeypatch.setattr(cli, writer, _cut_short(getattr(cli, writer)))
         message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{target}'"
@@ -1587,7 +1612,23 @@ def test_a_command_that_exits_2_leaves_every_output_as_it_was(scored_setup, tmp_
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == old
     names = sorted(path.name for path in out.iterdir())
-    assert names == sorted([*old, target.name] if failure == "directory" else old)
+    directories = {"directory": [target.name], "temporary-directory": [f"{target.name}.tmp"]}.get(failure, [])
+    assert names == sorted([*old, *directories])
+
+
+def test_a_cleanup_that_fails_leaves_the_error_of_the_write(scored_setup, tmp_path, monkeypatch, capsys):
+    """A write that leaves a directory at its `.tmp` path and then fails: the temporary
+    cannot be removed, and the write's own error is the one reported."""
+    corpus_path, _ = scored_setup
+    target = tmp_path / "corpus.jsonl"
+
+    def fail(corpus, path):
+        os.mkdir(path)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(cli, "write_corpus", fail)
+    assert main(["ingest", "--format", "dialog-jsonl", "--input", str(corpus_path), "--output", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{target}'\n"
 
 
 def test_score_lets_a_bug_raise_instead_of_exiting_2(scored_setup, tmp_path, monkeypatch):

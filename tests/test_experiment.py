@@ -781,9 +781,9 @@ def test_text_compare_names_an_undecodable_byte_of_the_compared_block(tmp_path):
     assert got.startswith(f"{path}, line 552: 'utf-8' codec can't decode byte 0xff at offset {len(head) + 2}: invalid start byte")
 
 
-# --- compared blocks read in pieces of at most 2 000 characters
+# --- compared blocks longer than the blocks that line iteration decodes
 
-LONG = [f"dialog-{i:04d}" for i in range(400)]  # a block of 400 rows is eleven pieces long
+LONG = [f"dialog-{i:04d}" for i in range(400)]  # a block of 400 rows is some 22 000 characters long
 BLOCK = 8192  # the bytes that line iteration decodes at a time
 BAD = "0.5,0.5,0.5,0.25,-0.5"  # a faulty row's scores, which differ from GOOD's near the row's end
 
@@ -801,12 +801,12 @@ def ids_of(char: str) -> list[str]:
 
 def test_text_compare_names_a_faulty_row_of_the_compared_block_before_an_undecodable_byte(tmp_path):
     """The faulty row is the last line of a decoder block, and the bad byte opens the next:
-    the piece that holds the fault reaches the bad byte, whose error loses the piece, so
-    the lines before the error are read again and their rows read first."""
+    a dump with a byte that is not UTF-8 is read row by row, so the faulty row is read, and
+    named, first."""
     path = tmp_path / "dump.csv"
     head, opener = plain_dump([]), run_rows("0,0", LONG)
     compared = run_rows("0,1", LONG[:200]) + run_rows("0,1", LONG[200:201], BAD)
-    assert len(compared) - len(run_rows("0,1", LONG[:1])) > 10_000  # past five pieces
+    assert len(compared) - len(run_rows("0,1", LONG[:1])) > 10_000  # past a decoder block
     text = head + filler_row(head, opener + compared) + opener + compared
     tail = b"d\xff,pegasus,customer,0,1," + GOOD.encode() + b"\n" + run_rows("0,1", LONG[202:]).encode()
     path.write_bytes(text.encode("utf-8") + tail)
@@ -818,10 +818,9 @@ def test_text_compare_names_a_faulty_row_of_the_compared_block_before_an_undecod
 @pytest.mark.parametrize("char, bom", [("d", ""), ("\u00e9", "\ufeff"), ("\u20ac", "\ufeff"), ("\U0001f642", "\ufeff")])
 def test_text_compare_leaves_the_decoder_blocks_where_line_iteration_puts_them(tmp_path, char, bom):
     """Two blocks compared with the one they repeat, whose dialog ids are of 1- to 4-byte
-    UTF-8 characters, behind a BOM but for the first, read alone; then with a faulty row
-    that ends a decoder block 8 KiB or more after them, and a bad byte that opens the next:
-    the fault is named first only while every read of a compared block stays inside one
-    decoder block."""
+    UTF-8 characters, behind a BOM but for the first, read alone: they share its scores.
+    Then with a faulty row that ends a decoder block 8 KiB or more after them, and a bad
+    byte that opens the next: the dump is read row by row, and the fault is named first."""
     path = tmp_path / "dump.csv"
     head = bom + plain_dump([])
     blocks = run_rows("0,0", ids_of(char)) + run_rows("0,1", ids_of(char)) + run_rows("0,2", ids_of(char))
@@ -829,6 +828,7 @@ def test_text_compare_leaves_the_decoder_blocks_where_line_iteration_puts_them(t
     assert len(gap.encode()) >= BLOCK
     path.write_bytes((head + blocks).encode("utf-8"))
     assert read_outcome(read_per_dialog_csv, path) == read_outcome(naive_read_dump, path)
+    assert scores_by_dict(read_per_dialog_csv(path)) == [[("pegasus", C_, 0, seed) for seed in range(3)]]
     text = head + filler_row(head, blocks + gap) + blocks + gap
     path.write_bytes(text.encode("utf-8") + b"g\xff,pegasus,agent,0,0," + GOOD.encode() + b"\n")
     got = read_outcome(read_per_dialog_csv, path)
@@ -838,8 +838,7 @@ def test_text_compare_leaves_the_decoder_blocks_where_line_iteration_puts_them(t
 
 def test_text_compare_compares_no_row_handed_back_before_an_undecodable_byte(tmp_path):
     """A compared block's lines hold one-row blocks that each repeat the one before, up to
-    a bad byte past a decoder block. The decoder's block with the bad byte is lost to the
-    failed read, so no row handed back may compare the lines after it."""
+    a bad byte past a decoder block, which line iteration stops at."""
     path = tmp_path / "dump.csv"
     text = plain_dump([]) + run_rows("0,0", [f"d{i}" for i in range(300)]) + run_rows("9,9", ["x" * 16]).replace("customer", "agent")
     text += "".join(run_rows(f"0,{seed}", ["d0"]) for seed in range(1000, 1500))
@@ -902,9 +901,9 @@ def test_text_compare_reads_what_the_row_by_row_reader_reads(tmp_path, body):
     after it that is quoted or follows a blank line, CR LF ends and missing final newlines;
     rows handed back that hold a block which repeats another; and lines whose text is the
     repeated block's but whose fields csv.reader splits otherwise, a CR or LF in a field among
-    them. Then blocks eleven pieces of text long: one that differs from the block it repeats
-    only in its last character, one only in its last line end, one continued by the line
-    after, two that end the file, and CR LF copies."""
+    them. Then blocks of 400 rows: one that differs from the block it repeats only in its
+    last character, one only in its last line end, one continued by the line after, two
+    that end the file, and CR LF copies."""
     path = tmp_path / "dump.csv"
     path.write_text(plain_dump([]) + body, encoding="utf-8", newline="")
     assert read_outcome(read_per_dialog_csv, path) == read_outcome(naive_read_dump, path)
@@ -978,6 +977,33 @@ def test_reopening_a_run_that_shares_its_scores_leaves_the_other_runs_alone(tmp_
     assert list(runs[1]) == ["d1", "d2", "d4"]
     assert list(runs[2]) == ["d1", "d2"]
     assert runs[0] is not runs[2] and runs[1] is not runs[2]
+
+
+# shapes of dump body for the linear-time test: the body, its runs and scores dicts, and
+# the seconds it may take to read
+DUMP_SHAPES = {
+    "40000-rows-alternating-between-two-runs":
+        (lambda: "".join(run_rows(f"0,{i % 2}", [f"d{i // 2}"]) for i in range(40_000)), 2, 2, 4.0),
+    "40000-rows-in-reopened-50-row-blocks":
+        (lambda: "".join(run_rows(f"0,{b % 2}", [f"d{b // 2 * 50 + i}" for i in range(50)]) for b in range(800)), 2, 2, 2.0),
+    "80-rows-of-100000-char-ids-in-shared-runs":
+        (lambda: "".join(run_rows(f"0,{seed}", [f"{i:02d}" + "x" * 99_998 for i in range(10)]) for seed in range(8)), 8, 1, 0.5),
+}
+
+
+@pytest.mark.parametrize("shape", DUMP_SHAPES)
+def test_dump_reader_reads_in_linear_time(tmp_path, shape):
+    """Each shape read in 0.31, 0.16 and 0.02 s on a 2-vCPU host; the limits are ten times
+    that or more, so a cost per row that grows with the rows read before it fails."""
+    build, n_runs, n_dicts, limit = DUMP_SHAPES[shape]
+    body = build()
+    path = tmp_path / "dump.csv"
+    path.write_text(plain_dump([]) + body, encoding="utf-8")
+    start = time.perf_counter()
+    read = read_per_dialog_csv(path)
+    elapsed = time.perf_counter() - start
+    assert (len(read), sum(map(len, read.values())), len(scores_by_dict(read))) == (n_runs, body.count("\n"), n_dicts)
+    assert elapsed < limit, f"{elapsed:.2f} s"
 
 
 def test_full_perspective_matches_direct_score_pair():
