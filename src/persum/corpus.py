@@ -487,23 +487,16 @@ def reconstruct_threads(pairs: Iterable[tuple[str, Tweet]]) -> tuple[list[Dialog
         else:
             dialogs.append(make_dialog(root, [(role, " ".join(texts)) for role, texts in turns]))
 
-    # tweets unreachable from any root sit on reply cycles; count components
-    # (their number does not depend on which node each search starts from)
+    # tweets unreachable from any root sit on reply cycles or lead into one; walk up from
+    # each tweet, and count a cycle where a walk meets a tweet it reached itself
     if reached < len(tweets):
-        remaining = set(tweets).difference(roots)
-        frontier = roots
-        while frontier:
-            frontier = [kid for tid in frontier if tid in children for kid in children[tid]]
-            remaining.difference_update(frontier)
-        while remaining:
-            frontier = [remaining.pop()]
-            while frontier:
-                cur = frontier.pop()
-                for n in (tweets[cur].parent, *children.get(cur, ())):
-                    if n in remaining:
-                        remaining.remove(n)
-                        frontier.append(n)
-            cyclic += 1
+        walked = dict.fromkeys(roots)  # tweet -> the tweet whose walk reached it first
+        for start in tweets:
+            tid = start
+            while tid not in walked:
+                walked[tid] = start
+                tid = tweets[tid].parent
+            cyclic += walked[tid] == start
 
     return dialogs, ThreadReport(cyclic, gaps, dropped)
 

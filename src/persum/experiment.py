@@ -12,10 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Corpus,
@@ -528,23 +527,6 @@ def _text_pieces(method: str, rows: Sequence[tuple[str, tuple[str, ...]]]) -> li
     return pieces if plain and text.count(",") == 5 * len(rows) and text.count("\n") == len(rows) else ()
 
 
-def _read_repeat(fh: TextIO, line: int, pieces: list[str], sep: str) -> tuple[bool, Iterable[str], int]:
-    """Compare the text after line `line` of `fh` with the rows of `pieces` after their first
-    under the key text `sep`, in one read, and read the line after it. Return whether they
-    match while the line after cannot continue their block (no quote, not blank, another key
-    text); the lines to read next, as line iteration would read them (on a match, the line
-    after alone); and the first line whose row is read from `fh` again."""
-    expected = sep.join(pieces)
-    got = fh.read(len(expected))
-    after = fh.readline()
-    if got == expected and not ('"' in after or after in ("\n", "\r\n", "\r") or after.startswith(sep, after.find(",") + 1)):
-        return True, (after,) if after else (), line + len(pieces)
-    back = io.StringIO(got + after, newline="")
-    handed = sum(1 for _ in back)
-    back.seek(0)
-    return False, back, line + max(handed, 1)  # the row at `line` is not compared again
-
-
 def read_per_dialog_csv(path: str | Path) -> Runs:
     """Read a dump written by write_per_dialog_csv into a `Runs` dict; a malformed row, or
     a dialog that repeats within its run, is an error naming its line, raised in file order.
@@ -553,50 +535,53 @@ def read_per_dialog_csv(path: str | Path) -> Runs:
     per block. When the header is the columns as written, the dump is a regular file whose
     every byte is UTF-8 (`utf8_file`), and a block that opens a run starts with the first
     dialog id and score text of the block that last opened a run of its (method,
-    perspective), as a built-in method's runs do, the text of its other lines is compared
-    with that block's lines under the new key, read straight from the file in one read, and
-    the line after is read. If the text is equal, no field holds a comma, quote, NUL, CR or
-    LF, and the line after cannot continue the block, the run shares that block's scores dict
-    and its lines are never split. Otherwise the lines read go back to `csv_body`, and no
-    block is compared until they are consumed. Other rows, and every row of any other dump (a
-    pipe, or a file with an undecodable byte), are parsed and checked one at a time, as line
-    iteration reads them, so a fault is named where the row-by-row reader names it. A score's
-    value is computed once per distinct text of the call, and taken from a row only once all
-    five of its score texts parse, so a bad text is checked, and named, on every row that
-    holds it. (Texts, not values, are the keys, so "-0.0" keeps its sign after "0.0".) A run
-    that re-opens gets its own copy of its scores dict first, so no other run's scores change.
+    perspective), as a built-in method's runs do, that block's other lines under the new key
+    are compared with the text after the row, read straight from the file in one read. If
+    the text is equal and no field holds a comma, quote, NUL, CR or LF, the run shares that
+    block's scores dict and its lines are never split; a later row of its key re-opens the
+    run, so no line past the block is read. Otherwise the text read, up to the end of its
+    last line, is pending: its lines are read next, as rows, and no block is compared while
+    a line is pending. Other rows, and every row of any other dump (a pipe, or a file with
+    an undecodable byte), are parsed and checked one at a time, as line iteration reads
+    them, so a fault is named where the row-by-row reader names it. A score's value is
+    computed once per distinct text of the call, and taken from a row only once all five of
+    its score texts parse, so a bad text is checked, and named, on every row that holds it.
+    (Texts, not values, are the keys, so "-0.0" keeps its sign after "0.0".) A run that
+    re-opens gets its own copy of its scores dict first, so no other run's scores change.
     """
     runs: Runs = {}
-    # (method, perspective) text -> the block that last opened a run of it: its rows' (dialog
-    # id, score text), only the first once it is compared, the other rows' `_text_pieces`
-    # from then on, and its scores dict
+    # (method, perspective) text -> the last block that opened a run of it with a scores dict
+    # of its own: its rows' (dialog id, score text), only the first once a block is compared
+    # with it, the other rows' `_text_pieces` from then on, and its scores dict
     opened: dict[tuple[str, ...], list] = {}
     copied: set[RunKey] = set()  # runs whose scores dict no other run or block holds
     values: dict[str, float] = {}  # score text of a row that parsed -> its value
     key_text, what = None, "per-dialog dump"  # the current block's key text
+    pending: list[str] = []  # lines read past the last row, last line first
     with _naming_file(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header, pick, direct_from = csv_header(fh, what, PER_DIALOG_COLUMNS)
+        lines = iter(lambda: pending.pop() if pending else next(fh, ""), "")
+        header, pick, line = csv_header(lines, what, PER_DIALOG_COLUMNS)
         compare, width = header == list(PER_DIALOG_COLUMNS) and utf8_file(path), len(header)
-        rows = csv_body(fh, what, width, pick, direct_from)
+        rows = csv_body(lines, what, width, pick, line)
         while True:
             for line, record in rows:
                 if record[1:5] != key_text:
                     key = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, record[1:5], line))
                     scores = runs.get(key)
-                    # rows before line `direct_from` come from lines handed back to csv_body
-                    last = opened.get(record[1:3]) if scores is None and compare and line >= direct_from else None
+                    # with no line pending, `fh` goes on at the line after the row
+                    last = opened.get(record[1:3]) if scores is None and compare and not pending else None
                     if last is not None and last[0][0] == (record[0], record[5:]):
                         if last[1] is None:
                             last[0], last[1] = last[0][:1], _text_pieces(record[1], last[0][1:])
-                        sep, n = ",".join(record[1:5]) + ",", len(last[1])
+                        sep = ",".join(record[1:5]) + ","
                         if last[1] and "\r" not in sep and "\n" not in sep:
-                            shared, back, direct_from = _read_repeat(fh, line, last[1], sep)
-                            if shared:
-                                runs[key], key_text = last[2], record[1:5]
-                                rows = csv_body(chain(back, fh), what, width, pick, line + n - 1)
-                            else:
-                                rows = chain(((line, record),), csv_body(chain(back, fh), what, width, pick, line))
-                            break
+                            expected = sep.join(last[1])
+                            got = fh.read(len(expected))
+                            if got == expected:
+                                runs[key], key_text = last[2], None
+                                rows = csv_body(lines, what, width, pick, line + len(last[1]) - 1)
+                                break
+                            pending += reversed(io.StringIO(got + fh.readline(), newline="").readlines())
                     key_text, block = record[1:5], []
                     if scores is None:
                         scores = runs[key] = {}

@@ -838,7 +838,8 @@ def test_text_compare_leaves_the_decoder_blocks_where_line_iteration_puts_them(t
 
 def test_text_compare_compares_no_row_handed_back_before_an_undecodable_byte(tmp_path):
     """A compared block's lines hold one-row blocks that each repeat the one before, up to
-    a bad byte past a decoder block, which line iteration stops at."""
+    a bad byte past a decoder block, which line iteration stops at. Those lines are pending
+    once the compare fails, and no block among them is compared."""
     path = tmp_path / "dump.csv"
     text = plain_dump([]) + run_rows("0,0", [f"d{i}" for i in range(300)]) + run_rows("9,9", ["x" * 16]).replace("customer", "agent")
     text += "".join(run_rows(f"0,{seed}", ["d0"]) for seed in range(1000, 1500))
@@ -897,13 +898,13 @@ ODD = [("d,2", "pegasus"), ('"d2', "pegasus"), ("d\x002", "pegasus"), ("d\n2", "
     ],
 )
 def test_text_compare_reads_what_the_row_by_row_reader_reads(tmp_path, body):
-    """A block that must not share: longer than the block it repeats, a row of its key
-    after it that is quoted or follows a blank line, CR LF ends and missing final newlines;
-    rows handed back that hold a block which repeats another; and lines whose text is the
-    repeated block's but whose fields csv.reader splits otherwise, a CR or LF in a field among
-    them. Then blocks of 400 rows: one that differs from the block it repeats only in its
-    last character, one only in its last line end, one continued by the line after, two
-    that end the file, and CR LF copies."""
+    """A block whose run must not keep the scores of the block it repeats: longer than that
+    block, a row of its key after it that is quoted or follows a blank line, CR LF ends and
+    missing final newlines; pending lines that hold a block which repeats another; and lines
+    whose text is the repeated block's but whose fields csv.reader splits otherwise, a CR or
+    LF in a field among them. Then blocks of 400 rows: one that differs from the block it
+    repeats only in its last character, one only in its last line end, one that a row of its
+    key re-opens, two that end the file, and CR LF copies."""
     path = tmp_path / "dump.csv"
     path.write_text(plain_dump([]) + body, encoding="utf-8", newline="")
     assert read_outcome(read_per_dialog_csv, path) == read_outcome(naive_read_dump, path)
@@ -988,13 +989,16 @@ DUMP_SHAPES = {
         (lambda: "".join(run_rows(f"0,{b % 2}", [f"d{b // 2 * 50 + i}" for i in range(50)]) for b in range(800)), 2, 2, 2.0),
     "80-rows-of-100000-char-ids-in-shared-runs":
         (lambda: "".join(run_rows(f"0,{seed}", [f"{i:02d}" + "x" * 99_998 for i in range(10)]) for seed in range(8)), 8, 1, 0.5),
+    "40000-rows-in-2000-compared-blocks-that-end-apart":
+        (lambda: "".join(run_rows(f"0,{b}", [*(f"d{i}" for i in range(19)), f"e{b:04d}"]) for b in range(2000)), 2000, 2000, 2.0),
 }
 
 
 @pytest.mark.parametrize("shape", DUMP_SHAPES)
 def test_dump_reader_reads_in_linear_time(tmp_path, shape):
-    """Each shape read in 0.31, 0.16 and 0.02 s on a 2-vCPU host; the limits are ten times
-    that or more, so a cost per row that grows with the rows read before it fails."""
+    """Each shape read in 0.31, 0.16, 0.02 and 0.20 s on a 2-vCPU host; the limits are ten
+    times that or more, so a cost per row that grows with the rows read before it fails. In
+    the last, every block is compared with the one before and differs in its last row."""
     build, n_runs, n_dicts, limit = DUMP_SHAPES[shape]
     body = build()
     path = tmp_path / "dump.csv"
