@@ -17,7 +17,6 @@ import codecs
 import csv
 import json
 import math
-import os
 import re
 from collections import defaultdict
 from contextlib import contextmanager
@@ -64,36 +63,30 @@ def _naming_file(path: str | Path) -> Iterator[None]:
 def _undecodable_byte(path: str | Path) -> ParseError | None:
     """The first byte of the file at `path` that is not UTF-8, as a ParseError naming its
     line and file offset (the decoder that failed knew only its place in a block it read
-    ahead), or None when every byte is. A line ends at LF, CR LF or a lone CR, as in text mode."""
-    offset = line = 0
-    with open(path, "rb") as fh:
-        for raw in fh:  # LF is no byte of a multi-byte character, so each line decodes alone
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as error:
-                line += 1 + raw.count(b"\r", 0, error.start) - raw.count(b"\r\n", 0, error.start)
-                at, byte = offset + error.start, raw[error.start]
-                return ParseError(line, f"'utf-8' codec can't decode byte 0x{byte:02x} at offset {at}: {error.reason}", path)
-            line += 1 + raw.count(b"\r") - raw.count(b"\r\n")
-            offset += len(raw)
-    return None
-
-
-def utf8_file(path: str | Path) -> bool:
-    """Whether `path` is a regular file whose every byte decodes as UTF-8, so that no text
-    read of it can fail to decode: one binary pass in 64 KiB chunks through an incremental
-    decoder. Any other path, such as a pipe, which the pass would consume, is not read."""
-    if not os.path.isfile(path):
-        return False
-    decode = codecs.getincrementaldecoder("utf-8")().decode
+    ahead), or None when every byte is or `path` is no regular file (a pipe, whose bytes a
+    failed read has consumed): one binary pass in 64 KiB chunks through an incremental
+    decoder. A line ends at LF, CR LF or a lone CR, as in text mode."""
+    if not Path(path).is_file():
+        return None
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    fed = 0
     with open(path, "rb") as fh:
         try:
             for chunk in iter(lambda: fh.read(1 << 16), b""):
-                decode(chunk)
-            decode(b"", True)
-        except UnicodeDecodeError:
-            return False
-    return True
+                held = len(decoder.getstate()[0])  # bytes of a character cut at the last chunk's end
+                decoder.decode(chunk)
+                fed += len(chunk)
+            held = len(decoder.getstate()[0])
+            decoder.decode(b"", True)
+        except UnicodeDecodeError as error:
+            at, line, last = fed - held + error.start, 1, b""
+            fh.seek(0)  # count the line ends before `at` in 64 KiB pieces; a CR LF may span two
+            for piece in iter(lambda: fh.read(min(1 << 16, at - fh.tell())), b""):
+                line += piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n") - (last + piece[:1] == b"\r\n")
+                last = piece[-1:]
+            byte = error.object[error.start]
+            return ParseError(line, f"'utf-8' codec can't decode byte 0x{byte:02x} at offset {at}: {error.reason}", path)
+    return None
 
 
 def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:

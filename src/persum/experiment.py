@@ -14,7 +14,7 @@ import io
 import math
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Corpus,
@@ -23,11 +23,11 @@ from .corpus import (
     SpeakerRole,
     Split,
     _naming_file,
+    _undecodable_byte,
     csv_body,
     csv_header,
     decode_json,
     reject_lone_surrogates,
-    utf8_file,
 )
 from .rng import make_rng
 from .rouge import (
@@ -205,18 +205,18 @@ def _gold_reference(gold: GoldSummary, perspective: Perspective) -> str:
 
 
 def _score_dialogs(
-    candidates: Mapping[str, CandidateSummary | None],
+    candidate: Callable[[str], CandidateSummary | None],
     references: Mapping[str, PreparedReference],
     config: ExperimentConfig,
     warnings: list[str],
     missing: str,
 ) -> dict[str, tuple[float, ...]]:
-    """Score each dialog's candidate against its prepared reference, in reference order,
-    as score_pair's PairScores, the five score columns of its dump rows. A dialog without
-    a candidate is an error under strict_missing, else a warning `missing.format(did)`."""
+    """Score `candidate(did)`, built just before it is scored, against each dialog's prepared
+    reference, in reference order, as score_pair's PairScores (a dump row's five scores). A
+    None candidate is an error under strict_missing, else a warning `missing.format(did)`."""
     scores: dict[str, tuple[float, ...]] = {}
     for did, reference in references.items():
-        cand = candidates[did]
+        cand = candidate(did)
         if cand is None:
             message = missing.format(did)
             if config.strict_missing:
@@ -317,14 +317,9 @@ def run_experiment(
             label = f"{method}/{perspective.value}"
             references = prepared[perspective]
             if spec is not None:
-                candidates = {
-                    did: builtin_candidate(
-                        dialogs[did], spec, perspective, config.prefixes, config.min_tokens
-                    )
-                    for did in test_ids
-                }
                 builtin_scores = _score_dialogs(
-                    candidates, references, config, warnings, f"{label}: no candidate for dialog {{}}"
+                    lambda did: builtin_candidate(dialogs[did], spec, perspective, config.prefixes, config.min_tokens),
+                    references, config, warnings, f"{label}: no candidate for dialog {{}}",
                 )
             for size in config.sizes:
                 for seed in config.seeds:
@@ -332,14 +327,11 @@ def run_experiment(
                         scores = builtin_scores
                     else:
                         entries = ext_index[(method, size, seed)].entries
-                        candidates = {
-                            did: prediction_candidate(entries[did], method, perspective, config.prefixes)
-                            if did in entries
-                            else None
-                            for did in test_ids
-                        }
                         scores = _score_dialogs(
-                            candidates, references, config, warnings,
+                            lambda did: prediction_candidate(entries[did], method, perspective, config.prefixes)
+                            if did in entries
+                            else None,
+                            references, config, warnings,
                             f"{label}: no prediction for dialog {{}} (size={size}, seed={seed})",
                         )
                     if scores:
@@ -532,9 +524,9 @@ def read_per_dialog_csv(path: str | Path) -> Runs:
     a dialog that repeats within its run, is an error naming its line, raised in file order.
 
     The rows come in blocks of consecutive rows with the same key text, so normally one run
-    per block. When the header is the columns as written, the dump is a regular file whose
-    every byte is UTF-8 (`utf8_file`), and a block that opens a run starts with the first
-    dialog id and score text of the block that last opened a run of its (method,
+    per block. When the header is the columns as written, the dump is a regular file with no
+    undecodable byte (`_undecodable_byte`), and a block that opens a run starts with the
+    first dialog id and score text of the block that last opened a run of its (method,
     perspective), as a built-in method's runs do, that block's other lines under the new key
     are compared with the text after the row, read straight from the file in one read. If
     the text is equal and no field holds a comma, quote, NUL, CR or LF, the run shares that
@@ -561,7 +553,8 @@ def read_per_dialog_csv(path: str | Path) -> Runs:
     with _naming_file(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
         lines = iter(lambda: pending.pop() if pending else next(fh, ""), "")
         header, pick, line = csv_header(lines, what, PER_DIALOG_COLUMNS)
-        compare, width = header == list(PER_DIALOG_COLUMNS) and utf8_file(path), len(header)
+        compare = header == list(PER_DIALOG_COLUMNS) and Path(path).is_file() and _undecodable_byte(path) is None
+        width = len(header)
         rows = csv_body(lines, what, width, pick, line)
         while True:
             for line, record in rows:

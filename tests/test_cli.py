@@ -1479,6 +1479,21 @@ def test_report_reads_a_dump_piped_to_dev_stdin_as_it_reads_the_file(tmp_path):
     assert (tmp_path / "piped.md").read_bytes() == (tmp_path / "from_file.md").read_bytes()
 
 
+def test_report_names_the_pipe_of_an_undecodable_byte_in_a_dump_piped_to_dev_stdin(tmp_path):
+    """A pipe cannot be read again, so an undecodable byte in a dump piped in is named by
+    the failed read's own message, not by a line counted in what was left of the pipe."""
+    rows = "".join(f"d{i},pegasus,customer,0,0,0.5,0.5,0.5,0.5,0.5\n" for i in range(20_000)).encode()
+    data = DUMP_HEADER.encode() + rows[:1_000] + b"\xff" + rows[1_000:500_000] + b"\xff" + rows[500_000:]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "persum.cli", "report", "--per-dialog", "/dev/stdin", "--output", str(tmp_path / "piped.md")]
+    done = subprocess.run(argv, input=data, env=env, capture_output=True)
+    assert done.returncode == 2
+    assert re.fullmatch(
+        r"error: /dev/stdin: 'utf-8' codec can't decode byte 0xff in position \d+: invalid start byte\n", done.stderr.decode()
+    )
+    assert not (tmp_path / "piped.md").exists()
+
+
 def test_report_rejects_a_dialog_repeated_within_its_run(tmp_path, capsys):
     dump = tmp_path / "repeated.csv"
     rows = ["d1,pegasus,customer,0,0,0.5,0.5,0.5,0.5,0.5", "d2,pegasus,customer,0,0,0.1,0.1,0.1,0.1,0.1"]

@@ -29,8 +29,11 @@ from persum import (
     write_corpus,
 )
 from persum.corpus import (
+    TWEET_CSV_COLUMNS,
+    ThreadReport,
     Tweet,
     Utterance,
+    _undecodable_byte,
     clean_tweet_text,
     csv_body,
     csv_header,
@@ -49,6 +52,7 @@ from util import (
     naive_jsonl_line,
     naive_read_tweet_csv,
     naive_reconstruct_threads,
+    naive_undecodable_byte,
     synthetic_corpus,
     tweet_table,
 )
@@ -440,6 +444,55 @@ def test_write_corpus_lone_surrogate_fails_like_oracle(tmp_path, where):
         write_corpus(_drawn_corpus(drawn), tmp_path / "corpus.jsonl")
 
 
+# --- undecodable bytes -----------------------------------------------------------
+
+# a filler that puts a character or a CR LF across the end of the scanner's first 64 KiB
+# chunk, valid pieces, then any pieces: line ends, a BOM, ASCII, 2-4-byte characters,
+# invalid start and continuation bytes, an encoded surrogate, and sequences cut short
+_UTF8_FILLERS = [b"", b"x" * 65_534, b"x" * 65_535]
+_VALID_UTF8_PIECES = [b"\n", b"\r", b"\r\n", b"\xef\xbb\xbf", b"a", "\xe9".encode(), "\u20ac".encode(), "\U0001f600".encode()]
+_UTF8_PIECES = [*_VALID_UTF8_PIECES, b"\x80", b"\xff", b"\xc0\xaf", b"\xe2(", b"\xf0\x9f(", b"\xed\xa0\x80",
+                b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"]
+
+
+def _undecodable_outcome(path) -> tuple[int, str] | None:
+    error = _undecodable_byte(path)
+    if error is None:
+        return None
+    assert str(error) == f"{path}, line {error.line}: {error.detail}"
+    return error.line, error.detail
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_UTF8_FILLERS),
+    st.lists(st.sampled_from(_VALID_UTF8_PIECES), max_size=4),
+    st.lists(st.sampled_from(_UTF8_PIECES), max_size=6),
+)
+def test_undecodable_byte_equals_a_whole_file_decode(tmp_path_factory, filler, head, tail):
+    """The same line, offset and message as one decode of the whole file, or None for both."""
+    data = filler + b"".join(head + tail)
+    path = tmp_path_factory.mktemp("utf8") / "input.txt"
+    path.write_bytes(data)
+    assert _undecodable_outcome(path) == naive_undecodable_byte(data)
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"x" * 65_535 + b"\xe2(", (1, "'utf-8' codec can't decode byte 0xe2 at offset 65535: invalid continuation byte")),
+        (b"x" * 65_535 + b"\r\n\xff", (2, "'utf-8' codec can't decode byte 0xff at offset 65537: invalid start byte")),
+        (b"x" * 65_535 + b"\r\xff", (2, "'utf-8' codec can't decode byte 0xff at offset 65536: invalid start byte")),
+        (b"x" * 65_536 + b"\xe2\x82", (1, "'utf-8' codec can't decode byte 0xe2 at offset 65536: unexpected end of data")),
+    ],
+    ids=["character-cut-at-a-chunk-end", "cr-lf-across-a-chunk-end", "cr-at-a-chunk-end", "character-cut-at-the-file-end"],
+)
+def test_undecodable_byte_at_a_chunk_end(tmp_path, data, expected):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    assert _undecodable_outcome(path) == naive_undecodable_byte(data) == expected
+
+
 # --- thread reconstruction ------------------------------------------------------
 
 
@@ -733,6 +786,73 @@ def test_reconstruct_threads_merges_a_long_same_role_chain_in_linear_time():
         (SpeakerRole.CUSTOMER, " ".join(texts)), (SpeakerRole.AGENT, "we are on it")
     ]
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+# --- linear time in every input ----------------------------------------------------
+
+
+def _write_jsonl(path, records) -> None:
+    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+
+
+def _utterance(i: int) -> dict:
+    return {"role": ("customer", "agent")[i % 2], "text": f"turn {i} of the dialog"}
+
+
+def _tweet_row(i: int, inbound: bool, parent: str = "") -> tuple[str, ...]:
+    return (str(i), "cust" if inbound else "AcmeSupport", str(inbound), "Tue Oct 31 22:10:47 +0000 2017",
+            f"tweet {i} asks about the order", "", parent)
+
+
+def _write_tweet_csv(path, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([TWEET_CSV_COLUMNS, *rows])
+
+
+def _threads(path) -> tuple[int, ThreadReport]:
+    dialogs, report = reconstruct_threads(read_tweet_csv(path))
+    return len(dialogs), report
+
+
+# name -> (write the input at a path, read it back, what the read gives, the limit in s)
+INPUT_SHAPES = {
+    "corpus-one-dialog-of-40000-utterances": (
+        lambda path: _write_jsonl(path, [{"id": "d0", "utterances": [_utterance(i) for i in range(40_000)]}]),
+        lambda path: len(read_corpus(path).dialogs[0].utterances), 40_000, 1.0),
+    "corpus-40000-dialogs": (
+        lambda path: _write_jsonl(path, [
+            {"id": f"d{i}", "utterances": [_utterance(0), _utterance(1)], "gold": {"customer": "c", "agent": "a"},
+             "split": ("train", "val", "test")[i % 3]} for i in range(40_000)
+        ]),
+        lambda path: len(read_corpus(path).dialogs), 40_000, 6.0),
+    "tweet-csv-one-alternating-chain-of-40000-tweets": (
+        lambda path: _write_tweet_csv(path, [_tweet_row(i, i % 2 == 0, str(i - 1) if i else "") for i in range(40_000)]),
+        _threads, (1, ThreadReport()), 4.0),
+    "tweet-csv-one-root-with-40000-replies": (
+        lambda path: _write_tweet_csv(path, [_tweet_row(0, True), *(_tweet_row(i, False, "0") for i in range(1, 40_001))]),
+        _threads, (1, ThreadReport()), 3.0),
+    "tweet-csv-40000-roots-of-80000-tweets": (
+        lambda path: _write_tweet_csv(path, [_tweet_row(i, i % 2 == 0, "" if i % 2 == 0 else str(i - 1)) for i in range(80_000)]),
+        _threads, (40_000, ThreadReport()), 9.0),
+    "split-csv-100000-rows": (
+        lambda path: path.write_text("dialog_id,split\n" + "".join(f"d{i},test\n" for i in range(100_000)), encoding="utf-8"),
+        lambda path: len(load_split_csv(path)), 100_000, 3.0),
+}
+
+
+@pytest.mark.parametrize("shape", INPUT_SHAPES)
+def test_readers_read_in_linear_time(tmp_path, shape):
+    """Each shape read in at most 0.09, 0.51, 0.37, 0.21, 0.83 and 0.24 s (six reads each)
+    on a 2-vCPU host; the limits are ten times that or more, so a cost per item that grows
+    with the items read before it fails."""
+    write, read, expected, limit = INPUT_SHAPES[shape]
+    path = tmp_path / "input"
+    write(path)
+    start = time.perf_counter()
+    got = read(path)
+    elapsed = time.perf_counter() - start
+    assert got == expected
+    assert elapsed < limit, f"{elapsed:.2f} s"
+
 
 # --- splitting --------------------------------------------------------------------
 

@@ -35,6 +35,7 @@ from persum.experiment import (
     Runs,
     emit_report,
     format_cell,
+    load_config_file,
     parse_config,
     rate_curve,
     rate_curve_csv,
@@ -1326,6 +1327,19 @@ def test_parse_config_finds_a_repeat_among_40000_methods_in_linear_time():
         parse_config({"methods": methods, "perspectives": ["customer"]})
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+def test_load_config_file_reads_100000_sizes_and_seeds_in_linear_time(tmp_path):
+    """100 000 sizes and n_seeds 100 000 load in at most 0.05 s (three loads) on a 2-vCPU
+    host; the limit is twenty times that."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"methods": ["lead_base"], "perspectives": ["customer"], "sizes": list(range(100_000)),
+                                "n_seeds": 100_000}), encoding="utf-8")
+    start = time.perf_counter()
+    config, _ = load_config_file(path)
+    elapsed = time.perf_counter() - start
+    assert (len(config.sizes), len(config.seeds)) == (100_000, 100_000)
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+
 
 def test_parse_config_rejects_bad_perspective():
     with pytest.raises(ExperimentError):

@@ -1,5 +1,6 @@
-"""Every name that a module of the package imports is used in that module. The package's
-`__init__.py` imports only to re-export, so it is not checked."""
+"""Every name that a module of the package imports is used in that module (the package's
+`__init__.py` imports only to re-export, so it is not checked), and every top-level
+function and class of the package is named somewhere in the package or its tests."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "persum"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "persum"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +34,36 @@ def test_unused_imports_finds_an_unused_name():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(defining: dict[str, str], sources: list[str]) -> list[str]:
+    """Each top-level function and class of the `defining` modules (name -> source), as
+    "module.name", that no ast.Name, ast.Attribute or import alias in `sources` names; a
+    def's own name is no such node, so a definition does not name itself."""
+    named = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update((node.name.rpartition(".")[2], node.asname))
+    return [
+        f"{module}.{node.name}"
+        for module, source in defining.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+
+
+def test_dead_definitions_finds_an_unnamed_definition():
+    defining = {"m": "def used(): pass\ndef called(): pass\nclass Dead: pass\ndef dead(): pass\n"}
+    sources = [*defining.values(), "from m import used as u\nimport m\nm.called()\n"]
+    assert dead_definitions(defining, sources) == ["m.Dead", "m.dead"]
+
+
+def test_every_definition_is_named():
+    defining = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    tests = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))]
+    assert dead_definitions(defining, [*defining.values(), *tests]) == []

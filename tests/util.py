@@ -254,6 +254,18 @@ def naive_csv_rows(path, what: str, columns) -> list[tuple[int, tuple[str, ...]]
     return rows
 
 
+def naive_undecodable_byte(data: bytes) -> tuple[int, str] | None:
+    """(line, message) for the first byte of `data` that is not UTF-8, from one decode of
+    the whole bytes, its line counted from the line ends (CR LF, a lone CR or LF) before it;
+    None when every byte is."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        line = 1 + len(re.findall(rb"\r\n|\r|\n", data[: error.start]))
+        return line, f"'utf-8' codec can't decode byte 0x{data[error.start]:02x} at offset {error.start}: {error.reason}"
+    return None
+
+
 # characters a JSON string escapes, or writes as they are though a reader may trip on them:
 # quote, backslash, C0 controls, DEL, the JavaScript line separators, non-ASCII, non-BMP
 JSON_TEXT_PIECES = ['"', "\\", "\x00", "\b", "\t", "\n", "\x0c", "\r", "\x1f", "\x7f", "\u2028", "\u2029",
