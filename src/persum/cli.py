@@ -127,11 +127,14 @@ def _int_at_least(minimum: int):
 @contextmanager
 def _outputs(*targets: str | Path):
     """Write the files `targets` all or not at all. The body writes each to the `<target>.tmp`
-    handed out for it, and all are renamed onto their targets once it returns. A target or
-    temporary that is a directory is refused first; on any error the temporaries go and an
-    OSError names the target."""
+    handed out for it, and all are renamed onto their targets once it returns. A target that
+    is a directory, or one file with another target or temporary, is refused first, as is a
+    temporary that is a directory; on any error the temporaries go and an OSError names the target."""
     temps = [f"{target}.tmp" for target in targets]
-    for target, temp in zip(targets, temps):
+    files = [os.path.realpath(path) for path in (*targets, *temps)]
+    for target, temp, file in zip(targets, temps, files):
+        if files.count(file) > 1:  # the target named twice, or another target's temporary
+            raise OSError(f"cannot write {_shown(target)}: another output of the command uses the same file")
         if os.path.isdir(target):
             raise OSError(f"cannot write {_shown(target)}: it is a directory")
         if os.path.isdir(temp):
@@ -202,15 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("score", help="run the experiment and write report + score dump")
-    p.add_argument("--corpus", help="corpus JSONL; defaults to the config's corpus path")
-    p.add_argument("--config", required=True)
-    p.add_argument("--split", help="split CSV applied on top of the corpus")
-    p.add_argument("--predictions", nargs="*", default=[], help="prediction JSONL files")
+    p.add_argument("--config", required=True, help="experiment config; names the corpus, split and predictions")
     p.add_argument("--report", choices=["md", "csv"], default="md")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--prefix-customer", type=_text, default=None, help="override the config's customer prefix")
-    p.add_argument("--prefix-agent", type=_text, default=None, help="override the config's agent prefix")
-    p.add_argument("--strict-missing", action="store_true", help="error on unscorable dialogs")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("report", help="re-emit a report from a per-dialog score dump")
@@ -241,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prefixes_from_args(args, base: PrefixConfig = PrefixConfig()) -> PrefixConfig:
-    """--prefix-customer/--prefix-agent where given, else the prefixes of `base`."""
+def _prefixes_from_args(args) -> PrefixConfig:
+    """--prefix-customer/--prefix-agent where given, else the default prefixes."""
     given = {"customer": args.prefix_customer, "agent": args.prefix_agent}
-    return base._replace(**{role: prefix for role, prefix in given.items() if prefix is not None})
+    return PrefixConfig(**{role: prefix for role, prefix in given.items() if prefix is not None})
 
 
 def _builtin_candidates(args, perspective: Perspective):
@@ -348,17 +345,12 @@ def _print_warnings(messages: list[str]) -> None:
 
 def cmd_score(args) -> int:
     config, paths = load_config_file(args.config)
-    prefixes = _prefixes_from_args(args, config.prefixes)
-    config = config._replace(prefixes=prefixes, strict_missing=config.strict_missing or args.strict_missing)
-    corpus_path = args.corpus or paths.corpus
-    if not corpus_path:
-        raise ExperimentError("no corpus given: pass --corpus or set 'corpus' in the config")
-    corpus = read_corpus(corpus_path)
-    split_path = args.split or paths.split
-    if split_path:
-        corpus = with_split_file(corpus, split_path)
-    prediction_paths = list(paths.predictions) + list(args.predictions)
-    external = [load_predictions(p) for p in prediction_paths]
+    if paths.corpus is None:
+        raise ExperimentError(f"{Path(args.config)}: config has no 'corpus'")
+    corpus = read_corpus(paths.corpus)
+    if paths.split is not None:
+        corpus = with_split_file(corpus, paths.split)
+    external = [load_predictions(p) for p in paths.predictions]
 
     warnings: list[str] = []
     try:

@@ -697,8 +697,10 @@ def parse_config(document: dict) -> tuple[ExperimentConfig, ConfigPaths]:
         elif not _is_a(document[key], kind):
             raise ExperimentError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {document[key]!r}")
     for key in _PATH_CONFIG_KEYS:
-        value = document.get(key) or []
+        value = document.get(key, ())
         for name in [value] if isinstance(value, str) else value:
+            if not name:  # it would name the config's directory
+                raise ExperimentError(f"config key {key!r} must not be empty")
             if "\0" in name:  # open() would refuse it without naming the config
                 raise ExperimentError(f"config key {key!r} must not contain a NUL character, got {name!r}")
     values = dict(document)

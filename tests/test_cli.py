@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persum import SpeakerRole, Split, make_dialog, read_corpus, write_corpus
+from persum import SpeakerRole, Split, emit_report, load_predictions, make_dialog, read_corpus, write_corpus
 from persum import cli, rouge
 from persum.cli import main
-from util import CSV_PIECES, random_text, synthetic_corpus, tweet_table
+from persum.experiment import PER_DIALOG_COLUMNS, load_config_file, table_from_per_dialog
+from util import CSV_PIECES, naive_read_dump, naive_run_experiment, random_text, synthetic_corpus, tweet_table
 
 KAGGLE_HEADER = "tweet_id,author_id,inbound,created_at,text,response_tweet_id,in_response_to_tweet_id\n"
 
@@ -187,16 +188,25 @@ def test_corpus_error_without_a_line_names_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {src}: split assignment missing for 1 dialog(s), first: 'd2'\n"
 
 
+def _config_with(path, base, **settings):
+    """Write to `path` the config at `base` with `settings` added, and return `path`."""
+    path.write_text(json.dumps({**json.loads(base.read_text(encoding="utf-8")), **settings}), encoding="utf-8")
+    return path
+
+
 def _reading(reader, path, scored_setup, out):
     """The command line that reads `path` as the input `reader` names and writes `out`; the
-    other inputs it needs are scored_setup's corpus and config."""
+    other inputs it needs are scored_setup's corpus and config (for a prediction file, a
+    copy of that config that lists it, written beside `out`)."""
     corpus_path, config_path = scored_setup
+    if reader == "predictions":
+        config_path = _config_with(out.with_name("predictions.json"), config_path, predictions=[str(path)])
     return {
         "config": ["score", "--config", str(path), "--output-dir", str(out)],
         "split": ["split", "--corpus", str(corpus_path), "--split-file", str(path), "--output", str(out)],
         "tweet-csv": ["ingest", "--format", "kaggle-csv", "--input", str(path), "--output", str(out)],
         "corpus": ["ingest", "--format", "dialog-jsonl", "--input", str(path), "--output", str(out)],
-        "predictions": ["score", "--config", str(config_path), "--predictions", str(path), "--output-dir", str(out)],
+        "predictions": ["score", "--config", str(config_path), "--output-dir", str(out)],
         "dump": ["report", "--per-dialog", str(path), "--output", str(out)],
         "exclude": ["weaklabel", "--corpus", str(corpus_path), "--perspective", "agent", "--heuristic", "long",
                     "--exclude", str(path), "--output", str(out)],
@@ -299,10 +309,8 @@ def _written(out):
 def test_input_with_a_byte_order_mark_reads_as_without(scored_setup, kaggle_csv, tmp_path, capsys, reader):
     corpus_path, config_path = scored_setup
     corpus = read_corpus(corpus_path)
-    pegasus_config = tmp_path / "pegasus.json"
-    pegasus_config.write_text(json.dumps(
-        {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1, "corpus": str(corpus_path)}
-    ), encoding="utf-8")
+    pegasus = {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1,
+               "corpus": str(corpus_path)}
     predictions = _prediction_file(tmp_path / "p.jsonl", "pegasus", corpus.dialog_ids(Split.TEST))
     text = {
         "config": config_path.read_text(encoding="utf-8"),
@@ -318,13 +326,14 @@ def test_input_with_a_byte_order_mark_reads_as_without(scored_setup, kaggle_csv,
     for mark in ("", "\ufeff"):
         src, out = tmp_path / f"input{len(mark)}.txt", tmp_path / f"out{len(mark)}"
         src.write_text(mark + text, encoding="utf-8")
+        pegasus_config = tmp_path / f"pegasus{len(mark)}.json"
+        pegasus_config.write_text(json.dumps({**pegasus, "predictions": [str(src)]}), encoding="utf-8")
         argv = {
             "config": ["score", "--config", str(src), "--output-dir", str(out)],
             "split": ["split", "--corpus", str(corpus_path), "--split-file", str(src), "--output", str(out)],
             "tweet-csv": ["ingest", "--format", "kaggle-csv", "--input", str(src), "--output", str(out)],
             "corpus": ["ingest", "--format", "dialog-jsonl", "--input", str(src), "--output", str(out)],
-            "predictions": ["score", "--config", str(pegasus_config), "--predictions", str(src),
-                            "--output-dir", str(out)],
+            "predictions": ["score", "--config", str(pegasus_config), "--output-dir", str(out)],
             "dump": ["report", "--per-dialog", str(src), "--output", str(out)],
             "exclude": ["weaklabel", "--corpus", str(corpus_path), "--perspective", "agent", "--heuristic", "long",
                         "--exclude", str(src), "--output", str(out)],
@@ -396,7 +405,8 @@ def _quiet_main(argv):
 @given(edits=_edits(CSV_PIECES))
 def test_mutated_csv_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader, edits):
     """A small valid input, mutated, makes the command succeed or fail with a message
-    naming that input."""
+    naming that input; a dump whose header is still the columns as written that `report`
+    reads gives the report of the dump as naive_read_dump reads it."""
     tmp_path = tmp_path_factory.mktemp("fuzz")
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus(synthetic_corpus(random.Random(9), 3), corpus_path)
@@ -419,6 +429,11 @@ def test_mutated_csv_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader
     assert code in (0, 2)
     if code == 2:
         assert stderr.startswith(f"error: {path}")
+    elif reader == "dump":
+        with open(path, encoding="utf-8", newline="") as fh:
+            as_written = next(csv.reader(fh)) == list(PER_DIALOG_COLUMNS)
+        if as_written:
+            assert out.read_bytes() == emit_report(table_from_per_dialog(naive_read_dump(path))).encode()
 
 
 @pytest.mark.parametrize("reader", ["corpus", "predictions", "config"])
@@ -427,33 +442,43 @@ def test_mutated_csv_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader
 def test_mutated_jsonl_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader, edits):
     """A small valid corpus, prediction file or config, mutated, makes the command succeed
     or fail with a message; a corpus or prediction file is named in it, except that a
-    mutated prediction header may leave the configured cell without predictions."""
+    mutated prediction header may leave the configured cell without predictions. A `score`
+    that succeeds writes the dump and the warnings of naive_run_experiment on the inputs
+    its config names."""
     tmp_path = tmp_path_factory.mktemp("fuzz")
     # five test dialogs: four edits that keep the JSON valid cannot take every prediction away
     corpus = synthetic_corpus(random.Random(9), 12, with_gold=True, with_split=True, train_fraction=0.2)
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus(corpus, corpus_path)
+    path = tmp_path / "input.jsonl"
     config = {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1,
               "corpus": str(corpus_path)}
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    predictions = _prediction_file(tmp_path / "predictions.jsonl", "pegasus", corpus.dialog_ids(Split.TEST))
+    config_path.write_text(json.dumps({**config, "predictions": [str(path)]}), encoding="utf-8")
+    # words of the gold summaries, so that the scores are not all zero
+    predictions = _prediction_file(tmp_path / "predictions.jsonl", "pegasus", corpus.dialog_ids(Split.TEST),
+                                   "alpha bravo charlie delta")
     text = {
         "corpus": _record("d1", gold={"customer": "hi", "agent": "x"}, split="test") + "\n"
         + _record("d2", split="train") + "\n",
         "predictions": Path(predictions).read_text(encoding="utf-8"),
         "config": json.dumps({**config, "predictions": [predictions]}),
     }[reader]
-    path = tmp_path / "input.jsonl"
     path.write_text(_mutated(text, edits), encoding="utf-8")
     out = tmp_path / "out"
     argv = {
         "corpus": ["ingest", "--format", "dialog-jsonl", "--input", str(path), "--output", str(out)],
-        "predictions": ["score", "--config", str(config_path), "--predictions", str(path), "--output-dir", str(out)],
+        "predictions": ["score", "--config", str(config_path), "--output-dir", str(out)],
         "config": ["score", "--config", str(path), "--output-dir", str(out)],
     }[reader]
     code, stderr = _quiet_main(argv)
     assert code in (0, 2)
+    if code == 0 and reader != "corpus":
+        loaded, paths = load_config_file(argv[2])
+        external = [load_predictions(p) for p in paths.predictions]
+        _, dump, warnings = naive_run_experiment(read_corpus(paths.corpus), loaded, external)
+        assert (out / "per_dialog_scores.csv").read_bytes() == dump.encode()
+        assert stderr == "".join(f"warning: {warning}\n" for warning in warnings)
     if code == 2 and reader != "config":
         error = stderr.splitlines()[-1]  # after any warnings
         if not error.startswith(f"error: {path}"):
@@ -469,11 +494,11 @@ def test_mutated_jsonl_input_exits_0_or_2_naming_the_file(tmp_path_factory, read
     ids=["bad-field", "empty"],
 )
 def test_prediction_file_error_names_file(scored_setup, tmp_path, capsys, text, complaint):
-    _, config_path = scored_setup
     pred = tmp_path / "pred.jsonl"
     pred.write_text(text, encoding="utf-8")
+    config_path = _config_with(tmp_path / "pred.json", scored_setup[1], predictions=[str(pred)])
     out = tmp_path / "run"
-    assert main(["score", "--config", str(config_path), "--predictions", str(pred), "--output-dir", str(out)]) == 2
+    assert main(["score", "--config", str(config_path), "--output-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {pred}{complaint}\n"
     assert not out.exists()
 
@@ -507,23 +532,20 @@ def test_split_file_error_names_file_and_line(tmp_path, capsys, text, complaint)
      ("d00003,test\nd9,test\n", "split assignment references unknown dialog id 'd9'")],
     ids=["missing", "unknown"],
 )
-@pytest.mark.parametrize("command", ["split", "score --split", "score config"])
+@pytest.mark.parametrize("command", ["split", "score config"])
 def test_split_file_that_does_not_match_the_corpus_names_file(tmp_path, capsys, command, last_row, complaint):
     corpus = synthetic_corpus(random.Random(9), 4, with_gold=True)
     src = tmp_path / "c.jsonl"
     write_corpus(corpus, src)
     split_file = tmp_path / "split.csv"
     split_file.write_text("dialog_id,split\nd00000,train\nd00001,train\nd00002,test\n" + last_row, encoding="utf-8")
-    config = {"methods": ["lead_base"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1}
-    if command == "score config":
-        config["split"] = "split.csv"
+    config = {"methods": ["lead_base"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1,
+              "corpus": "c.jsonl", "split": "split.csv"}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     argv = {
         "split": ["split", "--corpus", str(src), "--output", str(tmp_path / "o"), "--split-file", str(split_file)],
-        "score --split": ["score", "--config", str(config_path), "--corpus", str(src), "--split", str(split_file),
-                          "--output-dir", str(tmp_path / "run")],
-        "score config": ["score", "--config", str(config_path), "--corpus", str(src), "--output-dir", str(tmp_path / "run")],
+        "score config": ["score", "--config", str(config_path), "--output-dir", str(tmp_path / "run")],
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {split_file}: {complaint}\n"
@@ -546,10 +568,15 @@ def test_split_file_that_does_not_match_the_corpus_names_file(tmp_path, capsys, 
         ({"split": "\u0000"}, "config key 'split' must not contain a NUL character, got '\\x00'"),
         ({"predictions": ["p.jsonl", "q\u0000"]},
          "config key 'predictions' must not contain a NUL character, got 'q\\x00'"),
+        # an empty path would name the config's directory
+        ({"corpus": ""}, "config key 'corpus' must not be empty"),
+        ({"split": ""}, "config key 'split' must not be empty"),
+        ({"predictions": ["p.jsonl", ""]}, "config key 'predictions' must not be empty"),
+        ('{"methods": ["lead_base"], "perspectives": ["customer"]}', "config has no 'corpus'"),
     ],
     ids=["n-seeds-zero", "n-seeds-string", "min-tokens-zero-lead", "min-tokens-negative-long", "no-perspective",
          "unknown-key", "not-an-object", "bad-json", "long-int", "deep-nesting", "nul-in-corpus", "nul-in-split",
-         "nul-in-predictions"],
+         "nul-in-predictions", "empty-corpus", "empty-split", "empty-predictions", "no-corpus"],
 )
 def test_config_error_names_config_file(scored_setup, tmp_path, capsys, setting, complaint):
     corpus_path, _ = scored_setup
@@ -729,13 +756,13 @@ def test_rate_curve_min_tokens_changes_the_lead_rate(tmp_path):
 
 @pytest.mark.parametrize("command", ["score", "rate-curve"])
 def test_negative_prediction_header_is_a_data_error_naming_the_file(scored_setup, tmp_path, capsys, command):
-    _, config_path = scored_setup
     pred = tmp_path / "neg.jsonl"
     pred.write_text('{"method": "m_post_process", "training_size": -3, "seed": -1}\n'
                     '{"dialog_id": "d1", "customer": "cannot log in", "agent": null}\n', encoding="utf-8")
+    config_path = _config_with(tmp_path / "neg.json", scored_setup[1], predictions=[str(pred)])
     out = tmp_path / "out"
     argv = {
-        "score": ["score", "--config", str(config_path), "--predictions", str(pred), "--output-dir", str(out)],
+        "score": ["score", "--config", str(config_path), "--output-dir", str(out)],
         "rate-curve": ["rate-curve", "--predictions", str(pred), "--perspective", "customer",
                        "--output", str(out)],
     }[command]
@@ -1085,9 +1112,6 @@ corpus = synthetic_corpus(random.Random(16), 60, with_gold=True, with_split=True
 write_corpus(corpus, "corpus.jsonl")
 sizes, n_seeds, external = [0, 4, 16], 2, "pegasus_post_process"
 methods = ["long_base", "lead_post_process_base", "lead_long_post_process_base", external]
-config = {"methods": methods, "perspectives": ["customer", "agent", "full"], "sizes": sizes,
-          "n_seeds": n_seeds, "min_tokens": 8}
-Path("config.json").write_text(json.dumps(config), encoding="utf-8")
 predictions = []
 for size in sizes:
     for seed in range(n_seeds):
@@ -1101,9 +1125,11 @@ for size in sizes:
             records.append({"dialog_id": did, "customer": parts[0], "agent": parts[1]})
         predictions.append(f"pred_{size}_{seed}.jsonl")
         Path(predictions[-1]).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+config = {"methods": methods, "perspectives": ["customer", "agent", "full"], "sizes": sizes,
+          "n_seeds": n_seeds, "min_tokens": 8, "corpus": "corpus.jsonl", "predictions": predictions}
+Path("config.json").write_text(json.dumps(config), encoding="utf-8")
 commands = [
-    ["score", "--config", "config.json", "--corpus", "corpus.jsonl", "--predictions", *predictions,
-     "--output-dir", "out"],
+    ["score", "--config", "config.json", "--output-dir", "out"],
     ["report", "--per-dialog", "out/per_dialog_scores.csv", "--format", "csv", "--output", "report.csv"],
     ["subsets", "--corpus", "corpus.jsonl", "--output-dir", "subsets", "--sizes", "0,4,16", "--seeds", "2"],
 ]
@@ -1213,16 +1239,15 @@ def test_output_name_that_is_not_utf8_prints_escaped_on_a_strict_stdout(scored_s
 
 
 @pytest.mark.parametrize("flag", ["--prefix-customer", "--prefix-agent"])
-@pytest.mark.parametrize("command", ["summarize", "score", "rate-curve"])
+@pytest.mark.parametrize("command", ["summarize", "rate-curve"])
 def test_prefix_that_is_not_utf8_is_a_usage_error(scored_setup, tmp_path, capsys, command, flag):
     """A byte that is not UTF-8 reaches argv as a lone surrogate, which `summarize` could
     not write into its output."""
-    corpus_path, config_path = scored_setup
+    corpus_path, _ = scored_setup
     out = tmp_path / "out"
     argv = {
         "summarize": ["summarize", "--corpus", str(corpus_path), "--method", "lead_post_process_base",
                       "--perspective", "customer", "--output", str(out)],
-        "score": ["score", "--config", str(config_path), "--output-dir", str(out)],
         "rate-curve": ["rate-curve", "--corpus", str(corpus_path), "--method", "lead_post_process_base",
                        "--perspective", "customer", "--output", str(out)],
     }[command]
@@ -1318,13 +1343,12 @@ def test_score_strict_missing_flag(scored_setup, tmp_path, capsys):
         "sizes": [0],
         "n_seeds": 1,
         "min_tokens": 50,
+        "strict_missing": True,
         "corpus": str(corpus_path),
     }
     config_path = tmp_path / "strict.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
-    code = main(
-        ["score", "--config", str(config_path), "--output-dir", str(tmp_path / "s"), "--strict-missing"]
-    )
+    code = main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "s")])
     assert code == 2
     assert "no candidate" in capsys.readouterr().err
 
@@ -1340,21 +1364,12 @@ def test_score_prefix_override(scored_setup, tmp_path):
     }
     config_path = tmp_path / "prefix.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
+    # one token longer than the default, so precision denominators move
+    custom_path = _config_with(tmp_path / "custom.json", config_path, prefix_customer="The customer says that ")
     out_a = tmp_path / "default_prefix"
     out_b = tmp_path / "custom_prefix"
     assert main(["score", "--config", str(config_path), "--output-dir", str(out_a)]) == 0
-    assert (
-        main(
-            [
-                "score",
-                "--config", str(config_path),
-                "--output-dir", str(out_b),
-                # one token longer than the default, so precision denominators move
-                "--prefix-customer", "The customer says that ",
-            ]
-        )
-        == 0
-    )
+    assert main(["score", "--config", str(custom_path), "--output-dir", str(out_b)]) == 0
     a = (out_a / "per_dialog_scores.csv").read_bytes()
     b = (out_b / "per_dialog_scores.csv").read_bytes()
     assert a != b
@@ -1398,6 +1413,7 @@ def test_report_equals_score_report_when_runs_score_nothing(tmp_path, capsys):
         "sizes": [0, 16],
         "n_seeds": 2,
         "corpus": str(corpus_path),
+        "predictions": prediction_paths,
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
@@ -1405,8 +1421,7 @@ def test_report_equals_score_report_when_runs_score_nothing(tmp_path, capsys):
     reports = {}
     for fmt in ("md", "csv"):
         out_dir = tmp_path / f"run_{fmt}"
-        score_args = ["score", "--config", str(config_path), "--predictions", *prediction_paths]
-        assert main(score_args + ["--report", fmt, "--output-dir", str(out_dir)]) == 0
+        assert main(["score", "--config", str(config_path), "--report", fmt, "--output-dir", str(out_dir)]) == 0
         assert "method_a/customer: no dialog scored at size=16, seed=1" in capsys.readouterr().err
         regenerated = tmp_path / f"regenerated.{fmt}"
         dump = str(out_dir / "per_dialog_scores.csv")
@@ -1547,12 +1562,15 @@ def test_score_refuses_a_target_it_cannot_replace_before_replacing_any(scored_se
 
 
 def test_score_subsets_is_a_usage_error(scored_setup, tmp_path, capsys):
-    """`persum subsets` alone writes the subsets/<seed>/<size>.txt tree."""
+    """`persum subsets` alone writes the subsets/<seed>/<size>.txt tree, and the config
+    alone names the corpus, split, prediction files, prefixes and strictness of a run."""
     _, config_path = scored_setup
     out_dir = tmp_path / "run"
-    assert main(["score", "--config", str(config_path), "--output-dir", str(out_dir), "--subsets"]) == 1
-    assert "unrecognized arguments: --subsets" in capsys.readouterr().err
-    assert not out_dir.exists()
+    for flag in (["--subsets"], ["--corpus", "c.jsonl"], ["--split", "s.csv"], ["--predictions", "p.jsonl"],
+                 ["--prefix-customer", "C: "], ["--prefix-agent", "A: "], ["--strict-missing"]):
+        assert main(["score", "--config", str(config_path), "--output-dir", str(out_dir), *flag]) == 1
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 # each command that writes files: its argv (with the inputs that `scored_setup` and a
@@ -1631,6 +1649,26 @@ def test_a_command_that_exits_2_leaves_every_output_as_it_was(scored_setup, tmp_
     assert names == sorted([*old, *directories])
 
 
+@pytest.mark.parametrize(
+    "output, coverage, named",
+    [("x", "x", "x"), ("x", "./x", "x"), ("x.tmp", "x", "x.tmp"), ("x", "x.tmp", "x.tmp")],
+    ids=["same", "same-file", "output-is-temporary", "coverage-is-temporary"],
+)
+def test_outputs_that_share_a_file_are_refused(scored_setup, tmp_path, monkeypatch, capsys, output, coverage, named):
+    """Each output is written to its own temporary and renamed; two outputs, or an output and
+    another's temporary, that are one file would overwrite each other, so nothing is written."""
+    corpus_path, _ = scored_setup
+    monkeypatch.chdir(tmp_path)
+    Path("x").write_bytes(b"old x\n")
+    argv = ["weaklabel", "--corpus", str(corpus_path), "--perspective", "customer", "--heuristic", "lead",
+            "--output", output, "--coverage", coverage]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: cannot write {named}: another output of the command uses "
+                                                "the same file\n")
+    assert {path.name: path.read_bytes() for path in Path().iterdir() if path.name.startswith("x")} == {"x": b"old x\n"}
+
+
 def test_a_cleanup_that_fails_leaves_the_error_of_the_write(scored_setup, tmp_path, monkeypatch, capsys):
     """A write that leaves a directory at its `.tmp` path and then fails: the temporary
     cannot be removed, and the write's own error is the one reported."""
@@ -1668,14 +1706,12 @@ def test_score_prints_warnings_before_the_error_that_ends_it(tmp_path, capsys):
     lines += [json.dumps({"dialog_id": did, "customer": None, "agent": None}) for did in test_ids]
     predictions = tmp_path / "pegasus.jsonl"
     predictions.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    config = {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1}
+    config = {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1,
+              "corpus": str(corpus_path), "predictions": [str(predictions)]}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
 
-    code = main(
-        ["score", "--config", str(config_path), "--corpus", str(corpus_path),
-         "--predictions", str(predictions), "--output-dir", str(tmp_path / "run")]
-    )
+    code = main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "run")])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [
@@ -1696,15 +1732,13 @@ def test_score_duplicate_prediction_cell_exits_2_after_its_warnings(tmp_path, ca
     del corpus.gold[test_ids[0]]
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus(corpus, corpus_path)
-    config = {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1}
+    first, second = (_prediction_file(tmp_path / name, "pegasus", test_ids) for name in ("a.jsonl", "b.jsonl"))
+    config = {"methods": ["pegasus"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1,
+              "corpus": str(corpus_path), "predictions": [first, second]}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
-    first, second = (_prediction_file(tmp_path / name, "pegasus", test_ids) for name in ("a.jsonl", "b.jsonl"))
 
-    code = main(
-        ["score", "--config", str(config_path), "--corpus", str(corpus_path),
-         "--predictions", first, second, "--output-dir", str(tmp_path / "run")]
-    )
+    code = main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "run")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "warning: 1 test dialog(s) have no gold summary and are not scored",
@@ -1718,13 +1752,13 @@ def test_score_config_repeating_an_entry_exits_2(tmp_path, capsys, key, entry):
     corpus = synthetic_corpus(random.Random(5), 20, with_gold=True, with_split=True)
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus(corpus, corpus_path)
-    config = {"methods": ["pegasus", "lead_base"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1}
+    predictions = _prediction_file(tmp_path / "p.jsonl", "pegasus", corpus.dialog_ids(Split.TEST))
+    config = {"methods": ["pegasus", "lead_base"], "perspectives": ["customer"], "sizes": [0], "n_seeds": 1,
+              "corpus": str(corpus_path), "predictions": [predictions]}
     config[key].append(entry)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
-    predictions = _prediction_file(tmp_path / "p.jsonl", "pegasus", corpus.dialog_ids(Split.TEST))
-    code = main(["score", "--config", str(config_path), "--corpus", str(corpus_path),
-                 "--predictions", predictions, "--output-dir", str(tmp_path / "run")])
+    code = main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "run")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {config_path}: config lists {key[:-1]} {entry!r} more than once\n"
     assert not (tmp_path / "run").exists()
@@ -1819,13 +1853,12 @@ def test_score_split_flag_overrides_corpus(tmp_path):
         "sizes": [0, 8],
         "n_seeds": 1,
         "corpus": str(corpus_path),
+        "split": str(split_file),
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     out_dir = tmp_path / "run"
-    code = main(
-        ["score", "--config", str(config_path), "--split", str(split_file), "--output-dir", str(out_dir)]
-    )
+    code = main(["score", "--config", str(config_path), "--output-dir", str(out_dir)])
     assert code == 0
     dump = (out_dir / "per_dialog_scores.csv").read_text(encoding="utf-8")
     scored_ids = {line.split(",")[0] for line in dump.splitlines()[1:]}
