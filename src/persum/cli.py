@@ -22,10 +22,10 @@ from .corpus import (
     ParseError,
     SpeakerRole,
     Split,
-    _naming_file,
     check_ratios,
     encode_json_line,
     read_corpus,
+    read_lines,
     read_tweet_csv,
     reconstruct_threads,
     split_corpus,
@@ -299,8 +299,8 @@ def cmd_weaklabel(args) -> int:
     corpus = read_corpus(args.corpus)
     exclude: set[str] = set()
     if args.exclude:
-        with open(args.exclude, "r", encoding="utf-8-sig") as fh, _naming_file(args.exclude):
-            exclude = {line.strip() for line in fh if line.strip()}
+        with read_lines(args.exclude) as lines:
+            exclude = {line.strip() for line in lines if line.strip()}
     role, heuristic = SpeakerRole(args.perspective), HeuristicKind(args.heuristic)
     pairs, report = weaklabel_corpus(corpus, role, heuristic, args.masked, exclude, args.min_tokens)
     coverage = encode_json_line(report._asdict())

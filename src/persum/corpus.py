@@ -13,7 +13,6 @@ this format; the Kaggle tweet CSV adapter converts external data once.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import json
 import math
@@ -24,7 +23,7 @@ from enum import Enum
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .rng import make_rng
 
@@ -46,58 +45,72 @@ class ParseError(CorpusError):
 
 @contextmanager
 def _naming_file(path: str | Path) -> Iterator[None]:
-    """Re-raise errors from reading `path` as "<path>, line N: ..." or "<path>: ...".
-
-    A byte that is not UTF-8 is named by the line and file offset `_undecodable_byte` finds.
-    """
+    """Re-raise errors from reading `path` as "<path>, line N: ..." or "<path>: ..."."""
     try:
         yield
     except ParseError as exc:
         raise type(exc)(exc.line, exc.detail, path) from exc
-    except UnicodeDecodeError as exc:
-        raise _undecodable_byte(path) or CorpusError(f"{path}: {exc}") from exc
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
 
 
-def _undecodable_byte(path: str | Path) -> ParseError | None:
-    """The first byte of the file at `path` that is not UTF-8, as a ParseError naming its
-    line and file offset (the decoder that failed knew only its place in a block it read
-    ahead), or None when every byte is or `path` is no regular file (a pipe, whose bytes a
-    failed read has consumed): one binary pass in 64 KiB chunks through an incremental
-    decoder. A line ends at LF, CR LF or a lone CR, as in text mode."""
-    if not Path(path).is_file():
-        return None
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    fed = 0
-    with open(path, "rb") as fh:
-        try:
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                held = len(decoder.getstate()[0])  # bytes of a character cut at the last chunk's end
-                decoder.decode(chunk)
-                fed += len(chunk)
-            held = len(decoder.getstate()[0])
-            decoder.decode(b"", True)
-        except UnicodeDecodeError as error:
-            at, line, last = fed - held + error.start, 1, b""
-            fh.seek(0)  # count the line ends before `at` in 64 KiB pieces; a CR LF may span two
-            for piece in iter(lambda: fh.read(min(1 << 16, at - fh.tell())), b""):
-                line += piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n") - (last + piece[:1] == b"\r\n")
-                last = piece[-1:]
-            byte = error.object[error.start]
-            return ParseError(line, f"'utf-8' codec can't decode byte 0x{byte:02x} at offset {at}: {error.reason}", path)
-    return None
+class LineSource:
+    """The lines of a binary file or pipe as text mode with encoding "utf-8-sig" and `newline`
+    "" or None reads them, each decoded alone as it is read: a byte that is not UTF-8 is a
+    ParseError naming its line and input offset on the first pass, a pipe's too. Each
+    iteration goes on where the last one stopped."""
+
+    def __init__(self, fh: BinaryIO, newline: str | None):
+        first = fh.readline()
+        self._line, self._offset = 0, 3 if first.startswith(b"\xef\xbb\xbf") else 0  # lines and bytes read
+        self._fh, self._universal = fh, newline is None
+        self._held = [first[self._offset:]]  # lines read from `fh` and not yet decoded, last first
+
+    def __iter__(self) -> Iterator[str]:
+        held, readline, universal = self._held, self._fh.readline, self._universal
+        while True:
+            raw = held.pop() if held else readline()
+            if not raw:
+                return
+            if 13 in raw and 13 in raw.rstrip(b"\n")[:-1]:  # a CR before the line's own end ends a line too
+                raw, *rest = raw.splitlines(True)
+                held += reversed(rest)
+            self._line += 1
+            try:
+                text = raw.decode()
+            except UnicodeDecodeError as error:
+                byte, at = raw[error.start], self._offset + error.start
+                raise ParseError(self._line, f"'utf-8' codec can't decode byte 0x{byte:02x} at offset {at}: {error.reason}") from None
+            self._offset += len(raw)
+            yield text.rstrip("\r\n") + "\n" if universal and 13 in raw else text  # its only end reads as LF
+
+    def take(self, block: bytes, lines: int) -> bool:
+        """Read past `block`, `lines` whole lines ending in LF with no CR, if no line is held and the
+        input goes on with it, and say so; else hold the bytes read, to their last line's end, as lines."""
+        got = None if self._held else self._fh.read(len(block))
+        if got == block:
+            self._line += lines
+            self._offset += len(block)
+        elif got is not None:
+            self._held += reversed((got + self._fh.readline()).splitlines(True))
+        return got == block
+
+
+@contextmanager
+def read_lines(path: str | Path, newline: str | None = None) -> Iterator[LineSource]:
+    """The LineSource of the file or pipe at `path`; every error raised while it is open names it."""
+    with open(path, "rb") as fh, _naming_file(path):
+        yield LineSource(fh, newline)
 
 
 def csv_rows(path: str | Path, what: str, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (line, values) for each row after the header of the CSV (RFC 4180, UTF-8, a
-    leading byte-order mark skipped) at `path` that is not blank, `values` being the row's
-    fields under `columns` (two or more), in that order: `csv_header`, then `csv_body`.
-    Errors are ParseErrors whose messages start with `what`; the caller names the file with
-    `_naming_file`. Every row, error and line number is csv.reader's over the whole file."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header, pick, lineno = csv_header(fh, what, columns)
-        yield from csv_body(fh, what, len(header), pick, lineno)
+    """Yield (line, values) for each row after the header of the CSV (RFC 4180) at `path`
+    that is not blank, `values` being the row's fields under `columns` (two or more), in
+    that order: `csv_header`, then `csv_body`, over `read_lines`. Errors are ParseErrors
+    naming the file, with messages that start with `what`, each as csv.reader names it."""
+    with read_lines(path, newline="") as lines:
+        header, pick, lineno = csv_header(lines, what, columns)
+        yield from csv_body(lines, what, len(header), pick, lineno)
 
 
 def csv_header(fh: Iterable[str], what: str, columns: Sequence[str]) -> tuple[list[str], itemgetter, int]:
@@ -372,8 +385,8 @@ def parse_dialog_corpus(lines: Iterable[str]) -> Corpus:
 
 
 def read_corpus(path: str | Path) -> Corpus:
-    with open(path, "r", encoding="utf-8-sig") as fh, _naming_file(path):
-        return parse_dialog_corpus(fh)
+    with read_lines(path) as lines:
+        return parse_dialog_corpus(lines)
 
 
 # --- tweet thread reconstruction ---------------------------------------------

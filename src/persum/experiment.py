@@ -22,11 +22,10 @@ from .corpus import (
     ParseError,
     SpeakerRole,
     Split,
-    _naming_file,
-    _undecodable_byte,
     csv_body,
     csv_header,
     decode_json,
+    read_lines,
     reject_lone_surrogates,
 )
 from .rng import make_rng
@@ -505,18 +504,17 @@ _KEY_PARSERS = (str, Perspective, int, int)
 _SCORE_PARSERS = (_unit_score,) * len(_SCORE_COLUMNS)
 
 
-def _text_pieces(method: str, rows: Sequence[tuple[str, tuple[str, ...]]]) -> list[str]:
-    """The pieces that `"<key text>,".join` makes into the lines of the dump rows (dialog id,
-    score texts) under a key of `method`, as write_per_dialog_csv builds them; () when the
-    method or a field holds a comma, quote, NUL, CR or LF. (A size or seed that int() reads
-    holds no comma, quote or NUL.)"""
+def _text_pieces(method: str, rows: Sequence[tuple[str, tuple[str, ...]]]) -> list[bytes]:
+    """The UTF-8 pieces that `b"<key text>,".join` makes into the dump rows (dialog id, score
+    texts) under a key of `method`, as write_per_dialog_csv writes them; () when the method or
+    a field holds a comma, quote, NUL, CR or LF (a size or seed that int() reads holds none)."""
     pieces = [""]  # "<id>," before the first row's key, "<scores>\n<next id>," after it
     for did, texts in rows:
         pieces[-1] += did + ","
         pieces.append(",".join(texts) + "\n")
     text = method + "".join(pieces)
-    plain = '"' not in text and "\0" not in text and "\r" not in text
-    return pieces if plain and text.count(",") == 5 * len(rows) and text.count("\n") == len(rows) else ()
+    plain = '"' not in text and "\0" not in text and "\r" not in text and text.count(",") == 5 * len(rows)
+    return [piece.encode() for piece in pieces] if plain and text.count("\n") == len(rows) else ()
 
 
 def read_per_dialog_csv(path: str | Path) -> Runs:
@@ -524,36 +522,29 @@ def read_per_dialog_csv(path: str | Path) -> Runs:
     a dialog that repeats within its run, is an error naming its line, raised in file order.
 
     The rows come in blocks of consecutive rows with the same key text, so normally one run
-    per block. When the header is the columns as written, the dump is a regular file with no
-    undecodable byte (`_undecodable_byte`), and a block that opens a run starts with the
-    first dialog id and score text of the block that last opened a run of its (method,
-    perspective), as a built-in method's runs do, that block's other lines under the new key
-    are compared with the text after the row, read straight from the file in one read. If
-    the text is equal and no field holds a comma, quote, NUL, CR or LF, the run shares that
-    block's scores dict and its lines are never split; a later row of its key re-opens the
-    run, so no line past the block is read. Otherwise the text read, up to the end of its
-    last line, is pending: its lines are read next, as rows, and no block is compared while
-    a line is pending. Other rows, and every row of any other dump (a pipe, or a file with
-    an undecodable byte), are parsed and checked one at a time, as line iteration reads
-    them, so a fault is named where the row-by-row reader names it. A score's value is
-    computed once per distinct text of the call, and taken from a row only once all five of
-    its score texts parse, so a bad text is checked, and named, on every row that holds it.
-    (Texts, not values, are the keys, so "-0.0" keeps its sign after "0.0".) A run that
-    re-opens gets its own copy of its scores dict first, so no other run's scores change.
+    per block. When the header is the columns as written and a block that opens a run starts
+    with the first dialog id and score text of the block that last opened a run of its
+    (method, perspective), as a built-in method's runs do, its other lines are compared with
+    that block's in one read of the input (`LineSource.take`). If they are equal and no field
+    holds a comma, quote, NUL, CR or LF, the run shares that block's scores dict, and a later
+    row of its key re-opens the run; otherwise the bytes read are the next lines. Every other
+    row is parsed and checked as it is read, so a fault is named where the row-by-row reader
+    names it. A score's value is computed once per distinct text of the call (so "-0.0" keeps
+    its sign after "0.0"), and taken from a row only once all five of its score texts parse,
+    so a bad text is named on every row that holds it. A run that re-opens gets its own copy
+    of its scores dict first, so no other run's scores change.
     """
     runs: Runs = {}
-    # (method, perspective) text -> the last block that opened a run of it with a scores dict
-    # of its own: its rows' (dialog id, score text), only the first once a block is compared
-    # with it, the other rows' `_text_pieces` from then on, and its scores dict
+    # (method, perspective) text -> the last block that opened a run of it with a scores dict of its
+    # own: its rows' (dialog id, score text), only the first once a block is compared with it, the
+    # other rows' `_text_pieces` from then on, and its scores dict
     opened: dict[tuple[str, ...], list] = {}
     copied: set[RunKey] = set()  # runs whose scores dict no other run or block holds
     values: dict[str, float] = {}  # score text of a row that parsed -> its value
     key_text, what = None, "per-dialog dump"  # the current block's key text
-    pending: list[str] = []  # lines read past the last row, last line first
-    with _naming_file(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        lines = iter(lambda: pending.pop() if pending else next(fh, ""), "")
+    with read_lines(path, newline="") as lines:
         header, pick, line = csv_header(lines, what, PER_DIALOG_COLUMNS)
-        compare = header == list(PER_DIALOG_COLUMNS) and Path(path).is_file() and _undecodable_byte(path) is None
+        compare = header == list(PER_DIALOG_COLUMNS)
         width = len(header)
         rows = csv_body(lines, what, width, pick, line)
         while True:
@@ -561,20 +552,15 @@ def read_per_dialog_csv(path: str | Path) -> Runs:
                 if record[1:5] != key_text:
                     key = tuple(_parse_columns(_KEY_COLUMNS, _KEY_PARSERS, record[1:5], line))
                     scores = runs.get(key)
-                    # with no line pending, `fh` goes on at the line after the row
-                    last = opened.get(record[1:3]) if scores is None and compare and not pending else None
+                    last = opened.get(record[1:3]) if scores is None and compare else None
                     if last is not None and last[0][0] == (record[0], record[5:]):
                         if last[1] is None:
                             last[0], last[1] = last[0][:1], _text_pieces(record[1], last[0][1:])
                         sep = ",".join(record[1:5]) + ","
-                        if last[1] and "\r" not in sep and "\n" not in sep:
-                            expected = sep.join(last[1])
-                            got = fh.read(len(expected))
-                            if got == expected:
-                                runs[key], key_text = last[2], None
-                                rows = csv_body(lines, what, width, pick, line + len(last[1]) - 1)
-                                break
-                            pending += reversed(io.StringIO(got + fh.readline(), newline="").readlines())
+                        if last[1] and "\r" not in sep and "\n" not in sep and lines.take(sep.encode().join(last[1]), len(last[1]) - 1):
+                            runs[key], key_text = last[2], None
+                            rows = csv_body(lines, what, width, pick, line + len(last[1]) - 1)
+                            break
                     key_text, block = record[1:5], []
                     if scores is None:
                         scores = runs[key] = {}
@@ -730,8 +716,8 @@ def load_config_file(path: str | Path) -> tuple[ExperimentConfig, ConfigPaths]:
     error about its contents starts with its path."""
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh, _naming_file(path):
-            text = fh.read()
+        with read_lines(path) as lines:
+            text = "".join(lines)
             document = decode_json(text)
             if "\\u" in text:
                 reject_lone_surrogates(text)

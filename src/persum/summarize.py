@@ -20,7 +20,7 @@ from functools import cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Dialog, ParseError, SpeakerRole, _naming_file, json_objects
+from .corpus import Dialog, ParseError, SpeakerRole, json_objects, read_lines
 from .weaklabel import DEFAULT_MIN_TOKENS, HeuristicKind, select_target
 
 
@@ -221,8 +221,8 @@ def parse_predictions(lines: Iterable[str]) -> PredictionSet:
 
 def load_predictions(path: str | Path) -> PredictionSet:
     """Read a prediction file; every error names the file, and the line where there is one."""
-    with open(path, "r", encoding="utf-8-sig") as fh, _naming_file(path):
-        return parse_predictions(fh)
+    with read_lines(path) as lines:
+        return parse_predictions(lines)
 
 
 def prediction_candidate(

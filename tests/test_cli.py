@@ -22,7 +22,20 @@ from persum import SpeakerRole, Split, emit_report, load_predictions, make_dialo
 from persum import cli, rouge
 from persum.cli import main
 from persum.experiment import PER_DIALOG_COLUMNS, load_config_file, table_from_per_dialog
-from util import CSV_PIECES, naive_read_dump, naive_run_experiment, random_text, synthetic_corpus, tweet_table
+from util import (
+    CSV_PIECES,
+    UTF8_PIECES,
+    naive_jsonl_line,
+    naive_read_dump,
+    naive_read_tweet_csv,
+    naive_reconstruct_threads,
+    naive_run_experiment,
+    naive_undecodable_byte,
+    piped,
+    random_text,
+    synthetic_corpus,
+    tweet_table,
+)
 
 KAGGLE_HEADER = "tweet_id,author_id,inbound,created_at,text,response_tweet_id,in_response_to_tweet_id\n"
 
@@ -242,7 +255,8 @@ def test_byte_that_is_not_utf8_past_the_first_read_block_names_line_and_file_off
 ):
     """A first line longer than the 8 KB a text reader decodes at a time puts the byte in a
     later block; the message still gives its line and its offset in the file, counting any
-    byte-order mark and the bytes of multi-byte characters."""
+    byte-order mark and the bytes of multi-byte characters. The second line is one that the
+    reader takes, since a faulty line before the bad byte is named first."""
     pad = "x" * 9000
     first_line = {
         "config": '{"methods": ["lead_base"],' + " " * 9000 + "\n",
@@ -253,7 +267,14 @@ def test_byte_that_is_not_utf8_past_the_first_read_block_names_line_and_file_off
         "dump": DUMP_HEADER.replace("\n", f",{pad}\n"),
         "exclude": pad + "\n",
     }[reader]
-    head = mark + (first_line + "café, naïve\r\n").encode()
+    second_line = {
+        "split": '"café, naïve",train,x\r\n',
+        "tweet-csv": '1,u,True,t,"café, naïve",,,x\r\n',
+        "corpus": _record("d2", note="café, naïve") + "\r\n",
+        "predictions": json.dumps({"dialog_id": "d00001", "customer": "café, naïve"}, ensure_ascii=False) + "\r\n",
+        "dump": '"café, naïve",pegasus,customer,0,0,0.5,0.5,0.5,0.5,0.5,x\r\n',
+    }.get(reader, "café, naïve\r\n")
+    head = mark + (first_line + second_line).encode()
     bad = tmp_path / "bad.txt"
     bad.write_bytes(head + b"\xff\n")
     out = tmp_path / "out"
@@ -262,6 +283,36 @@ def test_byte_that_is_not_utf8_past_the_first_read_block_names_line_and_file_off
         f"error: {bad}, line 3: 'utf-8' codec can't decode byte 0xff at offset {len(head)}: invalid start byte\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "cr-lf", "cr"])
+@pytest.mark.parametrize("reader", ["config", "split", "tweet-csv", "corpus", "predictions", "dump", "exclude"])
+def test_a_pipe_names_an_undecodable_byte_as_the_file_does(scored_setup, tmp_path, capsys, reader, end, mark):
+    """Lines that the reader takes, with any line end and behind any byte-order mark, then
+    a bad byte: the same bytes read from a file and through a pipe are named at the line
+    and offset that one decode of the whole input gives."""
+    lines = {
+        "config": ['{"methods": ["lead_base"],', '"perspectives": ["customer"],'],
+        "split": ["dialog_id,split", "d00000,train"],
+        "tweet-csv": [KAGGLE_HEADER.strip(), kaggle_row("1", True, "café, naïve").strip()],
+        "corpus": [_record("d1"), _record("d2", note="naïve")],
+        "predictions": ['{"method": "pegasus", "training_size": 0, "seed": 0}', '{"dialog_id": "d00001", "customer": "naïve"}'],
+        "dump": [DUMP_HEADER.strip(), "d1,pegasus,customer,0,0,0.5,0.5,0.5,0.5,0.5"],
+        "exclude": ["d00000", "café"],
+    }[reader]
+    data = mark + "".join(line + end for line in lines).encode() + b"x\xff" + end.encode()
+    line, message = naive_undecodable_byte(data)
+    assert line == 3
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    for name in ("file", "pipe"):
+        with piped(data) as pipe:
+            source = path if name == "file" else pipe
+            out = tmp_path / f"out-{name}"
+            assert main(_reading(reader, source, scored_setup, out)) == 2
+        assert capsys.readouterr().err == f"error: {source}, line {line}: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("reader", ["corpus", "predictions", "config"])
@@ -372,24 +423,25 @@ JSON_PIECES = ['"', ",", ":", "{", "}", "[", "]", "\n", "null", "1e400", "\u0000
 
 
 def _edits(pieces):
-    return st.lists(
-        st.tuples(st.sampled_from(["insert", "delete", "duplicate"]), st.sampled_from(pieces), st.integers(0, 999)),
-        min_size=1,
-        max_size=4,
-    )
+    """Edits of a piece of the input (as UTF-8), and one time in four an insert of bytes that
+    may not be UTF-8 (`UTF8_PIECES`: a lone CR, a BOM, a bad byte, ...)."""
+    piece_edit = st.tuples(st.sampled_from(["insert", "delete", "duplicate"]), st.sampled_from([p.encode() for p in pieces]),
+                           st.integers(0, 999))
+    byte_insert = st.tuples(st.just("insert"), st.sampled_from(UTF8_PIECES), st.integers(0, 999))
+    return st.lists(st.integers(0, 3).flatmap(lambda kind: piece_edit if kind else byte_insert), min_size=1, max_size=4)
 
 
-def _mutated(text, edits):
+def _mutated(data, edits):
     """Insert a piece at a position, or delete or duplicate one occurrence of it."""
     for edit, piece, at in edits:
-        starts = [match.start() for match in re.finditer(re.escape(piece), text)]
+        starts = [match.start() for match in re.finditer(re.escape(piece), data)]
         if edit == "insert":
-            at %= len(text) + 1
-            text = text[:at] + piece + text[at:]
+            at %= len(data) + 1
+            data = data[:at] + piece + data[at:]
         elif starts:
             at = starts[at % len(starts)]
-            text = text[:at] + (piece * 2 if edit == "duplicate" else "") + text[at + len(piece):]
-    return text
+            data = data[:at] + (piece * 2 if edit == "duplicate" else b"") + data[at + len(piece):]
+    return data
 
 
 def _quiet_main(argv):
@@ -400,13 +452,28 @@ def _quiet_main(argv):
     return code, stderr.getvalue()
 
 
+def _assert_names_the_undecodable_byte(error, path, data):
+    """An error line that says a byte is not UTF-8 names the first such byte of `data`."""
+    if "codec can't decode" in error:
+        line, message = naive_undecodable_byte(data)
+        assert error == f"error: {path}, line {line}: {message}"
+
+
+def _plain_csv_rows(path):
+    """The rows of the CSV at `path` as one csv.reader reads the whole file, blank rows left out."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        return [row for row in csv.reader(fh) if row]
+
+
 @pytest.mark.parametrize("reader", ["tweet-csv", "split", "dump"])
 @settings(max_examples=40, deadline=None)
 @given(edits=_edits(CSV_PIECES))
 def test_mutated_csv_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader, edits):
     """A small valid input, mutated, makes the command succeed or fail with a message
-    naming that input; a dump whose header is still the columns as written that `report`
-    reads gives the report of the dump as naive_read_dump reads it."""
+    naming that input, and a bad byte by its line and offset. A success writes what naive
+    readers of the input give: the dialogs and warnings of naive_reconstruct_threads, the
+    split of a plain csv.reader read, and for a dump whose header is still the columns as
+    written, the report of the dump as naive_read_dump reads it."""
     tmp_path = tmp_path_factory.mktemp("fuzz")
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus(synthetic_corpus(random.Random(9), 3), corpus_path)
@@ -418,7 +485,7 @@ def test_mutated_csv_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader
         + '"d,2",pegasus,agent,0,1,1.0,0.0,0.0,0.0,0.0\n',
     }[reader]
     path = tmp_path / "input.csv"
-    path.write_text(_mutated(text, edits), encoding="utf-8")
+    path.write_bytes(_mutated(text.encode(), edits))
     out = tmp_path / "out"
     argv = {
         "tweet-csv": ["ingest", "--format", "kaggle-csv", "--input", str(path), "--output", str(out)],
@@ -429,11 +496,19 @@ def test_mutated_csv_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader
     assert code in (0, 2)
     if code == 2:
         assert stderr.startswith(f"error: {path}")
-    elif reader == "dump":
-        with open(path, encoding="utf-8", newline="") as fh:
-            as_written = next(csv.reader(fh)) == list(PER_DIALOG_COLUMNS)
-        if as_written:
-            assert out.read_bytes() == emit_report(table_from_per_dialog(naive_read_dump(path))).encode()
+        _assert_names_the_undecodable_byte(stderr.splitlines()[-1], path, path.read_bytes())
+    elif reader == "tweet-csv":
+        dialogs, report = naive_reconstruct_threads(naive_read_tweet_csv(path))
+        assert out.read_text(encoding="utf-8") == "".join(naive_jsonl_line(
+            {"id": d.id, "utterances": [{"role": u.role.value, "text": u.text} for u in d.utterances]}) + "\n" for d in dialogs)
+        assert stderr == "".join(f"warning: {key}: {value}\n" for key, value in report._asdict().items() if value)
+    elif reader == "split":
+        header, *rows = _plain_csv_rows(path)
+        pick = [header.index("dialog_id"), header.index("split")]
+        written = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert {r["id"]: r["split"] for r in written} == {row[pick[0]].strip(): row[pick[1]].strip() for row in rows}
+    elif _plain_csv_rows(path)[0] == list(PER_DIALOG_COLUMNS):
+        assert out.read_bytes() == emit_report(table_from_per_dialog(naive_read_dump(path))).encode()
 
 
 @pytest.mark.parametrize("reader", ["corpus", "predictions", "config"])
@@ -442,9 +517,10 @@ def test_mutated_csv_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader
 def test_mutated_jsonl_input_exits_0_or_2_naming_the_file(tmp_path_factory, reader, edits):
     """A small valid corpus, prediction file or config, mutated, makes the command succeed
     or fail with a message; a corpus or prediction file is named in it, except that a
-    mutated prediction header may leave the configured cell without predictions. A `score`
-    that succeeds writes the dump and the warnings of naive_run_experiment on the inputs
-    its config names."""
+    mutated prediction header may leave the configured cell without predictions, and a bad
+    byte is named by its line and offset. A `score` that succeeds writes the dump and the
+    warnings of naive_run_experiment on the inputs its config names; the prediction file
+    starts with an entry for a train dialog, which `score` warns of."""
     tmp_path = tmp_path_factory.mktemp("fuzz")
     # five test dialogs: four edits that keep the JSON valid cannot take every prediction away
     corpus = synthetic_corpus(random.Random(9), 12, with_gold=True, with_split=True, train_fraction=0.2)
@@ -456,7 +532,8 @@ def test_mutated_jsonl_input_exits_0_or_2_naming_the_file(tmp_path_factory, read
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**config, "predictions": [str(path)]}), encoding="utf-8")
     # words of the gold summaries, so that the scores are not all zero
-    predictions = _prediction_file(tmp_path / "predictions.jsonl", "pegasus", corpus.dialog_ids(Split.TEST),
+    predictions = _prediction_file(tmp_path / "predictions.jsonl", "pegasus",
+                                   corpus.dialog_ids(Split.TRAIN)[:1] + corpus.dialog_ids(Split.TEST),
                                    "alpha bravo charlie delta")
     text = {
         "corpus": _record("d1", gold={"customer": "hi", "agent": "x"}, split="test") + "\n"
@@ -464,7 +541,7 @@ def test_mutated_jsonl_input_exits_0_or_2_naming_the_file(tmp_path_factory, read
         "predictions": Path(predictions).read_text(encoding="utf-8"),
         "config": json.dumps({**config, "predictions": [predictions]}),
     }[reader]
-    path.write_text(_mutated(text, edits), encoding="utf-8")
+    path.write_bytes(_mutated(text.encode(), edits))
     out = tmp_path / "out"
     argv = {
         "corpus": ["ingest", "--format", "dialog-jsonl", "--input", str(path), "--output", str(out)],
@@ -479,11 +556,12 @@ def test_mutated_jsonl_input_exits_0_or_2_naming_the_file(tmp_path_factory, read
         _, dump, warnings = naive_run_experiment(read_corpus(paths.corpus), loaded, external)
         assert (out / "per_dialog_scores.csv").read_bytes() == dump.encode()
         assert stderr == "".join(f"warning: {warning}\n" for warning in warnings)
-    if code == 2 and reader != "config":
+    if code == 2:
         error = stderr.splitlines()[-1]  # after any warnings
-        if not error.startswith(f"error: {path}"):
-            assert reader == "predictions" and error.startswith("error: missing prediction cells: "), stderr
-            assert path.read_text(encoding="utf-8").split("\n")[0] != text.split("\n")[0], "header unchanged"
+        _assert_names_the_undecodable_byte(error, path, path.read_bytes())
+    if code == 2 and reader != "config" and not error.startswith(f"error: {path}"):
+        assert reader == "predictions" and error.startswith("error: missing prediction cells: "), stderr
+        assert path.read_bytes().split(b"\n")[0] != text.encode().split(b"\n")[0], "header unchanged"
 
 
 @pytest.mark.parametrize(
@@ -1495,17 +1573,17 @@ def test_report_reads_a_dump_piped_to_dev_stdin_as_it_reads_the_file(tmp_path):
 
 
 def test_report_names_the_pipe_of_an_undecodable_byte_in_a_dump_piped_to_dev_stdin(tmp_path):
-    """A pipe cannot be read again, so an undecodable byte in a dump piped in is named by
-    the failed read's own message, not by a line counted in what was left of the pipe."""
+    """Each line is decoded as it is read, so an undecodable byte in a dump piped in is
+    named by its line and its offset in the input, as in a file."""
     rows = "".join(f"d{i},pegasus,customer,0,0,0.5,0.5,0.5,0.5,0.5\n" for i in range(20_000)).encode()
     data = DUMP_HEADER.encode() + rows[:1_000] + b"\xff" + rows[1_000:500_000] + b"\xff" + rows[500_000:]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     argv = [sys.executable, "-m", "persum.cli", "report", "--per-dialog", "/dev/stdin", "--output", str(tmp_path / "piped.md")]
     done = subprocess.run(argv, input=data, env=env, capture_output=True)
     assert done.returncode == 2
-    assert re.fullmatch(
-        r"error: /dev/stdin: 'utf-8' codec can't decode byte 0xff in position \d+: invalid start byte\n", done.stderr.decode()
-    )
+    line, message = naive_undecodable_byte(data)
+    assert done.stderr.decode() == f"error: /dev/stdin, line {line}: {message}\n"
+    assert (line, message) == (24, "'utf-8' codec can't decode byte 0xff at offset 1064: invalid start byte")
     assert not (tmp_path / "piped.md").exists()
 
 

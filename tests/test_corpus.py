@@ -33,19 +33,21 @@ from persum.corpus import (
     ThreadReport,
     Tweet,
     Utterance,
-    _undecodable_byte,
     clean_tweet_text,
     csv_body,
     csv_header,
     csv_rows,
     json_objects,
     load_split_csv,
+    read_lines,
     read_tweet_csv,
     with_split,
 )
 from util import (
     CSV_PIECES,
     JSON_TEXT_PIECES,
+    UTF8_PIECES,
+    VALID_UTF8_PIECES,
     naive_clean_tweet_text,
     naive_csv_rows,
     naive_json_objects,
@@ -53,6 +55,7 @@ from util import (
     naive_read_tweet_csv,
     naive_reconstruct_threads,
     naive_undecodable_byte,
+    piped,
     synthetic_corpus,
     tweet_table,
 )
@@ -258,14 +261,15 @@ def test_csv_rows_equals_csv_reader(tmp_path_factory, bom, header, before, after
     assert _csv_outcome(csv_rows, path) == _csv_outcome(naive_csv_rows, path)
 
 
-def _rows_then_error(rows) -> tuple[list, str | None]:
-    """The rows before the first ParseError of `rows`, and its text (None when there is none)."""
+def _rows_then_error(rows) -> tuple[list, tuple[int | None, str] | None]:
+    """The rows before the first ParseError of `rows`, and its line and message without the
+    file (None when there is none)."""
     read = []
     try:
         for row in rows:
             read.append(row)
     except ParseError as exc:
-        return read, str(exc)
+        return read, (exc.line, exc.detail)
     return read, None
 
 
@@ -277,7 +281,7 @@ def _assert_restarts_at_row(path, boundary):
         try:
             names, pick, lineno = csv_header(fh, "test CSV", ("a", "b"))
         except ParseError as exc:
-            assert (rows, error) == ([], str(exc))
+            assert (rows, error) == ([], (exc.line, exc.detail))
             return
         lines = list(fh)
     boundary = min(boundary, len(rows))
@@ -446,35 +450,43 @@ def test_write_corpus_lone_surrogate_fails_like_oracle(tmp_path, where):
 
 # --- undecodable bytes -----------------------------------------------------------
 
-# a filler that puts a character or a CR LF across the end of the scanner's first 64 KiB
-# chunk, valid pieces, then any pieces: line ends, a BOM, ASCII, 2-4-byte characters,
-# invalid start and continuation bytes, an encoded surrogate, and sequences cut short
+# a filler that puts a character or a CR LF across the end of a 64 KiB read, then valid
+# pieces, then any pieces (`UTF8_PIECES`)
 _UTF8_FILLERS = [b"", b"x" * 65_534, b"x" * 65_535]
-_VALID_UTF8_PIECES = [b"\n", b"\r", b"\r\n", b"\xef\xbb\xbf", b"a", "\xe9".encode(), "\u20ac".encode(), "\U0001f600".encode()]
-_UTF8_PIECES = [*_VALID_UTF8_PIECES, b"\x80", b"\xff", b"\xc0\xaf", b"\xe2(", b"\xf0\x9f(", b"\xed\xa0\x80",
-                b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"]
 
 
 def _undecodable_outcome(path) -> tuple[int, str] | None:
-    error = _undecodable_byte(path)
-    if error is None:
-        return None
-    assert str(error) == f"{path}, line {error.line}: {error.detail}"
-    return error.line, error.detail
+    """(line, message) of the ParseError that reading every line of `path` with read_lines
+    raises, or None when it raises none."""
+    try:
+        with read_lines(path, newline="") as lines:
+            for _ in lines:
+                pass
+    except ParseError as error:
+        assert str(error) == f"{path}, line {error.line}: {error.detail}"
+        return error.line, error.detail
+    return None
+
+
+def _undecodable_outcomes(tmp_path, data: bytes) -> list[tuple[int, str] | None]:
+    """`_undecodable_outcome` of `data` from a file and through a pipe."""
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with piped(data) as pipe:
+        return [_undecodable_outcome(path), _undecodable_outcome(pipe)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(_UTF8_FILLERS),
-    st.lists(st.sampled_from(_VALID_UTF8_PIECES), max_size=4),
-    st.lists(st.sampled_from(_UTF8_PIECES), max_size=6),
+    st.lists(st.sampled_from(VALID_UTF8_PIECES), max_size=4),
+    st.lists(st.sampled_from(UTF8_PIECES), max_size=6),
 )
 def test_undecodable_byte_equals_a_whole_file_decode(tmp_path_factory, filler, head, tail):
-    """The same line, offset and message as one decode of the whole file, or None for both."""
+    """The same line, offset and message as one decode of the whole input, or None for both,
+    from a file and from a pipe."""
     data = filler + b"".join(head + tail)
-    path = tmp_path_factory.mktemp("utf8") / "input.txt"
-    path.write_bytes(data)
-    assert _undecodable_outcome(path) == naive_undecodable_byte(data)
+    assert _undecodable_outcomes(tmp_path_factory.mktemp("utf8"), data) == [naive_undecodable_byte(data)] * 2
 
 
 @pytest.mark.parametrize(
@@ -488,9 +500,28 @@ def test_undecodable_byte_equals_a_whole_file_decode(tmp_path_factory, filler, h
     ids=["character-cut-at-a-chunk-end", "cr-lf-across-a-chunk-end", "cr-at-a-chunk-end", "character-cut-at-the-file-end"],
 )
 def test_undecodable_byte_at_a_chunk_end(tmp_path, data, expected):
-    path = tmp_path / "input.txt"
+    assert naive_undecodable_byte(data) == expected
+    assert _undecodable_outcomes(tmp_path, data) == [expected] * 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_UTF8_FILLERS),
+    st.lists(st.sampled_from(VALID_UTF8_PIECES + [b"x\n", b"\r\r", b"\n\r"]), max_size=8),
+    st.sampled_from(["", None]),
+)
+def test_line_source_reads_the_lines_that_text_mode_reads(tmp_path_factory, filler, pieces, newline):
+    """The lines of UTF-8 bytes from a file and from a pipe, with every kind of line end and
+    byte-order marks anywhere, as open(encoding="utf-8-sig", newline=newline) reads them."""
+    data = filler + b"".join(pieces)
+    path = tmp_path_factory.mktemp("lines") / "input.txt"
     path.write_bytes(data)
-    assert _undecodable_outcome(path) == naive_undecodable_byte(data) == expected
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        expected = list(fh)
+    with piped(data) as pipe:
+        for source in (path, pipe):
+            with read_lines(source, newline) as lines:
+                assert list(lines) == expected
 
 
 # --- thread reconstruction ------------------------------------------------------
@@ -790,8 +821,8 @@ def test_reconstruct_threads_merges_a_long_same_role_chain_in_linear_time():
 # --- linear time in every input ----------------------------------------------------
 
 
-def _write_jsonl(path, records) -> None:
-    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+def _write_jsonl(path, records, end: str = "\n") -> None:
+    path.write_bytes("".join(json.dumps(record) + end for record in records).encode())
 
 
 def _utterance(i: int) -> dict:
@@ -824,6 +855,9 @@ INPUT_SHAPES = {
              "split": ("train", "val", "test")[i % 3]} for i in range(40_000)
         ]),
         lambda path: len(read_corpus(path).dialogs), 40_000, 6.0),
+    "corpus-40000-dialogs-with-cr-lf-line-ends": (
+        lambda path: _write_jsonl(path, [{"id": f"d{i}", "utterances": [_utterance(0), _utterance(1)]} for i in range(40_000)], "\r\n"),
+        lambda path: len(read_corpus(path).dialogs), 40_000, 3.0),
     "tweet-csv-one-alternating-chain-of-40000-tweets": (
         lambda path: _write_tweet_csv(path, [_tweet_row(i, i % 2 == 0, str(i - 1) if i else "") for i in range(40_000)]),
         _threads, (1, ThreadReport()), 4.0),
@@ -836,14 +870,17 @@ INPUT_SHAPES = {
     "split-csv-100000-rows": (
         lambda path: path.write_text("dialog_id,split\n" + "".join(f"d{i},test\n" for i in range(100_000)), encoding="utf-8"),
         lambda path: len(load_split_csv(path)), 100_000, 3.0),
+    "split-csv-100000-rows-ending-in-a-lone-cr": (  # one binary line, which the line source splits again
+        lambda path: path.write_bytes(b"dialog_id,split\r" + b"".join(b"d%d,test\r" % i for i in range(100_000))),
+        lambda path: len(load_split_csv(path)), 100_000, 4.0),
 }
 
 
 @pytest.mark.parametrize("shape", INPUT_SHAPES)
 def test_readers_read_in_linear_time(tmp_path, shape):
-    """Each shape read in at most 0.09, 0.51, 0.37, 0.21, 0.83 and 0.24 s (six reads each)
-    on a 2-vCPU host; the limits are ten times that or more, so a cost per item that grows
-    with the items read before it fails."""
+    """Each shape read in at most 0.09, 0.51, 0.29, 0.37, 0.21, 0.83, 0.24 and 0.34 s (six
+    reads each) on a 2-vCPU host; the limits are ten times that or more, so a cost per item
+    that grows with the items read before it fails."""
     write, read, expected, limit = INPUT_SHAPES[shape]
     path = tmp_path / "input"
     write(path)

@@ -53,7 +53,7 @@ from persum.summarize import (
     builtin_candidate,
     parse_builtin_method,
 )
-from util import dump_rows, naive_read_dump, naive_run_experiment, synthetic_corpus
+from util import dump_rows, naive_read_dump, naive_run_experiment, naive_undecodable_byte, piped, synthetic_corpus
 
 C = SpeakerRole.CUSTOMER
 A = SpeakerRole.AGENT
@@ -742,8 +742,8 @@ def test_dump_score_texts_read_as_the_row_by_row_reader_reads_them(tmp_path, tex
 
 
 def test_block_reader_names_a_faulty_row_before_an_undecodable_byte_of_its_run(tmp_path):
-    """The bad byte lies past the text decoder's first block, so the faulty row before it
-    is read first, and its fault is the one named."""
+    """The bad byte lies past the 8 KiB that a text decoder reads at once, after the faulty
+    row: each line is decoded as it is read, so that row's fault is the one named."""
     path = tmp_path / "dump.csv"
     rows = run_rows("0,0", [f"d{i}" for i in range(100)]) + run_rows("0,0", ["d100"], "0.5,-0.5,0.5,0.25,0.5")
     rows += run_rows("0,0", [f"d{i}" for i in range(101, 300)])
@@ -760,8 +760,9 @@ OPENER = [f"d{i}" for i in range(300)]
 
 
 def test_text_compare_names_a_faulty_row_before_an_undecodable_byte(tmp_path):
-    """Reading the compared block's lines stops at the bad byte, past the decoder's block
-    that holds the faulty row; the lines read before it are read as rows first."""
+    """The compared block's bytes differ from the opening block's at the faulty row and hold
+    a bad byte more than 8 KiB further on; the bytes read are held as lines, read as rows,
+    so the faulty row is named first."""
     path = tmp_path / "dump.csv"
     rows = run_rows("0,0", OPENER) + run_rows("0,1", OPENER[:100]) + run_rows("0,1", ["d100"], "0.5,-0.5,0.5,0.25,0.5")
     rows += run_rows("0,1", OPENER[101:299])
@@ -782,16 +783,16 @@ def test_text_compare_names_an_undecodable_byte_of_the_compared_block(tmp_path):
     assert got.startswith(f"{path}, line 552: 'utf-8' codec can't decode byte 0xff at offset {len(head) + 2}: invalid start byte")
 
 
-# --- compared blocks longer than the blocks that line iteration decodes
+# --- compared blocks longer than the 8 KiB blocks that a text decoder decodes at a time
 
 LONG = [f"dialog-{i:04d}" for i in range(400)]  # a block of 400 rows is some 22 000 characters long
-BLOCK = 8192  # the bytes that line iteration decodes at a time
+BLOCK = 8192  # the bytes that a text decoder decodes at a time
 BAD = "0.5,0.5,0.5,0.25,-0.5"  # a faulty row's scores, which differ from GOOD's near the row's end
 
 
 def filler_row(before: str, after: str) -> str:
     """A dump row of a run of its own, to go between `before` and `after`, that makes the
-    UTF-8 bytes of the three end where a decoder block ends."""
+    UTF-8 bytes of the three end where a decoder's block ends."""
     row = f",lead_base,customer,0,0,{GOOD}\n"
     return "f" * (-len((before + row + after).encode("utf-8")) % BLOCK or BLOCK) + row
 
@@ -801,9 +802,9 @@ def ids_of(char: str) -> list[str]:
 
 
 def test_text_compare_names_a_faulty_row_of_the_compared_block_before_an_undecodable_byte(tmp_path):
-    """The faulty row is the last line of a decoder block, and the bad byte opens the next:
-    a dump with a byte that is not UTF-8 is read row by row, so the faulty row is read, and
-    named, first."""
+    """The faulty row is the last line of a decoder's block, and the bad byte opens the next,
+    where a text decoder would fail before that row is read: each line is decoded as it is
+    read, so the faulty row is named first."""
     path = tmp_path / "dump.csv"
     head, opener = plain_dump([]), run_rows("0,0", LONG)
     compared = run_rows("0,1", LONG[:200]) + run_rows("0,1", LONG[200:201], BAD)
@@ -820,8 +821,8 @@ def test_text_compare_names_a_faulty_row_of_the_compared_block_before_an_undecod
 def test_text_compare_leaves_the_decoder_blocks_where_line_iteration_puts_them(tmp_path, char, bom):
     """Two blocks compared with the one they repeat, whose dialog ids are of 1- to 4-byte
     UTF-8 characters, behind a BOM but for the first, read alone: they share its scores.
-    Then with a faulty row that ends a decoder block 8 KiB or more after them, and a bad
-    byte that opens the next: the dump is read row by row, and the fault is named first."""
+    Then with a faulty row that ends a decoder's block 8 KiB or more after them, and a bad
+    byte that opens the next: the fault is named first."""
     path = tmp_path / "dump.csv"
     head = bom + plain_dump([])
     blocks = run_rows("0,0", ids_of(char)) + run_rows("0,1", ids_of(char)) + run_rows("0,2", ids_of(char))
@@ -839,8 +840,8 @@ def test_text_compare_leaves_the_decoder_blocks_where_line_iteration_puts_them(t
 
 def test_text_compare_compares_no_row_handed_back_before_an_undecodable_byte(tmp_path):
     """A compared block's lines hold one-row blocks that each repeat the one before, up to
-    a bad byte past a decoder block, which line iteration stops at. Those lines are pending
-    once the compare fails, and no block among them is compared."""
+    a bad byte past a decoder's block. Those lines are held once the compare fails, and no
+    block among them is compared."""
     path = tmp_path / "dump.csv"
     text = plain_dump([]) + run_rows("0,0", [f"d{i}" for i in range(300)]) + run_rows("9,9", ["x" * 16]).replace("customer", "agent")
     text += "".join(run_rows(f"0,{seed}", ["d0"]) for seed in range(1000, 1500))
@@ -849,6 +850,27 @@ def test_text_compare_compares_no_row_handed_back_before_an_undecodable_byte(tmp
     got = read_outcome(read_per_dialog_csv, path)
     assert got == read_outcome(naive_read_dump, path)
     assert "can't decode byte 0xff" in got
+
+
+@pytest.mark.parametrize("bad_line", [100, 450, 700], ids=["in-the-opening-block", "in-the-compared-block", "past-it"])
+def test_a_pipe_names_an_undecodable_byte_around_a_compared_block_as_the_file_does(tmp_path, bad_line):
+    """A block compared with the one that opened its run shares its scores through a pipe
+    too; a bad byte before, in or after it is named at the line and offset that one decode
+    of the whole input gives, so the line and byte counts include the compared block."""
+    text = plain_dump([]) + run_rows("0,0", OPENER) + run_rows("0,1", OPENER) + run_rows("0,2", [f"e{i}" for i in range(300)])
+    path = tmp_path / "dump.csv"
+    path.write_text(text, encoding="utf-8")
+    with piped(text.encode()) as pipe:
+        shared = scores_by_dict(read_per_dialog_csv(pipe))
+    assert shared == scores_by_dict(read_per_dialog_csv(path)) == [[("pegasus", C_, 0, 0), ("pegasus", C_, 0, 1)], [("pegasus", C_, 0, 2)]]
+    lines = text.encode().splitlines(keepends=True)
+    lines[bad_line - 1] = lines[bad_line - 1].replace(b",", b"\xff,", 1)
+    data = b"".join(lines)
+    path.write_bytes(data)
+    line, message = naive_undecodable_byte(data)
+    assert line == bad_line
+    with piped(data) as pipe:
+        assert [read_outcome(read_per_dialog_csv, p) for p in (path, pipe)] == [f"{p}, line {line}: {message}" for p in (path, pipe)]
 
 
 def csv_line(*fields: str) -> str:
@@ -901,7 +923,7 @@ ODD = [("d,2", "pegasus"), ('"d2', "pegasus"), ("d\x002", "pegasus"), ("d\n2", "
 def test_text_compare_reads_what_the_row_by_row_reader_reads(tmp_path, body):
     """A block whose run must not keep the scores of the block it repeats: longer than that
     block, a row of its key after it that is quoted or follows a blank line, CR LF ends and
-    missing final newlines; pending lines that hold a block which repeats another; and lines
+    missing final newlines; held lines that hold a block which repeats another; and lines
     whose text is the repeated block's but whose fields csv.reader splits otherwise, a CR or
     LF in a field among them. Then blocks of 400 rows: one that differs from the block it
     repeats only in its last character, one only in its last line end, one that a row of its

@@ -1,6 +1,7 @@
 """Every name that a module of the package imports is used in that module (the package's
-`__init__.py` imports only to re-export, so it is not checked), and every top-level
-function and class of the package is named somewhere in the package or its tests."""
+`__init__.py` imports only to re-export, so it is not checked), every top-level function
+and class of the package is named somewhere in the package or its tests, and only the
+line source opens a file to read it."""
 
 from __future__ import annotations
 
@@ -67,3 +68,48 @@ def test_every_definition_is_named():
     defining = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     tests = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))]
     assert dead_definitions(defining, [*defining.values(), *tests]) == []
+
+
+def reading_opens(source: str, allowed: str) -> list[int]:
+    """The lines of `source` that call open() (a name, or an attribute such as Path.open)
+    with no mode or a mode that reads ("r", or one that is not a literal), or read_text or
+    read_bytes, outside the function named `allowed`."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name == allowed
+        for node in ast.walk(function)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        if name in ("read_text", "read_bytes"):
+            lines.append(node.lineno)
+        if name != "open":
+            continue
+        at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode) or Path(path).open(mode)
+        mode = next((k.value for k in node.keywords if k.arg == "mode"), node.args[at] if len(node.args) > at else None)
+        if mode is None or not isinstance(mode, ast.Constant) or "r" in mode.value:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_reading_opens_finds_every_read_mode():
+    source = (
+        "def read_lines(p):\n    open(p, 'rb')\n"
+        "open(p, 'w')\nopen(p)\nopen(p, 'r')\nopen(p, mode='rb')\nopen(p, m)\nPath(p).open()\nPath(p).open('w')\n"
+        "Path(p).read_text()\nPath(p).write_text(t)\n"
+    )
+    assert reading_opens(source, "read_lines") == [4, 5, 6, 7, 8, 10]
+
+
+def test_every_input_is_opened_by_the_line_source():
+    """Only corpus.read_lines opens a file to read it, so every input is decoded one way."""
+    found = {
+        path.name: reading_opens(path.read_text(encoding="utf-8"), "read_lines" if path.name == "corpus.py" else "")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -10,17 +10,20 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
 import statistics
+import threading
 from collections import defaultdict
+from contextlib import contextmanager
+from pathlib import Path
 
 from persum import Corpus, Dialog, GoldSummary, ParseError, Perspective, SpeakerRole, Split, _porter, make_dialog
 from persum.corpus import (
     TWEET_CSV_COLUMNS,
     ThreadReport,
     Tweet,
-    _naming_file,
     decode_json,
     reject_lone_surrogates,
 )
@@ -211,7 +214,7 @@ def naive_read_tweet_csv(path) -> list[tuple[str, Tweet]]:
     """(tweet_id, Tweet) pairs as tweets were first decoded: csv.DictReader rows, each value
     str()ed and stripped again, inbound read per row, blank ids and texts dropped."""
     pairs = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for row in csv.DictReader(fh):
             tid = str(row["tweet_id"]).strip()
             text = naive_clean_tweet_text(str(row["text"]))
@@ -229,28 +232,30 @@ CSV_PIECES = ['"', ",", "\n", "x" * 140_000]
 
 def naive_csv_rows(path, what: str, columns) -> list[tuple[int, tuple[str, ...]]]:
     """(line, values) rows of a CSV input as they were first read: csv.reader over the
-    whole file, with `csv_rows`'s header, width and blank-row rules."""
+    whole file's `naive_lines`, with `csv_rows`'s header, width and blank-row rules, and
+    every error naming the file."""
     rows = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(1, f"{what} has no header row")
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise ParseError(1, f"{what} missing column(s): {', '.join(missing)}")
-            for column in columns:
-                if header.count(column) > 1:
-                    raise ParseError(1, f"{what} header names column {column!r} more than once")
-            for fields in reader:
-                if not fields:
-                    continue
-                if len(fields) != len(header):
-                    raise ParseError(reader.line_num, f"{what} row has {len(fields)} field(s), the header has {len(header)}")
-                rows.append((reader.line_num, tuple(fields[header.index(c)] for c in columns)))
-        except csv.Error as exc:
-            raise ParseError(reader.line_num, str(exc)) from None
+    reader = csv.reader(naive_lines(path))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(1, f"{what} has no header row")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ParseError(1, f"{what} missing column(s): {', '.join(missing)}")
+        for column in columns:
+            if header.count(column) > 1:
+                raise ParseError(1, f"{what} header names column {column!r} more than once")
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise ParseError(reader.line_num, f"{what} row has {len(fields)} field(s), the header has {len(header)}")
+            rows.append((reader.line_num, tuple(fields[header.index(c)] for c in columns)))
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc), path) from None
+    except ParseError as exc:
+        raise ParseError(exc.line, exc.detail, path) from None
     return rows
 
 
@@ -264,6 +269,50 @@ def naive_undecodable_byte(data: bytes) -> tuple[int, str] | None:
         line = 1 + len(re.findall(rb"\r\n|\r|\n", data[: error.start]))
         return line, f"'utf-8' codec can't decode byte 0x{data[error.start]:02x} at offset {error.start}: {error.reason}"
     return None
+
+
+# a BOM, ASCII, 2-4-byte characters and line ends, then invalid start and continuation
+# bytes, an encoded surrogate, and sequences cut short
+VALID_UTF8_PIECES = [b"\n", b"\r", b"\r\n", b"\xef\xbb\xbf", b"a", "\xe9".encode(), "\u20ac".encode(), "\U0001f600".encode()]
+UTF8_PIECES = [*VALID_UTF8_PIECES, b"\x80", b"\xff", b"\xc0\xaf", b"\xe2(", b"\xf0\x9f(", b"\xed\xa0\x80",
+               b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"]
+
+
+def naive_lines(path):
+    """The lines of the file at `path` as text mode with encoding "utf-8-sig" and newline=""
+    reads them, up to the line that holds its first byte that is not UTF-8, where the
+    ParseError of naive_undecodable_byte is raised: a faulty line before it comes first."""
+    data = Path(path).read_bytes()
+    bad = naive_undecodable_byte(data)
+    if bad is not None:
+        data = b"".join(data.splitlines(keepends=True)[: bad[0] - 1])
+    yield from io.StringIO(data.decode("utf-8-sig"), newline="")
+    if bad is not None:
+        raise ParseError(*bad)
+
+
+@contextmanager
+def piped(data: bytes):
+    """A path, /dev/fd/N, that reads `data` through a pipe that a thread writes."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(write_end, view):]
+        except BrokenPipeError:
+            pass  # the reader stopped early
+        finally:
+            os.close(write_end)
+
+    thread = threading.Thread(target=feed)
+    thread.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        thread.join()
 
 
 # characters a JSON string escapes, or writes as they are though a reader may trip on them:
@@ -383,29 +432,31 @@ def _naive_field(parse, column: str, text: str, line: int):
 def naive_read_dump(path) -> Runs:
     """The per-dialog dump read one row at a time, as it was first read: csv.reader over the
     whole file, a header that must be the columns as written, every row's key and scores
-    parsed on their own, and the first faulty row raising its fault."""
+    parsed on their own, and the first faulty row in line order (`naive_lines`) raising its
+    fault, naming the file."""
     runs: Runs = {}
     key_parsers = (str, Perspective, int, int)
     width = len(PER_DIALOG_COLUMNS)
-    with _naming_file(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != list(PER_DIALOG_COLUMNS):
-                raise ParseError(1, "per-dialog dump header is not the columns as written")
-            for record in reader:
-                line = reader.line_num
-                if not record:
-                    continue
-                if len(record) != width:
-                    raise ParseError(line, f"per-dialog dump row has {len(record)} field(s), the header has {width}")
-                did, method, perspective, size, seed = record[:5]
-                key = tuple(_naive_field(parse, column, text, line) for parse, column, text in zip(key_parsers, PER_DIALOG_COLUMNS[1:5], record[1:5]))
-                scores = runs.setdefault(key, {})
-                if did in scores:
-                    raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
-                scores[did] = tuple(_naive_field(_naive_score, column, text, line) for column, text in zip(PER_DIALOG_COLUMNS[5:], record[5:]))
-        except csv.Error as exc:
-            raise ParseError(reader.line_num, str(exc)) from None
+    reader = csv.reader(naive_lines(path))
+    try:
+        if next(reader, None) != list(PER_DIALOG_COLUMNS):
+            raise ParseError(1, "per-dialog dump header is not the columns as written")
+        for record in reader:
+            line = reader.line_num
+            if not record:
+                continue
+            if len(record) != width:
+                raise ParseError(line, f"per-dialog dump row has {len(record)} field(s), the header has {width}")
+            did, method, perspective, size, seed = record[:5]
+            key = tuple(_naive_field(parse, column, text, line) for parse, column, text in zip(key_parsers, PER_DIALOG_COLUMNS[1:5], record[1:5]))
+            scores = runs.setdefault(key, {})
+            if did in scores:
+                raise ParseError(line, f"dialog {did!r} repeats in run ({method}, {perspective}, size={size}, seed={seed})")
+            scores[did] = tuple(_naive_field(_naive_score, column, text, line) for column, text in zip(PER_DIALOG_COLUMNS[5:], record[5:]))
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc), path) from None
+    except ParseError as exc:
+        raise ParseError(exc.line, exc.detail, path) from None
     return runs
 
 
