@@ -54,27 +54,37 @@ def _naming_file(path: str | Path) -> Iterator[None]:
         raise CorpusError(f"{path}: {exc}") from exc
 
 
+_PIECE = 65_536  # the most that one read asks for: a line longer than this, or lone CRs, are read on in pieces
+
+
 class LineSource:
     """The lines of a binary file or pipe as text mode with encoding "utf-8-sig" and `newline`
     "" or None reads them, each decoded alone as it is read: a byte that is not UTF-8 is a
     ParseError naming its line and input offset on the first pass, a pipe's too. Each
-    iteration goes on where the last one stopped."""
+    iteration goes on where the last one stopped. Reads are of at most _PIECE bytes, or twice
+    the last while one line goes on, so a file whose lines end in lone CRs is not held whole."""
 
     def __init__(self, fh: BinaryIO, newline: str | None):
-        first = fh.readline()
+        first = fh.readline(_PIECE)
         self._line, self._offset = 0, 3 if first.startswith(b"\xef\xbb\xbf") else 0  # lines and bytes read
         self._fh, self._universal = fh, newline is None
-        self._held = [first[self._offset:]]  # lines read from `fh` and not yet decoded, last first
+        # lines read from `fh` and not yet decoded, last first; a bytearray is the start of unread lines
+        self._held = [bytearray(first[self._offset:])]
 
     def __iter__(self) -> Iterator[str]:
-        held, readline, universal = self._held, self._fh.readline, self._universal
+        held, readline, universal, piece = self._held, self._fh.readline, self._universal, _PIECE
         while True:
-            raw = held.pop() if held else readline()
+            if held:
+                raw = held.pop()
+                if type(raw) is bytearray:
+                    raw = self._read_on(bytes(raw))
+            else:
+                raw = readline(piece)
+                # cut short of its end, or more than one line: a CR before the line's own end ends a line too
+                if len(raw) == piece and raw[-1] != 10 or 13 in raw and 13 in raw.rstrip(b"\n")[:-1]:
+                    raw = self._read_on(raw)
             if not raw:
                 return
-            if 13 in raw and 13 in raw.rstrip(b"\n")[:-1]:  # a CR before the line's own end ends a line too
-                raw, *rest = raw.splitlines(True)
-                held += reversed(rest)
             self._line += 1
             try:
                 text = raw.decode()
@@ -84,15 +94,29 @@ class LineSource:
             self._offset += len(raw)
             yield text.rstrip("\r\n") + "\n" if universal and 13 in raw else text  # its only end reads as LF
 
+    def _read_on(self, raw: bytes) -> bytes:
+        """The first line of `raw`, the start of the unread input, read on in pieces to a line's end:
+        an LF, a CR before the bytes' last, or the input's end. The whole lines after it are held,
+        and the bytes after the last line end as a bytearray. Nothing is held when this is called."""
+        size = _PIECE  # `end` is 0 until `raw` holds a line end, and then the index after the last
+        while not (end := max(raw.rfind(b"\n"), raw.rfind(b"\r", 0, -1)) + 1) and (piece := self._fh.readline(size)):
+            raw += piece
+            size *= 2
+        lines = raw.splitlines(True) or [b""]
+        if 0 < end < len(raw):
+            lines[-1] = bytearray(lines[-1])  # the start of a line not read to its end
+        self._held += lines[:0:-1]
+        return lines[0]
+
     def take(self, block: bytes, lines: int) -> bool:
         """Read past `block`, `lines` whole lines ending in LF with no CR, if no line is held and the
-        input goes on with it, and say so; else hold the bytes read, to their last line's end, as lines."""
+        input goes on with it, and say so; else hold the bytes read as the start of unread lines."""
         got = None if self._held else self._fh.read(len(block))
         if got == block:
             self._line += lines
             self._offset += len(block)
-        elif got is not None:
-            self._held += reversed((got + self._fh.readline()).splitlines(True))
+        elif got:
+            self._held.append(bytearray(got))
         return got == block
 
 

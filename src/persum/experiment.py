@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -36,15 +37,17 @@ from .rouge import (
     aggregate,
     prepare_reference,
     score_pair,
+    tokenize,
 )
 from .summarize import (
     CandidateSummary,
     Perspective,
+    PredictionEntry,
     PredictionSet,
     PrefixConfig,
     builtin_candidate,
     parse_builtin_method,
-    prediction_candidate,
+    prediction_sides,
 )
 from .weaklabel import DEFAULT_MIN_TOKENS
 
@@ -204,26 +207,57 @@ def _gold_reference(gold: GoldSummary, perspective: Perspective) -> str:
 
 
 def _score_dialogs(
-    candidate: Callable[[str], CandidateSummary | None],
-    references: Mapping[str, PreparedReference],
+    candidates: Callable[[str], Sequence[str | list[str] | None]],
+    references: Mapping[Perspective, Mapping[str, PreparedReference]],
+    tokenizer: TokenizerConfig,
+) -> dict[Perspective, tuple[dict[str, tuple[float, ...]], list[str]]]:
+    """Score `candidates(did)`, a dialog's candidate text or tokens in each perspective of
+    `references` (None for none), built just before they are scored, against the dialog's
+    prepared references, in reference order, as score_pair's PairScores (a dump row's five
+    scores). Each perspective gets its scores and the dialogs it has no candidate for."""
+    cells = {perspective: ({}, []) for perspective in references}
+    targets = [(references[perspective], *cell) for perspective, cell in cells.items()]
+    for did in next(iter(references.values())):
+        for candidate, (prepared, scores, missing) in zip(candidates(did), targets):
+            if candidate is None:
+                missing.append(did)
+            else:
+                scores[did] = score_pair(candidate, prepared[did], tokenizer)
+    return cells
+
+
+def _prediction_tokens(
+    entries: Mapping[str, PredictionEntry],
+    method: str,
+    roles: Sequence[SpeakerRole],
+    views: Sequence[Sequence[SpeakerRole]],
     config: ExperimentConfig,
-    warnings: list[str],
-    missing: str,
-) -> dict[str, tuple[float, ...]]:
-    """Score `candidate(did)`, built just before it is scored, against each dialog's prepared
-    reference, in reference order, as score_pair's PairScores (a dump row's five scores). A
-    None candidate is an error under strict_missing, else a warning `missing.format(did)`."""
-    scores: dict[str, tuple[float, ...]] = {}
-    for did, reference in references.items():
-        cand = candidate(did)
-        if cand is None:
-            message = missing.format(did)
-            if config.strict_missing:
-                raise ExperimentError(message)
-            warnings.append(message)
-            continue
-        scores[did] = score_pair(cand.text, reference, config.tokenizer)
-    return scores
+    did: str,
+) -> list[list[str] | None]:
+    """Dialog `did`'s candidate tokens from its prediction entry in each view, a perspective's roles,
+    None where it has no side. Each of the entry's sides among `roles`, every view's, is tokenized
+    once, and a view's tokens are its sides' in join order: the tokens of the sides joined with a
+    space, which is neither cased nor case-ignorable."""
+    entry = entries.get(did)
+    if entry is None:
+        return [None] * len(views)
+    sides = prediction_sides(entry, method, roles, config.prefixes)
+    tokens = {role: tokenize(text, config.tokenizer) for role, (text, _) in sides.items()}
+    found = []
+    for view in views:
+        joined = None
+        for role in view:
+            if role in tokens:
+                joined = tokens[role] if joined is None else joined + tokens[role]
+        found.append(joined)
+    return found
+
+
+def _missing(dids: Sequence[str], message: str, config: ExperimentConfig, warnings: list[str]) -> None:
+    """A dialog with no candidate is an error under strict_missing, else a warning `message.format(did)`."""
+    if dids and config.strict_missing:
+        raise ExperimentError(message.format(dids[0]))
+    warnings.extend(map(message.format, dids))
 
 
 def index_prediction_sets(sets: Iterable[PredictionSet]) -> dict[tuple[str, int, int], PredictionSet]:
@@ -247,7 +281,12 @@ def run_experiment(
 
     Each reference is tokenized once per perspective and shared by every method
     and cell. Built-in candidates do not depend on the training subset, so they
-    are scored once per dialog and reused in every (size, seed) cell.
+    are scored once per (perspective, dialog) and reused in every (size, seed) cell.
+    An external method is scored cell by cell, each dialog once for every
+    perspective: each side of its prediction is tokenized once, and the full view
+    scores its sides' tokens. Runs and warnings come in method, perspective, size,
+    seed, dialog order, and under strict_missing the first missing dialog in that
+    order is the error.
 
     Warnings are appended to `warnings` (a new list if None), which is RunResult.warnings,
     so a caller that passes its own list also sees them when scoring fails.
@@ -304,9 +343,20 @@ def run_experiment(
         }
         for perspective in config.perspectives
     }
+    views = [perspective.roles for perspective in config.perspectives]
+    roles = [role for role in SpeakerRole if any(role in view for view in views)]
     runs: Runs = {}
     for method in config.methods:
         spec = parse_builtin_method(method)
+        if spec is None:
+            cells = {
+                (size, seed): _score_dialogs(
+                    partial(_prediction_tokens, ext_index[(method, size, seed)].entries, method, roles, views, config),
+                    prepared, config.tokenizer,
+                )
+                for size in config.sizes
+                for seed in config.seeds
+            }
         for perspective in config.perspectives:
             if spec is not None and not spec.applies_to(perspective):
                 warnings.append(
@@ -314,25 +364,21 @@ def run_experiment(
                 )
                 continue
             label = f"{method}/{perspective.value}"
-            references = prepared[perspective]
             if spec is not None:
-                builtin_scores = _score_dialogs(
-                    lambda did: builtin_candidate(dialogs[did], spec, perspective, config.prefixes, config.min_tokens),
-                    references, config, warnings, f"{label}: no candidate for dialog {{}}",
-                )
+                builtin_scores, missing = _score_dialogs(
+                    lambda did: [c.text if (c := builtin_candidate(dialogs[did], spec, perspective, config.prefixes,
+                                                                  config.min_tokens)) else None],
+                    {perspective: prepared[perspective]}, config.tokenizer,
+                )[perspective]
+                _missing(missing, f"{label}: no candidate for dialog {{}}", config, warnings)
             for size in config.sizes:
                 for seed in config.seeds:
                     if spec is not None:
                         scores = builtin_scores
                     else:
-                        entries = ext_index[(method, size, seed)].entries
-                        scores = _score_dialogs(
-                            lambda did: prediction_candidate(entries[did], method, perspective, config.prefixes)
-                            if did in entries
-                            else None,
-                            references, config, warnings,
-                            f"{label}: no prediction for dialog {{}} (size={size}, seed={seed})",
-                        )
+                        scores, missing = cells[(size, seed)][perspective]
+                        message = f"{label}: no prediction for dialog {{}} (size={size}, seed={seed})"
+                        _missing(missing, message, config, warnings)
                     if scores:
                         runs[(method, perspective, size, seed)] = scores
                     else:

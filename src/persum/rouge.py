@@ -176,14 +176,14 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str] | PreparedReferen
 
 
 def score_pair(
-    candidate: str, reference: str | PreparedReference, config: TokenizerConfig = DEFAULT_TOKENIZER
+    candidate: str | list[str], reference: str | PreparedReference, config: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> PairScores:
-    """Tokenize the candidate and score it with ROUGE-1, ROUGE-2, and ROUGE-L, as
-    _make_score would. A reference given as text is tokenized here; a PreparedReference,
-    made with the same config, is used as it is."""
+    """Score a candidate, given as text or as its tokens, with ROUGE-1, ROUGE-2, and ROUGE-L,
+    as _make_score would. Text is tokenized here, a reference given as text too; a
+    PreparedReference, made with the same config, is used as it is."""
     if not isinstance(reference, PreparedReference):
         reference = prepare_reference(reference, config)
-    tokens = tokenize(candidate, config)
+    tokens = tokenize(candidate, config) if isinstance(candidate, str) else candidate
     overlap1, overlap2, lcs = _rouge_counts(tokens, reference)
     if not overlap1:  # no shared token, so no shared bigram and an empty LCS
         return PairScores(0.0, 0.0, 0.0, 0.0, 0.0)

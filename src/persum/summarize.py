@@ -122,21 +122,12 @@ def method_has_post_process(name: str) -> bool:
     return _POST_PROCESS_RE.search(name) is not None
 
 
-def _candidate(
-    sides: Sequence[tuple[SpeakerRole, str]], apply_prefix: bool, prefixes: PrefixConfig
-) -> CandidateSummary | None:
-    """Join the (role, text) sides with one space, each prefixed first when apply_prefix
-    is set; None when there are no sides."""
+def _candidate(sides: Sequence[tuple[str, bool]]) -> CandidateSummary | None:
+    """Join the (text, fired) sides with one space; None when there are none."""
     if not sides:
         return None
-    texts = []
-    fired_any = False
-    for role, text in sides:
-        if apply_prefix:
-            text, fired = post_process(text, role, prefixes)
-            fired_any = fired_any or fired
-        texts.append(text)
-    return CandidateSummary(" ".join(texts), fired_any)
+    texts, fired = zip(*sides)
+    return CandidateSummary(" ".join(texts), any(fired))
 
 
 def builtin_candidate(
@@ -155,8 +146,8 @@ def builtin_candidate(
         target = select_target(dialog, role, heuristic, min_tokens)
         if target is None:
             return None
-        sides.append((role, target.text))
-    return _candidate(sides, spec.post_process, prefixes)
+        sides.append(post_process(target.text, role, prefixes) if spec.post_process else (target.text, False))
+    return _candidate(sides)
 
 
 # --- external predictions -----------------------------------------------------
@@ -225,6 +216,20 @@ def load_predictions(path: str | Path) -> PredictionSet:
         return parse_predictions(lines)
 
 
+def prediction_sides(
+    entry: PredictionEntry, method: str, roles: Sequence[SpeakerRole], prefixes: PrefixConfig = DEFAULT_PREFIXES
+) -> dict[SpeakerRole, tuple[str, bool]]:
+    """The entry's non-blank sides among `roles`, in join order: each role's (text, fired), its text
+    prefixed first when the method post-processes, and whether the prefix rule fired."""
+    apply_prefix = method_has_post_process(method)
+    sides = {}
+    for role in roles:
+        text = entry.customer if role is SpeakerRole.CUSTOMER else entry.agent
+        if text is not None and text.strip():
+            sides[role] = post_process(text, role, prefixes) if apply_prefix else (text, False)
+    return sides
+
+
 def prediction_candidate(
     entry: PredictionEntry,
     method: str,
@@ -236,9 +241,4 @@ def prediction_candidate(
     The full perspective joins the non-blank parts, so a model that emits whole
     summaries can populate just one field.
     """
-    sides = []
-    for role in _PERSPECTIVE_ROLES[perspective]:
-        text = entry.customer if role is SpeakerRole.CUSTOMER else entry.agent
-        if text is not None and text.strip():
-            sides.append((role, text))
-    return _candidate(sides, method_has_post_process(method), prefixes)
+    return _candidate([*prediction_sides(entry, method, perspective.roles, prefixes).values()])

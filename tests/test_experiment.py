@@ -26,7 +26,7 @@ from persum import (
     sample_nested_subsets,
     write_corpus,
 )
-from persum import experiment
+from persum import experiment, rouge
 from persum.cli import main
 from persum.experiment import (
     PER_DIALOG_COLUMNS,
@@ -313,6 +313,56 @@ def test_run_failing_after_warnings_leaves_them_in_the_callers_list(failure):
         run_experiment(corpus, config, external, warnings)
     assert str(exc_info.value) == error
     assert warnings == ["before the run", *expected]
+
+
+def test_missing_predictions_are_named_in_perspective_size_seed_dialog_order(tmp_path):
+    """Cells are scored one at a time, each for every perspective, yet the first missing
+    dialog and the warnings come in perspective, size, seed, dialog order, as the naive
+    oracle gives them: the later cell's missing entry (customer perspective) comes before
+    the earlier cell's blank agent side."""
+    corpus = scoring_corpus(n=12, n_test=3)
+    first, second, _ = corpus.dialog_ids(Split.TEST)
+    config = ExperimentConfig(methods=["pegasus"], perspectives=list(Perspective), sizes=(0, 4), n_seeds=1)
+    early, late = prediction_set(corpus, "pegasus", 0, 0), prediction_set(corpus, "pegasus", 4, 0)
+    early.entries[first] = early.entries[first]._replace(agent="  ")
+    del late.entries[second]
+    result = run_experiment(corpus, config, [early, late])
+    _, dump, warnings = naive_run_experiment(corpus, config, [early, late])
+    assert result.warnings == warnings == [
+        f"pegasus/customer: no prediction for dialog {second} (size=4, seed=0)",
+        f"pegasus/agent: no prediction for dialog {first} (size=0, seed=0)",
+        f"pegasus/agent: no prediction for dialog {second} (size=4, seed=0)",
+        f"pegasus/full: no prediction for dialog {second} (size=4, seed=0)",
+    ]
+    write_per_dialog_csv(result.runs, tmp_path / "dump.csv")
+    assert (tmp_path / "dump.csv").read_text(encoding="utf-8") == dump
+    strict = config._replace(strict_missing=True)
+    with pytest.raises(ExperimentError) as exc_info:
+        run_experiment(corpus, strict, [early, late])
+    assert str(exc_info.value) == naive_run_experiment(corpus, strict, [early, late])[0] == warnings[0]
+
+
+@pytest.mark.parametrize("perspectives", [list(Perspective), [Perspective.CUSTOMER], [Perspective.FULL, Perspective.AGENT]])
+def test_each_prediction_side_is_tokenized_once_per_cell(perspectives):
+    """tokenize runs once per prepared reference and once per non-blank prediction side that
+    a perspective asks for, in each cell, and score_pair once per scored pair."""
+    corpus = scoring_corpus(n=12, n_test=3)
+    test_ids = corpus.dialog_ids(Split.TEST)
+    config = ExperimentConfig(methods=["pegasus_post_process"], perspectives=perspectives, sizes=(0, 4), n_seeds=2)
+    external = [prediction_set(corpus, "pegasus_post_process", size, seed) for size in (0, 4) for seed in (0, 1)]
+    external[0].entries[test_ids[0]] = PredictionEntry(None, "only the agent")
+    external[1].entries[test_ids[1]] = PredictionEntry(" ", "?!")
+    del external[2].entries[test_ids[2]]
+    roles = {role for perspective in perspectives for role in perspective.roles}
+    sides = sum(text is not None and bool(text.strip())
+                for pred in external for entry in pred.entries.values()
+                for role, text in ((C, entry.customer), (A, entry.agent)) if role in roles)
+    with mock.patch.object(rouge, "tokenize", wraps=rouge.tokenize) as counted, \
+            mock.patch.object(experiment, "tokenize", counted), \
+            mock.patch.object(experiment, "score_pair", wraps=experiment.score_pair) as scored:
+        result = run_experiment(corpus, config, external)
+    assert counted.call_count == len(perspectives) * len(test_ids) + sides
+    assert scored.call_count == len(list(dump_rows(result.runs)))
 
 
 def test_incompatible_builtin_rows_skipped_with_warning():

@@ -76,6 +76,20 @@ def test_tokenize_equals_naive_oracle_on_every_bmp_code_point():
         assert tokenize(text, config) == naive_tokenize(text, config)
 
 
+# cased and case-ignorable characters around final and other sigmas, a combining dot, a soft
+# hyphen, a capital that lowers to two code points, digits, and whitespace other than a space
+JOIN_TEXT = st.text(alphabet="ΣσςAbΟ:'.\u0307\u00adİ19\t\n\u00a0\u3000", max_size=10)
+
+
+@settings(max_examples=500)
+@given(JOIN_TEXT, JOIN_TEXT)
+def test_tokens_of_two_texts_joined_with_a_space_are_their_tokens_in_order(a, b):
+    """Why the full perspective may score its sides' tokens: a space is neither cased nor
+    case-ignorable, so lowering (final sigma included) and splitting never see across it."""
+    for config in ALL_TOKENIZERS:
+        assert tokenize(a + " " + b, config) == tokenize(a, config) + tokenize(b, config)
+
+
 def test_tokenize_table_stops_growing_at_its_cap():
     text = "".join(map(chr, range(0x110000)))
     assert tokenize(text) == naive_tokenize(text, TokenizerConfig())
@@ -249,9 +263,10 @@ def test_score_pair_row_equals_naive_oracles_exactly(cand, ref):
     want = [*naive_ngram_prf(cand, ref, 1), naive_ngram_prf(cand, ref, 2)[2], naive_lcs_prf(cand, ref)[2]]
     want = list(map(repr, want))
     for reference in (" ".join(ref), prepare_reference(" ".join(ref))):
-        row = score_pair(" ".join(cand), reference)
-        assert type(row) is PairScores
-        assert list(map(repr, row)) == want
+        for candidate in (" ".join(cand), cand):  # its text, or its tokens
+            row = score_pair(candidate, reference)
+            assert type(row) is PairScores
+            assert list(map(repr, row)) == want
 
 
 @given(LONG_TOKENS, st.lists(LONG_TOKENS, max_size=8))
