@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from persum import (
 )
 from persum.corpus import (
     TWEET_CSV_COLUMNS,
+    LineSource,
     ThreadReport,
     Tweet,
     Utterance,
@@ -557,6 +559,35 @@ def test_line_source_reads_many_pieces_as_text_mode_reads_them(tmp_path, seed):
                     assert list(lines) == expected
     bad = data[:-rand.randint(2, 5_000)] + b"\xff" + data[-1:]
     assert _undecodable_outcomes(tmp_path, bad) == [naive_undecodable_byte(bad)] * 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_line_source_takes_blocks_between_lines_as_text_mode_reads_them(seed):
+    """Lines read, with `take` of the next one to three LF lines (some with a changed last
+    byte) tried between them, give the text that text mode reads, and the line count: a
+    taken block is read past, a refused one is read as lines, lone CRs and long lines too."""
+    rand = random.Random(seed)
+    data = _mixed_lines(rand, 300)
+    expected = data.decode()
+    source = LineSource(io.BufferedReader(io.BytesIO(data)), "")
+    read, lines, taken = [], iter(source), 0
+    while True:
+        ahead = expected[sum(map(len, read)):].splitlines(True)[:rand.randint(1, 3)]
+        if ahead and all(line.endswith("\n") and "\r" not in line for line in ahead):
+            block = "".join(ahead).encode()
+            if rand.random() < 0.3:
+                block = block[:-1] + b"x"
+            if source.take(block, len(ahead)):
+                read.append(block.decode())
+                taken += 1
+                continue
+        line = next(lines, None)
+        if line is None:
+            break
+        read.append(line)
+    assert "".join(read) == expected
+    assert source._line == len(expected.splitlines())
+    assert taken
 
 
 _PEAK_OF_READ = """
