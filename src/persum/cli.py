@@ -50,6 +50,7 @@ from .experiment import (
     write_subset_files,
 )
 from .summarize import (
+    DEFAULT_PREFIXES,
     Perspective,
     PrefixConfig,
     builtin_candidate,
@@ -199,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True)
     p.add_argument("--perspective", choices=["customer", "agent", "full"], required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--prefix-customer", type=_text, default=None)
-    p.add_argument("--prefix-agent", type=_text, default=None)
+    p.add_argument("--prefix-customer", type=_text, default=DEFAULT_PREFIXES.customer)
+    p.add_argument("--prefix-agent", type=_text, default=DEFAULT_PREFIXES.agent)
     p.add_argument("--min-tokens", type=_int_at_least(1), default=DEFAULT_MIN_TOKENS)
     p.set_defaults(func=cmd_summarize)
 
@@ -217,53 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("rate-curve", help="post-process rate per training size")
-    p.add_argument("--output", required=True)
+    p.add_argument("--predictions", nargs="+", required=True, help="prediction files of one method")
     p.add_argument("--perspective", choices=["customer", "agent", "full"], required=True)
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--predictions", nargs="*", default=[], help="prediction files of one method")
-    p.add_argument("--corpus", help="with --method: measure a built-in method instead")
-    p.add_argument("--method")
-    source.add_argument(
-        "--sizes", type=_sizes, default=DEFAULT_SIZES,
-        help="training sizes to report; applies to --corpus/--method only",
-    )
-    p.add_argument("--prefix-customer", type=_text, default=None)
-    p.add_argument("--prefix-agent", type=_text, default=None)
-    p.add_argument(
-        "--min-tokens", type=_int_at_least(1),
-        help=f"default {DEFAULT_MIN_TOKENS}; applies to --corpus/--method only",
-    )
+    p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_rate_curve)
 
     return parser
-
-
-def _prefixes_from_args(args) -> PrefixConfig:
-    """--prefix-customer/--prefix-agent where given, else the default prefixes."""
-    given = {"customer": args.prefix_customer, "agent": args.prefix_agent}
-    return PrefixConfig(**{role: prefix for role, prefix in given.items() if prefix is not None})
-
-
-def _builtin_candidates(args, perspective: Perspective):
-    """(dialog id, candidate or None) of the built-in --method for each dialog summarizers
-    run on: the test split when one is assigned, else every dialog."""
-    spec = parse_builtin_method(args.method)
-    if spec is None:
-        raise ExperimentError(
-            f"{args.method!r} is not a built-in method; supply its outputs as prediction files"
-        )
-    try:
-        spec.require(perspective)
-    except ValueError as exc:
-        raise ExperimentError(str(exc)) from None
-    corpus = read_corpus(args.corpus)
-    prefixes = _prefixes_from_args(args)
-    min_tokens = DEFAULT_MIN_TOKENS if args.min_tokens is None else args.min_tokens
-    return [
-        (dialog.id, builtin_candidate(dialog, spec, perspective, prefixes, min_tokens))
-        for dialog in corpus.dialogs
-        if corpus.split is None or corpus.split[dialog.id] == Split.TEST
-    ]
 
 
 def cmd_ingest(args) -> int:
@@ -328,8 +288,23 @@ def cmd_subsets(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    """Run the built-in --method on the dialogs summarizers run on: the test split when
+    one is assigned, else every dialog."""
     perspective = Perspective(args.perspective)
-    candidates = _builtin_candidates(args, perspective)
+    spec = parse_builtin_method(args.method)
+    if spec is None:
+        raise ExperimentError(f"{args.method!r} is not a built-in method; supply its outputs as prediction files")
+    try:
+        spec.require(perspective)
+    except ValueError as exc:
+        raise ExperimentError(str(exc)) from None
+    corpus = read_corpus(args.corpus)
+    prefixes = PrefixConfig(args.prefix_customer, args.prefix_agent)
+    candidates = [
+        (dialog.id, builtin_candidate(dialog, spec, perspective, prefixes, args.min_tokens))
+        for dialog in corpus.dialogs
+        if corpus.split is None or corpus.split[dialog.id] == Split.TEST
+    ]
     lines = [encode_json_line({"dialog_id": dialog_id, "perspective": perspective.value, "method": args.method,
                                **cand._asdict()}) + "\n" for dialog_id, cand in candidates if cand is not None]
     with _outputs(args.output) as (path,):
@@ -381,34 +356,26 @@ def cmd_report(args) -> int:
 
 
 def cmd_rate_curve(args) -> int:
-    if args.predictions and (args.corpus or args.method):
-        problem = "--predictions is not allowed with --corpus or --method"
-    elif args.predictions and args.min_tokens is not None:
-        problem = "--min-tokens is not allowed with --predictions"
-    elif not (args.predictions or (args.corpus and args.method)):
-        problem = "give either --predictions or --corpus with --method"
-    else:
-        problem = None
-    if problem:
-        print(f"persum rate-curve: error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
+    """Pool the candidates of each training size's files, every seed's alike, and write
+    the share of them that the prefix rule fired on."""
     perspective = Perspective(args.perspective)
+    sets = index_prediction_sets(load_predictions(path) for path in args.predictions).values()
+    files = list(zip(args.predictions, sets))  # one set per file, in order
+    first_file = {pred.method: path for path, pred in reversed(files)}
+    if len(first_file) > 1:
+        mixed = ", ".join(f"{method} in {path}" for method, path in sorted(first_file.items()))
+        raise ExperimentError(f"prediction files mix methods: {mixed}")
     per_size: dict[int, list] = {}
-    if args.predictions:
-        prefixes = _prefixes_from_args(args)
-        sets = index_prediction_sets(load_predictions(p) for p in args.predictions).values()
-        methods = {s.method for s in sets}
-        if len(methods) != 1:
-            raise ExperimentError(f"prediction files mix methods: {', '.join(sorted(methods))}")
-        for pred in sets:
-            bucket = per_size.setdefault(pred.training_size, [])
-            for entry in pred.entries.values():
-                cand = prediction_candidate(entry, pred.method, perspective, prefixes)
-                if cand is not None:
-                    bucket.append(cand)
-    else:
-        candidates = [cand for _, cand in _builtin_candidates(args, perspective) if cand is not None]
-        per_size = {size: candidates for size in args.sizes}
+    for _, pred in files:
+        bucket = per_size.setdefault(pred.training_size, [])
+        for entry in pred.entries.values():
+            cand = prediction_candidate(entry, pred.method, perspective)
+            if cand is not None:
+                bucket.append(cand)
+    for size in sorted(per_size):
+        if not per_size[size]:
+            names = ", ".join(path for path, pred in files if pred.training_size == size)
+            raise ExperimentError(f"no {perspective.value} candidates at size {size} in {names}")
     rates = rate_curve(per_size)
     with _outputs(args.output) as (path,):
         _write_text(rate_curve_csv(rates), path)

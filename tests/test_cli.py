@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persum import SpeakerRole, Split, emit_report, load_predictions, make_dialog, read_corpus, write_corpus
+from persum import Split, emit_report, load_predictions, read_corpus, write_corpus
 from persum import cli, rouge
 from persum.cli import main
 from persum.experiment import PER_DIALOG_COLUMNS, load_config_file, table_from_per_dialog
@@ -667,12 +667,11 @@ def test_config_error_names_config_file(scored_setup, tmp_path, capsys, setting,
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
-@pytest.mark.parametrize("command", ["weaklabel", "summarize", "rate-curve"])
+@pytest.mark.parametrize("command", ["weaklabel", "summarize"])
 def test_min_tokens_below_one_is_a_usage_error(helpdesk_path, tmp_path, capsys, command, value):
     argv = {
         "weaklabel": ["weaklabel", "--perspective", "agent", "--heuristic", "long"],
         "summarize": ["summarize", "--perspective", "agent", "--method", "long_base"],
-        "rate-curve": ["rate-curve", "--perspective", "agent", "--method", "long_base"],
     }[command]
     out = tmp_path / "out.jsonl"
     assert main([*argv, "--corpus", str(helpdesk_path), "--min-tokens", value, "--output", str(out)]) == 1
@@ -681,21 +680,16 @@ def test_min_tokens_below_one_is_a_usage_error(helpdesk_path, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "command, option, value, complaint",
-    [("subsets", "--sizes", "-3,4", "sizes must be non-negative, got '-3,4'"),
-     ("subsets", "--sizes", "8,4,4", "sizes must be strictly increasing, got '8,4,4'"),
-     ("subsets", "--seeds", "0", "expected an integer >= 1, got '0'"),
-     ("rate-curve", "--sizes", "-1,5", "sizes must be non-negative, got '-1,5'"),
-     ("rate-curve", "--sizes", "0,16,16", "sizes must be strictly increasing, got '0,16,16'")],
-    ids=["subsets-negative", "subsets-repeated", "subsets-zero-seeds", "rate-curve-negative", "rate-curve-repeated"],
+    "option, value, complaint",
+    [("--sizes", "-3,4", "sizes must be non-negative, got '-3,4'"),
+     ("--sizes", "8,4,4", "sizes must be strictly increasing, got '8,4,4'"),
+     ("--sizes", "", "expected at least one size, got ''"),
+     ("--seeds", "0", "expected an integer >= 1, got '0'")],
+    ids=["subsets-negative", "subsets-repeated", "subsets-empty", "subsets-zero-seeds"],
 )
-def test_bad_sizes_or_seeds_are_a_usage_error(helpdesk_path, tmp_path, capsys, command, option, value, complaint):
+def test_bad_sizes_or_seeds_are_a_usage_error(helpdesk_path, tmp_path, capsys, option, value, complaint):
     out = tmp_path / "out"
-    argv = {
-        "subsets": ["subsets", "--corpus", str(helpdesk_path), "--output-dir", str(out)],
-        "rate-curve": ["rate-curve", "--corpus", str(helpdesk_path), "--method", "lead_base",
-                       "--perspective", "customer", "--output", str(out)],
-    }[command]
+    argv = ["subsets", "--corpus", str(helpdesk_path), "--output-dir", str(out)]
     assert main([*argv, f"{option}={value}"]) == 1
     assert capsys.readouterr().err.endswith(f"error: argument {option}: {complaint}\n")
     assert not out.exists()
@@ -711,125 +705,34 @@ def test_bad_split_seed_is_a_usage_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["subsets", "rate-curve"])
-def test_empty_sizes_is_a_usage_error(helpdesk_path, tmp_path, capsys, command):
-    out = tmp_path / "out"
-    argv = {
-        "subsets": ["subsets", "--corpus", str(helpdesk_path), "--output-dir", str(out)],
-        "rate-curve": ["rate-curve", "--corpus", str(helpdesk_path), "--method", "lead_base",
-                       "--perspective", "customer", "--output", str(out)],
-    }[command]
-    assert main([*argv, "--sizes", ""]) == 1
-    assert capsys.readouterr().err.endswith("error: argument --sizes: expected at least one size, got ''\n")
-    assert not out.exists()
-
-
-def test_rate_curve_predictions_with_sizes_is_a_usage_error(tmp_path, capsys):
-    pred = tmp_path / "a.jsonl"
-    pred.write_text('{"method": "lead_post_process", "training_size": 0, "seed": 0}\n', encoding="utf-8")
-    out = tmp_path / "rates.csv"
-    argv = ["rate-curve", "--predictions", str(pred), "--sizes", "0,16", "--perspective", "customer",
-            "--output", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.endswith("error: argument --sizes: not allowed with argument --predictions\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag, value", [("--corpus", "absent.jsonl"), ("--method", "lead_base")])
-def test_rate_curve_predictions_with_corpus_or_method_is_a_usage_error(tmp_path, capsys, flag, value):
-    pred = tmp_path / "a.jsonl"
-    pred.write_text('{"method": "lead_post_process", "training_size": 0, "seed": 0}\n', encoding="utf-8")
-    out = tmp_path / "rates.csv"
-    argv = ["rate-curve", "--predictions", str(pred), flag, value, "--perspective", "customer",
-            "--output", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.endswith("error: --predictions is not allowed with --corpus or --method\n")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
-    "source", [[], ["--corpus", "absent.jsonl"], ["--method", "lead_base"]], ids=["none", "corpus-only", "method-only"]
+    "flag", [["--corpus", "c.jsonl"], ["--method", "lead_base"], ["--sizes", "0,16"], ["--min-tokens", "8"],
+             ["--prefix-customer", "C: "], ["--prefix-agent", "A: "]],
+    ids=lambda flag: flag[0],
 )
-def test_rate_curve_without_a_source_is_a_usage_error(tmp_path, capsys, source):
+def test_rate_curve_flag_it_does_not_take_is_a_usage_error(tmp_path, capsys, flag):
+    """`rate-curve` measures prediction files only: the flags that fed a built-in method,
+    and the prefixes, which never change whether the prefix rule fires, are refused before
+    any file is read (an absent prediction file would be exit 2)."""
     out = tmp_path / "rates.csv"
-    assert main(["rate-curve", *source, "--perspective", "customer", "--output", str(out)]) == 1
-    assert capsys.readouterr().err == "persum rate-curve: error: give either --predictions or --corpus with --method\n"
-    assert not out.exists()
-
-
-def test_rate_curve_predictions_with_min_tokens_is_a_usage_error(tmp_path, capsys):
-    pred = tmp_path / "a.jsonl"
-    pred.write_text('{"method": "lead_post_process", "training_size": 0, "seed": 0}\n', encoding="utf-8")
-    out = tmp_path / "rates.csv"
-    argv = ["rate-curve", "--predictions", str(pred), "--min-tokens", "8", "--perspective", "customer",
+    argv = ["rate-curve", "--predictions", str(tmp_path / "absent.jsonl"), "--perspective", "customer",
             "--output", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "persum rate-curve: error: --min-tokens is not allowed with --predictions\n"
+    assert main([*argv, *flag]) == 1
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["rate-curve", *flag, "--perspective", "customer", "--output", str(out)]) == 1
+    assert "the following arguments are required: --predictions" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["summarize", "rate-curve"])
-def test_external_method_name_is_refused_before_reading(tmp_path, capsys, command):
+def test_external_method_name_is_refused_before_reading(tmp_path, capsys):
     out = tmp_path / "out"
-    argv = [command, "--corpus", str(tmp_path / "absent.jsonl"), "--method", "pegasus", "--perspective", "customer"]
+    argv = ["summarize", "--corpus", str(tmp_path / "absent.jsonl"), "--method", "pegasus", "--perspective", "customer"]
     assert main([*argv, "--output", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: 'pegasus' is not a built-in method; supply its outputs as prediction files\n"
     )
     assert not out.exists()
-
-
-def _customer_lead_corpus(path):
-    # the crafted dialogs open with a 5-word "customer ..." or "agent ..." turn and only later
-    # reach 8 words, so the lead's post-process share differs between --min-tokens 5 and 8
-    crafted = [
-        make_dialog(f"x{i}", [
-            (SpeakerRole.CUSTOMER, "customer here, parcel still missing"),
-            (SpeakerRole.AGENT, "agent here, checking that now"),
-            (SpeakerRole.CUSTOMER, "it was due last friday and never came"),
-            (SpeakerRole.AGENT, "the courier shows it left our depot on monday"),
-        ])
-        for i in range(3)
-    ]
-    corpus = synthetic_corpus(random.Random(16), 60)
-    write_corpus(corpus._replace(dialogs=corpus.dialogs + crafted), path)
-
-
-BUILTIN_METHODS = [
-    f"{first}{second}{post}_base"
-    for first in ("lead", "long")
-    for second in ("", "_lead", "_long")
-    for post in ("", "_post_process")
-]
-
-
-@pytest.mark.parametrize("min_tokens", ["1", "5", "8"])
-def test_rate_curve_of_a_builtin_method_matches_summarize_output(tmp_path, min_tokens):
-    corpus = tmp_path / "corpus.jsonl"
-    _customer_lead_corpus(corpus)
-    summaries, rates = tmp_path / "summaries.jsonl", tmp_path / "rates.csv"
-    for method in BUILTIN_METHODS:
-        two_sided = method.count("lead") + method.count("long") == 2
-        for perspective in ["full"] if two_sided else ["customer", "agent"]:
-            argv = ["--corpus", str(corpus), "--method", method, "--perspective", perspective,
-                    "--min-tokens", min_tokens]
-            assert main(["summarize", *argv, "--output", str(summaries)]) == 0
-            records = [json.loads(line) for line in summaries.read_text(encoding="utf-8").splitlines()]
-            share = sum(r["post_processed"] for r in records) / len(records)
-            assert main(["rate-curve", *argv, "--sizes", "0", "--output", str(rates)]) == 0
-            assert rates.read_text(encoding="utf-8") == f"size,rate\n0,{share!r}\n", (method, perspective)
-
-
-def test_rate_curve_min_tokens_changes_the_lead_rate(tmp_path):
-    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "rates.csv"
-    _customer_lead_corpus(corpus)
-    rates = []
-    for flags in ([], ["--min-tokens", "5"], ["--min-tokens", "8"]):
-        argv = ["rate-curve", "--corpus", str(corpus), "--method", "lead_post_process_base",
-                "--perspective", "customer", "--sizes", "0", *flags, "--output", str(out)]
-        assert main(argv) == 0
-        rates.append(out.read_text(encoding="utf-8"))
-    assert rates[0] == rates[1] != rates[2]
 
 
 @pytest.mark.parametrize("command", ["score", "rate-curve"])
@@ -1177,7 +1080,8 @@ def test_summarize_bytes_pinned(helpdesk_path, tmp_path, method, perspective):
 
 # Runs score, report, subsets and rate-curve on a seeded corpus from
 # util.synthetic_corpus, with three built-in methods and one external method whose
-# prediction files lack some entries and parts, and prints each output's sha256.
+# prediction files lack some entries and parts (rate-curve measures those files for each
+# perspective), and prints each output's sha256.
 SCORE_PIPELINE = r"""
 import hashlib, json, random, sys
 from pathlib import Path
@@ -1211,10 +1115,9 @@ commands = [
     ["report", "--per-dialog", "out/per_dialog_scores.csv", "--format", "csv", "--output", "report.csv"],
     ["subsets", "--corpus", "corpus.jsonl", "--output-dir", "subsets", "--sizes", "0,4,16", "--seeds", "2"],
 ]
-for method, perspective in (("lead_post_process_base", "customer"), ("long_base", "agent"),
-                            ("lead_long_post_process_base", "full")):
-    commands.append(["rate-curve", "--corpus", "corpus.jsonl", "--method", method, "--perspective", perspective,
-                     "--sizes", "0,4,16", "--output", f"rate_{perspective}.csv"])
+for perspective in ("customer", "agent", "full"):
+    commands.append(["rate-curve", "--predictions", *predictions, "--perspective", perspective,
+                     "--output", f"rate_{perspective}.csv"])
 codes = [main(argv) for argv in commands]
 outputs = [Path(name) for name in ("out/report.md", "out/per_dialog_scores.csv", "report.csv")]
 outputs += sorted(Path("subsets").rglob("*.txt")) + sorted(Path().glob("rate_*.csv"))
@@ -1234,9 +1137,9 @@ SCORE_PIPELINE_SHA256 = {
     "subsets/1/0.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "subsets/1/16.txt": "f102ad2a6fa503cfecad92a47a63e080f772118ca73b29276a61f9e246df3dfd",
     "subsets/1/4.txt": "c0d705a67aa476f77356abd4816f409abf052a9ca61ed2a7e780fadcd181e11d",
-    "rate_agent.csv": "466ae9293d47d3a9e2b1a546c9bfd6f2b1ce39c7c6372f76a8326049818e144c",
-    "rate_customer.csv": "7ff96bba44de58aa646577058afcc28c61349ce6007be439bb9fa7bf99cb0b98",
-    "rate_full.csv": "7ff96bba44de58aa646577058afcc28c61349ce6007be439bb9fa7bf99cb0b98",
+    "rate_agent.csv": "cee0e76c10f1848bda952e97e7ba939796915a9b5cce01f2a3fa2bdedfe6d453",
+    "rate_customer.csv": "05ce74c6a45baf6ce310425a7b29e1aa121b71f1cae17b7321c5f863a287896f",
+    "rate_full.csv": "b2e60d144f57c842cbafba07b2a4ed5c716be830873be6ac03283e3a70041fc3",
     "stderr": "cab45c0bfd3994435f840dfdb5a7d438c73c0d0f1b655437881a46475fefbe33",
 }
 
@@ -1299,6 +1202,7 @@ def test_output_name_that_is_not_utf8_prints_escaped_on_a_strict_stdout(scored_s
     dump = tmp_path / "scored" / "per_dialog_scores.csv"
     if command == "report":
         assert main(["score", "--config", str(config_path), "--output-dir", str(dump.parent)]) == 0
+    predictions = _prediction_file(tmp_path / "pred.jsonl", "pegasus_post_process", ["d1", "d2"])
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict", "PYTHONPATH": src}
     for name, shown in [(b"out\xff", b"out\\xff"), ("outé".encode(), "outé".encode())]:
@@ -1306,8 +1210,7 @@ def test_output_name_that_is_not_utf8_prints_escaped_on_a_strict_stdout(scored_s
         argv = {
             "score": ["score", "--config", config_path, "--output-dir", out],
             "report": ["report", "--per-dialog", dump, "--output", out],
-            "rate-curve": ["rate-curve", "--corpus", corpus_path, "--method", "lead_base", "--perspective", "customer",
-                           "--sizes", "0", "--output", out],
+            "rate-curve": ["rate-curve", "--predictions", predictions, "--perspective", "customer", "--output", out],
             "subsets": ["subsets", "--corpus", corpus_path, "--sizes", "0,4", "--seeds", "1", "--output-dir", out],
         }[command]
         done = subprocess.run([sys.executable, "-m", "persum.cli", *argv], env=env, capture_output=True)
@@ -1317,24 +1220,18 @@ def test_output_name_that_is_not_utf8_prints_escaped_on_a_strict_stdout(scored_s
 
 
 @pytest.mark.parametrize("flag", ["--prefix-customer", "--prefix-agent"])
-@pytest.mark.parametrize("command", ["summarize", "rate-curve"])
-def test_prefix_that_is_not_utf8_is_a_usage_error(scored_setup, tmp_path, capsys, command, flag):
+def test_prefix_that_is_not_utf8_is_a_usage_error(scored_setup, tmp_path, capsys, flag):
     """A byte that is not UTF-8 reaches argv as a lone surrogate, which `summarize` could
     not write into its output."""
     corpus_path, _ = scored_setup
     out = tmp_path / "out"
-    argv = {
-        "summarize": ["summarize", "--corpus", str(corpus_path), "--method", "lead_post_process_base",
-                      "--perspective", "customer", "--output", str(out)],
-        "rate-curve": ["rate-curve", "--corpus", str(corpus_path), "--method", "lead_post_process_base",
-                       "--perspective", "customer", "--output", str(out)],
-    }[command]
+    argv = ["summarize", "--corpus", str(corpus_path), "--method", "lead_post_process_base",
+            "--perspective", "customer", "--output", str(out)]
     assert main([*argv, flag, b"\xff says: ".decode("utf-8", "surrogateescape")]) == 1
     assert f"argument {flag}: expected UTF-8 text, got '\\udcff says: '\n" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["summarize", "rate-curve"])
 @pytest.mark.parametrize(
     "method, perspective, message",
     [
@@ -1344,11 +1241,10 @@ def test_prefix_that_is_not_utf8_is_a_usage_error(scored_setup, tmp_path, capsys
     ],
     ids=["one-sided-full", "two-sided-agent"],
 )
-def test_method_that_does_not_apply_writes_nothing(helpdesk_path, tmp_path, capsys, command, method, perspective,
-                                                   message):
+def test_method_that_does_not_apply_writes_nothing(helpdesk_path, tmp_path, capsys, method, perspective, message):
     out = tmp_path / "out"
     out.write_bytes(b"kept\n")
-    argv = [command, "--corpus", str(helpdesk_path), "--method", method, "--perspective", perspective]
+    argv = ["summarize", "--corpus", str(helpdesk_path), "--method", method, "--perspective", perspective]
     assert main([*argv, "--output", str(out)]) == 2
     assert capsys.readouterr().err == f"error: method {method!r} {message}\n"
     assert out.read_bytes() == b"kept\n"
@@ -1651,8 +1547,8 @@ def test_score_subsets_is_a_usage_error(scored_setup, tmp_path, capsys):
         assert not out_dir.exists()
 
 
-# each command that writes files: its argv (with the inputs that `scored_setup` and a
-# dump at <tmp>/scored hold, and its outputs under <tmp>/out), its outputs, and the
+# each command that writes files: its argv (with the inputs that `scored_setup`, a dump
+# at <tmp>/scored and a prediction file hold, and its outputs under <tmp>/out), its outputs, and the
 # name in `cli` of the writer each output is written by
 WRITING_COMMANDS = {
     "ingest": (["ingest", "--format", "dialog-jsonl", "--input", "{corpus}", "--output", "{out}/corpus.jsonl"],
@@ -1666,9 +1562,8 @@ WRITING_COMMANDS = {
     "score": (["score", "--config", "{config}", "--output-dir", "{out}"],
               [("report.md", "_write_text"), ("per_dialog_scores.csv", "write_per_dialog_csv")]),
     "report": (["report", "--per-dialog", "{dump}", "--output", "{out}/report.md"], [("report.md", "_write_text")]),
-    "rate-curve": (["rate-curve", "--corpus", "{corpus}", "--method", "lead_post_process_base",
-                    "--perspective", "customer", "--sizes", "0,4", "--output", "{out}/rate.csv"],
-                   [("rate.csv", "_write_text")]),
+    "rate-curve": (["rate-curve", "--predictions", "{predictions}", "--perspective", "customer",
+                    "--output", "{out}/rate.csv"], [("rate.csv", "_write_text")]),
 }
 
 
@@ -1700,8 +1595,10 @@ def test_a_command_that_exits_2_leaves_every_output_as_it_was(scored_setup, tmp_
         assert main(["score", "--config", str(config_path), "--output-dir", str(dump.parent)]) == 0
     out = tmp_path / "out"
     out.mkdir()
+    predictions = _prediction_file(tmp_path / "pred.jsonl", "pegasus_post_process", ["d1", "d2"])
     template, outputs = WRITING_COMMANDS[command]
-    argv = [arg.format(corpus=corpus_path, config=config_path, dump=dump, out=out) for arg in template]
+    argv = [arg.format(corpus=corpus_path, config=config_path, dump=dump, predictions=predictions, out=out)
+            for arg in template]
     old = {name: f"old {name}\n".encode() for name, _ in outputs} if failure != "write-without-old-outputs" else {}
     for name, data in old.items():
         (out / name).write_bytes(data)
@@ -1797,8 +1694,8 @@ def test_score_prints_warnings_before_the_error_that_ends_it(tmp_path, capsys):
     ] + ["warning: pegasus/customer: no dialog scored at size=0, seed=0", "error: no dialog scored in any cell"]
 
 
-def _prediction_file(path, method, dialog_ids, text="The customer wants a refund"):
-    lines = [json.dumps({"method": method, "training_size": 0, "seed": 0})]
+def _prediction_file(path, method, dialog_ids, text="The customer wants a refund", size=0, seed=0):
+    lines = [json.dumps({"method": method, "training_size": size, "seed": seed})]
     lines += [json.dumps({"dialog_id": did, "customer": text, "agent": None}) for did in dialog_ids]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -1849,6 +1746,34 @@ def test_rate_curve_duplicate_prediction_cell_exits_2(tmp_path, capsys):
     code = main(["rate-curve", "--predictions", first, second, "--perspective", "customer", "--output", str(out)])
     assert code == 2
     assert capsys.readouterr().err == "error: duplicate prediction set for cell ('m_post_process', 0, 0)\n"
+    assert not out.exists()
+
+
+def test_rate_curve_pools_the_seeds_of_a_size(tmp_path):
+    """A size's rate is the share of all its files' candidates that the prefix rule fired on
+    (1 of 4 here), not the mean of each seed's share ((1/1 + 0/3) / 2 = 0.5)."""
+    fired = _prediction_file(tmp_path / "a.jsonl", "m_post_process", ["d1"], "cannot log in")
+    kept = _prediction_file(tmp_path / "b.jsonl", "m_post_process", ["d1", "d2", "d3"], seed=1)
+    out = tmp_path / "rates.csv"
+    assert main(["rate-curve", "--predictions", fired, kept, "--perspective", "customer", "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "size,rate\n0,0.25\n"
+
+
+def test_rate_curve_data_errors_name_their_files(tmp_path, capsys):
+    """A size with no candidate names every file of that size, and a mix of methods names
+    the first file of each method."""
+    blank = [_prediction_file(tmp_path / f"blank{seed}.jsonl", "m_post_process", ["d1"], " ", seed=seed)
+             for seed in (0, 1)]
+    full = _prediction_file(tmp_path / "full.jsonl", "m_post_process", ["d1"], size=16)
+    other = _prediction_file(tmp_path / "other.jsonl", "other", ["d1"], size=16, seed=1)
+    out = tmp_path / "rates.csv"
+    argv = ["rate-curve", "--perspective", "customer", "--output", str(out), "--predictions"]
+    assert main([*argv, full, *blank]) == 2
+    assert capsys.readouterr().err == f"error: no customer candidates at size 0 in {blank[0]}, {blank[1]}\n"
+    assert main([*argv, *blank, full, other]) == 2
+    assert capsys.readouterr().err == (
+        f"error: prediction files mix methods: m_post_process in {blank[0]}, other in {other}\n"
+    )
     assert not out.exists()
 
 
@@ -1958,22 +1883,6 @@ def test_score_config_paths_relative_to_config_file(tmp_path):
     config_path = nested / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 0
-
-
-def test_rate_curve_command_builtin(helpdesk_path, tmp_path):
-    out = tmp_path / "rates.csv"
-    code = main(
-        [
-            "rate-curve",
-            "--corpus", str(helpdesk_path),
-            "--method", "lead_post_process_base",
-            "--perspective", "customer",
-            "--sizes", "0,16",
-            "--output", str(out),
-        ]
-    )
-    assert code == 0
-    assert out.read_text(encoding="utf-8") == "size,rate\n0,1.0\n16,1.0\n"
 
 
 def test_rate_curve_command_predictions(tmp_path):

@@ -31,7 +31,7 @@ def _sh_commands():
 
 def _flag_spans():
     """(subcommand, flag) for each flag of each inline span that opens with a subcommand
-    and a flag, such as `rate-curve --corpus/--method` or `persum split --split-file`."""
+    and a flag, such as `rate-curve --predictions/--output` or `persum split --split-file`."""
     names = "|".join(map(re.escape, _subcommands()))
     spans = re.findall(rf"`(?:persum\s+)?({names})\s+(--[^`]*)`", README)
     return [(command, flag) for command, rest in spans for flag in re.findall(r"--[a-z][a-z-]*", rest)]
