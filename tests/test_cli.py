@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persum import Split, emit_report, load_predictions, read_corpus, write_corpus
+from persum import SpeakerRole, Split, emit_report, load_predictions, make_dialog, read_corpus, write_corpus
 from persum import cli, rouge
 from persum.cli import main
 from persum.experiment import PER_DIALOG_COLUMNS, load_config_file, table_from_per_dialog
@@ -720,9 +720,24 @@ def test_rate_curve_flag_it_does_not_take_is_a_usage_error(tmp_path, capsys, fla
     assert main([*argv, *flag]) == 1
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["rate-curve", *flag, "--perspective", "customer", "--output", str(out)]) == 1
-    assert "the following arguments are required: --predictions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("required", ["--predictions", "--perspective", "--output"])
+def test_rate_curve_without_a_required_flag_is_a_usage_error(tmp_path, capsys, required):
+    """Without prediction files `rate-curve` has nothing to measure, however else it is called."""
+    out = tmp_path / "rates.csv"
+    flags = {"--predictions": [str(tmp_path / "absent.jsonl")], "--perspective": ["customer"],
+             "--output": [str(out)]}
+    argv = [arg for flag, values in flags.items() if flag != required for arg in (flag, *values)]
+    assert main(["rate-curve", *argv]) == 1
+    assert f"the following arguments are required: {required}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rate_curve_help_lists_only_its_own_flags(capsys):
+    assert main(["rate-curve", "--help"]) == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--predictions", "--perspective", "--output"}
 
 
 def test_external_method_name_is_refused_before_reading(tmp_path, capsys):
@@ -1759,7 +1774,8 @@ def test_rate_curve_pools_the_seeds_of_a_size(tmp_path):
     assert out.read_text(encoding="utf-8") == "size,rate\n0,0.25\n"
 
 
-def test_rate_curve_data_errors_name_their_files(tmp_path, capsys):
+@pytest.mark.parametrize("error", ["no-candidates", "mixed-methods"])
+def test_rate_curve_data_errors_name_their_files(tmp_path, capsys, error):
     """A size with no candidate names every file of that size, and a mix of methods names
     the first file of each method."""
     blank = [_prediction_file(tmp_path / f"blank{seed}.jsonl", "m_post_process", ["d1"], " ", seed=seed)
@@ -1768,13 +1784,143 @@ def test_rate_curve_data_errors_name_their_files(tmp_path, capsys):
     other = _prediction_file(tmp_path / "other.jsonl", "other", ["d1"], size=16, seed=1)
     out = tmp_path / "rates.csv"
     argv = ["rate-curve", "--perspective", "customer", "--output", str(out), "--predictions"]
-    assert main([*argv, full, *blank]) == 2
-    assert capsys.readouterr().err == f"error: no customer candidates at size 0 in {blank[0]}, {blank[1]}\n"
-    assert main([*argv, *blank, full, other]) == 2
-    assert capsys.readouterr().err == (
-        f"error: prediction files mix methods: m_post_process in {blank[0]}, other in {other}\n"
-    )
+    if error == "no-candidates":
+        assert main([*argv, full, *blank]) == 2
+        assert capsys.readouterr().err == f"error: no customer candidates at size 0 in {blank[0]}, {blank[1]}\n"
+    else:
+        assert main([*argv, *blank, full, other]) == 2
+        assert capsys.readouterr().err == (
+            f"error: prediction files mix methods: m_post_process in {blank[0]}, other in {other}\n"
+        )
     assert not out.exists()
+
+
+def test_rate_curve_rows_ascend_by_training_size(tmp_path):
+    files = [_prediction_file(tmp_path / f"{size}.jsonl", "m_post_process", ["d1", "d2"][:n], text, size=size)
+             for size, n, text in [(1024, 1, "The customer cannot log in"), (0, 1, "cannot log in"),
+                                   (16, 2, "cannot log in")]]
+    out = tmp_path / "rates.csv"
+    assert main(["rate-curve", "--predictions", *files, "--perspective", "customer", "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "size,rate\n0,1.0\n16,1.0\n1024,0.0\n"
+
+
+@pytest.mark.parametrize("perspective, rate", [("customer", "0.3333333333333333"), ("agent", "0.6666666666666666"),
+                                               ("full", "0.6")])
+def test_rate_curve_reads_the_sides_of_its_perspective(tmp_path, perspective, rate):
+    """A one-sided perspective counts the entries with that side; the full one counts every
+    entry with a side, and it fired when the rule fired on either."""
+    pred = tmp_path / "pred.jsonl"
+    entries = [("d1", "cannot log in", "The agent resets it"), ("d2", None, "resets the password"),
+               ("d3", "The customer wants a refund", None), ("d4", "Customer is upset", None),
+               ("d5", None, "sends a label")]
+    lines = [{"method": "m_post_process", "training_size": 0, "seed": 0}]
+    lines += [{"dialog_id": did, "customer": customer, "agent": agent} for did, customer, agent in entries]
+    pred.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "rates.csv"
+    assert main(["rate-curve", "--predictions", str(pred), "--perspective", perspective, "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == f"size,rate\n0,{rate}\n"
+
+
+def test_rate_curve_counts_no_blank_or_missing_side(tmp_path):
+    pred = tmp_path / "pred.jsonl"
+    lines = [{"method": "m_post_process", "training_size": 0, "seed": 0},
+             {"dialog_id": "d1", "customer": "cannot log in", "agent": None},
+             {"dialog_id": "d2", "customer": " \t", "agent": "The agent resets it"},
+             {"dialog_id": "d3", "customer": None, "agent": None},
+             {"dialog_id": "d4", "agent": "resets the password"}]
+    pred.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "rates.csv"
+    assert main(["rate-curve", "--predictions", str(pred), "--perspective", "customer", "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "size,rate\n0,1.0\n"
+
+
+def test_rate_curve_of_a_method_that_does_not_post_process_is_zero(tmp_path):
+    """Whether the prefix rule applies is read from the method name, not from the texts."""
+    pred = _prediction_file(tmp_path / "pred.jsonl", "pegasus", ["d1", "d2"], "cannot log in")
+    out = tmp_path / "rates.csv"
+    assert main(["rate-curve", "--predictions", pred, "--perspective", "customer", "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "size,rate\n0,0.0\n"
+
+
+def test_rate_curve_absent_prediction_file_exits_2_naming_it(tmp_path, capsys):
+    present = _prediction_file(tmp_path / "a.jsonl", "m_post_process", ["d1"])
+    absent = tmp_path / "absent.jsonl"
+    out = tmp_path / "rates.csv"
+    argv = ["rate-curve", "--predictions", present, str(absent), "--perspective", "customer", "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: file not found: {absent}\n"
+    assert not out.exists()
+
+
+def _customer_lead_corpus(path):
+    # the crafted dialogs open with a 5-word "customer ..." or "agent ..." turn and only later
+    # reach 8 words, so the lead's post-process share differs between --min-tokens 5 and 8
+    crafted = [
+        make_dialog(f"x{i}", [
+            (SpeakerRole.CUSTOMER, "customer here, parcel still missing"),
+            (SpeakerRole.AGENT, "agent here, checking that now"),
+            (SpeakerRole.CUSTOMER, "it was due last friday and never came"),
+            (SpeakerRole.AGENT, "the courier shows it left our depot on monday"),
+        ])
+        for i in range(3)
+    ]
+    corpus = synthetic_corpus(random.Random(16), 60)
+    write_corpus(corpus._replace(dialogs=corpus.dialogs + crafted), path)
+
+
+BUILTIN_METHODS = [
+    f"{first}{second}{post}_base"
+    for first in ("lead", "long")
+    for second in ("", "_lead", "_long")
+    for post in ("", "_post_process")
+]
+
+
+@pytest.mark.parametrize("min_tokens", ["1", "5", "8"])
+def test_rate_curve_of_a_builtin_method_matches_summarize_output(tmp_path, min_tokens):
+    """Each built-in method's targets, as prediction files under its name, give the
+    share of `summarize`'s candidates of that method that the prefix rule fired on."""
+    corpus = tmp_path / "corpus.jsonl"
+    _customer_lead_corpus(corpus)
+    summaries, pred, rates = tmp_path / "summaries.jsonl", tmp_path / "pred.jsonl", tmp_path / "rates.csv"
+
+    def summarize(method, perspective):
+        argv = ["summarize", "--corpus", str(corpus), "--method", method, "--perspective", perspective,
+                "--min-tokens", min_tokens, "--output", str(summaries)]
+        assert main(argv) == 0
+        return {r["dialog_id"]: r for r in map(json.loads, summaries.read_text(encoding="utf-8").splitlines())}
+
+    targets = {(heuristic, role): {did: r["text"] for did, r in summarize(f"{heuristic}_base", role).items()}
+               for heuristic in ("lead", "long") for role in ("customer", "agent")}
+    for method in BUILTIN_METHODS:
+        heuristics = re.findall("lead|long", method)
+        two_sided = len(heuristics) == 2
+        for perspective in ["full"] if two_sided else ["customer", "agent"]:
+            records = summarize(method, perspective)
+            share = sum(r["post_processed"] for r in records.values()) / len(records)
+            roles = ["customer", "agent"] if two_sided else [perspective]
+            sides = [targets[heuristic, role] for heuristic, role in zip(heuristics, roles)]
+            lines = [{"method": method, "training_size": 0, "seed": 0}]
+            lines += [{"dialog_id": did, **{role: side[did] for role, side in zip(roles, sides)}}
+                      for did in sorted(set.intersection(*map(set, sides)))]
+            assert sorted(records) == [line["dialog_id"] for line in lines[1:]], (method, perspective)
+            pred.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+            argv = ["rate-curve", "--predictions", str(pred), "--perspective", perspective, "--output", str(rates)]
+            assert main(argv) == 0
+            assert rates.read_text(encoding="utf-8") == f"size,rate\n0,{share!r}\n", (method, perspective)
+
+
+def test_summarize_min_tokens_changes_the_lead_rate(tmp_path):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "summaries.jsonl"
+    _customer_lead_corpus(corpus)
+    shares = []
+    for flags in ([], ["--min-tokens", "5"], ["--min-tokens", "8"]):
+        argv = ["summarize", "--corpus", str(corpus), "--method", "lead_post_process_base",
+                "--perspective", "customer", *flags, "--output", str(out)]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        shares.append(sum(r["post_processed"] for r in records) / len(records))
+    assert shares[0] == shares[1] != shares[2]
 
 
 def test_split_command_rejects_two_ratios(tmp_path, capsys):
