@@ -162,21 +162,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="persum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="convert raw conversation data to canonical corpus JSONL")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        """A subcommand's parser; the parsed arguments carry it, so that it names what it does not take."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    p = command("ingest", cmd_ingest, "convert raw conversation data to canonical corpus JSONL")
     p.add_argument("--format", choices=["kaggle-csv", "dialog-jsonl"], required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("split", help="assign train/val/test, seeded or from a split file")
+    p = command("split", cmd_split, "assign train/val/test, seeded or from a split file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--seed", type=_int_at_least(0), help="default 0")
     p.add_argument("--ratios", type=_ratios, help="default 0.8,0.1,0.1")
     p.add_argument("--split-file", help="CSV with columns dialog_id, split; excludes --seed and --ratios")
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("weaklabel", help="emit weak (source, target) pairs for one perspective")
+    p = command("weaklabel", cmd_weaklabel, "emit weak (source, target) pairs for one perspective")
     p.add_argument("--corpus", required=True)
     p.add_argument("--perspective", choices=["customer", "agent"], required=True)
     p.add_argument("--heuristic", choices=["lead", "long"], required=True)
@@ -185,17 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", help="file with one dialog id per line to leave out")
     p.add_argument("--output", required=True)
     p.add_argument("--coverage", help="also write the coverage counters to this JSON file")
-    p.set_defaults(func=cmd_weaklabel)
 
-    p = sub.add_parser("subsets", help="write nested few-shot training subsets per seed")
+    p = command("subsets", cmd_subsets, "write nested few-shot training subsets per seed")
     p.add_argument("--corpus", required=True, help="corpus JSONL with split assignment")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--sizes", type=_sizes, default=DEFAULT_SIZES)
     p.add_argument("--seeds", type=_int_at_least(1), default=DEFAULT_N_SEEDS, help="number of seeds (0..N-1)")
     p.add_argument("--cap-to-population", action="store_true")
-    p.set_defaults(func=cmd_subsets)
 
-    p = sub.add_parser("summarize", help="run a built-in heuristic summarizer on the test split")
+    p = command("summarize", cmd_summarize, "run a built-in heuristic summarizer on the test split")
     p.add_argument("--corpus", required=True)
     p.add_argument("--method", required=True)
     p.add_argument("--perspective", choices=["customer", "agent", "full"], required=True)
@@ -203,25 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix-customer", type=_text, default=DEFAULT_PREFIXES.customer)
     p.add_argument("--prefix-agent", type=_text, default=DEFAULT_PREFIXES.agent)
     p.add_argument("--min-tokens", type=_int_at_least(1), default=DEFAULT_MIN_TOKENS)
-    p.set_defaults(func=cmd_summarize)
 
-    p = sub.add_parser("score", help="run the experiment and write report + score dump")
+    p = command("score", cmd_score, "run the experiment and write report + score dump")
     p.add_argument("--config", required=True, help="experiment config; names the corpus, split and predictions")
     p.add_argument("--report", choices=["md", "csv"], default="md")
     p.add_argument("--output-dir", required=True)
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("report", help="re-emit a report from a per-dialog score dump")
+    p = command("report", cmd_report, "re-emit a report from a per-dialog score dump")
     p.add_argument("--per-dialog", required=True)
     p.add_argument("--format", choices=["md", "csv"], default="md")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("rate-curve", help="post-process rate per training size")
+    p = command("rate-curve", cmd_rate_curve, "post-process rate per training size")
     p.add_argument("--predictions", nargs="+", required=True, help="prediction files of one method")
     p.add_argument("--perspective", choices=["customer", "agent", "full"], required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_rate_curve)
 
     return parser
 
@@ -386,7 +384,9 @@ def cmd_rate_curve(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # persum's values hold no reference cycles, so reference counting frees them and the

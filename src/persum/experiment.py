@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from functools import partial
+from itertools import product
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Corpus,
@@ -45,7 +45,7 @@ from .summarize import (
     PredictionEntry,
     PredictionSet,
     PrefixConfig,
-    builtin_candidate,
+    builtin_entry,
     parse_builtin_method,
     prediction_sides,
 )
@@ -206,51 +206,33 @@ def _gold_reference(gold: GoldSummary, perspective: Perspective) -> str:
     return " ".join(parts[role] for role in perspective.roles)
 
 
-def _score_dialogs(
-    candidates: Callable[[str], Sequence[str | list[str] | None]],
-    references: Mapping[Perspective, Mapping[str, PreparedReference]],
-    tokenizer: TokenizerConfig,
-) -> dict[Perspective, tuple[dict[str, tuple[float, ...]], list[str]]]:
-    """Score `candidates(did)`, a dialog's candidate text or tokens in each perspective of
-    `references` (None for none), built just before they are scored, against the dialog's
-    prepared references, in reference order, as score_pair's PairScores (a dump row's five
-    scores). Each perspective gets its scores and the dialogs it has no candidate for."""
-    cells = {perspective: ({}, []) for perspective in references}
-    targets = [(references[perspective], *cell) for perspective, cell in cells.items()]
-    for did in next(iter(references.values())):
-        for candidate, (prepared, scores, missing) in zip(candidates(did), targets):
-            if candidate is None:
-                missing.append(did)
-            else:
-                scores[did] = score_pair(candidate, prepared[did], tokenizer)
-    return cells
-
-
-def _prediction_tokens(
+def _score_cell(
     entries: Mapping[str, PredictionEntry],
     method: str,
-    roles: Sequence[SpeakerRole],
-    views: Sequence[Sequence[SpeakerRole]],
+    references: Mapping[Perspective, Mapping[str, PreparedReference]],
     config: ExperimentConfig,
-    did: str,
-) -> list[list[str] | None]:
-    """Dialog `did`'s candidate tokens from its prediction entry in each view, a perspective's roles,
-    None where it has no side. Each of the entry's sides among `roles`, every view's, is tokenized
-    once, and a view's tokens are its sides' in join order: the tokens of the sides joined with a
-    space, which is neither cased nor case-ignorable."""
-    entry = entries.get(did)
-    if entry is None:
-        return [None] * len(views)
-    sides = prediction_sides(entry, method, roles, config.prefixes)
-    tokens = {role: tokenize(text, config.tokenizer) for role, (text, _) in sides.items()}
-    found = []
-    for view in views:
-        joined = None
-        for role in view:
-            if role in tokens:
-                joined = tokens[role] if joined is None else joined + tokens[role]
-        found.append(joined)
-    return found
+) -> dict[Perspective, tuple[dict[str, tuple[float, ...]], list[str]]]:
+    """Score one cell, `method`'s prediction entries by dialog id, in each perspective of `references`
+    against the dialog's prepared reference, in reference order, as score_pair's PairScores (a dump
+    row's five scores); each perspective also gets the dialogs with no non-blank side among its roles.
+    Each side is tokenized once, and a perspective's tokens are its sides' in join order: the tokens
+    of the sides joined with a space, which is neither cased nor case-ignorable."""
+    views = [(perspective.roles, prepared, {}, []) for perspective, prepared in references.items()]
+    roles = [role for role in SpeakerRole if any(role in view for view, *_ in views)]
+    for did in next(iter(references.values())):
+        entry = entries.get(did)
+        sides = {} if entry is None else prediction_sides(entry, method, roles, config.prefixes)
+        tokens = {role: tokenize(text, config.tokenizer) for role, (text, _) in sides.items()}
+        for view, prepared, scores, missing in views:
+            joined = None
+            for role in view:
+                if role in tokens:
+                    joined = tokens[role] if joined is None else joined + tokens[role]
+            if joined is None:
+                missing.append(did)
+            else:
+                scores[did] = score_pair(joined, prepared[did], config.tokenizer)
+    return {perspective: (scores, missing) for perspective, (*_, scores, missing) in zip(references, views)}
 
 
 def _missing(dids: Sequence[str], message: str, config: ExperimentConfig, warnings: list[str]) -> None:
@@ -280,13 +262,14 @@ def run_experiment(
     """Score every (method, perspective, size, seed) cell on the test split.
 
     Each reference is tokenized once per perspective and shared by every method
-    and cell. Built-in candidates do not depend on the training subset, so they
-    are scored once per (perspective, dialog) and reused in every (size, seed) cell.
-    An external method is scored cell by cell, each dialog once for every
-    perspective: each side of its prediction is tokenized once, and the full view
-    scores its sides' tokens. Runs and warnings come in method, perspective, size,
-    seed, dialog order, and under strict_missing the first missing dialog in that
-    order is the error.
+    and cell. Every method is scored by one cell scorer, each dialog once for every
+    perspective the method applies to: each side of its prediction entry is
+    tokenized once, and the full view scores its sides' tokens. An external
+    method's entries are its prediction set of each (size, seed). A built-in
+    method's output does not depend on the training subset, so its entries are
+    built and scored once and the one cell serves every (size, seed). Runs and
+    warnings come in method, perspective, size, seed, dialog order, and under
+    strict_missing the first missing dialog in that order is the error.
 
     Warnings are appended to `warnings` (a new list if None), which is RunResult.warnings,
     so a caller that passes its own list also sees them when scoring fails.
@@ -343,46 +326,36 @@ def run_experiment(
         }
         for perspective in config.perspectives
     }
-    views = [perspective.roles for perspective in config.perspectives]
-    roles = [role for role in SpeakerRole if any(role in view for view in views)]
     runs: Runs = {}
     for method in config.methods:
         spec = parse_builtin_method(method)
         if spec is None:
-            cells = {
-                (size, seed): _score_dialogs(
-                    partial(_prediction_tokens, ext_index[(method, size, seed)].entries, method, roles, views, config),
-                    prepared, config.tokenizer,
-                )
-                for size in config.sizes
-                for seed in config.seeds
-            }
+            cells = {(size, seed): _score_cell(ext_index[(method, size, seed)].entries, method, prepared, config)
+                     for size in config.sizes for seed in config.seeds}
+        else:  # one cell, scored once, serves every (size, seed): its runs share one scores dict
+            references = {perspective: refs for perspective, refs in prepared.items() if spec.applies_to(perspective)}
+            cell = {}
+            if references:
+                roles = {role for perspective in references for role in perspective.roles}
+                entries = {did: builtin_entry(dialogs[did], spec, roles, config.min_tokens) for did in test_ids}
+                cell = _score_cell(entries, method, references, config)
+            cells = dict.fromkeys(product(config.sizes, config.seeds), cell)
         for perspective in config.perspectives:
             if spec is not None and not spec.applies_to(perspective):
-                warnings.append(
-                    f"{method}: not applicable to the {perspective.value} perspective, row skipped"
-                )
+                warnings.append(f"{method}: not applicable to the {perspective.value} perspective, row skipped")
                 continue
             label = f"{method}/{perspective.value}"
             if spec is not None:
-                builtin_scores, missing = _score_dialogs(
-                    lambda did: [c.text if (c := builtin_candidate(dialogs[did], spec, perspective, config.prefixes,
-                                                                  config.min_tokens)) else None],
-                    {perspective: prepared[perspective]}, config.tokenizer,
-                )[perspective]
-                _missing(missing, f"{label}: no candidate for dialog {{}}", config, warnings)
-            for size in config.sizes:
-                for seed in config.seeds:
-                    if spec is not None:
-                        scores = builtin_scores
-                    else:
-                        scores, missing = cells[(size, seed)][perspective]
-                        message = f"{label}: no prediction for dialog {{}} (size={size}, seed={seed})"
-                        _missing(missing, message, config, warnings)
-                    if scores:
-                        runs[(method, perspective, size, seed)] = scores
-                    else:
-                        warnings.append(f"{label}: no dialog scored at size={size}, seed={seed}")
+                _missing(cell[perspective][1], f"{label}: no candidate for dialog {{}}", config, warnings)
+            for (size, seed), by_perspective in cells.items():  # size, then seed order
+                scores, missing = by_perspective[perspective]
+                if spec is None:
+                    message = f"{label}: no prediction for dialog {{}} (size={size}, seed={seed})"
+                    _missing(missing, message, config, warnings)
+                if scores:
+                    runs[(method, perspective, size, seed)] = scores
+                else:
+                    warnings.append(f"{label}: no dialog scored at size={size}, seed={seed}")
 
     if not runs:
         raise ExperimentError("no dialog scored in any cell")

@@ -8,8 +8,9 @@ Method names are canonical snake_case strings. The built-in family is the
 heuristic baselines, e.g. ``lead_base``, ``long_post_process_base``, and the
 two-sided ``lead_long_post_process_base`` (customer heuristic, agent heuristic).
 Every other name is an external method whose outputs must be supplied as
-prediction files; names containing ``post_process`` get the prefix rule applied
-by the harness before scoring.
+prediction files; names containing ``post_process``, built-in or not, get the
+prefix rule applied by the harness before scoring. A built-in method's output on
+a dialog is a prediction entry too (``builtin_entry``), so one scorer serves both.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def post_process(
 
 # --- method names -------------------------------------------------------------
 
-_BUILTIN_RE = re.compile(r"^(lead|long)(?:_(lead|long))?(_post_process)?_base$")
+_BUILTIN_RE = re.compile(r"^(lead|long)(?:_(lead|long))?(?:_post_process)?_base$")
 _POST_PROCESS_RE = re.compile(r"(?:^|_)post_process(?:_|$)")
 
 
@@ -86,7 +87,6 @@ class BuiltinMethodSpec(NamedTuple):
     name: str
     customer_heuristic: HeuristicKind
     agent_heuristic: HeuristicKind
-    post_process: bool
     two_sided: bool  # name carries one heuristic per perspective; full view only
 
     def applies_to(self, perspective: Perspective) -> bool:
@@ -112,9 +112,7 @@ def parse_builtin_method(name: str) -> BuiltinMethodSpec | None:
         return None
     first = HeuristicKind(match.group(1))
     second = HeuristicKind(match.group(2)) if match.group(2) else first
-    return BuiltinMethodSpec(
-        name, first, second, post_process=match.group(3) is not None, two_sided=match.group(2) is not None
-    )
+    return BuiltinMethodSpec(name, first, second, two_sided=match.group(2) is not None)
 
 
 @cache  # a run has few method names and asks once per candidate
@@ -122,35 +120,7 @@ def method_has_post_process(name: str) -> bool:
     return _POST_PROCESS_RE.search(name) is not None
 
 
-def _candidate(sides: Sequence[tuple[str, bool]]) -> CandidateSummary | None:
-    """Join the (text, fired) sides with one space; None when there are none."""
-    if not sides:
-        return None
-    texts, fired = zip(*sides)
-    return CandidateSummary(" ".join(texts), any(fired))
-
-
-def builtin_candidate(
-    dialog: Dialog,
-    spec: BuiltinMethodSpec,
-    perspective: Perspective,
-    prefixes: PrefixConfig = DEFAULT_PREFIXES,
-    min_tokens: int = DEFAULT_MIN_TOKENS,
-) -> CandidateSummary | None:
-    """Produce one built-in candidate, or None when a heuristic finds nothing; ValueError
-    when the method does not apply to the perspective."""
-    spec.require(perspective)
-    sides = []
-    for role in perspective.roles:
-        heuristic = spec.customer_heuristic if role is SpeakerRole.CUSTOMER else spec.agent_heuristic
-        target = select_target(dialog, role, heuristic, min_tokens)
-        if target is None:
-            return None
-        sides.append(post_process(target.text, role, prefixes) if spec.post_process else (target.text, False))
-    return _candidate(sides)
-
-
-# --- external predictions -----------------------------------------------------
+# --- prediction entries: read from an external method's files, or a built-in method's output ---
 
 
 class PredictionEntry(NamedTuple):
@@ -241,4 +211,38 @@ def prediction_candidate(
     The full perspective joins the non-blank parts, so a model that emits whole
     summaries can populate just one field.
     """
-    return _candidate([*prediction_sides(entry, method, perspective.roles, prefixes).values()])
+    sides = prediction_sides(entry, method, perspective.roles, prefixes)
+    if not sides:
+        return None
+    texts, fired = zip(*sides.values())
+    return CandidateSummary(" ".join(texts), any(fired))
+
+
+def builtin_entry(
+    dialog: Dialog, spec: BuiltinMethodSpec, roles: Iterable[SpeakerRole], min_tokens: int = DEFAULT_MIN_TOKENS
+) -> PredictionEntry:
+    """The built-in method's output on `dialog` as a prediction entry: the text its heuristic
+    selects for each of `roles`, None where a role has none. A two-sided method holds neither
+    side unless both exist, as its candidate needs both."""
+    texts = {}
+    for role in roles:
+        heuristic = spec.customer_heuristic if role is SpeakerRole.CUSTOMER else spec.agent_heuristic
+        target = select_target(dialog, role, heuristic, min_tokens)
+        texts[role] = None if target is None else target.text
+    if spec.two_sided and None in texts.values():
+        return PredictionEntry(None, None)
+    return PredictionEntry(texts.get(SpeakerRole.CUSTOMER), texts.get(SpeakerRole.AGENT))
+
+
+def builtin_candidate(
+    dialog: Dialog,
+    spec: BuiltinMethodSpec,
+    perspective: Perspective,
+    prefixes: PrefixConfig = DEFAULT_PREFIXES,
+    min_tokens: int = DEFAULT_MIN_TOKENS,
+) -> CandidateSummary | None:
+    """Produce one built-in candidate, or None when a heuristic finds nothing; ValueError
+    when the method does not apply to the perspective."""
+    spec.require(perspective)
+    entry = builtin_entry(dialog, spec, perspective.roles, min_tokens)
+    return prediction_candidate(entry, spec.name, perspective, prefixes)

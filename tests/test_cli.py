@@ -1582,6 +1582,23 @@ WRITING_COMMANDS = {
 }
 
 
+(_COMMANDS,) = [action.choices for action in cli.build_parser()._actions if action.dest == "command"]
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_argument_a_subcommand_does_not_take_is_named_by_that_subcommand(tmp_path, capsys, command):
+    """An unknown flag is a usage error (exit 1) reported with the subcommand's own usage line
+    and `persum <command>: error:`, so the usage shows the flags that the command does take."""
+    argv = ["subsets", "--corpus", "c.jsonl", "--output-dir", "{out}"] if command == "subsets" \
+        else WRITING_COMMANDS[command][0]
+    argv = [arg.replace("{out}", str(tmp_path / "out")) for arg in argv]
+    assert main([*argv, "--no-such-flag", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: persum {command} [-h] ")
+    assert err.endswith(f"\npersum {command}: error: unrecognized arguments: --no-such-flag 0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _cut_short(write):
     """`write` that writes the first half of its file and then fails as a full disk does."""
 

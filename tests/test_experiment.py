@@ -53,6 +53,7 @@ from persum.summarize import (
     builtin_candidate,
     parse_builtin_method,
 )
+from persum.weaklabel import select_target
 from util import dump_rows, naive_read_dump, naive_run_experiment, naive_undecodable_byte, piped, synthetic_corpus
 
 C = SpeakerRole.CUSTOMER
@@ -365,6 +366,37 @@ def test_each_prediction_side_is_tokenized_once_per_cell(perspectives):
     assert scored.call_count == len(list(dump_rows(result.runs)))
 
 
+@pytest.mark.parametrize(
+    "method,perspectives",
+    [("lead_post_process_base", list(Perspective)), ("lead_base", [Perspective.CUSTOMER]),
+     ("long_base", [Perspective.FULL, Perspective.AGENT]), ("lead_long_post_process_base", list(Perspective)),
+     ("long_lead_base", [Perspective.FULL])],
+)
+def test_each_builtin_side_is_tokenized_once_per_dialog(method, perspectives):
+    """A built-in method's output is one prediction entry per dialog, scored once for every
+    perspective it applies to and every (size, seed) cell: tokenize runs once per prepared
+    reference and once per side its heuristics select (a two-sided method's both or neither),
+    and score_pair once per (applicable perspective, scored dialog), not once per dump row."""
+    corpus = scoring_corpus(n=20, n_test=8)
+    dialogs, test_ids = corpus.by_id(), corpus.dialog_ids(Split.TEST)
+    spec = parse_builtin_method(method)
+    applicable = [perspective for perspective in perspectives if spec.applies_to(perspective)]
+    heuristics = {C: spec.customer_heuristic, A: spec.agent_heuristic}
+    found = {did: {role for perspective in applicable for role in perspective.roles
+                   if select_target(dialogs[did], role, heuristics[role], 9) is not None} for did in test_ids}
+    sides = sum(len(roles) for roles in found.values() if not spec.two_sided or len(roles) == 2)
+    pairs = sum(set(perspective.roles) <= found[did] for perspective in applicable for did in test_ids)
+    assert "lead" not in method or pairs < len(applicable) * len(test_ids)  # a dialog lacks a 9-token turn
+    config = ExperimentConfig(methods=[method], perspectives=perspectives, sizes=(0, 4), n_seeds=2, min_tokens=9)
+    with mock.patch.object(rouge, "tokenize", wraps=rouge.tokenize) as counted, \
+            mock.patch.object(experiment, "tokenize", counted), \
+            mock.patch.object(experiment, "score_pair", wraps=experiment.score_pair) as scored:
+        result = run_experiment(corpus, config)
+    assert counted.call_count == len(perspectives) * len(test_ids) + sides
+    assert scored.call_count == pairs
+    assert len(list(dump_rows(result.runs))) == 4 * pairs
+
+
 def test_incompatible_builtin_rows_skipped_with_warning():
     corpus = scoring_corpus()
     config = ExperimentConfig(
@@ -379,6 +411,11 @@ def test_incompatible_builtin_rows_skipped_with_warning():
     assert ("lead_base", Perspective.FULL, "rouge1") not in result.table.rows
     assert ("lead_long_base", Perspective.CUSTOMER, "rouge1") not in result.table.rows
     assert any("not applicable" in w for w in result.warnings)
+    # a method that applies to no requested perspective is not scored at all
+    config = config._replace(methods=["lead_long_base", "lead_base"], perspectives=[Perspective.CUSTOMER])
+    result = run_experiment(corpus, config)
+    assert result.warnings == ["lead_long_base: not applicable to the customer perspective, row skipped"]
+    assert list(result.runs) == [("lead_base", Perspective.CUSTOMER, 0, 0)]
 
 
 def test_run_requires_gold_and_split():
