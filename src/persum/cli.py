@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from typing import Sequence
 
 from .corpus import (
     Corpus,
@@ -36,9 +38,9 @@ from .experiment import (
     DEFAULT_N_SEEDS,
     DEFAULT_SIZES,
     ExperimentError,
+    cell_text,
     check_sizes,
     emit_report,
-    index_prediction_sets,
     load_config_file,
     rate_curve,
     rate_curve_csv,
@@ -52,6 +54,7 @@ from .experiment import (
 from .summarize import (
     DEFAULT_PREFIXES,
     Perspective,
+    PredictionSet,
     PrefixConfig,
     builtin_candidate,
     load_predictions,
@@ -110,10 +113,12 @@ def _text(text: str) -> str:
     return text
 
 
-def _shown(path: str | Path) -> str:
-    """`path` for printing: a byte that is not UTF-8, which reaches argv as a lone
-    surrogate, is shown as an escape such as \\xff."""
-    return str(path).encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+def _shown(text: str | Path) -> str:
+    """`text` for printing: a byte that is not UTF-8, which reaches argv as a lone
+    surrogate, is shown as an escape such as \\xff, and any other lone surrogate as one
+    such as \\ud800."""
+    text = re.sub(r"[\ud800-\udc7f\udd00-\udfff]", lambda m: f"\\u{ord(m[0]):04x}", str(text))
+    return text.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
 
 
 def _int_at_least(minimum: int):
@@ -135,11 +140,11 @@ def _outputs(*targets: str | Path):
     files = [os.path.realpath(path) for path in (*targets, *temps)]
     for target, temp, file in zip(targets, temps, files):
         if files.count(file) > 1:  # the target named twice, or another target's temporary
-            raise OSError(f"cannot write {_shown(target)}: another output of the command uses the same file")
+            raise OSError(f"cannot write {target}: another output of the command uses the same file")
         if os.path.isdir(target):
-            raise OSError(f"cannot write {_shown(target)}: it is a directory")
+            raise OSError(f"cannot write {target}: it is a directory")
         if os.path.isdir(temp):
-            raise OSError(f"cannot write {_shown(target)}: {_shown(temp)} is a directory")
+            raise OSError(f"cannot write {target}: {temp} is a directory")
     try:
         yield temps
         for temp, target in zip(temps, targets):
@@ -311,6 +316,22 @@ def cmd_summarize(args) -> int:
     return EXIT_OK
 
 
+def _load_prediction_files(paths: Sequence[str]) -> list[PredictionSet]:
+    """Each prediction file's set, in order; a second file for one (method, size, seed)
+    cell is an error that names it and the first."""
+    first: dict[tuple[str, int, int], str] = {}
+    sets = []
+    for path in paths:
+        pred = load_predictions(path)
+        if pred.cell in first:
+            raise ExperimentError(
+                f"{path}: duplicate prediction set for cell {cell_text(pred.cell)}, first in {first[pred.cell]}"
+            )
+        first[pred.cell] = path
+        sets.append(pred)
+    return sets
+
+
 def _print_warnings(messages: list[str]) -> None:
     for message in messages:
         print(f"warning: {message}", file=sys.stderr)
@@ -323,7 +344,7 @@ def cmd_score(args) -> int:
     corpus = read_corpus(paths.corpus)
     if paths.split is not None:
         corpus = with_split_file(corpus, paths.split)
-    external = [load_predictions(p) for p in paths.predictions]
+    external = _load_prediction_files(paths.predictions)
 
     warnings: list[str] = []
     try:
@@ -357,8 +378,7 @@ def cmd_rate_curve(args) -> int:
     """Pool the candidates of each training size's files, every seed's alike, and write
     the share of them that the prefix rule fired on."""
     perspective = Perspective(args.perspective)
-    sets = index_prediction_sets(load_predictions(path) for path in args.predictions).values()
-    files = list(zip(args.predictions, sets))  # one set per file, in order
+    files = list(zip(args.predictions, _load_prediction_files(args.predictions)))
     first_file = {pred.method: path for path, pred in reversed(files)}
     if len(first_file) > 1:
         mixed = ", ".join(f"{method} in {path}" for method, path in sorted(first_file.items()))
@@ -397,10 +417,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         name = exc.filename if exc.filename else exc
-        print(f"error: file not found: {name}", file=sys.stderr)
+        print(_shown(f"error: file not found: {name}"), file=sys.stderr)
         return EXIT_DATA
     except (CorpusError, ExperimentError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_shown(f"error: {exc}"), file=sys.stderr)
         return EXIT_DATA
     finally:
         if collecting:

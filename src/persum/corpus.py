@@ -585,15 +585,8 @@ def split_corpus(
     shuffled = [ids[i] for i in make_rng(seed).permutation(n)]
     n_train = math.floor(ratios[0] * n)
     n_val = math.floor(ratios[1] * n)
-    assignment: dict[str, Split] = {}
-    for pos, did in enumerate(shuffled):
-        if pos < n_train:
-            assignment[did] = Split.TRAIN
-        elif pos < n_train + n_val:
-            assignment[did] = Split.VALIDATION
-        else:
-            assignment[did] = Split.TEST
-    return with_split(corpus, assignment)
+    splits = [Split.TRAIN] * n_train + [Split.VALIDATION] * n_val + [Split.TEST] * (n - n_train - n_val)
+    return with_split(corpus, dict(zip(shuffled, splits)))
 
 
 def with_split(corpus: Corpus, assignment: dict[str, Split]) -> Corpus:

@@ -66,7 +66,7 @@ class ExperimentError(ValueError):
     """The experiment configuration or its inputs are unusable."""
 
 
-def _cell_text(cell: tuple[str, int, int]) -> str:
+def cell_text(cell: tuple[str, int, int]) -> str:
     method, size, seed = cell
     return f"({method}, size={size}, seed={seed})"
 
@@ -77,7 +77,7 @@ class MissingCellsError(ExperimentError):
     SHOWN = 10  # cells the message lists; `cells` holds them all
 
     def __init__(self, cells: Sequence[tuple[str, int, int]]):
-        listing = ", ".join(map(_cell_text, cells[: self.SHOWN]))
+        listing = ", ".join(map(cell_text, cells[: self.SHOWN]))
         if len(cells) > self.SHOWN:
             listing += f", … and {len(cells) - self.SHOWN} more"
         super().__init__(f"missing prediction cells: {listing}")
@@ -305,7 +305,7 @@ def run_experiment(
     if unrequested:
         warnings.append(
             f"{len(unrequested)} prediction set(s) are for cells the config does not request "
-            f"and are not scored, first: {_cell_text(unrequested[0])}"
+            f"and are not scored, first: {cell_text(unrequested[0])}"
         )
     missing_cells = [cell for cell in requested if cell not in ext_index]
     if missing_cells:
@@ -316,7 +316,7 @@ def run_experiment(
         did, cell = stray[0]
         warnings.append(
             f"{len(stray)} prediction entry(ies) are for dialogs that are not scored, "
-            f"first: dialog {did!r} in {_cell_text(cell)}"
+            f"first: dialog {did!r} in {cell_text(cell)}"
         )
 
     prepared = {
@@ -645,10 +645,7 @@ def rate_curve(candidates_per_size: Mapping[int, Sequence[CandidateSummary]]) ->
 
 
 def rate_curve_csv(rates: Mapping[int, float]) -> str:
-    lines = ["size,rate"]
-    for size in sorted(rates):
-        lines.append(f"{size},{rates[size]!r}")
-    return "\n".join(lines) + "\n"
+    return "size,rate\n" + "".join(f"{size},{rates[size]!r}\n" for size in sorted(rates))
 
 
 # --- experiment config files -------------------------------------------------------

@@ -143,9 +143,7 @@ class PredictionSet(NamedTuple):
 
 def _optional_text(record: dict, key: str, lineno: int) -> str | None:
     value = record.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
+    if value is not None and not isinstance(value, str):
         raise ParseError(lineno, f"field {key!r} must be a string or null")
     return value
 

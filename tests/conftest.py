@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from persum import read_corpus
+from persum.corpus import read_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -15,30 +15,19 @@ import time
 
 import pytest
 
-from persum import (
-    Corpus,
+from persum.cli import main
+from persum.corpus import Corpus, SpeakerRole, load_split_csv, make_dialog, read_corpus, with_split, write_corpus
+from persum.experiment import (
     ExperimentConfig,
-    Perspective,
-    SpeakerRole,
-    lead_utterance,
-    long_utterance,
-    make_dialog,
-    read_corpus,
+    read_per_dialog_csv,
     run_experiment,
     sample_nested_subsets,
-    weaklabel_corpus,
-    write_corpus,
-)
-from persum.cli import main
-from persum.corpus import load_split_csv, with_split
-from persum.experiment import (
-    read_per_dialog_csv,
     table_from_per_dialog,
     write_subset_files,
 )
 from persum.rouge import rouge_l, rouge_n, score_pair
-from persum.summarize import OPENER_PATTERN, post_process
-from persum.weaklabel import HeuristicKind
+from persum.summarize import OPENER_PATTERN, Perspective, post_process
+from persum.weaklabel import HeuristicKind, lead_utterance, long_utterance, weaklabel_corpus
 from util import (
     naive_lcs_prf,
     naive_lead,

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persum import SpeakerRole, Split, emit_report, load_predictions, make_dialog, read_corpus, write_corpus
 from persum import cli, rouge
 from persum.cli import main
-from persum.experiment import PER_DIALOG_COLUMNS, load_config_file, table_from_per_dialog
+from persum.corpus import SpeakerRole, Split, make_dialog, read_corpus, write_corpus
+from persum.experiment import PER_DIALOG_COLUMNS, emit_report, load_config_file, table_from_per_dialog
+from persum.summarize import load_predictions
 from util import (
     CSV_PIECES,
     UTF8_PIECES,
@@ -1101,7 +1102,7 @@ SCORE_PIPELINE = r"""
 import hashlib, json, random, sys
 from pathlib import Path
 sys.path[:0] = sys.argv[1:3]
-from persum import Split, write_corpus
+from persum.corpus import Split, write_corpus
 from persum.cli import main
 from util import random_text, synthetic_corpus
 
@@ -1232,6 +1233,37 @@ def test_output_name_that_is_not_utf8_prints_escaped_on_a_strict_stdout(scored_s
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout.endswith(b" " + os.fsencode(tmp_path) + b"/" + shown + b"\n")
         assert os.path.exists(out)
+
+
+@pytest.mark.parametrize("name, fmt, message", [
+    (b"nonexist\xff.csv", "kaggle-csv", b"error: file not found: %s\n"),
+    (b"bad\xff.jsonl", "dialog-jsonl", b"error: %s, line 1: invalid JSON (Expecting value)\n"),
+])
+def test_error_naming_a_file_that_is_not_utf8_prints_escaped_on_a_strict_stderr(tmp_path, name, fmt, message):
+    """An `error:` line shows the file's name as stdout does, with a byte that is not UTF-8
+    as an escape, so a stderr that encodes strictly prints it."""
+    path = os.fsencode(tmp_path) + b"/" + name
+    if fmt == "dialog-jsonl":
+        Path(os.fsdecode(path)).write_text("not json\n", encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict", "PYTHONPATH": src}
+    argv = ["ingest", "--format", fmt, "--input", path, "--output", tmp_path / "out.jsonl"]
+    done = subprocess.run([sys.executable, "-m", "persum.cli", *argv], env=env, capture_output=True)
+    shown = path.replace(b"\xff", b"\\xff")
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", message % shown)
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@given(st.lists(st.integers(0, sys.maxunicode)).map(lambda points: "".join(map(chr, points))))
+def test_shown_is_utf8_for_any_text_and_keeps_text_without_surrogates(text):
+    shown = cli._shown(text)
+    shown.encode("utf-8")
+    if not re.search("[\ud800-\udfff]", text):
+        assert shown == text
+
+
+def test_shown_escapes_each_lone_surrogate():
+    assert cli._shown("a\udcffb\ud800\udc7f\udfff") == "a\\xffb\\ud800\\udc7f\\udfff"
 
 
 @pytest.mark.parametrize("flag", ["--prefix-customer", "--prefix-agent"])
@@ -1733,7 +1765,8 @@ def _prediction_file(path, method, dialog_ids, text="The customer wants a refund
     return str(path)
 
 
-def test_score_duplicate_prediction_cell_exits_2_after_its_warnings(tmp_path, capsys):
+def test_score_duplicate_prediction_cell_exits_2_before_scoring(tmp_path, capsys):
+    """The error names both files, and comes before scoring would warn of the missing gold."""
     corpus = synthetic_corpus(random.Random(5), 20, with_gold=True, with_split=True)
     test_ids = corpus.dialog_ids(Split.TEST)
     del corpus.gold[test_ids[0]]
@@ -1747,10 +1780,9 @@ def test_score_duplicate_prediction_cell_exits_2_after_its_warnings(tmp_path, ca
 
     code = main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "run")])
     assert code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: 1 test dialog(s) have no gold summary and are not scored",
-        "error: duplicate prediction set for cell ('pegasus', 0, 0)",
-    ]
+    assert capsys.readouterr().err == (
+        f"error: {second}: duplicate prediction set for cell (pegasus, size=0, seed=0), first in {first}\n"
+    )
     assert not (tmp_path / "run").exists()
 
 
@@ -1777,7 +1809,9 @@ def test_rate_curve_duplicate_prediction_cell_exits_2(tmp_path, capsys):
     out = tmp_path / "rates.csv"
     code = main(["rate-curve", "--predictions", first, second, "--perspective", "customer", "--output", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == "error: duplicate prediction set for cell ('m_post_process', 0, 0)\n"
+    assert capsys.readouterr().err == (
+        f"error: {second}: duplicate prediction set for cell (m_post_process, size=0, seed=0), first in {first}\n"
+    )
     assert not out.exists()
 
 

@@ -18,24 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persum.corpus
-from persum import (
+from persum.corpus import (
+    TWEET_CSV_COLUMNS,
     Corpus,
     CorpusError,
     Dialog,
     GoldSummary,
+    LineSource,
     ParseError,
     SpeakerRole,
     Split,
-    make_dialog,
-    parse_dialog_corpus,
-    read_corpus,
-    reconstruct_threads,
-    split_corpus,
-    write_corpus,
-)
-from persum.corpus import (
-    TWEET_CSV_COLUMNS,
-    LineSource,
     ThreadReport,
     Tweet,
     Utterance,
@@ -45,9 +37,15 @@ from persum.corpus import (
     csv_rows,
     json_objects,
     load_split_csv,
+    make_dialog,
+    parse_dialog_corpus,
+    read_corpus,
     read_lines,
     read_tweet_csv,
+    reconstruct_threads,
+    split_corpus,
     with_split,
+    write_corpus,
 )
 from util import (
     CSV_PIECES,

@@ -11,26 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persum import (
-    Corpus,
-    ExperimentConfig,
-    GoldSummary,
-    ExperimentError,
-    MissingCellsError,
-    ParseError,
-    Perspective,
-    SpeakerRole,
-    Split,
-    make_dialog,
-    run_experiment,
-    sample_nested_subsets,
-    write_corpus,
-)
 from persum import experiment, rouge
 from persum.cli import main
+from persum.corpus import Corpus, GoldSummary, ParseError, SpeakerRole, Split, make_dialog, write_corpus
 from persum.experiment import (
     PER_DIALOG_COLUMNS,
     ConfigPaths,
+    ExperimentConfig,
+    ExperimentError,
+    MissingCellsError,
     ResultTable,
     Runs,
     emit_report,
@@ -40,6 +29,8 @@ from persum.experiment import (
     rate_curve,
     rate_curve_csv,
     read_per_dialog_csv,
+    run_experiment,
+    sample_nested_subsets,
     table_from_per_dialog,
     write_per_dialog_csv,
     write_subset_files,
@@ -47,6 +38,7 @@ from persum.experiment import (
 from persum.rouge import AggregateCell, TokenizerConfig, score_pair
 from persum.summarize import (
     CandidateSummary,
+    Perspective,
     PredictionEntry,
     PredictionSet,
     PrefixConfig,

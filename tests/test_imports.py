@@ -1,11 +1,13 @@
-"""Every name that a module of the package imports is used in that module (the package's
-`__init__.py` imports only to re-export, so it is not checked), every top-level function
-and class of the package is named somewhere in the package or its tests, and only the
-line source opens a file to read it."""
+"""Every name that a module of the package imports is used in that module, every top-level
+function and class of the package is named somewhere in the package or its tests, only
+the line source opens a file to read it, and importing a module loads only the modules it
+needs."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,9 +34,25 @@ def test_unused_imports_finds_an_unused_name():
     assert unused_imports(source) == ["io", "T"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("persum", []),
+    ("persum.rouge", ["rouge"]),
+    ("persum.corpus", ["corpus", "rng"]),
+    ("persum.cli", ["cli", "corpus", "experiment", "rng", "rouge", "summarize", "weaklabel"]),
+])
+def test_importing_a_module_loads_only_the_modules_it_imports(module, loaded):
+    """The package's `__init__.py` imports nothing, so each module is imported from its own
+    path and compiles only itself and what it imports. -S keeps site's .pth files out."""
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+            "print(*sorted(m for m in sys.modules if m.startswith('persum.')))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split() == [f"persum.{name}" for name in loaded]
 
 
 def dead_definitions(defining: dict[str, str], sources: list[str]) -> list[str]:

@@ -1,7 +1,9 @@
-"""The README's command lines and `<subcommand> --flag` spans name what the CLI has."""
+"""The README's command lines and `<subcommand> --flag` spans name what the CLI has, and its
+Library use block runs."""
 
 from __future__ import annotations
 
+import random
 import re
 import shlex
 from pathlib import Path
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from persum.cli import build_parser
+from persum.corpus import write_corpus
+from util import synthetic_corpus
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -55,3 +59,15 @@ def test_readme_flag_spans_name_flags_of_their_subcommand():
     unknown = [f"{command} {flag}" for command, flag in _flag_spans()
                if flag not in subcommands[command]._option_string_actions]
     assert unknown == []
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    """The block, run where `split.jsonl` is a split corpus with golds, does what its comments say."""
+    (block,) = re.findall(r"^## Library use\n.*?^```python\n(.*?)^```", README, re.S | re.M)
+    write_corpus(synthetic_corpus(random.Random(3), 40, with_gold=True, with_split=True), tmp_path / "split.jsonl")
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(block, names)
+    assert names["row"].rl_f == 0.8
+    assert names["result"].warnings is names["warnings"]
+    assert {key[0] for key in names["result"].runs} == {"lead_post_process_base"}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persum
-from persum import make_rng
+from persum.rng import make_rng
 
 # Seeds above 2**128 have more than four 32-bit words, which runs
 # SeedSequence's extra mixing loop.

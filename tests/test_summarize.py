@@ -8,27 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persum import (
-    HeuristicKind,
-    ParseError,
-    Perspective,
-    SpeakerRole,
-    make_dialog,
-    post_process,
-)
+from persum.corpus import ParseError, SpeakerRole, make_dialog
 from persum.summarize import (
+    _BUILTIN_RE,
     OPENER_PATTERN,
+    Perspective,
     PredictionEntry,
     PredictionSet,
     PrefixConfig,
-    _BUILTIN_RE,
     builtin_candidate,
     load_predictions,
     method_has_post_process,
     parse_builtin_method,
     parse_predictions,
+    post_process,
     prediction_candidate,
 )
+from persum.weaklabel import HeuristicKind
 from util import naive_builtin_candidate, naive_external_candidate, random_dialog
 
 C = SpeakerRole.CUSTOMER

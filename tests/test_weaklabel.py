@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persum import (
-    Corpus,
+from persum.corpus import Corpus, SpeakerRole, make_dialog
+from persum.weaklabel import (
     HeuristicKind,
-    SpeakerRole,
+    WeakPair,
     lead_utterance,
     long_utterance,
-    make_dialog,
     make_weak_pair,
+    serialize_dialog,
+    utterance_line,
     weaklabel_corpus,
+    write_weak_pairs,
 )
-from persum.weaklabel import WeakPair, serialize_dialog, utterance_line, write_weak_pairs
 from util import JSON_TEXT_PIECES, naive_jsonl_line, naive_lead, naive_long, random_dialog
 
 C = SpeakerRole.CUSTOMER

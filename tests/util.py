@@ -19,16 +19,24 @@ from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 
-from persum import Corpus, Dialog, GoldSummary, ParseError, Perspective, SpeakerRole, Split, _porter, make_dialog
+from persum import _porter
 from persum.corpus import (
     TWEET_CSV_COLUMNS,
+    Corpus,
+    Dialog,
+    GoldSummary,
+    ParseError,
+    SpeakerRole,
+    Split,
     ThreadReport,
     Tweet,
     decode_json,
+    make_dialog,
     reject_lone_surrogates,
 )
 from persum.experiment import PER_DIALOG_COLUMNS, Runs
 from persum.rouge import TokenizerConfig
+from persum.summarize import Perspective
 
 VOCAB = ("alpha", "bravo", "charlie", "delta", "echo")
 
